@@ -143,13 +143,3 @@ def vertices_from_halfspaces(halfspaces, dim):
         verts.append(tuple(Fraction(x, t) for x in r[:dim]))
     return sorted(verts)
 
-
-def cone_facets(generators, dim):
-    """Facet description of cone(generators).
-
-    Returns (normals, span_equations): integer vectors with <n, x> >= 0 on
-    the cone, and equations <e, x> = 0 cutting out its linear span.  Always
-    succeeds, also for lower-dimensional cones.
-    """
-    rays, lineality = extreme_rays([tuple(g) for g in generators], dim)
-    return rays, lineality

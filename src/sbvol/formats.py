@@ -7,6 +7,7 @@ when integral) so round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import DegenerateInputError
@@ -23,10 +24,22 @@ def fraction_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def parse_int(x) -> int:
+    """A JSON integer; bools, floats and strings are rejected, not coerced."""
+    if type(x) is not int:
+        raise DegenerateInputError(f"integer expected, got {x!r}")
+    return x
+
+
 def parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
+    """A JSON integer or a "p" / "p/q" string with a nonzero denominator."""
+    if type(s) is int:
         return Fraction(s)
-    return Fraction(str(s))
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s) if isinstance(s, str) else None
+    q = int(match.group(2) or 1) if match else 0
+    if q == 0:
+        raise DegenerateInputError(f"integer or \"p/q\" rational with q > 0 expected, got {s!r}")
+    return Fraction(int(match.group(1)), q)
 
 
 def polytope_to_dict(p: LatticePolytope, name: str = "") -> dict:
@@ -41,8 +54,8 @@ def polytope_from_dict(doc: dict) -> tuple:
     """(name, polytope); vertices are re-verified through the hull."""
     try:
         name = doc.get("name", "")
-        ambient = int(doc["ambient_dim"])
-        vertices = [tuple(int(x) for x in v) for v in doc["vertices"]]
+        ambient = parse_int(doc["ambient_dim"])
+        vertices = [tuple(parse_int(x) for x in v) for v in doc["vertices"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DegenerateInputError(f"malformed polytope document: {exc}") from exc
     if not vertices:
@@ -73,7 +86,7 @@ def heights_to_doc(heights: dict) -> dict:
 def heights_from_doc(doc: dict) -> dict:
     try:
         return {
-            tuple(int(x) for x in k): parse_fraction(v) for k, v in doc["heights"]
+            tuple(parse_int(x) for x in k): parse_fraction(v) for k, v in doc["heights"]
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise DegenerateInputError(f"malformed height table: {exc}") from exc

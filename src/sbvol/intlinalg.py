@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import DegenerateInputError
+
 Matrix = list  # list[list[int]], row major
 Vector = tuple  # tuple[int, ...]
 
@@ -361,5 +363,6 @@ def invert_unimodular(a: Matrix) -> Matrix:
     """Exact inverse of a unimodular integer matrix (again integer)."""
     n = len(a)
     h, u = hermite_form(a)
-    assert h == identity_matrix(n), "matrix is not unimodular"
+    if h != identity_matrix(n):
+        raise DegenerateInputError("matrix is not unimodular")
     return u

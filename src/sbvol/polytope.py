@@ -9,15 +9,15 @@ points always refer to the intrinsic lattice structure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import ceil, factorial, floor, gcd, lcm
 
 from . import dd
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
+    InternalConsistencyError,
     ResourceLimitError,
 )
 from .intlinalg import (
@@ -72,7 +72,8 @@ class AffineChart:
             return AffineChart.identity(n)._rebase(tuple(base))
         equations = integer_kernel([list(v) for v in diffs])
         basis = integer_kernel([list(e) for e in equations])
-        assert len(basis) == d
+        if len(basis) != d:
+            raise InternalConsistencyError("span lattice basis has the wrong rank")
         b = [list(v) for v in basis]
         bbt = [[dot(r1, r2) for r2 in b] for r1 in b]
         rows = []
@@ -265,10 +266,7 @@ class LatticePolytope:
 
     def contains(self, x) -> bool:
         if self.is_full_dimensional():
-            return all(
-                sum(Fraction(a) * Fraction(b) for a, b in zip(n, x)) >= c
-                for n, c in self.facet_system()
-            )
+            return all(s >= 0 for s in slacks(self.facet_system(), x))
         ch = self.chart()
         try:
             y = ch.to_chart(x)
@@ -287,9 +285,17 @@ class LatticePolytope:
             if q.dim() == 0:
                 pts = [()]
             else:
-                pts = _enumerate_chart_points(q, interior_only, budget)
+                shift = 1 if interior_only else 0
+                d = q.ambient_dim
+                pts = integer_points(
+                    [(n, c + shift) for n, c in q.facet_system()],
+                    [min(v[i] for v in q.vertices) for i in range(d)],
+                    [max(v[i] for v in q.vertices) for i in range(d)],
+                    budget,
+                    "LatticePolytope.lattice_points",
+                )
             if ch.is_identity():
-                out = tuple(sorted(pts))
+                out = tuple(pts)
             else:
                 out = tuple(sorted(_as_int_tuple(ch.from_chart(p)) for p in pts))
             self._cache[key] = out
@@ -352,7 +358,7 @@ class LatticePolytope:
 
     def volume(self) -> Fraction:
         """Euclidean volume inside the lattice of the span (exact)."""
-        return Fraction(self.normalized_volume(), _factorial(self.dim()))
+        return Fraction(self.normalized_volume(), factorial(self.dim()))
 
     def normalized_volume(self) -> int:
         """dim! times the volume; an integer, 0 only for points."""
@@ -361,12 +367,11 @@ class LatticePolytope:
             if q.dim() == 0:
                 self._cache["nvol"] = 0
             else:
-                total = 0
-                for s in _triangulate_full(list(q.vertices)):
-                    v0 = s[0]
-                    m = [[a - b for a, b in zip(p, v0)] for p in s[1:]]
-                    total += abs(det(m))
-                self._cache["nvol"] = total
+                # (v, 1) over the vertices: each simplicial cone's |det| is
+                # the normalized volume of the simplex it lifts.
+                lifted = [v + (1,) for v in q.vertices]
+                cones = _triangulate_cone(lifted, q.ambient_dim + 1)
+                self._cache["nvol"] = sum(abs(det(c)) for c in cones)
         return self._cache["nvol"]
 
     def lattice_width(self):
@@ -480,29 +485,23 @@ class RationalPolytope:
         )
 
     def contains(self, x) -> bool:
-        return all(
-            sum(Fraction(a) * Fraction(b) for a, b in zip(n, x)) >= c
-            for n, c in self.halfspaces
-        )
+        return all(s >= 0 for s in slacks(self.halfspaces, x))
 
     def lattice_points(self, budget=DEFAULT_POINT_BUDGET):
         vs = self.vertices()
         if not vs:
             return ()
-        lo = [min(v[i] for v in vs) for i in range(self.ambient_dim)]
-        hi = [max(v[i] for v in vs) for i in range(self.ambient_dim)]
-        lo = [int(_ceil_fraction(x)) for x in lo]
-        hi = [int(_floor_fraction(x)) for x in hi]
-        halves = [(n, c) for n, c in self.halfspaces]
-        out = []
-        count = 0
-        for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            count += 1
-            if count > budget:
-                raise ResourceLimitError("lattice point scan exceeded budget")
-            if all(dot(n, p) >= c for n, c in halves):
-                out.append(p)
-        return tuple(sorted(out))
+        d = self.ambient_dim
+        # Integer points of <n, x> >= c are those of <n, x> >= ceil(c).
+        return tuple(
+            integer_points(
+                [(n, ceil(c)) for n, c in self.halfspaces],
+                [ceil(min(v[i] for v in vs)) for i in range(d)],
+                [floor(max(v[i] for v in vs)) for i in range(d)],
+                budget,
+                "RationalPolytope.lattice_points",
+            )
+        )
 
     def irredundant(self) -> "RationalPolytope":
         """Keep halfspaces tight on a face of dimension dim - 1 (once nonempty)."""
@@ -510,9 +509,10 @@ class RationalPolytope:
         if not vs:
             return self
         d = self.dim()
+        rows = [tuple(slacks(self.halfspaces, v)) for v in vs]
         keep = []
-        for n, c in self.halfspaces:
-            tight = [v for v in vs if sum(Fraction(a) * x for a, x in zip(n, v)) == c]
+        for (n, c), col in zip(self.halfspaces, zip(*rows)):
+            tight = [v for v, s in zip(vs, col) if s == 0]
             if not tight:
                 continue
             diffs = [[a - b for a, b in zip(v, tight[0])] for v in tight[1:]]
@@ -651,15 +651,8 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
     qv = list(qa.vertices)
     v0 = pv[0]
     diffs = [tuple(a - b for a, b in zip(v, v0)) for v in pv[1:]]
-    frame_idx = []
-    chosen = []
-    for i, dvec in enumerate(diffs):
-        if rank([list(x) for x in chosen + [dvec]]) == len(chosen) + 1:
-            frame_idx.append(i)
-            chosen.append(dvec)
-        if len(chosen) == d:
-            break
-    frame = [list(r) for r in chosen]  # rows f_i; row r of A solves F x = (w_j[r])_j
+    frame_idx = _frame(diffs, d)
+    frame = [list(diffs[i]) for i in frame_idx]  # rows f_i; row r of A solves F x = (w_j[r])_j
 
     def tight_count(poly, vert):
         return sum(1 for n, c in poly.facet_system() if dot(n, vert) == c)
@@ -682,7 +675,10 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
             if depth == d:
                 nodes += 1
                 if nodes > budget:
-                    raise ResourceLimitError
+                    raise ResourceLimitError(
+                        f"unimodular_equivalence: frame search spent {nodes} nodes, over its"
+                        f" budget of {budget} (dimension {d}, {len(pv)} vertices)"
+                    )
                 a_rows = []
                 for r in range(d):
                     rhs = [Fraction(picked[j][r]) for j in range(d)]
@@ -725,176 +721,154 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
 # -- internal helpers ----------------------------------------------------------
 
 
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+def _frame(diffs, d):
+    """Indices of d linearly independent vectors of diffs, taken greedily."""
+    idx = []
+    for i, dv in enumerate(diffs):
+        if rank([list(diffs[k]) for k in idx] + [list(dv)]) == len(idx) + 1:
+            idx.append(i)
+        if len(idx) == d:
+            break
+    return idx
 
 
-def _ceil_fraction(x):
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
+# -- exact kernels -------------------------------------------------------------
 
 
-def _floor_fraction(x):
-    x = Fraction(x)
-    return x.numerator // x.denominator
+def integer_points(constraints, lo, hi, budget, routine):
+    """Integer points x of the box lo <= x <= hi with <a, x> >= c for every (a, c).
 
+    Exact branch and bound over integer a and c, in lexicographic order:
+    the interval of each coordinate is cut from the fixed prefix and the
+    box bounds on the free suffix, so the last coordinate's interval is
+    exact and no leaf is wasted.  The root and every tried coordinate value
+    count as nodes; past `budget` nodes a ResourceLimitError names
+    `routine`.  Needs a box of dimension at least one.
+    """
+    d = len(lo)
+    # rest[j][i]: max over the box of sum_{k >= j} a_i[k] x_k
+    rest = [[0] * len(constraints) for _ in range(d + 1)]
+    for j in range(d - 1, -1, -1):
+        rest[j] = [
+            r + max(a[j] * lo[j], a[j] * hi[j]) for r, (a, _) in zip(rest[j + 1], constraints)
+        ]
 
-def _enumerate_chart_points(q, interior_only, budget):
-    """Lattice points of a full-dimensional chart polytope by pruned box scan."""
-    facets = q.facet_system()
-    d = q.ambient_dim
-    lo = [min(v[i] for v in q.vertices) for i in range(d)]
-    hi = [max(v[i] for v in q.vertices) for i in range(d)]
-    # suffix interval bounds per facet: min/max of sum_{j>k} n_j x_j
-    suf_min = []
-    suf_max = []
-    for n, _ in facets:
-        mins = [0] * (d + 1)
-        maxs = [0] * (d + 1)
-        for j in range(d - 1, -1, -1):
-            a, b = n[j] * lo[j], n[j] * hi[j]
-            mins[j] = mins[j + 1] + min(a, b)
-            maxs[j] = maxs[j + 1] + max(a, b)
-        suf_min.append(mins)
-        suf_max.append(maxs)
-    out = []
-    count = 0
-    partial = [0] * len(facets)
+    def interval(j, part):
+        low, high = lo[j], hi[j]
+        for (a, c), s, r in zip(constraints, part, rest[j + 1]):
+            need = c - s - r  # a[j] * x[j] must reach this
+            aj = a[j]
+            if aj > 0:
+                low = max(low, -(-need // aj))
+            elif aj < 0:
+                high = min(high, need // aj)
+            elif need > 0:
+                return low, low - 1
+        return low, high
 
-    def rec(j, prefix):
-        nonlocal count
-        count += 1
-        if count > budget:
-            raise ResourceLimitError("lattice point enumeration exceeded budget")
-        if j == d:
-            ok = True
-            for idx, (n, c) in enumerate(facets):
-                v = partial[idx]
-                if interior_only:
-                    if v <= c:
-                        ok = False
-                        break
-                elif v < c:
-                    ok = False
-                    break
-            if ok:
-                out.append(tuple(prefix))
-            return
-        for x in range(lo[j], hi[j] + 1):
-            feasible = True
-            for idx, (n, c) in enumerate(facets):
-                partial[idx] += n[j] * x
-                bound = partial[idx] + suf_max[idx][j + 1]
-                if interior_only:
-                    if bound <= c:
-                        feasible = False
-                else:
-                    if bound < c:
-                        feasible = False
-            if feasible:
-                rec(j + 1, prefix + [x])
-            for idx, (n, _) in enumerate(facets):
-                partial[idx] -= n[j] * x
-
-    rec(0, [])
-    return out
-
-
-def _triangulate_full(points):
-    """Triangulate a full-dimensional vertex set into simplices (recursion on facets)."""
-    d = len(points[0])
-    if len(points) == d + 1:
-        return [tuple(points)]
-    facets = dd.facet_normals_from_points(points)
-    v0 = points[0]
-    out = []
-    for n, c in facets:
-        if dot(n, v0) == c:
+    nodes = 1
+    x = [0] * d
+    top = [0] * d
+    part = [[0] * len(constraints)] * (d + 1)  # part[j]: <a, x> over the prefix x[:j]
+    low, top[0] = interval(0, part[0])
+    x[0] = low - 1
+    j = 0
+    while j >= 0:
+        x[j] += 1
+        if x[j] > top[j]:
+            j -= 1
             continue
-        fpts = sorted(p for p in points if dot(n, p) == c)
-        ch = AffineChart.for_points(fpts)
-        cf = sorted(_as_int_tuple(ch.to_chart(p)) for p in fpts)
-        for s in _triangulate_full(cf):
-            out.append(tuple(_as_int_tuple(ch.from_chart(x)) for x in s) + (v0,))
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimitError(
+                f"{routine}: integer point scan spent {nodes} nodes, over its budget of"
+                f" {budget} (dimension {d}, {len(constraints)} constraints)"
+            )
+        if j == d - 1:
+            yield tuple(x)
+            continue
+        xj = x[j]
+        part[j + 1] = [s + a[j] * xj for s, (a, _) in zip(part[j], constraints)]
+        j += 1
+        low, top[j] = interval(j, part[j])
+        x[j] = low - 1
+
+
+def slacks(system, x):
+    """For each halfspace <n, y> >= c, an integer with the sign of <n, x> - c.
+
+    The denominators of the rational point x are cleared once: with q their
+    lcm and X = q x, the value is (<n, X> - c q) times the denominator of c,
+    so it is zero exactly on the hyperplane.  Offsets are ints or Fractions.
+    """
+    q = lcm(*(v.denominator for v in x))
+    big = [v.numerator * (q // v.denominator) for v in x]
+    for n, c in system:
+        yield dot(n, big) * c.denominator - c.numerator * q
+
+
+def _triangulate_cone(rays, dim):
+    """Split a pointed cone into simplicial subcones on the same ray set.
+
+    Pulls from the first ray: it is coned over a triangulation of every
+    facet that does not contain it.
+    """
+    if len(rays) == rank([list(g) for g in rays]):
+        return [list(rays)]
+    normals, _ = dd.extreme_rays(rays, dim)
+    r0 = rays[0]
+    out = []
+    for n in normals:
+        if dot(n, r0) == 0:
+            continue
+        for t in _triangulate_cone([g for g in rays if dot(n, g) == 0], dim):
+            out.append(t + [r0])
     return out
 
 
 def _width_search(q):
     """Exact lattice width of a full-dimensional chart polytope.
 
-    Maintains an incumbent (initialized with axis widths) and enumerates
-    primitive dual vectors in the box where every direction beating the
-    incumbent must live; the box shrinks whenever the incumbent improves.
+    The incumbent starts at the best axis direction or facet normal.  A
+    dual vector l beats width w only if |<l, v - v0>| < w at every vertex
+    v; then t = F l, for the rows of F a frame of d independent vertex
+    differences, has entries below w, which bounds |l_j| by the L1 norm of
+    row j of F^{-1} times w - 1.  The first such l whose spread beats the
+    incumbent replaces it and the search restarts; the width is certified
+    once no such l is left.
     """
     d = q.ambient_dim
     verts = q.vertices
     v0 = verts[0]
     diffs = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
-    frame = []
-    for dv in diffs:
-        if rank([list(x) for x in frame + [dv]]) == len(frame) + 1:
-            frame.append(dv)
-        if len(frame) == d:
-            break
-    best = None
-    best_l = None
-    for j in range(d):
-        vals = [v[j] for v in verts]
-        w = max(vals) - min(vals)
-        if best is None or w < best:
-            best = w
-            best_l = tuple(1 if i == j else 0 for i in range(d))
-    # rows of the inverse of the frame matrix (columns = frame vectors)
-    # t_i = <l, f_i> gives t = F l, so l = F^{-1} t and |l_j| is bounded by the
-    # L1 norm of row j of F^{-1} times the incumbent width.
-    frame_t = [list(col) for col in zip(*frame)]
-    inv_rows = []
-    for i in range(d):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(d)]
-        sol = solve_rational(frame_t, rhs)  # (F^T) x = e_i gives row i of F^{-1}
-        inv_rows.append(sol)
-    norms = [sum(abs(x) for x in row) for row in inv_rows]
+    frame = [diffs[i] for i in _frame(diffs, d)]
 
     def spread(l):
-        vals0 = dot(l, verts[0])
-        mn = mx = vals0
-        for v in verts[1:]:
-            t = dot(l, v)
-            if t < mn:
-                mn = t
-            if t > mx:
-                mx = t
-            if mx - mn >= best:
-                return None
-        return mx - mn
+        vals = [dot(l, v) for v in verts]
+        return max(vals) - min(vals)
 
-    improved = True
-    while improved:
-        improved = False
-        bounds = [int(_floor_fraction(nm * best)) for nm in norms]
-        for l in itertools.product(*(range(-b, b + 1) for b in bounds)):
-            for x in l:
-                if x > 0:
-                    break
-                if x < 0:
-                    l = None
-                    break
-            if l is None or all(x == 0 for x in l):
-                continue
-            g = 0
-            for x in l:
-                g = gcd(g, abs(x))
-            if g != 1:
-                continue
-            if any(abs(dot(l, f)) >= best for f in frame):
-                continue
-            w = spread(l)
-            if w is not None and w < best:
-                best = w
-                best_l = l
-                improved = True
+    def normalized(l):
+        """l made primitive with its first nonzero entry positive."""
+        g = gcd(*l) if next(x for x in l if x) > 0 else -gcd(*l)
+        return tuple(x // g for x in l)
+
+    units = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
+    best_l = normalized(min(units + [n for n, _ in q.facet_system()], key=spread))
+    best = spread(best_l)
+    # Row i of F^{-1} solves F^T x = e_i.
+    frame_t = [list(col) for col in zip(*frame)]
+    norms = []
+    for i in range(d):
+        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(d)]
+        norms.append(sum(abs(x) for x in solve_rational(frame_t, rhs)))
+    while True:
+        cons = [(f, 1 - best) for f in diffs] + [(tuple(-x for x in f), 1 - best) for f in diffs]
+        bound = [floor(nm * (best - 1)) for nm in norms]
+        box = ([-b for b in bound], bound)
+        for l in integer_points(cons, *box, DEFAULT_POINT_BUDGET, "LatticePolytope.lattice_width"):
+            if 0 < spread(l) < best:
+                best_l = normalized(l)
+                best = spread(best_l)
                 break
-    return best, tuple(best_l)
+        else:
+            return best, best_l

@@ -14,13 +14,14 @@ from fractions import Fraction
 from math import lcm
 
 from . import dd
-from .errors import DegenerateInputError, SubdivisionError
+from .errors import DegenerateInputError, InternalConsistencyError, SubdivisionError
 from .intlinalg import dot, rank, solve_rational
 from .polytope import (
     LatticePolytope,
     RationalPolytope,
     face_closure,
     hull,
+    slacks,
 )
 
 
@@ -186,26 +187,22 @@ def pulling_refinement(s: Subdivision, point) -> Subdivision:
 # -- distance heights --------------------------------------------------------------
 
 
+def _vertex_list(poly):
+    """Vertices of a lattice or a rational polytope."""
+    return poly.vertices if isinstance(poly, LatticePolytope) else poly.vertices()
+
+
 def _face_vertex_lists(poly):
     """Vertex lists of all faces, for lattice or rational polytopes."""
+    verts = _vertex_list(poly)
     if isinstance(poly, LatticePolytope):
-        sets = poly._face_index_sets()
-        verts = poly.vertices
-        return [[verts[i] for i in sorted(f)] for f in sets]
-    verts = poly.vertices()
+        return [[verts[i] for i in sorted(f)] for f in poly._face_index_sets()]
     if not verts:
         raise DegenerateInputError("empty polytope has no faces")
     full = frozenset(range(len(verts)))
-    tight = []
-    for n, c in poly.halfspaces:
-        t = frozenset(
-            i
-            for i, v in enumerate(verts)
-            if sum(Fraction(a) * Fraction(x) for a, x in zip(n, v)) == c
-        )
-        if t:
-            tight.append(t)
-    faces = face_closure(full, tight)
+    rows = [tuple(slacks(poly.halfspaces, v)) for v in verts]
+    tight = [frozenset(i for i, s in enumerate(col) if s == 0) for col in zip(*rows)]
+    faces = face_closure(full, [t for t in tight if t])
     return [[verts[i] for i in sorted(f)] for f in faces]
 
 
@@ -256,17 +253,14 @@ def min_squared_distance(poly, x) -> Fraction:
         d2 = sum((a - b) ** 2 for a, b in zip(xs, proj))
         if best is None or d2 < best:
             best = d2
-    assert best is not None
+    if best is None:
+        raise InternalConsistencyError("no face of the polytope holds the nearest point")
     return best
 
 
 def distance_height(p: LatticePolytope, delta) -> dict:
     """Squared distance to a subpolytope at every lattice point; zero exactly on it."""
-    if isinstance(delta, LatticePolytope):
-        inside = all(p.contains(v) for v in delta.vertices)
-    else:
-        inside = all(p.contains(v) for v in delta.vertices())
-    if not inside:
+    if not all(p.contains(v) for v in _vertex_list(delta)):
         raise DegenerateInputError("the target polytope is not contained in the big one")
     return {x: min_squared_distance(delta, x) for x in p.lattice_points()}
 
@@ -279,14 +273,9 @@ def staged_distance_height(p: LatticePolytope, delta, slices=()) -> dict:
     does not match its intent and an error is raised.
     """
     chain = list(slices) + [delta]
-
-    def vertex_list(poly):
-        return poly.vertices if isinstance(poly, LatticePolytope) else poly.vertices()
-
     for bigger, smaller in zip(chain, chain[1:]):
-        for v in vertex_list(smaller):
-            if not (bigger.contains(v) if not isinstance(bigger, LatticePolytope) else bigger.contains(v)):
-                raise DegenerateInputError("inconsistent slice chain: stages are not nested")
+        if not all(bigger.contains(v) for v in _vertex_list(smaller)):
+            raise DegenerateInputError("inconsistent slice chain: stages are not nested")
     total = {x: Fraction(0) for x in p.lattice_points()}
     for stage in chain:
         for x in total:
@@ -391,21 +380,11 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
 def _smallest_face_containing(cell: LatticePolytope, points):
     """Vertex set of the smallest face of the cell containing the given points."""
     system = cell.facet_system()
-    tight = []
-    for n, c in system:
-        if all(sum(Fraction(a) * Fraction(x) for a, x in zip(n, v)) == c for v in points):
-            tight.append((n, c))
-    verts = [
-        v
-        for v in cell.vertices
-        if all(dot(n, v) == c for n, c in tight)
-    ]
-    for pt in points:
-        ok = all(
-            sum(Fraction(a) * Fraction(x) for a, x in zip(n, pt)) >= c for n, c in system
-        )
-        if not ok:
-            return None
+    rows = [tuple(slacks(system, pt)) for pt in points]
+    if any(s < 0 for row in rows for s in row):
+        return None
+    tight = [nc for i, nc in enumerate(system) if all(row[i] == 0 for row in rows)]
+    verts = [v for v in cell.vertices if all(dot(n, v) == c for n, c in tight)]
     return [tuple(Fraction(x) for x in v) for v in verts]
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 
 from . import dd
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
+    InternalConsistencyError,
     ResourceLimitError,
     UnsupportedInputError,
 )
@@ -29,7 +30,7 @@ from .intlinalg import (
     smith_form,
     solve_rational,
 )
-from .polytope import LatticePolytope, RationalPolytope, _floor_fraction
+from .polytope import LatticePolytope, RationalPolytope, _triangulate_cone, integer_points
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class RationalCone:
 
     def facet_data(self):
         """(inequalities, span equations) cutting the cone out of its ambient space."""
-        return dd.cone_facets(self.generators, self.dim)
+        return dd.extreme_rays(self.generators, self.dim)
 
     def rank(self) -> int:
         return rank([list(g) for g in self.generators])
@@ -107,23 +108,6 @@ def ord_value(p: LatticePolytope, n) -> int:
 # -- Hilbert bases ---------------------------------------------------------------
 
 
-def _triangulate_cone(rays, dim):
-    """Split a pointed cone into simplicial subcones on the same ray set."""
-    r = rank([list(g) for g in rays])
-    if len(rays) == r:
-        return [list(rays)]
-    normals, _ = dd.cone_facets(rays, dim)
-    r0 = rays[0]
-    out = []
-    for n in normals:
-        if dot(n, r0) == 0:
-            continue
-        frays = [g for g in rays if dot(n, g) == 0]
-        for t in _triangulate_cone(frays, dim):
-            out.append(t + [r0])
-    return out
-
-
 def _fundamental_parallelepiped(gens, dim):
     """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent generators."""
     d = len(gens)
@@ -149,7 +133,7 @@ def _fundamental_parallelepiped(gens, dim):
     gen_cols = [list(col) for col in zip(*gens)]
     for x in reps:
         lam = solve_rational(gen_cols, [Fraction(v) for v in x])
-        shift = [_floor_fraction(t) for t in lam]
+        shift = [floor(t) for t in lam]
         pt = tuple(
             x[j] - sum(shift[i] * gens[i][j] for i in range(d)) for j in range(dim)
         )
@@ -217,68 +201,6 @@ class FineInteriorResult:
 
     def vertices(self):
         return self.polytope.vertices()
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
-
-
-def _scan_region(constraints, lo, hi, limit, budget):
-    """Nonzero lattice points with a . n >= c for every (a, c), inside the box.
-
-    Exact branch and bound: at each level the feasible interval for the
-    next coordinate is recomputed from the fixed prefix and interval bounds
-    on the remaining suffix.  Collects at most `limit` points and stops at
-    the node budget; returns (points, complete) where complete means the
-    whole region was exhausted.
-    """
-    d = len(lo)
-    suf_min = []
-    suf_max = []
-    for a, _ in constraints:
-        mins = [0] * (d + 1)
-        maxs = [0] * (d + 1)
-        for j in range(d - 1, -1, -1):
-            x, y = a[j] * lo[j], a[j] * hi[j]
-            mins[j] = mins[j + 1] + min(x, y)
-            maxs[j] = maxs[j + 1] + max(x, y)
-        suf_min.append(mins)
-        suf_max.append(maxs)
-    out = []
-    nodes = 0
-    stopped = False
-
-    def rec(j, partials, prefix):
-        nonlocal nodes, stopped
-        nodes += 1
-        if nodes > budget or len(out) >= limit:
-            stopped = True
-            return
-        if j == d:
-            if any(prefix):
-                out.append(tuple(prefix))
-            return
-        lo_j, hi_j = lo[j], hi[j]
-        for idx, (a, c) in enumerate(constraints):
-            aj = a[j]
-            rhs = c - partials[idx] - suf_max[idx][j + 1]
-            if aj > 0:
-                lo_j = max(lo_j, _ceil_div(rhs, aj))
-            elif aj < 0:
-                hi_j = min(hi_j, rhs // aj)
-            elif rhs > 0:
-                return
-        for x in range(lo_j, hi_j + 1):
-            if stopped:
-                return
-            rec(
-                j + 1,
-                [pr + a[j] * x for pr, (a, _) in zip(partials, constraints)],
-                prefix + [x],
-            )
-
-    rec(0, [0] * len(constraints), [])
-    return out, not stopped
 
 
 def _subcone_scan_frame(tri, d):
@@ -356,7 +278,8 @@ def fine_interior(
             for q in verts:
                 diff = [Fraction(a) - b for a, b in zip(q, v)]
                 c_vals = [sum(x * y for x, y in zip(diff, r)) for r in rays]
-                assert all(c >= 1 for c in c_vals)
+                if any(c < 1 for c in c_vals):
+                    raise InternalConsistencyError("candidate vertex violates a shifted facet")
                 m = lcm(*(x.denominator for x in diff))
                 a = [int(m * (bv - qv)) for qv, bv in zip(q, v)]  # m (v - q)
                 a_t = tuple(
@@ -370,16 +293,22 @@ def fine_interior(
                 for k in range(d):
                     lo_k = sum(min(0, Fraction(r[k]) / c) for r, c in zip(new_rays, c_vals))
                     hi_k = sum(max(0, Fraction(r[k]) / c) for r, c in zip(new_rays, c_vals))
-                    lo.append(max(fr["lo"][k], int(_ceil_div(lo_k.numerator, lo_k.denominator))))
-                    hi.append(min(fr["hi"][k], hi_k.numerator // hi_k.denominator))
-                pts, full = _scan_region(
-                    cons, lo, hi, limit=4, budget=per_scan_budget
-                )
-                complete = complete and full
+                    lo.append(max(fr["lo"][k], ceil(lo_k)))
+                    hi.append(min(fr["hi"][k], floor(hi_k)))
+                pts = []
+                try:
+                    for n_t in integer_points(cons, lo, hi, per_scan_budget, "fine_interior"):
+                        if any(n_t):
+                            pts.append(n_t)
+                            if len(pts) == 4:
+                                break
+                except ResourceLimitError:
+                    complete = False
                 for n_t in pts:
                     n = tuple(sum(uinv[k][j] * n_t[j] for j in range(d)) for k in range(d))
-                    assert ord_value(p, n) == dot(v, n)  # n lies in this normal cone
-                    assert sum(df * nn for df, nn in zip(diff, n)) < 1
+                    # n must lie in this normal cone and violate the candidate.
+                    if ord_value(p, n) != dot(v, n) or sum(df * nn for df, nn in zip(diff, n)) >= 1:
+                        raise InternalConsistencyError("scan returned a dual vector outside its region")
                     found.add(primitive(n))
         return found, complete
 

@@ -4,6 +4,7 @@ import pytest
 
 from sbvol import formats
 from sbvol.cli import main
+from sbvol.errors import DegenerateInputError
 from sbvol.families import dilated_simplex, hpt
 from sbvol.polytope import hull
 
@@ -88,6 +89,31 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["width", "--input", str(bad)]) == 2
+
+    def test_float_coordinate_rejected(self, tmp_path):
+        text = '{"ambient_dim": 2, "vertices": [[0, 0], [1.5, 0], [0, 1]]}'
+        with pytest.raises(DegenerateInputError):
+            formats.load_polytope(text)
+        path = tmp_path / "float.json"
+        path.write_text(text)
+        assert main(["width", "--input", str(path)]) == 2
+
+    def test_bool_and_string_coordinates_rejected(self, tmp_path):
+        text = '{"ambient_dim": 2, "vertices": [[0, 0], [true, 0], [0, "3"]]}'
+        with pytest.raises(DegenerateInputError):
+            formats.load_polytope(text)
+        path = tmp_path / "coerced.json"
+        path.write_text(text)
+        assert main(["width", "--input", str(path)]) == 2
+
+    def test_zero_denominator_height_rejected(self, tmp_path):
+        big = self.write_polytope(tmp_path, dilated_simplex(1, 2), "big")
+        doc = {"heights": [[[0, 0], "1/0"], [[1, 0], "0"], [[0, 1], "0"]]}
+        with pytest.raises(DegenerateInputError):
+            formats.heights_from_doc(doc)
+        heights = tmp_path / "heights.json"
+        heights.write_text(json.dumps(doc))
+        assert main(["subdivide", "--input", big, "--heights", str(heights)]) == 2
 
     def test_missing_file_exit_2(self):
         assert main(["width", "--input", "/nonexistent/nope.json"]) == 2

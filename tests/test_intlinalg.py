@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from sbvol.errors import DegenerateInputError
 from sbvol.intlinalg import (
     det,
     hermite_form,
@@ -194,6 +199,25 @@ def test_invert_unimodular():
     u = [[1, 2], [0, 1]]
     ui = invert_unimodular(u)
     assert mat_mul(u, ui) == identity_matrix(2)
+    with pytest.raises(DegenerateInputError):
+        invert_unimodular([[2, 0], [0, 1]])
+
+
+def test_unimodularity_check_survives_optimize():
+    # python -O strips assert statements; the input check must still raise.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "from sbvol.errors import DegenerateInputError\n"
+        "from sbvol.intlinalg import invert_unimodular\n"
+        "try:\n"
+        "    invert_unimodular([[2, 0], [0, 1]])\n"
+        "except DegenerateInputError:\n"
+        "    print('raised')\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "raised"
 
 
 def test_solve_rational_inconsistent():

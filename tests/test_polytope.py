@@ -1,11 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from sbvol.errors import DegenerateInputError, DimensionMismatchError
+from sbvol.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from sbvol.polytope import (
     AffineUnimodularMap,
     cartesian_product,
@@ -13,6 +13,7 @@ from sbvol.polytope import (
     dilate,
     hull,
     polytope_algebra,
+    slacks,
     translate,
     unimodular_equivalence,
 )
@@ -22,8 +23,11 @@ def simplex(n):
     return hull([tuple([0] * n)] + [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)])
 
 
-def box_scan_points(p):
-    """Oracle: plain bounding-box scan with halfspace membership, no pruning."""
+def box_scan_points(p, interior_only=False):
+    """Oracle: plain bounding-box scan with halfspace membership, no pruning.
+
+    Interior points satisfy every facet inequality strictly.
+    """
     q, ch = p.normalize_full_dimensional()
     if q.dim() == 0:
         return sorted(p.vertices)
@@ -31,7 +35,8 @@ def box_scan_points(p):
     hi = [max(v[i] for v in q.vertices) for i in range(q.ambient_dim)]
     out = []
     for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(sum(a * b for a, b in zip(n, x)) >= c for n, c in q.facet_system()):
+        values = [(sum(a * b for a, b in zip(n, x)), c) for n, c in q.facet_system()]
+        if all(v > c if interior_only else v >= c for v, c in values):
             out.append(tuple(int(v) for v in ch.from_chart(x)))
     return sorted(out)
 
@@ -51,6 +56,31 @@ def brute_width(p, radius=None):
         vals = [sum(a * b for a, b in zip(l, v)) for v in q.vertices]
         best = min(best, max(vals) - min(vals)) if best is not None else max(vals) - min(vals)
     return best
+
+
+def assert_width_certificate(p):
+    """The certificate is primitive, its first nonzero entry is positive, and it achieves the width."""
+    w, cert = p.lattice_width()
+    q, _ = p.normalize_full_dimensional()
+    assert gcd(*cert) == 1
+    assert next(x for x in cert if x) > 0
+    vals = [sum(a * b for a, b in zip(cert, v)) for v in q.vertices]
+    assert max(vals) - min(vals) == w
+    return w
+
+
+def random_unimodular(rng, d, max_entry):
+    """A product of elementary matrices whose entries stay within max_entry."""
+    while True:
+        m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+        for _ in range(3 * d):
+            i, j = rng.sample(range(d), 2)
+            c = rng.choice([-2, -1, 1, 2])
+            row = [x + c * y for x, y in zip(m[i], m[j])]
+            if max(abs(x) for x in row) <= max_entry:
+                m[i] = row
+        if max(abs(x) for r in m for x in r) == max_entry:
+            return tuple(tuple(r) for r in m)
 
 
 class TestHull:
@@ -130,6 +160,11 @@ class TestLatticePoints:
             d = rng.choice([2, 3])
             p = hull([tuple(rng.randint(-2, 3) for _ in range(d)) for _ in range(d + 3)])
             assert list(p.lattice_points()) == box_scan_points(p)
+            assert list(p.lattice_points(interior_only=True)) == box_scan_points(p, True)
+
+    def test_budget_error_names_the_scan(self):
+        with pytest.raises(ResourceLimitError, match=r"LatticePolytope.lattice_points.*budget of 10 \(dimension 3"):
+            dilate(simplex(3), 4).lattice_points(budget=10)
 
     def test_lower_dimensional_points(self):
         p = hull([(0, 0), (2, 2)])
@@ -188,6 +223,18 @@ class TestWidth:
             if p.dim() == 0:
                 continue
             assert p.lattice_width()[0] == brute_width(p)
+            assert_width_certificate(p)
+
+    def test_skewed_unimodular_images(self):
+        # Skewed images have wide bounding boxes but the width of the original.
+        rng = random.Random(19)
+        for d in (3, 3, 4, 4, 4, 4):
+            base = hull([tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(d + 4)])
+            if base.dim() != d:
+                base = dilate(simplex(d), 3)
+            m = AffineUnimodularMap(random_unimodular(rng, d, 3), tuple(rng.randint(-3, 3) for _ in range(d)))
+            image = m.apply_polytope(base)
+            assert assert_width_certificate(image) == assert_width_certificate(base)
 
 
 class TestNormalize:
@@ -334,3 +381,47 @@ class TestInvariants:
     def test_volume_normalized(self):
         assert dilate(simplex(2), 2).normalized_volume() == 4
         assert simplex(3).volume() == Fraction(1, 6)
+
+    def test_volume_dilation_law_and_unimodular_invariance(self):
+        rng = random.Random(20)
+        for _ in range(12):
+            d = rng.choice([2, 3, 4])
+            p = hull([tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 3)])
+            k = p.dim()
+            if k == 0:
+                continue
+            vol = p.normalized_volume()
+            for factor in (2, 3):
+                assert dilate(p, factor).normalized_volume() == factor**k * vol
+            m = AffineUnimodularMap(random_unimodular(rng, d, 3), tuple(rng.randint(-3, 3) for _ in range(d)))
+            assert m.apply_polytope(p).normalized_volume() == vol
+
+
+def fraction_slack(n, c, x):
+    """Oracle: <n, x> - c in Fractions."""
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(n, x)) - Fraction(c)
+
+
+def test_slacks_against_fraction_oracle():
+    rng = random.Random(21)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        system = [
+            (tuple(rng.randint(-3, 3) for _ in range(d)), rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 4))]))
+            for _ in range(5)
+        ]
+        x = tuple(rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 6))]) for _ in range(d))
+        q = 1
+        for v in x:
+            q = q * Fraction(v).denominator // gcd(q, Fraction(v).denominator)
+        for (n, c), s in zip(system, slacks(system, x)):
+            assert isinstance(s, int)
+            assert s == fraction_slack(n, c, x) * q * Fraction(c).denominator
+        # a point on each hyperplane has slack exactly zero there
+        for n, c in system:
+            if any(n):
+                j = next(i for i, a in enumerate(n) if a)
+                y = list(x)
+                y[j] = Fraction(0)
+                y[j] = (Fraction(c) - sum(Fraction(a) * b for a, b in zip(n, y))) / n[j]
+                assert list(slacks([(n, c)], y)) == [0]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,19 @@ from sbvol.toric import (
 
 def simplex(n):
     return hull([tuple([0] * n)] + [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)])
+
+
+def product_scan_points(rp):
+    """Oracle: every integer point of the vertex bounding box, tested halfspace by halfspace."""
+    vs = rp.vertices()
+    if not vs:
+        return ()
+    box = [range(math.ceil(min(v[i] for v in vs)), math.floor(max(v[i] for v in vs)) + 1) for i in range(rp.ambient_dim)]
+    return tuple(
+        x
+        for x in itertools.product(*box)
+        if all(sum(Fraction(a) * b for a, b in zip(n, x)) >= c for n, c in rp.halfspaces)
+    )
 
 
 def parallelepiped_oracle(gens, bound=12):
@@ -220,6 +234,19 @@ class TestDivisors:
         a = facet_shift(p, 0, fan)
         b = divisor_polytope(fan, coeffs)
         assert sorted(a.vertices()) == sorted(b.vertices())
+
+    def test_lattice_points_against_product_scan(self):
+        rng = random.Random(22)
+        polys = [dilate(simplex(3), 4), hpt(), hull([(0, 0, 0), (3, 0, 0), (0, 2, 0), (1, 1, 3)])]
+        for p in polys:
+            fan = normal_fan(p)
+            systems = [facet_shift(p, i, fan) for i in range(fan.n_rays)]
+            for _ in range(4):
+                # rational offsets around the ample divisor
+                coeffs = [a + Fraction(rng.randint(-3, 2), rng.randint(1, 3)) for a in fan.ample_coefficients()]
+                systems.append(divisor_polytope(fan, coeffs))
+            for rp in systems:
+                assert rp.lattice_points() == product_scan_points(rp)
 
 
 HPT_DEGREES = [
