@@ -140,7 +140,8 @@ def check_condition_m(
                 continue
             m = pts[0]
             w = tuple(dot(m, u) + a for u, a in zip(fan.rays, ample))
-            assert w[i] >= 1 and all(x >= 0 for x in w)
+            if w[i] < 1 or any(x < 0 for x in w):
+                raise InternalConsistencyError(f"ray {i}: section {w} does not vanish on it")
             witnesses.append(w)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -152,8 +153,10 @@ def check_condition_m(
     )
     for i, w in enumerate(report.witnesses):
         if w is not None:
-            assert w[i] >= 1
-            assert group.degree(w) == group.ample_class()
+            if w[i] < 1 or group.degree(w) != group.ample_class():
+                raise InternalConsistencyError(
+                    f"ray {i}: witness {w} is not an ample section vanishing on it"
+                )
     return report
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegenerateInputError, InvalidParameterError
+from .errors import DegenerateInputError, InternalConsistencyError, InvalidParameterError
 from .intlinalg import dot
 from .ledger import SeedRegistry
 from .polytope import (
@@ -170,7 +170,8 @@ def schreieder(n: int, rho=None) -> SchreiederData:
         v[2 * n + k] = 2
         verts.append(tuple(v))
     p = hull(verts)
-    assert len(p.vertices) == 2**n + n and p.is_simplex()
+    if len(p.vertices) != 2**n + n or not p.is_simplex():
+        raise InternalConsistencyError("the Schreieder construction did not give a simplex")
     return SchreiederData(n, d, rho, p)
 
 
@@ -404,7 +405,8 @@ def bounds_table(n_values, kind: str = "hypersurface"):
         if n < 2:
             raise InvalidParameterError("bounds rows need n >= 2")
         lhs, rhs, equal = sum_identity(n)
-        assert equal
+        if not equal:
+            raise InternalConsistencyError(f"the extension budget identity fails at n = {n}")
         base_extra = 2**n - 2
         if kind == "hypersurface":
             degree = n + 2

@@ -11,10 +11,9 @@ import re
 from fractions import Fraction
 
 from .errors import DegenerateInputError
-from .intlinalg import dot
 from .ledger import Ledger, Verdict
 from .polytope import LatticePolytope, hull
-from .subdivision import Subdivision
+from .subdivision import Subdivision, lies_in_boundary
 
 
 def fraction_str(x) -> str:
@@ -94,18 +93,15 @@ def heights_from_doc(doc: dict) -> dict:
 
 def subdivision_to_dict(s: Subdivision) -> dict:
     """Cells with dimensions and boundary flags, plus the height table."""
-    system = s.polytope.facet_system()
-    cells = []
-    for c in s.cells:
-        boundary = any(all(dot(n, v) == off for v in c.vertices) for n, off in system)
-        cells.append(
-            {
-                "vertices": [list(v) for v in c.vertices],
-                "dim": c.dim(),
-                "boundary": boundary,
-                "maximal": c in s.maximal_cells,
-            }
-        )
+    cells = [
+        {
+            "vertices": [list(v) for v in c.vertices],
+            "dim": c.dim(),
+            "boundary": lies_in_boundary(s.polytope, c.vertices),
+            "maximal": c in s.maximal_cells,
+        }
+        for c in s.cells
+    ]
     doc = {
         "polytope": polytope_to_dict(s.polytope),
         "cells": cells,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, InternalConsistencyError
 
 Matrix = list  # list[list[int]], row major
 Vector = tuple  # tuple[int, ...]
@@ -168,7 +168,8 @@ def hermite_form(a: Matrix) -> tuple[Matrix, Matrix]:
             if q:
                 m[i] = [x - q * y for x, y in zip(m[i], m[r])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-    assert mat_mul(u, a) == m
+    if mat_mul(u, a) != m:
+        raise InternalConsistencyError("Hermite form: the transform does not reproduce the form")
     return m, u
 
 
@@ -277,15 +278,18 @@ def smith_form(a: Matrix) -> SmithDecomposition:
         if m[i][i] < 0:
             m[i] = [-x for x in m[i]]
             u[i] = [-x for x in u[i]]
-    assert mat_mul(mat_mul(u, a), v) == m
-    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    if mat_mul(mat_mul(u, a), v) != m:
+        raise InternalConsistencyError("Smith form: the transforms do not reproduce the form")
+    if abs(det(u)) != 1 or abs(det(v)) != 1:
+        raise InternalConsistencyError("Smith form: a transform is not unimodular")
     sd = SmithDecomposition(
         s=tuple(tuple(r) for r in m),
         u=tuple(tuple(r) for r in u),
         v=tuple(tuple(r) for r in v),
     )
     diag = sd.invariant_factors
-    assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1))
+    if any(diag[i + 1] % diag[i] for i in range(len(diag) - 1)):
+        raise InternalConsistencyError("Smith form: the invariant factors do not divide in turn")
     return sd
 
 
@@ -300,8 +304,8 @@ def integer_kernel(a: Matrix) -> list:
     cols = len(a[0])
     h, u = hermite_form(transpose(a))
     basis = [tuple(u[i]) for i in range(cols) if all(x == 0 for x in h[i])]
-    for b in basis:
-        assert all(dot(row, b) == 0 for row in a)
+    if any(dot(row, b) for row in a for b in basis):
+        raise InternalConsistencyError("integer kernel: a basis vector is not in the kernel")
     return basis
 
 
@@ -326,7 +330,8 @@ def solve_diophantine(a: Matrix, b) -> Vector | None:
     if any(r != 0 for r in residual):
         return None
     x = vec_mat(z, u)
-    assert mat_vec(a, x) == tuple(b)
+    if mat_vec(a, x) != tuple(b):
+        raise InternalConsistencyError("Diophantine solve: the solution does not satisfy a x = b")
     return x
 
 

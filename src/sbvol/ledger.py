@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, SubdivisionError
-from .intlinalg import dot
 from .polytope import LatticePolytope, hull, unimodular_equivalence
 from .subdivision import (
     Subdivision,
     distance_height,
     interior_cells,
+    lies_in_boundary,
     pulling_refinement,
     regular_subdivision,
     validate,
@@ -285,10 +285,7 @@ def dim4_pipeline(big: LatticePolytope, small: LatticePolytope, seeds: SeedRegis
     sq = hull(sverts)
     if not all(bq.contains(v) for v in sq.vertices):
         raise DegenerateInputError("the small polytope must sit inside the big one")
-    in_boundary = any(
-        all(dot(n, v) == c for v in sq.vertices) for n, c in bq.facet_system()
-    )
-    if in_boundary:
+    if lies_in_boundary(bq, sq.vertices):
         raise DegenerateInputError(
             "pipeline hypothesis: the small polytope may not lie in the boundary"
         )

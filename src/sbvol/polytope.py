@@ -242,10 +242,11 @@ class LatticePolytope:
         """(P', chart) with P' the same polytope in the lattice of its span."""
         if self.is_full_dimensional():
             return self, self.chart()
-        ch = self.chart()
-        verts = sorted(ch.to_chart(v) for v in self.vertices)
-        q = LatticePolytope._trusted(ch.dim, verts)
-        return q, ch
+        if "normal" not in self._cache:
+            ch = self.chart()
+            verts = sorted(ch.to_chart(v) for v in self.vertices)
+            self._cache["normal"] = (LatticePolytope._trusted(ch.dim, verts), ch)
+        return self._cache["normal"]
 
     def facet_system(self):
         """Tuple of (primitive inner normal, offset) with <n, x> >= offset tight on facets."""
@@ -548,6 +549,9 @@ def hull(points) -> LatticePolytope:
         if tight and rank(tight) == d:
             verts.append(orig)
     out = LatticePolytope._trusted(n, sorted(verts))
+    if d == n:
+        # The chart only moved the origin to its base: shift the offsets back.
+        out._cache["facets"] = tuple((nrm, c + dot(nrm, ch.base)) for nrm, c in facets)
     return out
 
 
@@ -618,7 +622,7 @@ def polytope_algebra(op: str, *args):
 
 @dataclass(frozen=True)
 class EquivalenceResult:
-    status: str  # "found" | "inequivalent" | "budget"
+    status: str  # "found" | "inequivalent"
     chart_map: AffineUnimodularMap | None
     ambient_map: AffineUnimodularMap | None
 
@@ -632,9 +636,10 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
 
     Polytopes are first compared by unimodular-invariant fingerprints
     (definite inequivalence on mismatch), then a vertex-anchored frame
-    search runs inside an explicit node budget.  The chart map relates the
-    span-normalized polytopes; the ambient map is provided when both inputs
-    are full-dimensional in the same ambient space.
+    search runs inside an explicit node budget; a spent budget raises
+    ResourceLimitError instead of reading as either answer.  The chart map
+    relates the span-normalized polytopes; the ambient map is provided when
+    both inputs are full-dimensional in the same ambient space.
     """
     if p.fingerprint() != q.fingerprint():
         return EquivalenceResult("inequivalent", None, None)
@@ -702,10 +707,7 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
                     return got
             return None
 
-        try:
-            m = search(0, [])
-        except ResourceLimitError:
-            return EquivalenceResult("budget", None, None)
+        m = search(0, [])
         if m is not None:
             amb = None
             if (

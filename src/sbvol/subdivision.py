@@ -8,7 +8,6 @@ and get scaled to integers before the lifted hull is computed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -16,13 +15,7 @@ from math import lcm
 from . import dd
 from .errors import DegenerateInputError, InternalConsistencyError, SubdivisionError
 from .intlinalg import dot, rank, solve_rational
-from .polytope import (
-    LatticePolytope,
-    RationalPolytope,
-    face_closure,
-    hull,
-    slacks,
-)
+from .polytope import LatticePolytope, face_closure, hull, slacks
 
 
 def height_function(p: LatticePolytope, fn) -> dict:
@@ -295,8 +288,20 @@ class ValidationReport:
         return [c for c in self.checks if not c[1]]
 
 
+def lies_in_boundary(p: LatticePolytope, points) -> bool:
+    """True when the points lie in one facet of the full-dimensional polytope p."""
+    return any(all(dot(n, x) == c for x in points) for n, c in p.facet_system())
+
+
 def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationReport:
-    """Check cover, pairwise face intersections, integrality, and the witness."""
+    """Check integrality, cover, face-to-face facet pairing, and the witness.
+
+    Full-dimensional cells inside p whose normalized volumes sum to that of
+    p form a subdivision exactly when every cell facet off the boundary of p
+    is a facet of exactly one other cell, lying on the opposite side
+    (De Loera, Rambau, Santos, Triangulations, 2010, section 4.5).  The
+    matched facets are the walls the strict convexity check crosses.
+    """
     if p is None:
         p = s.polytope
     checks = []
@@ -316,32 +321,20 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
         ("cover", cover, f"cell volume sum {vol} vs {p.normalized_volume()}")
     )
 
-    faces_ok = True
-    detail = ""
-    adjacency = []
-    for i, j in itertools.combinations(range(len(s.maximal_cells)), 2):
-        a, b = s.maximal_cells[i], s.maximal_cells[j]
-        combined = list(a.as_halfspaces().halfspaces) + list(b.as_halfspaces().halfspaces)
-        inter = RationalPolytope(p.ambient_dim, combined)
-        verts = inter.vertices()
-        if not verts:
-            continue
-        vset = set(verts)
-        ok_here = True
-        for cell in (a, b):
-            face = _smallest_face_containing(cell, verts)
-            if face is None or set(face) != vset:
-                ok_here = False
-        if not ok_here:
-            faces_ok = False
-            detail = f"cells {i} and {j} do not meet in a common face"
-        ivs = [v for v in verts]
-        idim = rank(
-            [[x - y for x, y in zip(v, ivs[0])] for v in ivs[1:]]
-        ) if len(ivs) > 1 else 0
-        if idim == d - 1:
-            adjacency.append((i, j, vset))
-    checks.append(("pairwise_faces", faces_ok, detail))
+    sides = {}  # vertex set of a facet off the boundary -> [(cell index, inner normal)]
+    for i, cell in enumerate(s.maximal_cells if dims_ok else ()):
+        for n, c in cell.facet_system():
+            facet = frozenset(v for v in cell.vertices if dot(n, v) == c)
+            if not lies_in_boundary(p, facet):
+                sides.setdefault(facet, []).append((i, n))
+    walls = []  # (cell index, cell index, shared facet vertex set)
+    detail = "" if dims_ok else "a maximal cell is not full-dimensional"
+    for facet, found in sides.items():
+        if len(found) == 2 and found[0][1] == tuple(-x for x in found[1][1]):
+            walls.append((found[0][0], found[1][0], facet))
+        elif not detail:
+            detail = f"facet {sorted(facet)} is not shared by two opposite cells: {found}"
+    checks.append(("pairwise_faces", not detail, detail))
 
     if s.witness is not None:
         affine_ok = True
@@ -359,45 +352,23 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
         checks.append(("witness_affine", affine_ok, ""))
         checks.append(("witness_dominates", dominated_ok, ""))
 
-        strict_ok = True
-        for i, j, wall in adjacency:
-            for u in s.maximal_cells[j].vertices:
-                if tuple(Fraction(x) for x in u) in wall:
-                    continue
-                if not s.witness_value(i, u) < s.witness_value(j, u):
-                    strict_ok = False
-            for u in s.maximal_cells[i].vertices:
-                if tuple(Fraction(x) for x in u) in wall:
-                    continue
-                if not s.witness_value(j, u) < s.witness_value(i, u):
-                    strict_ok = False
+        # Extended across a wall, each cell's affine piece lies strictly
+        # below its neighbour's at the neighbour's vertices off the wall.
+        strict_ok = all(
+            s.witness_value(a, u) < s.witness_value(b, u)
+            for i, j, wall in walls
+            for a, b in ((i, j), (j, i))
+            for u in s.maximal_cells[b].vertices
+            if u not in wall
+        )
         checks.append(("witness_strictly_convex", strict_ok, ""))
 
     ok = all(c[1] for c in checks)
     return ValidationReport(ok, tuple(checks))
 
 
-def _smallest_face_containing(cell: LatticePolytope, points):
-    """Vertex set of the smallest face of the cell containing the given points."""
-    system = cell.facet_system()
-    rows = [tuple(slacks(system, pt)) for pt in points]
-    if any(s < 0 for row in rows for s in row):
-        return None
-    tight = [nc for i, nc in enumerate(system) if all(row[i] == 0 for row in rows)]
-    verts = [v for v in cell.vertices if all(dot(n, v) == c for n, c in tight)]
-    return [tuple(Fraction(x) for x in v) for v in verts]
-
-
 def interior_cells(s: Subdivision, p: LatticePolytope | None = None):
     """Cells not contained in the boundary of the subdivided polytope."""
     if p is None:
         p = s.polytope
-    system = p.facet_system()
-    out = []
-    for c in s.cells:
-        in_boundary = any(
-            all(dot(n, v) == off for v in c.vertices) for n, off in system
-        )
-        if not in_boundary:
-            out.append(c)
-    return tuple(out)
+    return tuple(c for c in s.cells if not lies_in_boundary(p, c.vertices))

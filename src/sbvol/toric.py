@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import ceil, floor, lcm
 
@@ -49,6 +50,10 @@ class RationalCone:
 
     def facet_data(self):
         """(inequalities, span equations) cutting the cone out of its ambient space."""
+        return self._facet_data
+
+    @cached_property
+    def _facet_data(self):
         return dd.extreme_rays(self.generators, self.dim)
 
     def rank(self) -> int:
@@ -162,15 +167,12 @@ def hilbert_basis(cone: RationalCone):
     """
     if not cone.is_pointed():
         raise UnsupportedInputError("Hilbert basis requires a pointed cone")
-    normals, equations = cone.facet_data()
+    normals, _ = cone.facet_data()
     candidates = set(cone.generators)
     for sub in _triangulate_cone(list(cone.generators), cone.dim):
         for p in _fundamental_parallelepiped(sub, cone.dim):
             if any(x != 0 for x in p):
                 candidates.add(p)
-
-    def member(x):
-        return all(dot(n, x) >= 0 for n in normals) and all(dot(e, x) == 0 for e in equations)
 
     def phi(x):
         return sum(dot(n, x) for n in normals)
@@ -180,7 +182,7 @@ def hilbert_basis(cone: RationalCone):
         reducible = False
         for b in basis:
             diff = tuple(a - t for a, t in zip(c, b))
-            if member(diff):
+            if cone.contains(diff):
                 reducible = True
                 break
         if not reducible:
@@ -470,7 +472,8 @@ def class_group(p: LatticePolytope, fan: NormalFan | None = None) -> DivisorClas
     sd = smith_form(pairing)
     r = len(pairing[0])
     diag = [sd.s[i][i] for i in range(min(len(pairing), r))]
-    assert all(d != 0 for d in diag), "pairing matrix must have full column rank"
+    if any(d == 0 for d in diag):
+        raise DegenerateInputError("the ray pairing matrix must have full column rank")
     torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)
     torsion_moduli = tuple(diag[i] for i in torsion_positions)
     free_positions = tuple(range(len(diag), len(pairing)))

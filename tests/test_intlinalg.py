@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -218,6 +219,18 @@ def test_unimodularity_check_survives_optimize():
     run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "raised"
+
+
+def test_package_has_no_assert_statements():
+    # Checks that back a result must survive python -O, which strips asserts.
+    package = Path(__file__).resolve().parents[1] / "src" / "sbvol"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_solve_rational_inconsistent():

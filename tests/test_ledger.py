@@ -1,6 +1,6 @@
 import pytest
 
-from sbvol.errors import DegenerateInputError, SubdivisionError
+from sbvol.errors import DegenerateInputError, ResourceLimitError, SubdivisionError
 from sbvol.families import builtin_seed_registry, hpt, kollar_totaro
 from sbvol.ledger import (
     SeedRegistry,
@@ -78,6 +78,13 @@ class TestSeedRegistry:
         reg = builtin_seed_registry()
         assert reg.match(translate(hpt(), (1, 2, 3, 4, 5))) is not None
         assert reg.match(dilate(simplex(3), 4)) is None
+
+    def test_spent_budget_is_not_read_as_no_match(self):
+        from sbvol.polytope import translate
+
+        reg = builtin_seed_registry()
+        with pytest.raises(ResourceLimitError, match="unimodular_equivalence"):
+            reg.match(translate(hpt(), (1, 2, 3, 4, 5)), budget=0)
 
 
 class TestVolumeLedger:

@@ -5,9 +5,12 @@ from math import comb, gcd
 
 import pytest
 
+from sbvol import dd
 from sbvol.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
+from sbvol.intlinalg import dot
 from sbvol.polytope import (
     AffineUnimodularMap,
+    LatticePolytope,
     cartesian_product,
     convex_union,
     dilate,
@@ -21,6 +24,19 @@ from sbvol.polytope import (
 
 def simplex(n):
     return hull([tuple([0] * n)] + [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)])
+
+
+def count_dd_calls(monkeypatch):
+    """A list that grows by one on every double description run."""
+    calls = []
+    original = dd.extreme_rays
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dd, "extreme_rays", counted)
+    return calls
 
 
 def box_scan_points(p, interior_only=False):
@@ -291,6 +307,24 @@ class TestClassify:
             seen += 1
 
 
+class TestFacetSystemsComputedOnce:
+    def test_hull_keeps_the_facets_it_computes(self, monkeypatch):
+        calls = count_dd_calls(monkeypatch)
+        p = hull([(1, 1), (4, 1), (1, 3), (2, 2), (3, 2)])
+        system = p.facet_system()
+        assert len(calls) == 1
+        assert system == LatticePolytope._trusted(2, p.vertices).facet_system()
+        assert all(c == min(dot(n, v) for v in p.vertices) for n, c in system)
+
+    def test_lower_dimensional_chart_polytope_is_reused(self, monkeypatch):
+        calls = count_dd_calls(monkeypatch)
+        tri = hull([(2, 0, 0), (0, 2, 0), (0, 0, 2)])  # planar, in Z^3
+        assert tri.n_lattice_points() == 6
+        assert tri.n_interior_points() == 0
+        assert tri.lattice_width()[0] == 2
+        assert len(calls) == 2  # the hull, then the chart polytope's facets
+
+
 class TestEquivalence:
     def test_translate(self):
         p = hull([(0, 0), (3, 1), (1, 2), (0, 1)])
@@ -316,6 +350,14 @@ class TestEquivalence:
         t2 = dilate(simplex(2), 2)
         square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
         assert unimodular_equivalence(t2, square).status == "inequivalent"
+
+    def test_spent_budget_raises(self):
+        p = hull([(0, 0), (3, 1), (1, 2), (0, 1)])
+        q = AffineUnimodularMap(((1, 1), (0, 1)), (2, -1)).apply_polytope(p)
+        assert p.fingerprint() == q.fingerprint()
+        assert unimodular_equivalence(p, q).found
+        with pytest.raises(ResourceLimitError, match="unimodular_equivalence.*budget of 0"):
+            unimodular_equivalence(p, q, budget=0)
 
     def test_found_preserves_invariants(self):
         rng = random.Random(16)

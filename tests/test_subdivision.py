@@ -183,6 +183,30 @@ class TestValidation:
         assert not rep.ok
         assert any(name == "pairwise_faces" and not ok for name, ok, _ in rep.checks)
 
+    def test_cell_listed_twice_fails_face_condition(self):
+        # The volumes add up to the rectangle's, but the shared facet has
+        # both copies on one side; a pairwise-intersection check accepts it.
+        p = hull([(0, 0), (2, 0), (0, 1), (2, 1)])
+        half = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+        rep = validate(make_subdivision(p, [half, half]))
+        assert not rep.ok
+        assert [(name, ok) for name, ok, _ in rep.checks] == [
+            ("integral", True),
+            ("cover", True),
+            ("pairwise_faces", False),
+        ]
+
+    def test_lower_dimensional_cell_fails_cover(self):
+        p = hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+        s = make_subdivision(p, [p, hull([(0, 0), (2, 2)])])
+        rep = validate(s)
+        assert not rep.ok
+        assert [(name, ok) for name, ok, _ in rep.checks] == [
+            ("integral", True),
+            ("cover", False),
+            ("pairwise_faces", False),
+        ]
+
     def test_figure_subdivision_valid(self):
         p = dilate(simplex(3), 4)
         s = regular_subdivision(p, height_function(p, lambda v: abs(v[0] + v[1] + 2 * v[2] - 4)))

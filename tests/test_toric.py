@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sbvol import dd
 from sbvol.errors import UnsupportedInputError
 from sbvol.families import hpt, schreieder
 from sbvol.polytope import dilate, hull
@@ -114,6 +115,23 @@ class TestHilbertBasis:
         cone = RationalCone.from_generators([(1, 0), (-1, 0), (0, 1)])
         with pytest.raises(UnsupportedInputError):
             hilbert_basis(cone)
+
+    def test_facet_data_computed_once(self, monkeypatch):
+        calls = []
+        original = dd.extreme_rays
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dd, "extreme_rays", counted)
+        cone = RationalCone.from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 5)])
+        points = [(1, 1, 1), (0, 1, 0), (3, 3, 5), (1, 3, 5), (-1, 0, 0)]
+        assert [cone.contains(x) for x in points] == [True, False, True, False, False]
+        assert len(calls) == 1
+        # A simplicial cone needs no triangulation: the basis reuses the same run.
+        assert len(hilbert_basis(cone)) > 3
+        assert len(calls) == 1
 
 
 class TestFineInterior:
