@@ -3,7 +3,8 @@
 Subcommands: compute, fine-interior, width, condition-m, class-group,
 subdivide, ledger, construct, bounds-table, verify-paper.  All flags are
 long flags; input documents use the JSON interchange format.  Exit codes:
-0 success, 1 verification failure, 2 usage or input error.
+0 success, 1 verification failure, 2 usage or input error, 3 internal
+consistency error (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from . import formats
 from .conditionm import check_condition_m
-from .errors import SbvolError
+from .errors import InternalConsistencyError, SbvolError
 from .families import FAMILIES, bounds_table, build, builtin_seed_registry
 from .hodge import h_p0_compact
 from .ledger import verdict, volume_ledger
@@ -275,10 +276,18 @@ def cmd_verify_paper(args):
     return 0 if failures == 0 else 1
 
 
+EXIT_CODES = (
+    "exit codes: 0 success; 1 verification failure (a failed criterion or "
+    "--expect-obstructed not met); 2 usage or input error; 3 internal "
+    "consistency error, a bug rather than bad input"
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sbvol",
         description="Exact lattice-polytope invariants and obstruction ledgers",
+        epilog=EXIT_CODES,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -359,6 +368,9 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (SbvolError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,6 +42,11 @@ def _as_int_tuple(p):
     return tuple(int(x) for x in t)
 
 
+def _check_ambient(poly, x):
+    if len(x) != poly.ambient_dim:
+        raise DimensionMismatchError(f"{tuple(x)!r} is not a point of Q^{poly.ambient_dim}")
+
+
 @dataclass(frozen=True)
 class AffineChart:
     """Exact isomorphism between the affine lattice of a span and Z^dim."""
@@ -266,6 +271,7 @@ class LatticePolytope:
         return RationalPolytope(self.ambient_dim, tuple((n, Fraction(c)) for n, c in sys))
 
     def contains(self, x) -> bool:
+        _check_ambient(self, x)
         if self.is_full_dimensional():
             return all(s >= 0 for s in slacks(self.facet_system(), x))
         ch = self.chart()
@@ -486,6 +492,7 @@ class RationalPolytope:
         )
 
     def contains(self, x) -> bool:
+        _check_ambient(self, x)
         return all(s >= 0 for s in slacks(self.halfspaces, x))
 
     def lattice_points(self, budget=DEFAULT_POINT_BUDGET):

@@ -13,9 +13,14 @@ from fractions import Fraction
 from math import lcm
 
 from . import dd
-from .errors import DegenerateInputError, InternalConsistencyError, SubdivisionError
+from .errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    InternalConsistencyError,
+    SubdivisionError,
+)
 from .intlinalg import dot, rank, solve_rational
-from .polytope import LatticePolytope, face_closure, hull, slacks
+from .polytope import LatticePolytope, _check_ambient, hull
 
 
 def height_function(p: LatticePolytope, fn) -> dict:
@@ -185,70 +190,83 @@ def _vertex_list(poly):
     return poly.vertices if isinstance(poly, LatticePolytope) else poly.vertices()
 
 
-def _face_vertex_lists(poly):
-    """Vertex lists of all faces, for lattice or rational polytopes."""
-    verts = _vertex_list(poly)
-    if isinstance(poly, LatticePolytope):
-        return [[verts[i] for i in sorted(f)] for f in poly._face_index_sets()]
-    if not verts:
-        raise DegenerateInputError("empty polytope has no faces")
-    full = frozenset(range(len(verts)))
-    rows = [tuple(slacks(poly.halfspaces, v)) for v in verts]
-    tight = [frozenset(i for i, s in enumerate(col) if s == 0) for col in zip(*rows)]
-    faces = face_closure(full, [t for t in tight if t])
-    return [[verts[i] for i in sorted(f)] for f in faces]
+def _combination(points, weights):
+    """(Y, D) with sum w_i p_i = Y / D: Y is integer for integer points, D > 0."""
+    den = lcm(*(w.denominator for w in weights))
+    ints = [int(w * den) for w in weights]
+    return tuple(sum(c * p[t] for c, p in zip(ints, points)) for t in range(len(points[0]))), den
 
 
-def _projection_data(face_vertices):
-    """(base, basis rows, coefficient matrix) projecting onto the affine span."""
-    base = tuple(Fraction(x) for x in face_vertices[0])
-    diffs = []
-    for v in face_vertices[1:]:
-        dv = tuple(Fraction(a) - b for a, b in zip(v, base))
-        cand = diffs + [dv]
-        if rank([[x for x in row] for row in cand]) == len(cand):
-            diffs.append(dv)
-    if not diffs:
-        return (base, (), ())
-    k = len(diffs)
-    gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in diffs] for r1 in diffs]
-    ginv_rows = []
-    for i in range(k):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-        ginv_rows.append(solve_rational(gram, rhs))
-    # coeff = G^{-1} B, mapping (x - base) to the span coordinates of the projection
-    coeff = tuple(
-        tuple(sum(ginv_rows[i][t] * diffs[t][j] for t in range(k)) for j in range(len(base)))
-        for i in range(k)
-    )
-    return (base, tuple(diffs), coeff)
+def _certify_min_norm(points, weights, y):
+    """Raise unless y = sum w_i p_i is the point of conv(points) nearest the origin.
+
+    Convex weights put y in the hull, and <y, p> >= |y|^2 for every integer
+    point p puts the hull where every norm is at least |y| (Wolfe 1976).
+    """
+    big, den = _combination(points, weights)
+    if min(weights) < 0 or sum(weights) != 1 or tuple(c * den for c in y) != big:
+        raise InternalConsistencyError("min-norm weights are not convex or miss the point")
+    if den * min(dot(big, p) for p in points) < dot(big, big):
+        raise InternalConsistencyError("min-norm point is not optimal over the hull")
+
+
+def _affine_minimizer(corral):
+    """Weights of the point of the affine span nearest the origin, from [G 1; 1^T 0]."""
+    k = len(corral)
+    system = [[dot(p, q) for q in corral] + [1] for p in corral] + [[1] * k + [0]]
+    if rank(system) <= k:
+        raise InternalConsistencyError("corral points are affinely dependent")
+    return solve_rational(system, [0] * k + [1])[:k]
+
+
+def _wolfe_min_norm(points):
+    """Weights (aligned with points) and the point y = Y / D of their hull nearest the origin.
+
+    Wolfe's algorithm: a major cycle adds the point minimising <y, p> to the
+    corral; minor cycles move to the affine minimum of the corral and drop
+    points whose weight reaches 0.  Each major cycle must lower |y|.
+    """
+    corral = [min(range(len(points)), key=lambda i: dot(points[i], points[i]))]
+    lam = [Fraction(1)]
+    big, den = points[corral[0]], 1
+    yy = Fraction(dot(big, big))
+    while yy > 0:
+        j = min(range(len(points)), key=lambda i: dot(big, points[i]))
+        if Fraction(dot(big, points[j]), den) >= yy:
+            break
+        corral, lam = corral + [j], lam + [Fraction(0)]
+        while True:
+            alpha = _affine_minimizer([points[i] for i in corral])
+            if min(alpha) > 0:
+                break
+            # theta 0 only drops an entering point without weight: the norm check fails.
+            theta = min((l / (l - a) for l, a in zip(lam, alpha) if a <= 0 < l), default=0)
+            lam = [l + theta * (a - l) for l, a in zip(lam, alpha)]
+            corral, lam = [i for i, l in zip(corral, lam) if l > 0], [l for l in lam if l > 0]
+        lam = list(alpha)
+        big, den = _combination([points[i] for i in corral], lam)
+        if Fraction(dot(big, big), den * den) >= yy:
+            raise InternalConsistencyError("a Wolfe major cycle did not lower the norm")
+        yy = Fraction(dot(big, big), den * den)
+    weights = dict(zip(corral, lam))
+    return [weights.get(i, 0) for i in range(len(points))], tuple(Fraction(c, den) for c in big)
 
 
 def min_squared_distance(poly, x) -> Fraction:
-    """Exact squared Euclidean distance from x to a (lattice or rational) polytope."""
-    data = poly._cache.get("nearest_data") if hasattr(poly, "_cache") else None
-    if data is None:
-        data = [_projection_data(f) for f in _face_vertex_lists(poly)]
-        if hasattr(poly, "_cache"):
-            poly._cache["nearest_data"] = data
-    xs = tuple(Fraction(v) for v in x)
-    best = None
-    for base, basis, coeff in data:
-        diff = tuple(a - b for a, b in zip(xs, base))
-        proj = list(base)
-        if basis:
-            lam = [sum(c * dv for c, dv in zip(row, diff)) for row in coeff]
-            for l, b in zip(lam, basis):
-                for j in range(len(proj)):
-                    proj[j] += l * b[j]
-        if not poly.contains(proj):
-            continue
-        d2 = sum((a - b) ** 2 for a, b in zip(xs, proj))
-        if best is None or d2 < best:
-            best = d2
-    if best is None:
-        raise InternalConsistencyError("no face of the polytope holds the nearest point")
-    return best
+    """Exact squared Euclidean distance from x to a (lattice or rational) polytope.
+
+    The certified Wolfe minimum-norm point of conv(V - x), scaled to integers.
+    """
+    _check_ambient(poly, x)
+    verts = _vertex_list(poly)
+    if not verts:
+        raise DegenerateInputError("empty polytope has no nearest point")
+    diffs = [[a - b for a, b in zip(v, x)] for v in verts]
+    scale = lcm(*(c.denominator for row in diffs for c in row))
+    points = [tuple(int(c * scale) for c in row) for row in diffs]
+    weights, y = _wolfe_min_norm(points)
+    _certify_min_norm(points, weights, y)
+    return Fraction(dot(y, y), scale * scale)
 
 
 def distance_height(p: LatticePolytope, delta) -> dict:
@@ -266,6 +284,8 @@ def staged_distance_height(p: LatticePolytope, delta, slices=()) -> dict:
     does not match its intent and an error is raised.
     """
     chain = list(slices) + [delta]
+    if any(stage.ambient_dim != p.ambient_dim for stage in chain):
+        raise DimensionMismatchError(f"every stage must lie in Q^{p.ambient_dim}")
     for bigger, smaller in zip(chain, chain[1:]):
         if not all(bigger.contains(v) for v in _vertex_list(smaller)):
             raise DegenerateInputError("inconsistent slice chain: stages are not nested")

@@ -1,0 +1,232 @@
+"""Wolfe's minimum-norm-point distance against the face-projection oracle.
+
+The oracle is the earlier min_squared_distance: it projects the point onto
+the affine span of every face and keeps the nearest projection that lies in
+the polytope.  The two must agree exactly (Fraction equality) on the staged
+double-cone chain, on the dim4 pipeline heights and on random polytopes.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from sbvol.errors import DegenerateInputError, InternalConsistencyError
+from sbvol.families import dilated_simplex, divisor_23_double_cone, kollar_totaro
+from sbvol.intlinalg import rank, solve_rational
+from sbvol.polytope import LatticePolytope, RationalPolytope, face_closure, hull, slacks
+from sbvol.subdivision import _vertex_list, distance_height, min_squared_distance
+
+
+def _face_vertex_lists(poly):
+    """Vertex lists of all faces, for lattice or rational polytopes."""
+    verts = _vertex_list(poly)
+    if isinstance(poly, LatticePolytope):
+        return [[verts[i] for i in sorted(f)] for f in poly._face_index_sets()]
+    if not verts:
+        raise DegenerateInputError("empty polytope has no faces")
+    full = frozenset(range(len(verts)))
+    rows = [tuple(slacks(poly.halfspaces, v)) for v in verts]
+    tight = [frozenset(i for i, s in enumerate(col) if s == 0) for col in zip(*rows)]
+    faces = face_closure(full, [t for t in tight if t])
+    return [[verts[i] for i in sorted(f)] for f in faces]
+
+
+def _projection_data(face_vertices):
+    """(base, basis rows, coefficient matrix) projecting onto the affine span."""
+    base = tuple(Fraction(x) for x in face_vertices[0])
+    diffs = []
+    for v in face_vertices[1:]:
+        dv = tuple(Fraction(a) - b for a, b in zip(v, base))
+        cand = diffs + [dv]
+        if rank([[x for x in row] for row in cand]) == len(cand):
+            diffs.append(dv)
+    if not diffs:
+        return (base, (), ())
+    k = len(diffs)
+    gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in diffs] for r1 in diffs]
+    ginv_rows = []
+    for i in range(k):
+        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
+        ginv_rows.append(solve_rational(gram, rhs))
+    # coeff = G^{-1} B, mapping (x - base) to the span coordinates of the projection
+    coeff = tuple(
+        tuple(sum(ginv_rows[i][t] * diffs[t][j] for t in range(k)) for j in range(len(base)))
+        for i in range(k)
+    )
+    return (base, tuple(diffs), coeff)
+
+
+def oracle_min_squared_distance(poly, x) -> Fraction:
+    """Exact squared Euclidean distance from x to a (lattice or rational) polytope."""
+    data = poly._cache.get("nearest_data") if hasattr(poly, "_cache") else None
+    if data is None:
+        data = [_projection_data(f) for f in _face_vertex_lists(poly)]
+        if hasattr(poly, "_cache"):
+            poly._cache["nearest_data"] = data
+    xs = tuple(Fraction(v) for v in x)
+    best = None
+    for base, basis, coeff in data:
+        diff = tuple(a - b for a, b in zip(xs, base))
+        proj = list(base)
+        if basis:
+            lam = [sum(c * dv for c, dv in zip(row, diff)) for row in coeff]
+            for l, b in zip(lam, basis):
+                for j in range(len(proj)):
+                    proj[j] += l * b[j]
+        if not poly.contains(proj):
+            continue
+        d2 = sum((a - b) ** 2 for a, b in zip(xs, proj))
+        if best is None or d2 < best:
+            best = d2
+    if best is None:
+        raise InternalConsistencyError("no face of the polytope holds the nearest point")
+    return best
+
+
+def assert_agrees(poly, queries):
+    for x in queries:
+        new = min_squared_distance(poly, x)
+        assert type(new) is Fraction
+        assert new == oracle_min_squared_distance(poly, x), (poly, x)
+
+
+# -- the staged double-cone chain --------------------------------------------------
+
+
+def _signed_permutation(rng, dim):
+    """x -> (signs[i] * x[perm[i]] + t[i])_i: a Euclidean isometry of Z^dim."""
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    signs = [rng.choice((-1, 1)) for _ in range(dim)]
+    trans = [rng.randint(-5, 5) for _ in range(dim)]
+
+    def point(x):
+        return tuple(s * x[j] + t for j, s, t in zip(perm, signs, trans))
+
+    def halfspace(n, c):
+        pn = tuple(s * n[j] for j, s in zip(perm, signs))
+        return pn, c + sum(a * t for a, t in zip(pn, trans))
+
+    return point, halfspace
+
+
+def _permuted_chain(seed):
+    """The stage chain of divisor_23_double_cone and its lattice points, moved by a seeded isometry."""
+    dc = divisor_23_double_cone()
+    point, halfspace = _signed_permutation(random.Random(seed), dc.polytope.ambient_dim)
+    chain = []
+    for stage in list(dc.slices()) + [dc.embedded_base()]:
+        if isinstance(stage, LatticePolytope):
+            chain.append(hull([point(v) for v in stage.vertices]))
+        else:
+            chain.append(
+                RationalPolytope(stage.ambient_dim, [halfspace(n, c) for n, c in stage.halfspaces])
+            )
+    return chain, [point(x) for x in dc.polytope.lattice_points()]
+
+
+@pytest.fixture(scope="module")
+def chain_oracle():
+    """Oracle distances on the chain of seed 0, stage by stage (the slow part)."""
+    chain, points = _permuted_chain(0)
+    return [[oracle_min_squared_distance(stage, x) for x in points] for stage in chain]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_staged_double_cone_chain(seed, chain_oracle):
+    # Distances are invariant under the isometries, so every seed must
+    # reproduce the oracle values of seed 0, point for point.
+    chain, points = _permuted_chain(seed)
+    kinds = [type(stage).__name__ for stage in chain]
+    assert kinds == ["LatticePolytope", "RationalPolytope", "LatticePolytope"]
+    assert all(type(c) is Fraction for v in chain[1].vertices() for c in v)
+    got = [[min_squared_distance(stage, x) for x in points] for stage in chain]
+    assert got == chain_oracle
+    staged = sorted(map(sum, zip(*got)))
+    assert staged == sorted([Fraction(0)] * 12 + [Fraction(1), Fraction(6, 5), Fraction(2), Fraction(2)])
+
+
+def test_dim4_pipeline_heights():
+    big, small = dilated_simplex(4, 4), kollar_totaro(3, 4)
+    heights = distance_height(big, small)
+    assert heights == {x: oracle_min_squared_distance(small, x) for x in big.lattice_points()}
+    assert sum(1 for h in heights.values() if h == 0) == small.n_lattice_points()
+
+
+# -- random polytopes ----------------------------------------------------------------
+
+
+def _random_lattice_polytope(rng, dim):
+    """Hull of random points on a random lattice of rank 0..dim: often lower-dimensional."""
+    k = rng.randint(0, dim)
+    frame = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(dim)]
+    shift = [rng.randint(-3, 3) for _ in range(dim)]
+    pts = []
+    for _ in range(rng.randint(1, k + 3)):
+        u = [rng.randint(0, 2) for _ in range(k)]
+        pts.append(tuple(sum(a * b for a, b in zip(row, u)) + t for row, t in zip(frame, shift)))
+    return hull(pts)
+
+
+def _queries(rng, poly, dim, count=6):
+    """Lattice points of the polytope, integer points around it, and rational points."""
+    inside = list(poly.lattice_points())
+    out = rng.sample(inside, min(len(inside), 3))
+    for _ in range(count):
+        out.append(tuple(rng.randint(-8, 8) for _ in range(dim)))
+    out.append(tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(dim)))
+    return out
+
+
+def test_random_lattice_polytopes():
+    rng = random.Random(1976)
+    seen = set()
+    for trial in range(200):
+        dim = 1 + trial % 4
+        p = _random_lattice_polytope(rng, dim)
+        seen.add((dim, p.dim()))
+        assert_agrees(p, _queries(rng, p, dim))
+    # Single points, segments and full-dimensional polytopes in every ambient dimension.
+    assert {(d, 0) for d in range(1, 5)} <= seen
+    assert {(d, d) for d in range(1, 5)} <= seen
+    assert (4, 2) in seen
+
+
+def test_random_rational_polytopes():
+    # Facets of a lattice polytope pushed inward by a third: fractional vertices.
+    rng = random.Random(11)
+    fractional = 0
+    for trial in range(60):
+        dim = 2 + trial % 2
+        while True:
+            p = hull([tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(dim + 3)])
+            if p.is_full_dimensional():
+                break
+        q = RationalPolytope(dim, [(n, c + Fraction(1, 3)) for n, c in p.facet_system()])
+        if q.is_empty():
+            continue
+        fractional += not q.is_lattice()
+        assert_agrees(q, _queries(rng, q, dim))
+    assert fractional >= 20
+
+
+def test_hypothesis_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def polytope_and_point(draw):
+        dim = draw(st.integers(1, 3))
+        coord = st.integers(-3, 3)
+        pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=dim + 3))
+        x = draw(st.tuples(*[st.fractions(-6, 6, max_denominator=4)] * dim))
+        return hull(pts), x
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polytope_and_point())
+    def check(case):
+        poly, x = case
+        assert_agrees(poly, [x])
+
+    check()

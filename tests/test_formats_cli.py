@@ -4,7 +4,8 @@ import pytest
 
 from sbvol import formats
 from sbvol.cli import main
-from sbvol.errors import DegenerateInputError
+from sbvol import cli
+from sbvol.errors import DegenerateInputError, InternalConsistencyError
 from sbvol.families import dilated_simplex, hpt
 from sbvol.polytope import hull
 
@@ -114,6 +115,27 @@ class TestCli:
         heights = tmp_path / "heights.json"
         heights.write_text(json.dumps(doc))
         assert main(["subdivide", "--input", big, "--heights", str(heights)]) == 2
+
+    def test_target_from_another_space_exit_2(self, tmp_path, capsys):
+        big = self.write_polytope(tmp_path, dilated_simplex(2, 2), "big")
+        target = self.write_polytope(tmp_path, hull([(0, 0, 5), (1, 0, 5)]), "target")
+        assert main(["ledger", "--input", big, "--recipe", "distance", "--target", target]) == 2
+        assert "Q^2" in capsys.readouterr().err
+
+    def test_internal_error_exit_3(self, tmp_path, monkeypatch, capsys):
+        def broken(p, delta):
+            raise InternalConsistencyError("min-norm point is not optimal over the hull")
+
+        monkeypatch.setattr(cli, "distance_height", broken)
+        big = self.write_polytope(tmp_path, dilated_simplex(2, 2), "big")
+        small = self.write_polytope(tmp_path, hull([(0, 0)]), "small")
+        assert main(["subdivide", "--input", big, "--recipe", "distance", "--target", small]) == 3
+        assert "internal error" in capsys.readouterr().err
+
+    def test_help_lists_exit_codes(self, capsys):
+        assert main(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "2 usage or input error; 3 internal consistency error" in out
 
     def test_missing_file_exit_2(self):
         assert main(["width", "--input", "/nonexistent/nope.json"]) == 2

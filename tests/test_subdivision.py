@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sbvol.errors import DegenerateInputError
+from sbvol.errors import DegenerateInputError, DimensionMismatchError, InternalConsistencyError
 from sbvol.polytope import RationalPolytope, dilate, hull
 from sbvol.subdivision import (
+    _affine_minimizer,
+    _certify_min_norm,
     distance_height,
     height_function,
     interior_cells,
@@ -132,6 +138,81 @@ class TestDistanceHeights:
     def test_not_contained_raises(self):
         with pytest.raises(DegenerateInputError):
             distance_height(simplex(2), hull([(5, 5)]))
+
+
+class TestMinNormCertificate:
+    POINTS = [(2, 0), (0, 2), (3, 3)]
+
+    def test_optimal_point_passes(self):
+        # The nearest point of the triangle to the origin is (1, 1).
+        half = Fraction(1, 2)
+        _certify_min_norm(self.POINTS, [half, half, 0], (1, 1))
+
+    def test_non_optimal_point_raises(self):
+        # (2, 0) is a vertex, but <(2, 0), (0, 2)> = 0 < 4.
+        with pytest.raises(InternalConsistencyError):
+            _certify_min_norm(self.POINTS, [1, 0, 0], (2, 0))
+
+    def test_weights_must_reproduce_the_point(self):
+        with pytest.raises(InternalConsistencyError):
+            _certify_min_norm(self.POINTS, [1, 0, 0], (1, 1))
+        with pytest.raises(InternalConsistencyError):
+            _certify_min_norm(self.POINTS, [2, -1, 0], (4, -2))
+
+    def test_non_optimal_point_raises_under_optimize(self):
+        # python -O strips assert statements; the certificate check must still raise.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "from sbvol.errors import InternalConsistencyError\n"
+            "from sbvol.subdivision import _certify_min_norm\n"
+            "try:\n"
+            "    _certify_min_norm([(2, 0), (0, 2), (3, 3)], [1, 0, 0], (2, 0))\n"
+            "except InternalConsistencyError:\n"
+            "    print('raised')\n"
+        )
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "raised"
+
+    def test_affinely_dependent_corral_raises(self):
+        with pytest.raises(InternalConsistencyError):
+            _affine_minimizer([(1, 0), (2, 0), (3, 0)])
+
+    def test_empty_rational_polytope_raises(self):
+        empty = RationalPolytope(1, [((1,), 1), ((-1,), 0)])
+        with pytest.raises(DegenerateInputError):
+            min_squared_distance(empty, (0,))
+
+
+class TestDimensionMismatch:
+    TRIANGLE = hull([(0, 0), (2, 0), (0, 2)])
+
+    def test_contains(self):
+        with pytest.raises(DimensionMismatchError):
+            self.TRIANGLE.contains((0, 0, 9))
+        with pytest.raises(DimensionMismatchError):
+            hull([(0, 0), (2, 0)]).contains((1,))
+        with pytest.raises(DimensionMismatchError):
+            self.TRIANGLE.as_halfspaces().contains((0,))
+
+    def test_min_squared_distance(self):
+        with pytest.raises(DimensionMismatchError):
+            min_squared_distance(self.TRIANGLE, (3, 3, 3))
+        with pytest.raises(DimensionMismatchError):
+            min_squared_distance(self.TRIANGLE.as_halfspaces(), (3,))
+
+    def test_distance_heights(self):
+        p = dilate(simplex(2), 2)
+        wrong = hull([(0, 0, 5), (1, 0, 5)])
+        with pytest.raises(DimensionMismatchError):
+            distance_height(p, wrong)
+        with pytest.raises(DimensionMismatchError):
+            staged_distance_height(p, wrong)
+        with pytest.raises(DimensionMismatchError):
+            staged_distance_height(p, hull([(0, 0)]), [wrong])
+        with pytest.raises(DimensionMismatchError):
+            staged_distance_height(p, wrong, [hull([(0, 0, 0), (1, 0, 5)])])
 
 
 class TestStagedDistance:
