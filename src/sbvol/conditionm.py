@@ -20,6 +20,7 @@ from .toric import (
     NormalFan,
     class_group,
     divisor_polytope,
+    facet_shift,
     is_smooth,
     normal_fan,
 )
@@ -83,23 +84,15 @@ def _free_prunable_dfs(free_parts, target_free, accept, chosen_cap, budget=2_000
 def reduced_witnesses(group: DivisorClassGroup, budget=2_000_000):
     """All square-free exponent vectors of ample degree, sorted."""
     n = group.fan.n_rays
-    degrees = [group.ray_degree(i) for i in range(n)]
     target = group.ample_class()
-    moduli = group.torsion_moduli
     found = []
 
     def accept(vec):
-        tor = [0] * len(moduli)
-        for i, k in enumerate(vec):
-            if k:
-                for j in range(len(moduli)):
-                    tor[j] = (tor[j] + k * degrees[i].torsion[j]) % moduli[j]
-        if tuple(tor) == target.torsion:
+        if group.degree(vec).torsion == target.torsion:
             found.append(vec)
 
-    _free_prunable_dfs(
-        [d.free for d in degrees], target.free, accept, [1] * n, budget=budget
-    )
+    free_parts = [group.ray_degree(i).free for i in range(n)]
+    _free_prunable_dfs(free_parts, target.free, accept, [1] * n, budget=budget)
     return sorted(found)
 
 
@@ -131,10 +124,7 @@ def check_condition_m(
         witnesses = []
         ample = fan.ample_coefficients()
         for i in range(n):
-            coeffs = list(ample)
-            coeffs[i] -= 1
-            pd = divisor_polytope(fan, coeffs)
-            pts = pd.lattice_points()
+            pts = facet_shift(p, i, fan).lattice_points()
             if not pts:
                 witnesses.append(None)
                 continue
@@ -199,10 +189,7 @@ def cross_check_unrestricted(
     if fan is None:
         fan = normal_fan(p)
     group = class_group(p, fan)
-    n = fan.n_rays
-    degrees = [group.ray_degree(i) for i in range(n)]
     target = group.ample_class()
-    moduli = group.torsion_moduli
     caps = []
     for u, c in zip(fan.rays, fan.offsets):
         caps.append(max(dot(v, u) for v in p.vertices) - c)
@@ -211,20 +198,13 @@ def cross_check_unrestricted(
     def accept(vec):
         if found or vec[ray_index] < 1:
             return
-        tor = [0] * len(moduli)
-        for i, k in enumerate(vec):
-            if k:
-                for j in range(len(moduli)):
-                    tor[j] = (tor[j] + k * degrees[i].torsion[j]) % moduli[j]
-        if tuple(tor) == target.torsion:
+        if group.degree(vec).torsion == target.torsion:
             found.append(vec)
 
-    _free_prunable_dfs([d.free for d in degrees], target.free, accept, caps, budget=budget)
+    free_parts = [group.ray_degree(i).free for i in range(fan.n_rays)]
+    _free_prunable_dfs(free_parts, target.free, accept, caps, budget=budget)
     by_exponents = bool(found)
-
-    coeffs = list(fan.ample_coefficients())
-    coeffs[ray_index] -= 1
-    by_polytope = len(divisor_polytope(fan, coeffs).lattice_points()) > 0
+    by_polytope = len(facet_shift(p, ray_index, fan).lattice_points()) > 0
 
     result = CrossCheckResult(ray_index, by_exponents, by_polytope)
     if not result.agree:
@@ -273,7 +253,6 @@ def strong_variation_certificate(p: LatticePolytope, seeds=None) -> VariationCer
     smooth = is_smooth(q)
     if smooth.overall:
         from .ledger import find_unobstructed_subdivision
-        from .toric import facet_shift
 
         evidence = []
         fan = normal_fan(q)

@@ -335,11 +335,14 @@ def solve_diophantine(a: Matrix, b) -> Vector | None:
     return x
 
 
-def solve_rational(a: Matrix, b) -> tuple | None:
-    """One rational solution of a x = b (exact), or None when inconsistent."""
+def _gauss_jordan(a: Matrix, rhs: Matrix):
+    """Reduced row echelon form of [a | rhs] over Q, pivoting in the columns of a.
+
+    Returns (pivot columns, the reduced right-hand part as Fraction rows).
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(a, b)]
+    m = [[Fraction(x) for x in row] + [Fraction(v) for v in extra] for row, extra in zip(a, rhs)]
     pivots = []
     r = 0
     for c in range(cols):
@@ -355,13 +358,32 @@ def solve_rational(a: Matrix, b) -> tuple | None:
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
+    return pivots, [row[cols:] for row in m]
+
+
+def solve_rational(a: Matrix, b) -> tuple | None:
+    """One rational solution of a x = b (exact), or None when inconsistent."""
+    cols = len(a[0]) if a else 0
+    pivots, reduced = _gauss_jordan(a, [[v] for v in b])
+    if any(row[0] != 0 for row in reduced[len(pivots) :]):
+        return None
     x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][cols]
+    for row, c in zip(reduced, pivots):
+        x[c] = row[0]
     return tuple(x)
+
+
+def invert_rational(a: Matrix) -> Matrix:
+    """Exact inverse of a nonsingular square matrix, as Fraction rows.
+
+    One Gauss-Jordan elimination of [a | I]; a singular matrix raises
+    DegenerateInputError.
+    """
+    n = len(a)
+    pivots, inverse = _gauss_jordan(a, identity_matrix(n))
+    if len(pivots) < n:
+        raise DegenerateInputError("matrix is singular")
+    return inverse
 
 
 def invert_unimodular(a: Matrix) -> Matrix:

@@ -23,28 +23,45 @@ from .errors import (
 from .intlinalg import (
     det,
     dot,
+    hermite_form,
+    identity_matrix,
     integer_kernel,
+    invert_rational,
+    mat_mul,
     rank,
-    solve_rational,
+    transpose,
 )
 
 DEFAULT_POINT_BUDGET = 5_000_000
 DEFAULT_FACE_BUDGET = 120_000
 
 
+def _is_rational(x):
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 def _as_int_tuple(p):
     t = tuple(p)
     for x in t:
-        if not isinstance(x, int):
-            if isinstance(x, Fraction) and x.denominator == 1:
-                continue
-            raise DegenerateInputError(f"lattice point expected, got {p!r}")
+        if not _is_rational(x) or x.denominator != 1:
+            raise DegenerateInputError(f"integer vector expected, got {p!r}")
     return tuple(int(x) for x in t)
 
 
 def _check_ambient(poly, x):
     if len(x) != poly.ambient_dim:
         raise DimensionMismatchError(f"{tuple(x)!r} is not a point of Q^{poly.ambient_dim}")
+    if not all(_is_rational(v) for v in x):
+        raise DegenerateInputError(f"{tuple(x)!r} is not a point with int or Fraction coordinates")
+
+
+def _lowest(v):
+    """An int when the rational v is integral, else v."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _eye(n):
+    return tuple(map(tuple, identity_matrix(n)))
 
 
 @dataclass(frozen=True)
@@ -55,45 +72,37 @@ class AffineChart:
     dim: int
     base: tuple
     basis: tuple  # rows, each an ambient integer vector
-    _pinv: tuple = field(repr=False, default=())  # Fraction rows, dim x ambient
+    _transform: tuple = field(repr=False, default=())  # unimodular U with U B^T = [I; 0]
 
     @staticmethod
     def identity(n):
-        eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        pinv = tuple(tuple(Fraction(x) for x in row) for row in eye)
-        return AffineChart(n, n, tuple([0] * n), eye, pinv)
+        return AffineChart(n, n, tuple([0] * n), _eye(n), _eye(n))
 
     @staticmethod
     def for_points(points):
-        """Chart of the affine span of integer points, base at the first point."""
-        base = points[0]
-        n = len(base)
-        diffs = [tuple(x - y for x, y in zip(p, base)) for p in points[1:]]
-        diffs = [d for d in diffs if any(d)]
-        if not diffs:
-            return AffineChart(n, 0, tuple(base), (), ())
-        d = rank([list(v) for v in diffs])
-        if d == n:
-            return AffineChart.identity(n)._rebase(tuple(base))
-        equations = integer_kernel([list(v) for v in diffs])
-        basis = integer_kernel([list(e) for e in equations])
-        if len(basis) != d:
-            raise InternalConsistencyError("span lattice basis has the wrong rank")
-        b = [list(v) for v in basis]
-        bbt = [[dot(r1, r2) for r2 in b] for r1 in b]
-        rows = []
-        for i in range(d):
-            rhs = [Fraction(1) if j == i else Fraction(0) for j in range(d)]
-            sol = solve_rational(bbt, rhs)
-            rows.append(sol)
-        pinv = tuple(
-            tuple(sum(rows[i][k] * Fraction(b[k][j]) for k in range(d)) for j in range(n))
-            for i in range(d)
-        )
-        return AffineChart(n, d, tuple(base), tuple(tuple(v) for v in basis), pinv)
+        """Chart of the affine span of integer points, base at the first point.
 
-    def _rebase(self, base):
-        return AffineChart(self.ambient_dim, self.dim, base, self.basis, self._pinv)
+        The basis B is the saturated lattice of the span, the kernel of the
+        kernel of the differences.  One Hermite transform U with
+        U B^T = [I; 0] certifies that B is a lattice basis and is the whole
+        chart: the first dim entries of U (x - base) are the coordinates of
+        x, and the others vanish exactly when x lies in the span.
+        """
+        base = tuple(points[0])
+        n = len(base)
+        diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
+        diffs = [v for v in diffs if any(v)]
+        if not diffs:
+            return AffineChart(n, 0, base, (), _eye(n))
+        equations = integer_kernel(diffs)
+        if not equations:
+            return AffineChart(n, n, base, _eye(n), _eye(n))
+        basis = integer_kernel(equations)
+        d = len(basis)
+        h, u = hermite_form(transpose(basis))
+        if h != [row[:d] for row in identity_matrix(n)]:
+            raise InternalConsistencyError("span lattice basis is not saturated")
+        return AffineChart(n, d, base, tuple(basis), tuple(tuple(r) for r in u))
 
     def is_identity(self):
         return self.dim == self.ambient_dim and all(x == 0 for x in self.base)
@@ -102,22 +111,19 @@ class AffineChart:
         """Chart coordinates of an ambient point; exact, raises off the span."""
         if self.is_identity():
             return tuple(x)
-        diff = tuple(Fraction(a) - b for a, b in zip(x, self.base))
-        lam = tuple(sum(row[j] * diff[j] for j in range(self.ambient_dim)) for row in self._pinv)
-        back = self.from_chart(lam)
-        if tuple(Fraction(v) for v in back) != tuple(Fraction(a) for a in x):
+        diff = [a - b for a, b in zip(x, self.base)]
+        image = [_lowest(dot(row, diff)) for row in self._transform]
+        if any(image[self.dim :]):
             raise DegenerateInputError(f"point {x!r} is not in the affine span")
-        return tuple(int(v) if v.denominator == 1 else v for v in lam)
+        return tuple(image[: self.dim])
 
     def from_chart(self, y):
         if self.is_identity():
             return tuple(y)
-        out = list(self.base)
-        vals = [Fraction(v) for v in out]
-        for coeff, row in zip(y, self.basis):
-            for j in range(self.ambient_dim):
-                vals[j] += Fraction(coeff) * row[j]
-        return tuple(int(v) if v.denominator == 1 else v for v in vals)
+        return tuple(
+            _lowest(b + sum(c * row[j] for c, row in zip(y, self.basis)))
+            for j, b in enumerate(self.base)
+        )
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,7 @@ class AffineUnimodularMap:
 
     @staticmethod
     def identity(n):
-        return AffineUnimodularMap(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-            tuple([0] * n),
-        )
+        return AffineUnimodularMap(_eye(n), tuple([0] * n))
 
     @staticmethod
     def from_pre_translation(linear, shift):
@@ -178,8 +181,6 @@ class AffineUnimodularMap:
 
     def compose(self, other):
         """self after other: x -> self(other(x))."""
-        from .intlinalg import mat_mul
-
         lin = mat_mul([list(r) for r in self.linear], [list(r) for r in other.linear])
         t = self.apply(other.translation)
         return AffineUnimodularMap(tuple(tuple(r) for r in lin), t)
@@ -304,7 +305,7 @@ class LatticePolytope:
             if ch.is_identity():
                 out = tuple(pts)
             else:
-                out = tuple(sorted(_as_int_tuple(ch.from_chart(p)) for p in pts))
+                out = tuple(sorted(ch.from_chart(p) for p in pts))
             self._cache[key] = out
         return self._cache[key]
 
@@ -320,7 +321,7 @@ class LatticePolytope:
         """All nonempty faces as frozensets of indices into self.vertices, with dims."""
         if "face_sets" not in self._cache:
             q, ch = self.normalize_full_dimensional()
-            cverts = [_as_int_tuple(ch.to_chart(v)) for v in self.vertices]
+            cverts = [ch.to_chart(v) for v in self.vertices]
             nv = len(cverts)
             full = frozenset(range(nv))
             if q.dim() == 0:
@@ -439,7 +440,9 @@ class RationalPolytope:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         cleaned = []
         for a, c in halfspaces:
-            a = tuple(int(x) for x in a)
+            a = _as_int_tuple(a)
+            if not _is_rational(c):
+                raise DegenerateInputError(f"halfspace offset {c!r} is not an int or a Fraction")
             c = Fraction(c)
             g = 0
             for x in a:
@@ -545,7 +548,7 @@ def hull(points) -> LatticePolytope:
     if len(pts) == 1:
         return LatticePolytope._trusted(n, pts)
     ch = AffineChart.for_points(pts)
-    cpts = [_as_int_tuple(ch.to_chart(p)) for p in pts]
+    cpts = [ch.to_chart(p) for p in pts]
     d = ch.dim
     if d == 0:
         return LatticePolytope._trusted(n, pts[:1])
@@ -664,7 +667,11 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
     v0 = pv[0]
     diffs = [tuple(a - b for a, b in zip(v, v0)) for v in pv[1:]]
     frame_idx = _frame(diffs, d)
-    frame = [list(diffs[i]) for i in frame_idx]  # rows f_i; row r of A solves F x = (w_j[r])_j
+    # A maps frame row f_j to the picked w_j, so A^T = F^{-1} W for W with
+    # rows w_j; with D = det F, the integer matrix D F^{-1} is computed once.
+    frame = [list(diffs[i]) for i in frame_idx]
+    det_f = det(frame)
+    adj = [[int(x * det_f) for x in row] for row in invert_rational(frame)]
 
     def tight_count(poly, vert):
         return sum(1 for n, c in poly.facet_system() if dot(n, vert) == c)
@@ -691,16 +698,12 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
                         f"unimodular_equivalence: frame search spent {nodes} nodes, over its"
                         f" budget of {budget} (dimension {d}, {len(pv)} vertices)"
                     )
-                a_rows = []
-                for r in range(d):
-                    rhs = [Fraction(picked[j][r]) for j in range(d)]
-                    sol = solve_rational(frame, rhs)
-                    if sol is None or any(x.denominator != 1 for x in sol):
-                        return None
-                    a_rows.append([int(x) for x in sol])
-                if abs(det(a_rows)) != 1:
+                scaled = transpose(mat_mul(adj, picked))  # D A
+                if any(x % det_f for row in scaled for x in row):
                     return None
-                lin = tuple(tuple(r) for r in a_rows)
+                lin = tuple(tuple(x // det_f for x in row) for row in scaled)
+                if abs(det(lin)) != 1:
+                    return None
                 trans = tuple(w - dot(r, v0) for w, r in zip(w0, lin))
                 m = AffineUnimodularMap(lin, trans)
                 if sorted(m.apply(v) for v in pv) == qv:
@@ -861,15 +864,9 @@ def _width_search(q):
         g = gcd(*l) if next(x for x in l if x) > 0 else -gcd(*l)
         return tuple(x // g for x in l)
 
-    units = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    best_l = normalized(min(units + [n for n, _ in q.facet_system()], key=spread))
+    best_l = normalized(min([*_eye(d), *(n for n, _ in q.facet_system())], key=spread))
     best = spread(best_l)
-    # Row i of F^{-1} solves F^T x = e_i.
-    frame_t = [list(col) for col in zip(*frame)]
-    norms = []
-    for i in range(d):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(d)]
-        norms.append(sum(abs(x) for x in solve_rational(frame_t, rhs)))
+    norms = [sum(abs(x) for x in row) for row in invert_rational(frame)]
     while True:
         cons = [(f, 1 - best) for f in diffs] + [(tuple(-x for x in f), 1 - best) for f in diffs]
         bound = [floor(nm * (best - 1)) for nm in norms]

@@ -24,14 +24,22 @@ from .errors import (
 from .intlinalg import (
     det,
     dot,
+    hermite_form,
+    invert_rational,
     invert_unimodular,
     mat_vec,
     primitive,
     rank,
     smith_form,
-    solve_rational,
+    transpose,
 )
-from .polytope import LatticePolytope, RationalPolytope, _triangulate_cone, integer_points
+from .polytope import (
+    AffineChart,
+    LatticePolytope,
+    RationalPolytope,
+    _triangulate_cone,
+    integer_points,
+)
 
 
 @dataclass(frozen=True)
@@ -114,35 +122,19 @@ def ord_value(p: LatticePolytope, n) -> int:
 
 
 def _fundamental_parallelepiped(gens, dim):
-    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent generators."""
-    d = len(gens)
-    if d == dim:
-        basis_cols = [list(col) for col in zip(*gens)]
-        reps = _group_representatives(basis_cols)
-        m_cols = basis_cols
-    else:
-        # Chart the span onto Z^d first (the span lattice is saturated).
-        from .intlinalg import integer_kernel
+    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent generators.
 
-        eqs = integer_kernel([list(g) for g in gens])
-        basis = integer_kernel([list(e) for e in eqs]) if eqs else []
-        coords = []
-        for g in gens:
-            sol = solve_rational([list(col) for col in zip(*basis)], [Fraction(x) for x in g])
-            coords.append([int(x) for x in sol])
-        m_cols = [list(col) for col in zip(*coords)]
-        reps = _group_representatives(m_cols)
-        reps = [tuple(sum(basis[k][j] * r[k] for k in range(d)) for j in range(dim)) for r in reps]
-        basis_cols = None
+    In the chart of their span the generators are the columns of a square
+    integer matrix M; each coset representative r of Z^d / M Z^d is moved
+    into the parallelepiped by subtracting M floor(M^{-1} r).
+    """
+    chart = AffineChart.for_points([tuple([0] * dim)] + list(gens))
+    m_cols = transpose([chart.to_chart(g) for g in gens])
+    m_inv = invert_rational(m_cols)
     out = set()
-    gen_cols = [list(col) for col in zip(*gens)]
-    for x in reps:
-        lam = solve_rational(gen_cols, [Fraction(v) for v in x])
-        shift = [floor(t) for t in lam]
-        pt = tuple(
-            x[j] - sum(shift[i] * gens[i][j] for i in range(d)) for j in range(dim)
-        )
-        out.add(pt)
+    for r in _group_representatives(m_cols):
+        shift = [floor(t) for t in mat_vec(m_inv, r)]
+        out.add(chart.from_chart(tuple(a - b for a, b in zip(r, mat_vec(m_cols, shift)))))
     return out
 
 
@@ -209,8 +201,6 @@ def _subcone_scan_frame(tri, d):
     """Scan data for one simplicial subcone: a coordinate change making the
     ray matrix lower-triangular with large pivots early, membership
     constraints in the new coordinates, and the slab bounding box."""
-    from .intlinalg import hermite_form, invert_unimodular
-
     best = None
     perms = (
         itertools.permutations(range(d)) if d <= 6 else [tuple(range(d))]
@@ -230,16 +220,11 @@ def _subcone_scan_frame(tri, d):
     u = [list(r) for r in reversed(u0)]  # flip rows: structured-zero ray matrix
     uinv = invert_unimodular(u)
     new_rays = [tuple(sum(u[i][k] * r[k] for k in range(d)) for i in range(d)) for r in tri]
-    # t_j >= 0 in t = M^{-1} n' needs the ROWS of M^{-1}: solve against M^T.
-    cols_t = [[r[k] for k in range(d)] for r in new_rays]  # M^T: row j is ray j
-    det_m = det(cols_t)
-    tcons = []
-    for jj in range(d):
-        rhs = [Fraction(1) if kk == jj else Fraction(0) for kk in range(d)]
-        sol = solve_rational(cols_t, rhs)
-        row = tuple(int(x * det_m) for x in sol)
-        sign = 1 if det_m > 0 else -1
-        tcons.append((tuple(sign * x for x in row), 0))
+    # t_j >= 0 in t = M^{-1} n', for M with the rays as columns, reads
+    # <row j of |det M| M^{-1}, n'> >= 0.
+    m = transpose(new_rays)
+    abs_det = abs(det(m))
+    tcons = [(tuple(int(x * abs_det) for x in row), 0) for row in invert_rational(m)]
     lo = [sum(min(0, r[k]) for r in new_rays) for k in range(d)]
     hi = [sum(max(0, r[k]) for r in new_rays) for k in range(d)]
     return {"u": u, "uinv": uinv, "tcons": tcons, "lo": lo, "hi": hi, "rays": new_rays}

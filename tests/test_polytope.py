@@ -11,6 +11,7 @@ from sbvol.intlinalg import dot
 from sbvol.polytope import (
     AffineUnimodularMap,
     LatticePolytope,
+    RationalPolytope,
     cartesian_product,
     convex_union,
     dilate,
@@ -20,6 +21,7 @@ from sbvol.polytope import (
     translate,
     unimodular_equivalence,
 )
+from sbvol.subdivision import min_squared_distance
 
 
 def simplex(n):
@@ -467,3 +469,52 @@ def test_slacks_against_fraction_oracle():
                 y[j] = Fraction(0)
                 y[j] = (Fraction(c) - sum(Fraction(a) * b for a, b in zip(n, y))) / n[j]
                 assert list(slacks([(n, c)], y)) == [0]
+
+
+class TestRejectsFloatsAndBools:
+    """Only ints and Fractions cross the library boundary; nothing is coerced."""
+
+    SQUARE = [((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
+
+    def test_float_normal(self):
+        with pytest.raises(DegenerateInputError):
+            RationalPolytope(2, [((1.5, 0), 0)] + self.SQUARE)
+
+    def test_bool_normal(self):
+        with pytest.raises(DegenerateInputError):
+            RationalPolytope(2, [((True, 0), 0)] + self.SQUARE)
+
+    def test_float_and_bool_offsets(self):
+        for offset in (0.5, 0.0, True):
+            with pytest.raises(DegenerateInputError):
+                RationalPolytope(2, [((1, 0), offset)] + self.SQUARE)
+        # ints and Fractions stay accepted, integral Fraction normals too
+        p = RationalPolytope(2, [((Fraction(1), 0), Fraction(1, 2))] + self.SQUARE)
+        assert ((1, 0), Fraction(1, 2)) in p.halfspaces
+
+    def test_contains_float_point(self):
+        triangle = hull([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(DegenerateInputError):
+            triangle.contains((0.5, 0.25))
+        with pytest.raises(DegenerateInputError):
+            triangle.as_halfspaces().contains((0.5, 0.25))
+        assert triangle.contains((Fraction(1, 2), Fraction(1, 4)))
+
+    def test_min_squared_distance_float_point(self):
+        triangle = hull([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(DegenerateInputError):
+            min_squared_distance(triangle, (0.5, 0.25))
+        with pytest.raises(DegenerateInputError):
+            min_squared_distance(triangle, (2, 2.0))
+
+    def test_lower_dimensional_contains_float_or_bool_point(self):
+        planar = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+        for x in [(0.5, 0.25, 0), (True, 0, 0)]:
+            with pytest.raises(DegenerateInputError):
+                planar.contains(x)
+        assert planar.contains((Fraction(1, 2), Fraction(1, 4), 0))
+        assert planar.contains((1, 0, 0))
+
+    def test_bool_vertices(self):
+        with pytest.raises(DegenerateInputError):
+            hull([(True, 0), (0, 1), (0, 0)])
