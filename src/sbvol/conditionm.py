@@ -33,9 +33,6 @@ class ConditionMReport:
     witnesses: tuple  # per ray: exponent tuple over rays, or None
     group: DivisorClassGroup
 
-    def witness_for(self, ray_index):
-        return self.witnesses[ray_index]
-
 
 def _free_prunable_dfs(free_parts, target_free, accept, chosen_cap, budget=2_000_000):
     """Enumerate exponent vectors with per-ray caps hitting an exact free degree.
@@ -63,7 +60,10 @@ def _free_prunable_dfs(free_parts, target_free, accept, chosen_cap, budget=2_000
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise ResourceLimitError("witness enumeration exceeded budget")
+            raise ResourceLimitError(
+                f"_free_prunable_dfs: condition (M) witness enumeration spent {nodes} nodes,"
+                f" over its budget of {budget} ({n} rays, free rank {fr})"
+            )
         for j in range(fr):
             if not (
                 acc[j] + suf_min[i][j] <= target_free[j] <= acc[j] + suf_max[i][j]

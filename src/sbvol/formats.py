@@ -83,12 +83,17 @@ def heights_to_doc(heights: dict) -> dict:
 
 
 def heights_from_doc(doc: dict) -> dict:
+    """The height table; a point listed twice is rejected, not overwritten."""
     try:
-        return {
-            tuple(parse_int(x) for x in k): parse_fraction(v) for k, v in doc["heights"]
-        }
+        rows = [(tuple(parse_int(x) for x in k), parse_fraction(v)) for k, v in doc["heights"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DegenerateInputError(f"malformed height table: {exc}") from exc
+    heights = {}
+    for x, h in rows:
+        if x in heights:
+            raise DegenerateInputError(f"height table lists the point {list(x)} twice")
+        heights[x] = h
+    return heights
 
 
 def subdivision_to_dict(s: Subdivision) -> dict:

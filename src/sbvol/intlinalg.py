@@ -21,10 +21,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def copy_matrix(a: Matrix) -> Matrix:
     return [list(row) for row in a]
 
@@ -114,10 +110,6 @@ def rank(a: Matrix) -> int:
         if r == rows:
             break
     return r
-
-
-def is_unimodular(a: Matrix) -> bool:
-    return len(a) > 0 and len(a) == len(a[0]) and abs(det(a)) == 1
 
 
 def hermite_form(a: Matrix) -> tuple[Matrix, Matrix]:

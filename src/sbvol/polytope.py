@@ -514,24 +514,6 @@ class RationalPolytope:
             )
         )
 
-    def irredundant(self) -> "RationalPolytope":
-        """Keep halfspaces tight on a face of dimension dim - 1 (once nonempty)."""
-        vs = self.vertices()
-        if not vs:
-            return self
-        d = self.dim()
-        rows = [tuple(slacks(self.halfspaces, v)) for v in vs]
-        keep = []
-        for (n, c), col in zip(self.halfspaces, zip(*rows)):
-            tight = [v for v, s in zip(vs, col) if s == 0]
-            if not tight:
-                continue
-            diffs = [[a - b for a, b in zip(v, tight[0])] for v in tight[1:]]
-            tdim = rank([[Fraction(x) for x in row] for row in diffs]) if diffs else 0
-            if tdim >= d - 1:
-                keep.append((n, c))
-        return RationalPolytope(self.ambient_dim, keep)
-
 
 # -- module-level operations ---------------------------------------------------
 
@@ -578,7 +560,11 @@ def face_closure(full, tight_sets, budget=DEFAULT_FACE_BUDGET):
                     faces.add(g)
                     nxt.append(g)
                     if len(faces) > budget:
-                        raise ResourceLimitError("face enumeration exceeded budget")
+                        raise ResourceLimitError(
+                            f"face_closure: face enumeration reached {len(faces)} faces,"
+                            f" over its budget of {budget} ({len(full)} vertices,"
+                            f" {len(tight_sets)} facets)"
+                        )
         frontier = nxt
     return faces
 
@@ -847,13 +833,13 @@ def _width_search(q):
     differences, has entries below w, which bounds |l_j| by the L1 norm of
     row j of F^{-1} times w - 1.  The first such l whose spread beats the
     incumbent replaces it and the search restarts; the width is certified
-    once no such l is left.
+    once no such l is left.  An incumbent of 1 is certified at once: a
+    full-dimensional polytope has width at least 1, and the box is {0}.
     """
     d = q.ambient_dim
     verts = q.vertices
     v0 = verts[0]
     diffs = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
-    frame = [diffs[i] for i in _frame(diffs, d)]
 
     def spread(l):
         vals = [dot(l, v) for v in verts]
@@ -866,6 +852,9 @@ def _width_search(q):
 
     best_l = normalized(min([*_eye(d), *(n for n, _ in q.facet_system())], key=spread))
     best = spread(best_l)
+    if best == 1:
+        return best, best_l
+    frame = [diffs[i] for i in _frame(diffs, d)]
     norms = [sum(abs(x) for x in row) for row in invert_rational(frame)]
     while True:
         cons = [(f, 1 - best) for f in diffs] + [(tuple(-x for x in f), 1 - best) for f in diffs]

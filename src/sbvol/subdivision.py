@@ -1,14 +1,16 @@
 """Regular integral subdivisions: lower hulls, pulling refinements, distance heights.
 
 A subdivision is stored as its maximal cells plus the full face closure,
-together with the inducing heights and the affine witness of the lower
-envelope on each maximal cell.  Everything is exact; heights are rationals
-and get scaled to integers before the lifted hull is computed.
+together with the inducing heights and, as the witness of regularity, the
+lower facet of the lifted points on each maximal cell.  Everything is
+exact; heights are rationals and get scaled to integers before the lifted
+hull is computed, and the witness stays in those integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -20,7 +22,7 @@ from .errors import (
     SubdivisionError,
 )
 from .intlinalg import dot, rank, solve_rational
-from .polytope import LatticePolytope, _check_ambient, hull
+from .polytope import LatticePolytope, _check_ambient, hull, slacks
 
 
 def height_function(p: LatticePolytope, fn) -> dict:
@@ -34,17 +36,22 @@ class Subdivision:
     maximal_cells: tuple  # LatticePolytope, full-dimensional, sorted
     cells: tuple  # full face closure, sorted by (dim, vertices)
     heights: tuple | None  # sorted ((point, Fraction), ...) or None for hand-built
-    witness: tuple | None  # per maximal cell: (gradient Fractions, constant)
+    # Per maximal cell, its lower facet (n, c) of the lifted points (x, h(x) * scale):
+    # integers, n[-1] > 0, <n, (x, h(x) * scale)> >= c with equality on the cell.
+    witness: tuple | None
 
     def height_map(self):
         return dict(self.heights) if self.heights is not None else None
 
-    def cells_of_dim(self, k):
-        return tuple(c for c in self.cells if c.dim() == k)
+    @cached_property
+    def height_scale(self) -> int:
+        """lcm of the height denominators: h(x) * scale is the lifted coordinate."""
+        return lcm(*(h.denominator for _, h in self.heights or ()))
 
     def witness_value(self, cell_index, x):
-        grad, const = self.witness[cell_index]
-        return sum(g * Fraction(v) for g, v in zip(grad, x)) + const
+        """The cell's affine piece (c - <n', x>) / (n[-1] * scale) at x; n' is n without n[-1]."""
+        n, c = self.witness[cell_index]
+        return Fraction(c - dot(n, x), n[-1] * self.height_scale)
 
     def envelope_value(self, x):
         """Value of the piecewise affine witness at a point of the polytope."""
@@ -83,56 +90,56 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
     diffs = [[a - b for a, b in zip(q, v0)] for q in lifted[1:]]
     if rank(diffs) <= d:
         # Heights are affine on the polytope: the trivial subdivision.
-        grad = _affine_fit(pts, hmap, d)
         return Subdivision(
             polytope=p,
             maximal_cells=(p,),
             cells=_face_closure_cells([p]),
             heights=tuple(sorted(hmap.items())),
-            witness=(grad,),
+            witness=(_affine_fit(pts, hmap, d, scale),),
         )
-    facets = dd.facet_normals_from_points(lifted)
     maximal = []
     witness = []
-    for n, c in facets:
-        w = n[d]
-        if w <= 0:
+    for n, c in dd.facet_normals_from_points(lifted):
+        if n[d] <= 0:
             continue  # not a lower facet
         tight = [x for x, q in zip(pts, lifted) if dot(n, q) == c]
-        cell = hull(tight)
-        maximal.append(cell)
-        grad = tuple(Fraction(-n[j], w * scale) for j in range(d))
-        const = Fraction(c, w * scale)
-        witness.append((grad, const))
+        maximal.append(hull(tight))
+        witness.append((n, c))
     order = sorted(range(len(maximal)), key=lambda i: maximal[i].vertices)
-    maximal = [maximal[i] for i in order]
-    witness = [witness[i] for i in order]
     return Subdivision(
         polytope=p,
-        maximal_cells=tuple(maximal),
+        maximal_cells=tuple(maximal[i] for i in order),
         cells=_face_closure_cells(maximal),
         heights=tuple(sorted(hmap.items())),
-        witness=tuple(witness),
+        witness=tuple(witness[i] for i in order),
     )
 
 
-def _affine_fit(pts, hmap, d):
-    """Gradient and constant of the affine function through the heights."""
+def _affine_fit(pts, hmap, d, scale):
+    """The facet (n, c) of the lifted points (x, h(x) * scale) when the heights are affine.
+
+    With h(x) = <g, x> + k, the hyperplane <-w * scale * g, x> + w * (h(x) * scale) =
+    w * scale * k has integer coefficients once w clears the denominators of
+    scale * g and scale * k, and then they have no common factor.
+    """
     base = pts[0]
     if len(pts) == 1:
-        return (tuple(Fraction(0) for _ in range(d)), Fraction(hmap[base]))
-    grad = solve_rational(
-        [[a - b for a, b in zip(x, base)] for x in pts[1:]],
-        [hmap[x] - hmap[base] for x in pts[1:]],
-    )
-    if grad is None:
-        raise SubdivisionError("heights are not affine despite the rank test")
-    const = hmap[base] - sum(g * b for g, b in zip(grad, base))
-    return (tuple(grad), const)
+        grad = [Fraction(0)] * d
+    else:
+        grad = solve_rational(
+            [[a - b for a, b in zip(x, base)] for x in pts[1:]],
+            [hmap[x] - hmap[base] for x in pts[1:]],
+        )
+        if grad is None:
+            raise SubdivisionError("heights are not affine despite the rank test")
+    coeffs = [-g * scale for g in grad] + [(hmap[base] - dot(grad, base)) * scale]
+    w = lcm(*(v.denominator for v in coeffs))
+    n = tuple(int(v * w) for v in coeffs[:d]) + (w,)
+    return n, int(coeffs[d] * w)
 
 
-def make_subdivision(p: LatticePolytope, maximal_cells, heights=None, witness=None) -> Subdivision:
-    """Package hand-built cells (for validation tests and display)."""
+def make_subdivision(p: LatticePolytope, maximal_cells, heights=None) -> Subdivision:
+    """Package hand-built cells (for validation tests and display); they carry no witness."""
     cells = tuple(sorted(maximal_cells, key=lambda c: c.vertices))
     return Subdivision(
         polytope=p,
@@ -141,7 +148,7 @@ def make_subdivision(p: LatticePolytope, maximal_cells, heights=None, witness=No
         heights=tuple(sorted((tuple(k), Fraction(v)) for k, v in heights.items()))
         if heights
         else None,
-        witness=tuple(witness) if witness else None,
+        witness=None,
     )
 
 
@@ -357,27 +364,35 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
     checks.append(("pairwise_faces", not detail, detail))
 
     if s.witness is not None:
-        affine_ok = True
-        dominated_ok = True
-        hmap = s.height_map()
-        for idx, cell in enumerate(s.maximal_cells):
-            for v in cell.vertices:
-                if hmap is not None and s.witness_value(idx, v) != hmap[v]:
-                    affine_ok = False
-        if hmap is not None:
-            for x, hx in hmap.items():
-                for idx in range(len(s.maximal_cells)):
-                    if s.witness_value(idx, x) > hx:
-                        dominated_ok = False
+        # Integer slacks <n, X> - c of lifted points X = (x, h(x) * scale).  A
+        # cell's piece is affine in x only on a lower facet, n[-1] > 0.
+        lower = len(s.witness) == len(s.maximal_cells) and all(n[-1] > 0 for n, _ in s.witness)
+        scale = s.height_scale
+        lifted = {x: x + (h.numerator * (scale // h.denominator),) for x, h in s.heights or ()}
+        affine_ok = lower and (
+            not lifted
+            or all(
+                dot(n, lifted[v]) == c
+                for (n, c), cell in zip(s.witness, s.maximal_cells)
+                for v in cell.vertices
+            )
+        )
+        dominated_ok = all(
+            sl >= 0 for x in lifted.values() for sl in slacks(s.witness, x)
+        )
         checks.append(("witness_affine", affine_ok, ""))
         checks.append(("witness_dominates", dominated_ok, ""))
 
-        # Extended across a wall, each cell's affine piece lies strictly
-        # below its neighbour's at the neighbour's vertices off the wall.
-        strict_ok = all(
-            s.witness_value(a, u) < s.witness_value(b, u)
+        # Extended across a wall, each cell's affine piece (c - <n', u>) / n[-1]
+        # lies strictly below its neighbour's at the neighbour's vertices off
+        # the wall; the positive last entries are cross-multiplied.
+        strict_ok = lower and all(
+            (ca - dot(na, u)) * nb[-1] < (cb - dot(nb, u)) * na[-1]
             for i, j, wall in walls
-            for a, b in ((i, j), (j, i))
+            for (na, ca), (nb, cb), b in (
+                (s.witness[i], s.witness[j], j),
+                (s.witness[j], s.witness[i], i),
+            )
             for u in s.maximal_cells[b].vertices
             if u not in wall
         )

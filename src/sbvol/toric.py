@@ -299,6 +299,7 @@ def fine_interior(
                     found.add(primitive(n))
         return found, complete
 
+    size = f"dimension {d}, {len(p.vertices)} vertices, {len(frames)} vertex subcones"
     spent = 0
     while spent <= budget:
         poly = RationalPolytope(
@@ -317,13 +318,19 @@ def fine_interior(
         new = [n for n in found if n not in halfspaces]
         if not new:
             if not complete:
-                raise ResourceLimitError("fine interior scans exceeded their budget")
+                raise ResourceLimitError(
+                    f"fine_interior: an exhaustive scan spent over its budget of {budget}"
+                    f" nodes ({spent} nodes charged in all; {size})"
+                )
             return FineInteriorResult(
                 poly, False, poly.dim(), poly.is_lattice(), tuple(sorted(halfspaces))
             )
         for n in new:
             halfspaces[n] = ord_value(p, n) + 1
-    raise ResourceLimitError("fine interior iteration did not stabilize")
+    raise ResourceLimitError(
+        f"fine_interior: iteration charged {spent} nodes without stabilizing, over its"
+        f" budget of {budget} ({size})"
+    )
 
 
 def kodaira_dimension(p: LatticePolytope, fi: FineInteriorResult | None = None):

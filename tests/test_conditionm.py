@@ -1,12 +1,15 @@
 import itertools
 import random
 
+import pytest
+
 from sbvol.conditionm import (
     check_condition_m,
     cross_check_unrestricted,
     sections_of_class,
     strong_variation_certificate,
 )
+from sbvol.errors import ResourceLimitError
 from sbvol.families import builtin_seed_registry, hpt, tpq
 from sbvol.polytope import dilate, hull
 from sbvol.toric import normal_fan
@@ -27,6 +30,14 @@ def match_up_to_permutation(got, expected):
 
 
 class TestConditionM:
+    def test_budget_error_names_the_enumeration(self):
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^_free_prunable_dfs: condition \(M\) witness enumeration spent 2 nodes,"
+            r" over its budget of 1 \(6 rays, free rank 1\)$",
+        ):
+            check_condition_m(hpt(), budget=1)
+
     def test_hpt_holds(self):
         rep = check_condition_m(hpt())
         assert rep.holds

@@ -116,6 +116,31 @@ class TestCli:
         heights.write_text(json.dumps(doc))
         assert main(["subdivide", "--input", big, "--heights", str(heights)]) == 2
 
+    def subdivide_with_heights(self, tmp_path, extra):
+        """sbvol subdivide on 2 * simplex2: zero heights plus the extra rows."""
+        p = dilated_simplex(2, 2)
+        big = self.write_polytope(tmp_path, p, "big")
+        rows = [[list(x), "0"] for x in p.lattice_points()] + extra
+        heights = tmp_path / "heights.json"
+        heights.write_text(json.dumps({"heights": rows}))
+        return main(["subdivide", "--input", big, "--heights", str(heights)])
+
+    def test_height_point_outside_the_polytope_exit_2(self, tmp_path, capsys):
+        assert self.subdivide_with_heights(tmp_path, []) == 0
+        capsys.readouterr()
+        assert self.subdivide_with_heights(tmp_path, [[[5, 5], "1"]]) == 2
+        assert "[5, 5] is not a lattice point" in capsys.readouterr().err
+
+    def test_height_point_from_another_space_exit_2(self, tmp_path, capsys):
+        assert self.subdivide_with_heights(tmp_path, [[[1, 2, 3], "1"]]) == 2
+        assert "[1, 2, 3] is not in Z^2" in capsys.readouterr().err
+
+    def test_height_point_listed_twice_exit_2(self, tmp_path, capsys):
+        assert self.subdivide_with_heights(tmp_path, [[[0, 0], "1"]]) == 2
+        assert "[0, 0] twice" in capsys.readouterr().err
+        with pytest.raises(DegenerateInputError, match="twice"):
+            formats.heights_from_doc({"heights": [[[0, 0], "0"], [[0, 0], "1"]]})
+
     def test_target_from_another_space_exit_2(self, tmp_path, capsys):
         big = self.write_polytope(tmp_path, dilated_simplex(2, 2), "big")
         target = self.write_polytope(tmp_path, hull([(0, 0, 5), (1, 0, 5)]), "target")

@@ -6,6 +6,7 @@ from math import comb, gcd
 import pytest
 
 from sbvol import dd
+from sbvol import polytope as polytope_module
 from sbvol.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from sbvol.intlinalg import dot
 from sbvol.polytope import (
@@ -15,6 +16,7 @@ from sbvol.polytope import (
     cartesian_product,
     convex_union,
     dilate,
+    face_closure,
     hull,
     polytope_algebra,
     slacks,
@@ -204,6 +206,15 @@ class TestFaces:
             for k in range(n + 1):
                 assert len(p.faces(k)) == comb(n + 1, k + 1)
 
+    def test_budget_error_names_the_closure(self):
+        tight = [frozenset(range(4)) - {i} for i in range(4)]  # a tetrahedron's facets
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^face_closure: face enumeration reached 3 faces, over its budget of 2"
+            r" \(4 vertices, 4 facets\)$",
+        ):
+            face_closure(frozenset(range(4)), tight, budget=2)
+
     def test_euler_relation(self):
         rng = random.Random(13)
         for _ in range(10):
@@ -253,6 +264,28 @@ class TestWidth:
             m = AffineUnimodularMap(random_unimodular(rng, d, 3), tuple(rng.randint(-3, 3) for _ in range(d)))
             image = m.apply_polytope(base)
             assert assert_width_certificate(image) == assert_width_certificate(base)
+
+    def test_width_one_needs_no_inverse(self, monkeypatch):
+        # The expected pairs are what the frame search returns without the width-1 exit.
+        calls = []
+        original = polytope_module.invert_rational
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(polytope_module, "invert_rational", counted)
+        cases = [
+            (simplex(4), (1, (1, 0, 0, 0))),
+            (hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)]), (1, (1, 0, 0))),
+            (hull([(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 3, 4)]), (1, (1, 0, 0))),
+            (hull([(0, 0), (3, 1), (5, 2), (1, 0)]), (1, (1, -2))),
+        ]
+        for p, expected in cases:
+            assert p.lattice_width() == expected
+        assert calls == []
+        assert dilate(simplex(3), 2).lattice_width()[0] == 2
+        assert len(calls) == 1
 
 
 class TestNormalize:

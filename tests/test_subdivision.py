@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,6 +57,23 @@ class TestRegularSubdivision:
         s = regular_subdivision(p, heights)
         assert len(s.maximal_cells) == 2
         assert all(len(c.vertices) == 3 for c in s.maximal_cells)
+
+    def test_affine_heights_witness_is_the_lifted_facet(self):
+        # h = (4x - 2y + 6z + 3) / 12 lifts to H = 12 h: the facet -4x + 2y - 6z + H = 3.
+        p = dilate(simplex(3), 2)
+        s = regular_subdivision(
+            p, height_function(p, lambda v: Fraction(2 * v[0] - v[1] + 3 * v[2], 6) + Fraction(1, 4))
+        )
+        assert s.maximal_cells == (p,) and s.height_scale == 12
+        assert s.witness == (((-4, 2, -6, 1), 3),)
+        assert all(s.witness_value(0, x) == h for x, h in s.heights)
+        assert validate(s).ok
+
+    def test_witness_must_be_a_lower_facet(self):
+        p = dilate(simplex(2), 2)
+        s = regular_subdivision(p, height_function(p, lambda v: 0))
+        flags = {n: ok for n, ok, _ in validate(replace(s, witness=(((0, 0, -1), 0),))).checks}
+        assert not flags["witness_affine"] and not flags["witness_strictly_convex"]
 
     def test_missing_height(self):
         p = dilate(simplex(2), 2)

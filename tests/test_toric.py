@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sbvol import dd
-from sbvol.errors import UnsupportedInputError
+from sbvol import toric as toric_module
+from sbvol.errors import ResourceLimitError, UnsupportedInputError
 from sbvol.families import hpt, schreieder
 from sbvol.polytope import dilate, hull
 from sbvol.toric import (
@@ -144,6 +145,33 @@ class TestFineInterior:
         )
         assert sorted(fi.vertices()) == expected
         assert fi.dim == 3 and not fi.is_lattice
+
+    def test_budget_error_names_the_iteration(self):
+        # The facet normals alone do not describe this Fine interior, so a
+        # second round is needed, and a budget of 0 does not allow it.
+        p = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)])
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^fine_interior: iteration charged 20000 nodes without stabilizing, over its"
+            r" budget of 0 \(dimension 3, 4 vertices, 4 vertex subcones\)$",
+        ):
+            fine_interior(p, budget=0)
+
+    def test_budget_error_names_the_incomplete_scan(self, monkeypatch):
+        # Small polytopes finish every scan within the cheap pass's 20,000
+        # nodes; here each scan is cut at its first node instead.
+        original = toric_module.integer_points
+
+        def cut(constraints, lo, hi, budget, routine):
+            return original(constraints, lo, hi, 0, routine)
+
+        monkeypatch.setattr(toric_module, "integer_points", cut)
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^fine_interior: an exhaustive scan spent over its budget of 50 nodes"
+            r" \(20005 nodes charged in all; dimension 2, 3 vertices, 3 vertex subcones\)$",
+        ):
+            fine_interior(dilate(simplex(2), 3), budget=50)
 
     def test_single_point(self):
         fi = fine_interior(dilate(simplex(2), 3))

@@ -2,14 +2,19 @@
 
 The oracle is the earlier validate: for every pair of maximal cells it
 intersects the two halfspace systems, enumerates the vertices of the
-intersection and checks that they span a common face of both cells.  The
-two must give the same verdict on every input, and the same face verdict
-wherever the cells cover the polytope once.
+intersection and checks that they span a common face of both cells, and
+it checks the witness in the earlier Fraction form: a gradient and a
+constant per cell, read off the stored integer lower facet.  The two must
+give the same verdict and the same three witness flags on every input,
+tampered witnesses included, and the same face verdict wherever the cells
+cover the polytope once.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from sbvol.families import dilated_simplex, kollar_totaro
 from sbvol.intlinalg import dot, rank
@@ -76,14 +81,15 @@ def pairwise_validate(s, p=None):
         affine_ok = True
         dominated_ok = True
         hmap = s.height_map()
+        witness_value = _fraction_witness(s)
         for idx, cell in enumerate(s.maximal_cells):
             for v in cell.vertices:
-                if hmap is not None and s.witness_value(idx, v) != hmap[v]:
+                if hmap is not None and witness_value(idx, v) != hmap[v]:
                     affine_ok = False
         if hmap is not None:
             for x, hx in hmap.items():
                 for idx in range(len(s.maximal_cells)):
-                    if s.witness_value(idx, x) > hx:
+                    if witness_value(idx, x) > hx:
                         dominated_ok = False
         checks.append(("witness_affine", affine_ok, ""))
         checks.append(("witness_dominates", dominated_ok, ""))
@@ -93,17 +99,36 @@ def pairwise_validate(s, p=None):
             for u in s.maximal_cells[j].vertices:
                 if tuple(Fraction(x) for x in u) in wall:
                     continue
-                if not s.witness_value(i, u) < s.witness_value(j, u):
+                if not witness_value(i, u) < witness_value(j, u):
                     strict_ok = False
             for u in s.maximal_cells[i].vertices:
                 if tuple(Fraction(x) for x in u) in wall:
                     continue
-                if not s.witness_value(j, u) < s.witness_value(i, u):
+                if not witness_value(j, u) < witness_value(i, u):
                     strict_ok = False
         checks.append(("witness_strictly_convex", strict_ok, ""))
 
     ok = all(c[1] for c in checks)
     return ValidationReport(ok, tuple(checks))
+
+
+def _fraction_witness(s):
+    """The earlier witness: gradient and constant of each cell's piece, as Fractions.
+
+    They are read off the stored lower facet (n, c) of the lifted points
+    (x, h(x) * scale): the piece is h(x) = (c - <n', x>) / (n[-1] * scale).
+    """
+    scale = lcm(*(h.denominator for _, h in s.heights or ()))
+    pieces = []
+    for n, c in s.witness:
+        grad = tuple(Fraction(-n[j], n[-1] * scale) for j in range(len(n) - 1))
+        pieces.append((grad, Fraction(c, n[-1] * scale)))
+
+    def witness_value(idx, x):
+        grad, const = pieces[idx]
+        return sum(g * Fraction(v) for g, v in zip(grad, x)) + const
+
+    return witness_value
 
 
 def _smallest_face_containing(cell, points):
@@ -117,14 +142,19 @@ def _smallest_face_containing(cell, points):
     return [tuple(Fraction(x) for x in v) for v in verts]
 
 
+WITNESS_CHECKS = ("witness_affine", "witness_dominates", "witness_strictly_convex")
+
+
 def assert_agrees(s):
-    """Same verdict; the same face verdict wherever the cover holds."""
+    """Same verdict and witness flags; the same face verdict wherever the cover holds."""
     new, old = validate(s), pairwise_validate(s)
     assert [c[0] for c in new.checks] == [c[0] for c in old.checks]
     assert new.ok == old.ok, (s.maximal_cells, new.failed(), old.failed())
     flags, old_flags = {c[0]: c[1] for c in new.checks}, {c[0]: c[1] for c in old.checks}
     if flags["cover"]:
         assert flags["pairwise_faces"] == old_flags["pairwise_faces"], s.maximal_cells
+    for name in WITNESS_CHECKS:
+        assert flags.get(name) == old_flags.get(name), (name, s.maximal_cells, s.witness)
     return new
 
 
@@ -216,3 +246,56 @@ def test_prisms_over_crossing_diagonals():
     mixed = make_subdivision(cube, [low_a, tilted_b])
     assert not assert_agrees(mixed).ok
     assert assert_agrees(make_subdivision(cube, [tilted_a, tilted_b])).ok
+
+
+def tampered(s, rng):
+    """Copies of s with one witness broken: a constant moved by +-1, or two witnesses swapped."""
+    w = list(s.witness)
+    i = rng.randrange(len(w))
+    out = []
+    for step in (1, -1):
+        moved = list(w)
+        moved[i] = (w[i][0], w[i][1] + step)
+        out.append(dataclasses.replace(s, witness=tuple(moved)))
+    if len(w) > 1:
+        j = rng.choice([k for k in range(len(w)) if k != i])
+        swapped = list(w)
+        swapped[i], swapped[j] = w[j], w[i]
+        out.append(dataclasses.replace(s, witness=tuple(swapped)))
+    return out
+
+
+def test_tampered_witnesses_fail_each_check():
+    # Rational heights, so the lifted scale is not 1; every witness flag
+    # must agree with the Fraction oracle, and each check must fail.
+    rng = random.Random(2024)
+    failures = dict.fromkeys(WITNESS_CHECKS, 0)
+    for trial in range(40):
+        dim = (2, 3)[trial % 2]
+        p = _random_polytope(rng, dim, coord=(3, 2)[dim - 2])
+        heights = {x: Fraction(rng.randint(0, 6), rng.randint(1, 3)) for x in p.lattice_points()}
+        s = regular_subdivision(p, heights)
+        assert assert_agrees(s).ok
+        for broken in tampered(s, rng):
+            rep = assert_agrees(broken)
+            assert not rep.ok
+            for name, ok, _ in rep.checks:
+                failures[name] = failures.get(name, 0) + (not ok)
+    assert all(failures[name] for name in WITNESS_CHECKS), failures
+    assert failures["cover"] == failures["pairwise_faces"] == 0
+
+
+def test_flat_witness_fails_only_strict_convexity():
+    # A corner cut off the square, both cells given the zero piece: affine
+    # and dominating, but the pieces do not bend across the wall.
+    heights = {x: int(x == (2, 2)) for x in SQUARE.lattice_points()}
+    s = regular_subdivision(SQUARE, heights)
+    assert len(s.maximal_cells) == 2
+    flat = dataclasses.replace(
+        s,
+        heights=tuple((x, Fraction(0)) for x, _ in s.heights),
+        witness=(((0, 0, 1), 0), ((0, 0, 1), 0)),
+    )
+    flags = {n: ok for n, ok, _ in assert_agrees(flat).checks}
+    assert flags["witness_affine"] and flags["witness_dominates"]
+    assert not flags["witness_strictly_convex"]
