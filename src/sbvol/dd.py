@@ -8,7 +8,9 @@ point sets.  All arithmetic is integer.
 
 from __future__ import annotations
 
-from .errors import DegenerateInputError
+from fractions import Fraction
+
+from .errors import DegenerateInputError, DimensionMismatchError
 from .intlinalg import dot, primitive
 
 
@@ -18,9 +20,13 @@ def extreme_rays(constraints, dim):
     Returns (rays, lineality): primitive integer extreme rays modulo the
     lineality space, and an integer basis of the lineality space.  The
     classical incremental algorithm: start from all of R^dim, add one
-    halfspace at a time, combine adjacent positive/negative ray pairs.
-    Adjacency is decided combinatorially via zero-set inclusion, tracked as
-    bitmasks over the processed constraints.
+    halfspace at a time in input order, combine adjacent positive/negative
+    ray pairs.  Adjacency is decided combinatorially via zero-set
+    inclusion, tracked as bitmasks over the processed constraints.  Before
+    that scan, a pair is dropped when its common zero set has fewer than
+    dim - len(lineality) - 2 constraints: a face spanned by two adjacent
+    rays has dimension len(lineality) + 2, so its equality set has at least
+    that rank (Fukuda-Prodon, "Double description method revisited", 1996).
     """
     lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     rays = []  # list of (vector, zeroset bitmask)
@@ -29,7 +35,7 @@ def extreme_rays(constraints, dim):
     for a in constraints:
         a = tuple(a)
         if len(a) != dim:
-            raise DegenerateInputError("constraint has wrong dimension")
+            raise DimensionMismatchError(f"constraint of length {len(a)} in dimension {dim}")
         if all(x == 0 for x in a):
             continue
         k = len(processed)
@@ -60,35 +66,28 @@ def extreme_rays(constraints, dim):
             rays = new_rays
         else:
             plus, zero, minus = [], [], []
-            vals = {}
             for r, zs in rays:
                 v = dot(a, r)
-                vals[r] = v
                 if v > 0:
-                    plus.append((r, zs))
+                    plus.append((r, zs, v))
                 elif v < 0:
-                    minus.append((r, zs))
+                    minus.append((r, zs, v))
                 else:
                     zero.append((r, zs | (1 << k)))
-            new_rays = plus + zero
-            if plus and minus:
-                masks = [zs for _, zs in rays]
-                for rp, zp in plus:
-                    for rm, zm in minus:
-                        z = zp & zm
-                        # Adjacent iff no third ray's zero set contains z.
-                        adjacent = True
-                        for r3, z3 in rays:
-                            if r3 is rp or r3 is rm:
-                                continue
-                            if z3 & z == z:
-                                adjacent = False
-                                break
-                        if not adjacent:
-                            continue
-                        vp, vm = vals[rp], vals[rm]
+            new_rays = [(r, zs) for r, zs, _ in plus] + zero
+            need = dim - len(lineality) - 2
+            for rp, zp, vp in plus:
+                for rm, zm, vm in minus:
+                    z = zp & zm
+                    if z.bit_count() < need:
+                        continue
+                    # Adjacent iff no third ray's zero set contains z.
+                    for r3, z3 in rays:
+                        if z3 & z == z and r3 is not rp and r3 is not rm:
+                            break
+                    else:
                         w = primitive(tuple(vp * x - vm * y for x, y in zip(rm, rp)))
-                        new_rays.append((w, (zp & zm) | (1 << k)))
+                        new_rays.append((w, z | (1 << k)))
             rays = new_rays
         processed.append(a)
 
@@ -103,6 +102,8 @@ def facet_normals_from_points(points):
     meaning the halfspace <n, x> >= c, tight on a facet.  Raises if the
     points do not span the ambient space affinely.
     """
+    if not points:
+        raise DegenerateInputError("no points given")
     dim = len(points[0])
     constraints = [tuple(p) + (1,) for p in points]
     rays, lineality = extreme_rays(constraints, dim + 1)
@@ -124,8 +125,6 @@ def vertices_from_halfspaces(halfspaces, dim):
     empty.  Raises if the system is unbounded (has a recession ray) since
     every polytope in this package is bounded by construction.
     """
-    from fractions import Fraction
-
     constraints = []
     for a, c in halfspaces:
         c = Fraction(c)

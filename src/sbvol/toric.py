@@ -310,8 +310,10 @@ def fine_interior(
             return FineInteriorResult(poly, True, -1, False, tuple(sorted(halfspaces)))
         # Cheap pass first: capped scans still find violators early; the
         # exhaustive pass runs only when a cheap pass comes back clean.
-        found, complete = scan_pass(verts, per_scan_budget=20_000)
-        spent += 20_000
+        # Each pass charges at least 1, so a zero budget still ends the loop.
+        cheap = min(20_000, budget)
+        found, complete = scan_pass(verts, per_scan_budget=cheap)
+        spent += max(cheap, 1)
         if not found and not complete:
             found, complete = scan_pass(verts, per_scan_budget=budget)
             spent += budget // 10
