@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalConsistencyError, ResourceLimitError
+from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
 from .intlinalg import dot
 from .polytope import LatticePolytope
 from .toric import (
@@ -110,6 +110,8 @@ def check_condition_m(
     a lattice point, which is equivalent to the existence of an arbitrary
     monomial witness.
     """
+    if mode not in ("reduced", "unrestricted"):
+        raise InvalidParameterError(f"unknown mode {mode!r}; choose 'reduced' or 'unrestricted'")
     if fan is None:
         fan = normal_fan(p)
     if group is None:
@@ -120,7 +122,7 @@ def check_condition_m(
         witnesses = []
         for i in range(n):
             witnesses.append(next((w for w in pool if w[i] >= 1), None))
-    elif mode == "unrestricted":
+    else:
         witnesses = []
         ample = fan.ample_coefficients()
         for i in range(n):
@@ -133,8 +135,6 @@ def check_condition_m(
             if w[i] < 1 or any(x < 0 for x in w):
                 raise InternalConsistencyError(f"ray {i}: section {w} does not vanish on it")
             witnesses.append(w)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     report = ConditionMReport(
         holds=all(w is not None for w in witnesses),
         mode=mode,

@@ -57,10 +57,11 @@ class SeedRegistry:
 
     def register(self, name, polytope, reason, condition_m=None):
         q, _ = polytope.normalize_full_dimensional()
-        d = q.dim()
-        if d <= 1 or q.lattice_width()[0] == 1 or (d <= 3 and fine_interior(q).is_empty):
+        tag = classify_cell(q)
+        if tag.kind == "rational":
             raise DegenerateInputError(
-                f"{name}: this polytope is provably rational and cannot be a seed"
+                f"{name}: this polytope is provably rational ({tag.justification})"
+                " and cannot be a seed"
             )
         entry = SeedEntry(name, q, reason, condition_m)
         self.entries.append(entry)

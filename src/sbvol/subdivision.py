@@ -22,12 +22,19 @@ from .errors import (
     SubdivisionError,
 )
 from .intlinalg import dot, rank, solve_rational
-from .polytope import LatticePolytope, _check_ambient, hull, slacks
+from .polytope import LatticePolytope, _as_int_tuple, _check_ambient, _is_rational, hull, slacks
+
+
+def _exact_height(x, h) -> Fraction:
+    """The height h at x as a Fraction; a float, bool or other number raises."""
+    if not _is_rational(h):
+        raise DegenerateInputError(f"height at {x!r} must be an int or a Fraction, got {h!r}")
+    return Fraction(h)
 
 
 def height_function(p: LatticePolytope, fn) -> dict:
     """Tabulate a callable on the lattice points of p."""
-    return {x: Fraction(fn(x)) for x in p.lattice_points()}
+    return {x: _exact_height(x, fn(x)) for x in p.lattice_points()}
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,7 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
     for x in pts:
         if x not in heights:
             raise DegenerateInputError(f"height function is not total: missing {x!r}")
-        hmap[x] = Fraction(heights[x])
+        hmap[x] = _exact_height(x, heights[x])
     d = p.dim()
     scale = lcm(*[v.denominator for v in hmap.values()]) if hmap else 1
     lifted = [x + (int(hmap[x] * scale),) for x in pts]
@@ -145,7 +152,7 @@ def make_subdivision(p: LatticePolytope, maximal_cells, heights=None) -> Subdivi
         polytope=p,
         maximal_cells=cells,
         cells=_face_closure_cells(cells),
-        heights=tuple(sorted((tuple(k), Fraction(v)) for k, v in heights.items()))
+        heights=tuple(sorted((tuple(k), _exact_height(k, v)) for k, v in heights.items()))
         if heights
         else None,
         witness=None,
@@ -164,7 +171,7 @@ def pulling_refinement(s: Subdivision, point) -> Subdivision:
     lower hull reproduces the prediction exactly.
     """
     p = s.polytope
-    point = tuple(int(x) for x in point)
+    point = _as_int_tuple(point)
     if point not in p.lattice_points():
         raise DegenerateInputError(f"{point!r} is not a lattice point of the polytope")
     if s.heights is None:

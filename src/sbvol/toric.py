@@ -11,14 +11,13 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import floor, lcm
 
 from . import dd
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     InternalConsistencyError,
-    ResourceLimitError,
     UnsupportedInputError,
 )
 from .intlinalg import (
@@ -32,6 +31,7 @@ from .intlinalg import (
     rank,
     smith_form,
     transpose,
+    vec_mat,
 )
 from .polytope import (
     AffineChart,
@@ -198,9 +198,10 @@ class FineInteriorResult:
 
 
 def _subcone_scan_frame(tri, d):
-    """Scan data for one simplicial subcone: a coordinate change making the
-    ray matrix lower-triangular with large pivots early, membership
-    constraints in the new coordinates, and the slab bounding box."""
+    """Scan data (uinv, tcons, lo, hi, rays) for one simplicial subcone: a
+    coordinate change making the ray matrix lower-triangular with large
+    pivots early, membership constraints in the new coordinates, and the
+    slab bounding box."""
     best = None
     perms = (
         itertools.permutations(range(d)) if d <= 6 else [tuple(range(d))]
@@ -227,7 +228,7 @@ def _subcone_scan_frame(tri, d):
     tcons = [(tuple(int(x * abs_det) for x in row), 0) for row in invert_rational(m)]
     lo = [sum(min(0, r[k]) for r in new_rays) for k in range(d)]
     hi = [sum(max(0, r[k]) for r in new_rays) for k in range(d)]
-    return {"u": u, "uinv": uinv, "tcons": tcons, "lo": lo, "hi": hi, "rays": new_rays}
+    return uinv, tcons, lo, hi, new_rays
 
 
 def fine_interior(
@@ -243,6 +244,12 @@ def fine_interior(
     violating the current candidate are found by exact branch and bound
     and added until none remain.  The final generator set is therefore a
     certified cutting description of the Fine interior.
+
+    Each round runs one scan per (candidate vertex, simplicial vertex
+    subcone), in integers, with `budget` as that scan's node cap; a scan
+    over it raises ResourceLimitError.  The loop ends: every round that
+    does not return adds at least one new primitive vector, and all of
+    them are integer points of the subcones' fixed slab boxes, a finite set.
     """
     if fan is None:
         fan = normal_fan(p)
@@ -253,86 +260,51 @@ def fine_interior(
     for i, v in enumerate(p.vertices):
         cone_rays = [fan.rays[j] for j in sorted(fan.vertex_cones[i])]
         for tri in _triangulate_cone(cone_rays, d):
-            frames.append((v, tuple(tri), _subcone_scan_frame(tri, d)))
+            frames.append((v, tri, _subcone_scan_frame(tri, d)))
 
-    def scan_pass(verts, per_scan_budget):
-        """(violators, complete) over every (vertex cone, candidate vertex) pair."""
-        found = set()
-        complete = True
-        for v, rays, fr in frames:
-            u, uinv, tcons = fr["u"], fr["uinv"], fr["tcons"]
-            new_rays = fr["rays"]
-            for q in verts:
-                diff = [Fraction(a) - b for a, b in zip(q, v)]
-                c_vals = [sum(x * y for x, y in zip(diff, r)) for r in rays]
-                if any(c < 1 for c in c_vals):
-                    raise InternalConsistencyError("candidate vertex violates a shifted facet")
-                m = lcm(*(x.denominator for x in diff))
-                a = [int(m * (bv - qv)) for qv, bv in zip(q, v)]  # m (v - q)
-                a_t = tuple(
-                    sum(a[k] * uinv[k][j] for k in range(d)) for j in range(d)
-                )
-                cons = tcons + [(a_t, 1 - m)]
-                # The region satisfies t_j <= 1/c_j, so the slab box shrinks
-                # with the pairing against the current candidate vertex.
-                lo = []
-                hi = []
-                for k in range(d):
-                    lo_k = sum(min(0, Fraction(r[k]) / c) for r, c in zip(new_rays, c_vals))
-                    hi_k = sum(max(0, Fraction(r[k]) / c) for r, c in zip(new_rays, c_vals))
-                    lo.append(max(fr["lo"][k], ceil(lo_k)))
-                    hi.append(min(fr["hi"][k], floor(hi_k)))
-                pts = []
-                try:
-                    for n_t in integer_points(cons, lo, hi, per_scan_budget, "fine_interior"):
-                        if any(n_t):
-                            pts.append(n_t)
-                            if len(pts) == 4:
-                                break
-                except ResourceLimitError:
-                    complete = False
-                for n_t in pts:
-                    n = tuple(sum(uinv[k][j] * n_t[j] for j in range(d)) for k in range(d))
-                    # n must lie in this normal cone and violate the candidate.
-                    if ord_value(p, n) != dot(v, n) or sum(df * nn for df, nn in zip(diff, n)) >= 1:
-                        raise InternalConsistencyError("scan returned a dual vector outside its region")
-                    found.add(primitive(n))
-        return found, complete
-
-    size = f"dimension {d}, {len(p.vertices)} vertices, {len(frames)} vertex subcones"
-    spent = 0
-    while spent <= budget:
-        poly = RationalPolytope(
-            p.ambient_dim, [(u, Fraction(c)) for u, c in halfspaces.items()]
-        )
+    while True:
+        poly = RationalPolytope(d, [(u, Fraction(c)) for u, c in halfspaces.items()])
         verts = poly.vertices()
         if not verts:
             return FineInteriorResult(poly, True, -1, False, tuple(sorted(halfspaces)))
-        # Cheap pass first: capped scans still find violators early; the
-        # exhaustive pass runs only when a cheap pass comes back clean.
-        # Each pass charges at least 1, so a zero budget still ends the loop.
-        cheap = min(20_000, budget)
-        found, complete = scan_pass(verts, per_scan_budget=cheap)
-        spent += max(cheap, 1)
-        if not found and not complete:
-            found, complete = scan_pass(verts, per_scan_budget=budget)
-            spent += budget // 10
+        # Each candidate vertex q once in integers: Q = m q, m the lcm of its denominators.
+        cleared = []
+        for q in verts:
+            m = lcm(*(x.denominator for x in q))
+            cleared.append((m, [x.numerator * (m // x.denominator) for x in q]))
+        found = set()
+        for v, rays, (uinv, tcons, box_lo, box_hi, new_rays) in frames:
+            for m, big in cleared:
+                pair = [dot(big, r) - m * dot(v, r) for r in rays]  # m <q - v, r>
+                if any(c < m for c in pair):
+                    raise InternalConsistencyError("candidate vertex violates a shifted facet")
+                # m <q - v, n> <= m - 1, that is <m v - Q, n> >= 1 - m.
+                cut = (vec_mat([m * a - b for a, b in zip(v, big)], uinv), 1 - m)
+                # The region satisfies t_j <= m / pair_j, so the slab box shrinks
+                # with the pairing against the candidate; den clears the pairings.
+                den = lcm(*pair)
+                scale = [den // c for c in pair]
+                lo = []
+                hi = []
+                for k in range(d):
+                    lo_k = sum(min(0, r[k]) * s for r, s in zip(new_rays, scale)) * m
+                    hi_k = sum(max(0, r[k]) * s for r, s in zip(new_rays, scale)) * m
+                    lo.append(max(box_lo[k], -(-lo_k // den)))
+                    hi.append(min(box_hi[k], hi_k // den))
+                scan = integer_points(tcons + [cut], lo, hi, budget, "fine_interior")
+                for n_t in itertools.islice(filter(any, scan), 4):
+                    n = mat_vec(uinv, n_t)
+                    # n must lie in this normal cone and violate the candidate.
+                    if ord_value(p, n) != dot(v, n) or dot(big, n) - m * dot(v, n) >= m:
+                        raise InternalConsistencyError("scan returned a dual vector outside its region")
+                    found.add(primitive(n))
         new = [n for n in found if n not in halfspaces]
         if not new:
-            if not complete:
-                raise ResourceLimitError(
-                    f"fine_interior: an exhaustive scan spent over its budget of {budget}"
-                    f" nodes ({spent} nodes charged in all; {size})"
-                )
             return FineInteriorResult(
                 poly, False, poly.dim(), poly.is_lattice(), tuple(sorted(halfspaces))
             )
         for n in new:
             halfspaces[n] = ord_value(p, n) + 1
-    raise ResourceLimitError(
-        f"fine_interior: iteration charged {spent} nodes without stabilizing, over its"
-        f" budget of {budget} ({size})"
-    )
 
 
 def kodaira_dimension(p: LatticePolytope, fi: FineInteriorResult | None = None):

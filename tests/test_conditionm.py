@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from sbvol import conditionm
 from sbvol.conditionm import (
     check_condition_m,
     cross_check_unrestricted,
     sections_of_class,
     strong_variation_certificate,
 )
-from sbvol.errors import ResourceLimitError
+from sbvol.errors import InvalidParameterError, ResourceLimitError
 from sbvol.families import builtin_seed_registry, hpt, tpq
 from sbvol.polytope import dilate, hull
 from sbvol.toric import normal_fan
@@ -37,6 +38,15 @@ class TestConditionM:
             r" over its budget of 1 \(6 rays, free rank 1\)$",
         ):
             check_condition_m(hpt(), budget=1)
+
+    def test_unknown_mode_raises_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a fan or a class group for an unknown mode")
+
+        monkeypatch.setattr(conditionm, "normal_fan", refuse)
+        monkeypatch.setattr(conditionm, "class_group", refuse)
+        with pytest.raises(InvalidParameterError, match=r"^unknown mode 'square-free'"):
+            check_condition_m(hpt(), mode="square-free")
 
     def test_hpt_holds(self):
         rep = check_condition_m(hpt())

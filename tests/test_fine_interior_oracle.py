@@ -1,0 +1,255 @@
+"""The one-pass integer Fine-interior scan against the earlier two-pass routine.
+
+The oracle is the earlier fine_interior, copied below unchanged apart from
+its name: Fraction pairings and slab boxes per (subcone, candidate vertex),
+and a cheap pass with scans capped at 20,000 nodes before an exhaustive
+pass.  The kernel clears each candidate's denominators once and scans in
+integers, one pass per round.  Both must return the same emptiness,
+dimension, lattice flag, generators and vertices on the inputs of criterion
+11a, the paper's named polytopes and families, and 0/1 4-polytopes under
+unimodular maps like those of the invariant-batch workload.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from math import ceil, floor, lcm
+
+from sbvol.errors import InternalConsistencyError, ResourceLimitError
+from sbvol.families import dilated_simplex, hpt, kollar_totaro, tpq
+from sbvol.intlinalg import (
+    det,
+    dot,
+    hermite_form,
+    invert_rational,
+    invert_unimodular,
+    primitive,
+    transpose,
+)
+from sbvol.polytope import LatticePolytope, RationalPolytope, _triangulate_cone, hull, integer_points
+from sbvol.toric import FineInteriorResult, NormalFan, fine_interior, normal_fan, ord_value
+from sbvol.verification import SEED, _random_polytope
+
+
+def _subcone_scan_frame(tri, d):
+    """Scan data for one simplicial subcone: a coordinate change making the
+    ray matrix lower-triangular with large pivots early, membership
+    constraints in the new coordinates, and the slab bounding box."""
+    best = None
+    perms = (
+        itertools.permutations(range(d)) if d <= 6 else [tuple(range(d))]
+    )
+    for perm in perms:
+        cols = [[tri[perm[j]][k] for j in range(d)] for k in range(d)]
+        h, u0 = hermite_form(cols)
+        piv = [abs(h[j][j]) for j in range(d)]
+        score = 0
+        prod = 1
+        for k in range(d - 1):
+            prod *= max(piv[d - 1 - k], 1)
+            score += prod
+        if best is None or score < best[0]:
+            best = (score, u0)
+    u0 = best[1]
+    u = [list(r) for r in reversed(u0)]  # flip rows: structured-zero ray matrix
+    uinv = invert_unimodular(u)
+    new_rays = [tuple(sum(u[i][k] * r[k] for k in range(d)) for i in range(d)) for r in tri]
+    # t_j >= 0 in t = M^{-1} n', for M with the rays as columns, reads
+    # <row j of |det M| M^{-1}, n'> >= 0.
+    m = transpose(new_rays)
+    abs_det = abs(det(m))
+    tcons = [(tuple(int(x * abs_det) for x in row), 0) for row in invert_rational(m)]
+    lo = [sum(min(0, r[k]) for r in new_rays) for k in range(d)]
+    hi = [sum(max(0, r[k]) for r in new_rays) for k in range(d)]
+    return {"u": u, "uinv": uinv, "tcons": tcons, "lo": lo, "hi": hi, "rays": new_rays}
+
+
+def _oracle_fine_interior(
+    p: LatticePolytope, fan: NormalFan | None = None, budget=50_000_000
+) -> FineInteriorResult:
+    """Intersection of all supporting halfspaces shifted inward by one.
+
+    Strategy: start from the facet normals and iterate.  If m satisfies the
+    shifted facet inequalities at a vertex v, then for any dual vector
+    n = sum t_j u_j in the normal cone at v with sum t_j >= 1 the shifted
+    inequality for n follows by superadditivity.  So only dual vectors
+    under the ray-sum-one slab of some vertex cone can cut further; those
+    violating the current candidate are found by exact branch and bound
+    and added until none remain.  The final generator set is therefore a
+    certified cutting description of the Fine interior.
+    """
+    if fan is None:
+        fan = normal_fan(p)
+    d = p.ambient_dim
+    halfspaces = {u: c + 1 for u, c in zip(fan.rays, fan.offsets)}
+
+    frames = []  # (vertex, rays, scan frame) per simplicial vertex subcone
+    for i, v in enumerate(p.vertices):
+        cone_rays = [fan.rays[j] for j in sorted(fan.vertex_cones[i])]
+        for tri in _triangulate_cone(cone_rays, d):
+            frames.append((v, tuple(tri), _subcone_scan_frame(tri, d)))
+
+    def scan_pass(verts, per_scan_budget):
+        """(violators, complete) over every (vertex cone, candidate vertex) pair."""
+        found = set()
+        complete = True
+        for v, rays, fr in frames:
+            u, uinv, tcons = fr["u"], fr["uinv"], fr["tcons"]
+            new_rays = fr["rays"]
+            for q in verts:
+                diff = [Fraction(a) - b for a, b in zip(q, v)]
+                c_vals = [sum(x * y for x, y in zip(diff, r)) for r in rays]
+                if any(c < 1 for c in c_vals):
+                    raise InternalConsistencyError("candidate vertex violates a shifted facet")
+                m = lcm(*(x.denominator for x in diff))
+                a = [int(m * (bv - qv)) for qv, bv in zip(q, v)]  # m (v - q)
+                a_t = tuple(
+                    sum(a[k] * uinv[k][j] for k in range(d)) for j in range(d)
+                )
+                cons = tcons + [(a_t, 1 - m)]
+                # The region satisfies t_j <= 1/c_j, so the slab box shrinks
+                # with the pairing against the current candidate vertex.
+                lo = []
+                hi = []
+                for k in range(d):
+                    lo_k = sum(min(0, Fraction(r[k]) / c) for r, c in zip(new_rays, c_vals))
+                    hi_k = sum(max(0, Fraction(r[k]) / c) for r, c in zip(new_rays, c_vals))
+                    lo.append(max(fr["lo"][k], ceil(lo_k)))
+                    hi.append(min(fr["hi"][k], floor(hi_k)))
+                pts = []
+                try:
+                    for n_t in integer_points(cons, lo, hi, per_scan_budget, "fine_interior"):
+                        if any(n_t):
+                            pts.append(n_t)
+                            if len(pts) == 4:
+                                break
+                except ResourceLimitError:
+                    complete = False
+                for n_t in pts:
+                    n = tuple(sum(uinv[k][j] * n_t[j] for j in range(d)) for k in range(d))
+                    # n must lie in this normal cone and violate the candidate.
+                    if ord_value(p, n) != dot(v, n) or sum(df * nn for df, nn in zip(diff, n)) >= 1:
+                        raise InternalConsistencyError("scan returned a dual vector outside its region")
+                    found.add(primitive(n))
+        return found, complete
+
+    size = f"dimension {d}, {len(p.vertices)} vertices, {len(frames)} vertex subcones"
+    spent = 0
+    while spent <= budget:
+        poly = RationalPolytope(
+            p.ambient_dim, [(u, Fraction(c)) for u, c in halfspaces.items()]
+        )
+        verts = poly.vertices()
+        if not verts:
+            return FineInteriorResult(poly, True, -1, False, tuple(sorted(halfspaces)))
+        # Cheap pass first: capped scans still find violators early; the
+        # exhaustive pass runs only when a cheap pass comes back clean.
+        # Each pass charges at least 1, so a zero budget still ends the loop.
+        cheap = min(20_000, budget)
+        found, complete = scan_pass(verts, per_scan_budget=cheap)
+        spent += max(cheap, 1)
+        if not found and not complete:
+            found, complete = scan_pass(verts, per_scan_budget=budget)
+            spent += budget // 10
+        new = [n for n in found if n not in halfspaces]
+        if not new:
+            if not complete:
+                raise ResourceLimitError(
+                    f"fine_interior: an exhaustive scan spent over its budget of {budget}"
+                    f" nodes ({spent} nodes charged in all; {size})"
+                )
+            return FineInteriorResult(
+                poly, False, poly.dim(), poly.is_lattice(), tuple(sorted(halfspaces))
+            )
+        for n in new:
+            halfspaces[n] = ord_value(p, n) + 1
+    raise ResourceLimitError(
+        f"fine_interior: iteration charged {spent} nodes without stabilizing, over its"
+        f" budget of {budget} ({size})"
+    )
+
+
+def assert_agrees(p):
+    got = fine_interior(p)
+    want = _oracle_fine_interior(p)
+    assert (got.is_empty, got.dim, got.is_lattice, got.generators) == (
+        want.is_empty,
+        want.dim,
+        want.is_lattice,
+        want.generators,
+    )
+    assert got.vertices() == want.vertices()
+    return got
+
+
+def _criterion_11a_inputs():
+    """The 400 polytopes of criterion 11a, drawn as it draws them."""
+    rng = random.Random(SEED)
+    out = []
+    while len(out) < 400:
+        dim = rng.choice([2, 2, 2, 3, 3, 4])
+        big = _random_polytope(rng, dim)
+        pts = big.lattice_points()
+        if len(pts) <= dim + 1:
+            continue
+        k = rng.randint(dim + 1, min(len(pts), dim + 4))
+        small = hull(rng.sample(pts, k))
+        if small.dim() != dim:
+            continue
+        out += [small, big]
+    return out
+
+
+def test_criterion_11a_inputs():
+    inputs = _criterion_11a_inputs()
+    # each distinct polytope of dimension 2 or 3 once, and the smaller
+    # polytope of each of the first twelve dimension-4 pairs
+    low = {p.vertices: p for p in inputs if p.dim() <= 3}
+    four = [p for p in inputs if p.dim() == 4][0:24:2]
+    results = [assert_agrees(p) for p in list(low.values()) + four]
+    # the inputs reach empty, lower-dimensional, full and non-lattice results
+    assert {fi.is_empty for fi in results} == {False, True}
+    assert {fi.dim for fi in results} >= {-1, 0, 1, 2, 3}
+    assert any(not fi.is_empty and not fi.is_lattice for fi in results)
+
+
+def test_named_polytopes_and_families():
+    named = [
+        hull([(0, 2, 2), (1, 3, 0), (2, 4, 3), (3, 0, 1)]),  # criterion 1
+        hull([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (6, 14, 17, 65)]),
+        kollar_totaro(4, 4),
+        kollar_totaro(3, 4),
+        hpt(),
+        dilated_simplex(2, 3),
+        dilated_simplex(3, 4),
+        dilated_simplex(4, 2),
+        dilated_simplex(5, 3),
+        tpq(2, 3),
+        tpq(3, 4),
+        hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)]),
+        hull([(0, 0), (7, 2), (3, 9)]),
+    ]
+    results = [assert_agrees(p) for p in named]
+    assert [fi.dim for fi in results[:3]] == [3, 4, -1]
+
+
+def _unimodular_01_polytopes(rng, count):
+    out = []
+    while len(out) < count:
+        pts = {tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(5 + rng.randint(0, 3))}
+        lin = [[int(i == j) for j in range(4)] for i in range(4)]
+        for _ in range(4):
+            i, j = rng.sample(range(4), 2)
+            row = [a + rng.choice((-1, 1)) * b for a, b in zip(lin[i], lin[j])]
+            if max(abs(x) for x in row) <= 1:
+                lin[i] = row
+        shift = [rng.randint(-3, 3) for _ in range(4)]
+        p = hull([tuple(sum(a * x for a, x in zip(row, q)) + t for row, t in zip(lin, shift)) for q in pts])
+        if p.dim() == 4:
+            out.append(p)
+    return out
+
+
+def test_unimodular_images_of_01_polytopes():
+    for p in _unimodular_01_polytopes(random.Random(8), 20):
+        assert_agrees(p)

@@ -274,6 +274,33 @@ def test_package_has_no_floats_in_the_math_path():
     assert _float_uses(ast.parse("def f():\n    return float(1) + 0.5\n")) == [("f", "float(1)"), ("f", "literal")]
 
 
+def _unused_imports(tree):
+    """Names bound by an import statement and never read elsewhere in the module."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_package_has_no_unused_imports():
+    package = Path(__file__).resolve().parents[1] / "src" / "sbvol"
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+    # the guard sees an import left without a use, by name or alias
+    code = "from math import ceil, floor\nimport itertools as it\nfrom .errors import E\nfloor(E)\n"
+    assert _unused_imports(ast.parse(code)) == [(1, "ceil"), (2, "it")]
+
+
 def test_invert_rational_against_unit_vector_solves():
     rng = random.Random(17)
     tried = 0

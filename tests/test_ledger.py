@@ -69,8 +69,16 @@ class TestClassify:
 class TestSeedRegistry:
     def test_rejects_provably_rational(self):
         reg = SeedRegistry()
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(
+            DegenerateInputError,
+            match=r"^bad: this polytope is provably rational \(empty fine interior in dimension"
+            r" at most three\) and cannot be a seed$",
+        ):
             reg.register("bad", dilate(simplex(2), 2), "not really")
+        with pytest.raises(DegenerateInputError, match=r"\(lattice width one\)"):
+            reg.register("flat", hull([(0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 1)]), "width one")
+        with pytest.raises(DegenerateInputError, match=r"\(dimension at most one\)"):
+            reg.register("segment", hull([(0, 0), (4, 2)]), "a segment")
 
     def test_match_up_to_equivalence(self):
         from sbvol.polytope import translate

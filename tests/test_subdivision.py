@@ -80,6 +80,18 @@ class TestRegularSubdivision:
         with pytest.raises(DegenerateInputError):
             regular_subdivision(p, {(0, 0): 0})
 
+    @pytest.mark.parametrize("bad", [0.1, True, 1.0, "1"])
+    def test_inexact_height_raises(self, bad):
+        p = dilate(simplex(2), 2)
+        heights = {x: 0 for x in p.lattice_points()}
+        heights[(1, 0)] = bad
+        with pytest.raises(DegenerateInputError, match=r"height at \(1, 0\) must be an int or a Fraction"):
+            regular_subdivision(p, heights)
+        with pytest.raises(DegenerateInputError, match=r"height at \(1, 0\)"):
+            make_subdivision(p, [p], heights)
+        with pytest.raises(DegenerateInputError, match=r"height at \(1, 0\)"):
+            height_function(p, lambda x: heights[x])
+
     def test_signed_interior_count(self):
         rng = random.Random(41)
         for _ in range(15):
@@ -121,6 +133,14 @@ class TestPulling:
         s = regular_subdivision(p, height_function(p, lambda v: 0))
         with pytest.raises(DegenerateInputError):
             pulling_refinement(s, (5, 5))
+
+    @pytest.mark.parametrize("point", [(1.7, 0.2), (Fraction(3, 2), Fraction(1, 2)), (True, False)])
+    def test_non_integer_point_raises(self, point):
+        # (1, 0) is a lattice point: a truncated point would pull it silently.
+        p = dilate(simplex(2), 3)
+        s = regular_subdivision(p, height_function(p, lambda v: 0))
+        with pytest.raises(DegenerateInputError, match="integer vector expected"):
+            pulling_refinement(s, point)
 
     def test_pulling_preserves_regularity(self):
         rng = random.Random(42)
