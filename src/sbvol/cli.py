@@ -16,12 +16,7 @@ from fractions import Fraction
 
 from . import formats
 from .conditionm import check_condition_m
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    InternalConsistencyError,
-    SbvolError,
-)
+from .errors import InternalConsistencyError, SbvolError
 from .families import FAMILIES, bounds_table, build, builtin_seed_registry
 from .hodge import h_p0_compact
 from .ledger import verdict, volume_ledger
@@ -190,14 +185,6 @@ def _subdivision_from_request(args):
     if args.heights:
         doc = json.loads(_read_document(args.heights))
         heights = formats.heights_from_doc(doc)
-        points = set(q.lattice_points())
-        for x in heights:
-            if len(x) != q.ambient_dim:
-                raise DimensionMismatchError(f"height point {list(x)} is not in Z^{q.ambient_dim}")
-            if x not in points:
-                raise DegenerateInputError(
-                    f"height point {list(x)} is not a lattice point of the polytope"
-                )
     elif args.recipe == "trivial":
         heights = {x: Fraction(0) for x in q.lattice_points()}
     elif args.recipe == "distance":

@@ -10,7 +10,10 @@ with the closed form and with plane curves.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .errors import DegenerateInputError
 from .polytope import LatticePolytope
@@ -31,13 +34,18 @@ class HodgeRow:
 
 
 def _face_data(p: LatticePolytope):
-    """(index set, dim, interior count, vertex count) for every face."""
-    sets = p._face_index_sets()
-    cells = {}
-    for f, d in sets.items():
-        cell = LatticePolytope._trusted(p.ambient_dim, [p.vertices[i] for i in sorted(f)])
-        cells[f] = (d, cell.n_interior_points(), len(f))
-    return cells
+    """(index set, dim, interior count, vertex count) for every face.
+
+    The points in a face's relative interior are those whose carrier is the
+    AND of its vertices' carriers: they lie on exactly the facets it lies on.
+    """
+    table = p._carriers()
+    counts = Counter(table.values())
+    carriers = [table[v] for v in p.vertices]
+    return {
+        f: (d, counts[reduce(and_, (carriers[i] for i in f))], len(f))
+        for f, d in p._face_index_sets().items()
+    }
 
 
 def _e_open_from_faces(face_items, sub, sub_dim, p):

@@ -285,29 +285,40 @@ class LatticePolytope:
 
     # -- lattice points ------------------------------------------------------
 
-    def lattice_points(self, interior_only=False, budget=DEFAULT_POINT_BUDGET):
-        """All lattice points, or only those in the relative interior."""
-        key = "interior" if interior_only else "points"
-        if key not in self._cache:
+    def _carriers(self, budget=DEFAULT_POINT_BUDGET):
+        """Every lattice point, sorted, mapped to its carrier.
+
+        The carrier is a bitmask over the chart's facet system: bit i is set
+        when the point lies on facet i.  A point lies in the relative interior
+        of exactly the face its carrier cuts out, so one scan answers every
+        face's count.  A lower-dimensional polytope reads its chart's table.
+        """
+        if "points" not in self._cache:
             q, ch = self.normalize_full_dimensional()
-            if q.dim() == 0:
-                pts = [()]
+            if q is not self:
+                table = sorted((ch.from_chart(y), c) for y, c in q._carriers(budget).items())
+            elif self.dim() == 0:
+                table = [(self.vertices[0], 0)]
             else:
-                shift = 1 if interior_only else 0
-                d = q.ambient_dim
+                facets = self.facet_system()
+                d = self.ambient_dim
                 pts = integer_points(
-                    [(n, c + shift) for n, c in q.facet_system()],
-                    [min(v[i] for v in q.vertices) for i in range(d)],
-                    [max(v[i] for v in q.vertices) for i in range(d)],
+                    facets,
+                    [min(v[i] for v in self.vertices) for i in range(d)],
+                    [max(v[i] for v in self.vertices) for i in range(d)],
                     budget,
                     "LatticePolytope.lattice_points",
                 )
-            if ch.is_identity():
-                out = tuple(pts)
-            else:
-                out = tuple(sorted(ch.from_chart(p) for p in pts))
-            self._cache[key] = out
-        return self._cache[key]
+                table = [
+                    (x, sum(1 << i for i, s in enumerate(slacks(facets, x)) if s == 0)) for x in pts
+                ]
+            self._cache["points"] = dict(table)
+        return self._cache["points"]
+
+    def lattice_points(self, interior_only=False, budget=DEFAULT_POINT_BUDGET):
+        """All lattice points, or only those in the relative interior."""
+        table = self._carriers(budget)
+        return tuple(x for x, c in table.items() if not c) if interior_only else tuple(table)
 
     def n_lattice_points(self) -> int:
         return len(self.lattice_points())
@@ -392,22 +403,24 @@ class LatticePolytope:
         return self._cache["width"]
 
     def classify(self, budget=DEFAULT_POINT_BUDGET) -> PolytopeClassification:
+        """A facet is relatively empty when exactly one lattice point lies off it."""
         if "classify" not in self._cache:
-            pts = set(self.lattice_points(budget=budget))
-            verts = set(self.vertices)
-            empty = pts == verts
+            table = self._carriers(budget)
+            empty = len(table) == len(self.vertices)
             simplex = empty and len(self.vertices) == self.dim() + 1
             if self.dim() == 0:
                 hollow = False
                 rel = ()
             else:
-                hollow = self.n_interior_points() == 0
-                rel = []
-                for idx, facet in enumerate(self.faces(self.dim() - 1)):
-                    outside = len(pts) - facet.n_lattice_points()
-                    if outside == 1:
-                        rel.append(idx)
-                rel = tuple(rel)
+                hollow = all(table.values())
+                q, _ = self.normalize_full_dimensional()
+                # Facet i keyed by the sorted indices of its vertices: faces(dim - 1) order.
+                facets = sorted(
+                    (tuple(k for k, v in enumerate(self.vertices) if table[v] >> i & 1), i)
+                    for i in range(len(q.facet_system()))
+                )
+                off = [sum(not c >> i & 1 for c in table.values()) for _, i in facets]
+                rel = tuple(idx for idx, n in enumerate(off) if n == 1)
             self._cache["classify"] = PolytopeClassification(empty, simplex, hollow, rel)
         return self._cache["classify"]
 

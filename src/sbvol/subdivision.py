@@ -80,10 +80,28 @@ def _face_closure_cells(maximal_cells):
     return tuple(sorted(out, key=lambda c: (c.dim(), c.vertices)))
 
 
+def _check_height_points(p: LatticePolytope, heights):
+    """Raise unless every point of the height table is a lattice point of p."""
+    points = set(p.lattice_points())
+    for x in heights:
+        if len(x) != p.ambient_dim:
+            raise DimensionMismatchError(f"height point {list(x)} is not in Z^{p.ambient_dim}")
+        if x not in points or any(type(v) is not int for v in x):
+            raise DegenerateInputError(
+                f"height point {list(x)} is not a lattice point of the polytope"
+            )
+
+
 def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
-    """Subdivision induced by the lower convex envelope of the lifted lattice points."""
+    """Subdivision induced by the lower convex envelope of the lifted lattice points.
+
+    An apex above the first point keeps the lifted set full-dimensional when
+    the heights are affine; it lies above the lower envelope, so it is on no
+    lower facet and leaves them unchanged.
+    """
     if not p.is_full_dimensional():
         raise DegenerateInputError("subdivide a full-dimensional polytope (normalize first)")
+    _check_height_points(p, heights)
     pts = p.lattice_points()
     hmap = {}
     for x in pts:
@@ -91,22 +109,12 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
             raise DegenerateInputError(f"height function is not total: missing {x!r}")
         hmap[x] = _exact_height(x, heights[x])
     d = p.dim()
-    scale = lcm(*[v.denominator for v in hmap.values()]) if hmap else 1
+    scale = lcm(*[v.denominator for v in hmap.values()])
     lifted = [x + (int(hmap[x] * scale),) for x in pts]
-    v0 = lifted[0]
-    diffs = [[a - b for a, b in zip(q, v0)] for q in lifted[1:]]
-    if rank(diffs) <= d:
-        # Heights are affine on the polytope: the trivial subdivision.
-        return Subdivision(
-            polytope=p,
-            maximal_cells=(p,),
-            cells=_face_closure_cells([p]),
-            heights=tuple(sorted(hmap.items())),
-            witness=(_affine_fit(pts, hmap, d, scale),),
-        )
+    apex = pts[0] + (max(q[d] for q in lifted) + 1,)
     maximal = []
     witness = []
-    for n, c in dd.facet_normals_from_points(lifted):
+    for n, c in dd.facet_normals_from_points(lifted + [apex]):
         if n[d] <= 0:
             continue  # not a lower facet
         tight = [x for x, q in zip(pts, lifted) if dot(n, q) == c]
@@ -122,31 +130,10 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
     )
 
 
-def _affine_fit(pts, hmap, d, scale):
-    """The facet (n, c) of the lifted points (x, h(x) * scale) when the heights are affine.
-
-    With h(x) = <g, x> + k, the hyperplane <-w * scale * g, x> + w * (h(x) * scale) =
-    w * scale * k has integer coefficients once w clears the denominators of
-    scale * g and scale * k, and then they have no common factor.
-    """
-    base = pts[0]
-    if len(pts) == 1:
-        grad = [Fraction(0)] * d
-    else:
-        grad = solve_rational(
-            [[a - b for a, b in zip(x, base)] for x in pts[1:]],
-            [hmap[x] - hmap[base] for x in pts[1:]],
-        )
-        if grad is None:
-            raise SubdivisionError("heights are not affine despite the rank test")
-    coeffs = [-g * scale for g in grad] + [(hmap[base] - dot(grad, base)) * scale]
-    w = lcm(*(v.denominator for v in coeffs))
-    n = tuple(int(v * w) for v in coeffs[:d]) + (w,)
-    return n, int(coeffs[d] * w)
-
-
 def make_subdivision(p: LatticePolytope, maximal_cells, heights=None) -> Subdivision:
     """Package hand-built cells (for validation tests and display); they carry no witness."""
+    if heights:
+        _check_height_points(p, heights)
     cells = tuple(sorted(maximal_cells, key=lambda c: c.vertices))
     return Subdivision(
         polytope=p,

@@ -301,6 +301,54 @@ def test_package_has_no_unused_imports():
     assert _unused_imports(ast.parse(code)) == [(1, "ceil"), (2, "it")]
 
 
+def _private_definitions(tree):
+    """(line, name) of single-underscore top-level functions and classes, and methods."""
+    nodes = list(tree.body)
+    nodes += [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body]
+    return [
+        (node.lineno, node.name)
+        for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def _unused_private_definitions(trees):
+    """Private definitions of the modules that no name or attribute anywhere reads."""
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for line, name in _private_definitions(tree)
+        if name not in used
+    ]
+
+
+def test_package_has_no_unused_private_definitions():
+    package = Path(__file__).resolve().parents[1] / "src" / "sbvol"
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert sum(len(_private_definitions(t)) for t in trees.values()) > 0
+    assert _unused_private_definitions(trees) == []
+    # the guard sees a private function and a private method that nothing calls
+    code = (
+        "def _used():\n    pass\n"
+        "def _left():\n    pass\n"
+        "class A:\n    def _stale(self):\n        pass\n"
+        "    def __init__(self):\n        _used()\n"
+    )
+    assert _unused_private_definitions({"m.py": ast.parse(code)}) == ["m.py:3 _left", "m.py:6 _stale"]
+
+
 def test_invert_rational_against_unit_vector_solves():
     rng = random.Random(17)
     tried = 0

@@ -8,6 +8,7 @@ import pytest
 from sbvol import dd
 from sbvol import polytope as polytope_module
 from sbvol.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
+from sbvol.hodge import h_p0_compact
 from sbvol.intlinalg import dot
 from sbvol.polytope import (
     AffineUnimodularMap,
@@ -358,6 +359,33 @@ class TestFacetSystemsComputedOnce:
         assert tri.n_interior_points() == 0
         assert tri.lattice_width()[0] == 2
         assert len(calls) == 2  # the hull, then the chart polytope's facets
+
+
+class TestOneLatticePointScan:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            hull([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (3, 3, 3)]),
+            hull([(0, 0, 0), (3, 0, 1), (0, 3, 2), (2, 2, 2), (6, 0, 2)]),  # planar, in Z^3
+        ],
+    )
+    def test_every_count_reads_one_scan_capped_by_the_budget(self, monkeypatch, p):
+        budgets = []
+        original = polytope_module.integer_points
+
+        def counted(constraints, lo, hi, budget, routine):
+            if routine == "LatticePolytope.lattice_points":
+                budgets.append(budget)
+            return original(constraints, lo, hi, budget, routine)
+
+        monkeypatch.setattr(polytope_module, "integer_points", counted)
+        p = LatticePolytope._trusted(p.ambient_dim, p.vertices)
+        p.classify(budget=10_000)
+        p.n_lattice_points()
+        p.n_interior_points()
+        p.fingerprint()
+        h_p0_compact(p)
+        assert budgets == [10_000]
 
 
 class TestEquivalence:

@@ -4,11 +4,19 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
-from sbvol.errors import DegenerateInputError, DimensionMismatchError, InternalConsistencyError
+from sbvol import dd
+from sbvol.errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    InternalConsistencyError,
+    SubdivisionError,
+)
+from sbvol.intlinalg import dot, rank, solve_rational
 from sbvol.polytope import RationalPolytope, dilate, hull
 from sbvol.subdivision import (
     _affine_minimizer,
@@ -104,6 +112,100 @@ class TestRegularSubdivision:
             assert validate(s).ok
             signed = sum((-1) ** c.dim() for c in interior_cells(s))
             assert signed == (-1) ** d
+
+
+class TestHeightPoints:
+    def test_point_off_the_lattice_raises(self):
+        p = hull([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(DegenerateInputError, match=r"\[0.5, 0\] is not a lattice point"):
+            make_subdivision(p, [p], {(0.5, 0): 1, (0, 0): 0})
+
+    @pytest.mark.parametrize("extra", [(7, 7), (0.5, 0.5), (1.0, 0)])
+    def test_foreign_point_raises(self, extra):
+        p = hull([(0, 0), (2, 0), (0, 2)])
+        heights = {x: 0 for x in p.lattice_points() if x != extra}  # (1.0, 0) replaces (1, 0)
+        heights[extra] = 1
+        for build in (lambda: regular_subdivision(p, heights), lambda: make_subdivision(p, [p], heights)):
+            with pytest.raises(DegenerateInputError, match=r"is not a lattice point of the polytope"):
+                build()
+
+    def test_point_from_another_space_raises(self):
+        p = hull([(0, 0), (2, 0), (0, 2)])
+        heights = {x: 0 for x in p.lattice_points()}
+        heights[(1, 2, 3)] = 1
+        for build in (lambda: regular_subdivision(p, heights), lambda: make_subdivision(p, [p], heights)):
+            with pytest.raises(DimensionMismatchError, match=r"height point \[1, 2, 3\] is not in Z\^2"):
+                build()
+
+
+def _affine_fit(pts, hmap, d, scale):
+    """The facet (n, c) of the lifted points (x, h(x) * scale) when the heights are affine.
+
+    With h(x) = <g, x> + k, the hyperplane <-w * scale * g, x> + w * (h(x) * scale) =
+    w * scale * k has integer coefficients once w clears the denominators of
+    scale * g and scale * k, and then they have no common factor.
+    """
+    base = pts[0]
+    if len(pts) == 1:
+        grad = [Fraction(0)] * d
+    else:
+        grad = solve_rational(
+            [[a - b for a, b in zip(x, base)] for x in pts[1:]],
+            [hmap[x] - hmap[base] for x in pts[1:]],
+        )
+        if grad is None:
+            raise SubdivisionError("heights are not affine despite the rank test")
+    coeffs = [-g * scale for g in grad] + [(hmap[base] - dot(grad, base)) * scale]
+    w = lcm(*(v.denominator for v in coeffs))
+    n = tuple(int(v * w) for v in coeffs[:d]) + (w,)
+    return n, int(coeffs[d] * w)
+
+
+def _oracle_cells_and_witness(p, hmap):
+    """Sorted (cell vertices, witness) pairs by the earlier two paths: a fitted
+    facet when the lifted points are not full-dimensional, else their lower hull."""
+    pts = p.lattice_points()
+    d = p.dim()
+    scale = lcm(*[v.denominator for v in hmap.values()])
+    lifted = [x + (int(hmap[x] * scale),) for x in pts]
+    if rank([[a - b for a, b in zip(q, lifted[0])] for q in lifted[1:]]) <= d:
+        return [(p.vertices, _affine_fit(pts, hmap, d, scale))]
+    out = []
+    for n, c in dd.facet_normals_from_points(lifted):
+        if n[d] > 0:
+            out.append((hull([x for x, q in zip(pts, lifted) if dot(n, q) == c]).vertices, (n, c)))
+    return sorted(out)
+
+
+class TestLowerHullWithApex:
+    def random_polytope(self, rng, dim):
+        while True:
+            p = hull([tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(dim + 2)])
+            if p.dim() == dim:
+                return p
+
+    def check(self, p, hmap):
+        s = regular_subdivision(p, hmap)
+        got = sorted(zip((c.vertices for c in s.maximal_cells), s.witness))
+        assert got == _oracle_cells_and_witness(p, hmap)
+        return s
+
+    def test_affine_heights_against_the_fitted_facet(self):
+        rng = random.Random(43)
+        for trial in range(160):
+            dim = trial % 4 + 1
+            p = self.random_polytope(rng, dim)
+            g = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dim)]
+            k = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            s = self.check(p, {x: dot(g, x) + k for x in p.lattice_points()})
+            assert s.maximal_cells == (p,)
+
+    def test_integer_heights_keep_their_cells_and_witnesses(self):
+        rng = random.Random(44)
+        for trial in range(120):
+            dim = trial % 4 + 1
+            p = self.random_polytope(rng, dim)
+            self.check(p, {x: Fraction(rng.randint(0, 4)) for x in p.lattice_points()})
 
 
 class TestPulling:
