@@ -220,7 +220,10 @@ def cmd_ledger(args):
 
 
 def cmd_construct(args):
-    params = [int(x) for x in args.args]
+    try:
+        params = [int(x) for x in args.args]
+    except ValueError:
+        raise SbvolError(f"--args takes integers, got {args.args}") from None
     if args.family == "simplex_product":
         if len(params) % 2 != 0:
             raise SbvolError("simplex_product takes pairs: d1 n1 d2 n2 ...")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
 from .intlinalg import dot
+from .ledger import find_unobstructed_subdivision
 from .polytope import LatticePolytope
 from .toric import (
     DivisorClassGroup,
@@ -252,8 +253,6 @@ def strong_variation_certificate(p: LatticePolytope, seeds=None) -> VariationCer
         return VariationCertificate("condition_m", report)
     smooth = is_smooth(q)
     if smooth.overall:
-        from .ledger import find_unobstructed_subdivision
-
         evidence = []
         fan = normal_fan(q)
         for i in range(fan.n_rays):

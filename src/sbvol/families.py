@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from inspect import signature
 from math import gcd
 
 from .errors import DegenerateInputError, InternalConsistencyError, InvalidParameterError
@@ -456,6 +457,10 @@ def build(family: str, *args):
         raise InvalidParameterError(
             f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
         )
+    try:
+        signature(FAMILIES[family]).bind(*args)
+    except TypeError as exc:
+        raise InvalidParameterError(f"{family}: {exc}") from None
     return FAMILIES[family](*args)
 
 

@@ -51,6 +51,8 @@ def polytope_to_dict(p: LatticePolytope, name: str = "") -> dict:
 
 def polytope_from_dict(doc: dict) -> tuple:
     """(name, polytope); vertices are re-verified through the hull."""
+    if not isinstance(doc, dict):
+        raise DegenerateInputError(f"a polytope document is a JSON object, not a {type(doc).__name__}")
     try:
         name = doc.get("name", "")
         ambient = parse_int(doc["ambient_dim"])
@@ -127,7 +129,7 @@ def ledger_to_dict(ledger: Ledger, v: Verdict | None = None) -> dict:
                 "tag": e.tag.kind,
                 "justification": e.tag.justification,
                 "seed": e.tag.seed_name,
-                "fingerprint": list(_flatten_fingerprint(e.fingerprint)),
+                "fingerprint": e.fingerprint,
                 "representative": [list(x) for x in e.representative.vertices],
             }
             for e in ledger.entries
@@ -139,13 +141,5 @@ def ledger_to_dict(ledger: Ledger, v: Verdict | None = None) -> dict:
     return doc
 
 
-def _flatten_fingerprint(fp):
-    for x in fp:
-        if isinstance(x, tuple):
-            yield list(x)
-        else:
-            yield x
-
-
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

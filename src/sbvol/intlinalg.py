@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegenerateInputError, InternalConsistencyError
 
@@ -327,55 +327,61 @@ def solve_diophantine(a: Matrix, b) -> Vector | None:
     return x
 
 
-def _gauss_jordan(a: Matrix, rhs: Matrix):
-    """Reduced row echelon form of [a | rhs] over Q, pivoting in the columns of a.
+def _bareiss_rref(a: Matrix, cols: int):
+    """Fraction-free (Bareiss) reduced row echelon form over Z, pivoting in the first cols columns.
 
-    Returns (pivot columns, the reduced right-hand part as Fraction rows).
+    Returns (pivot columns, d, the reduced rest of each row), the pivot block being d I; for
+    a = [b | rhs] with b square and nonsingular, d = det b and the rest is adj(b) rhs.  Each
+    entry is a minor of the input, so the division by the previous pivot is exact, and a swap
+    negates the row it moves down, so no step changes the determinant.
     """
     rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(v) for v in extra] for row, extra in zip(a, rhs)]
-    pivots = []
-    r = 0
+    m = [list(row) for row in a]
+    pivots, d = [], 1
     for c in range(cols):
+        r = len(pivots)
         piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        if piv != r:
+            m[r], m[piv] = m[piv], [-x for x in m[r]]
+        p = m[r][c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [(p * x - f * y) // d for x, y in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-    return pivots, [row[cols:] for row in m]
+        d = p
+    return pivots, d, [row[cols:] for row in m]
 
 
 def solve_rational(a: Matrix, b) -> tuple | None:
     """One rational solution of a x = b (exact), or None when inconsistent."""
     cols = len(a[0]) if a else 0
-    pivots, reduced = _gauss_jordan(a, [[v] for v in b])
+    ints = []
+    for row, v in zip(a, b):
+        q = lcm(*(x.denominator for x in row), v.denominator)
+        ints.append([x.numerator * (q // x.denominator) for x in (*row, v)])
+    pivots, d, reduced = _bareiss_rref(ints, cols)
     if any(row[0] != 0 for row in reduced[len(pivots) :]):
         return None
     x = [Fraction(0)] * cols
     for row, c in zip(reduced, pivots):
-        x[c] = row[0]
+        x[c] = Fraction(row[0], d)
     return tuple(x)
 
 
-def invert_rational(a: Matrix) -> Matrix:
-    """Exact inverse of a nonsingular square matrix, as Fraction rows.
+def adjugate(a: Matrix) -> tuple:
+    """(det a, det(a) a^{-1}) of a nonsingular square integer matrix, in integers.
 
-    One Gauss-Jordan elimination of [a | I]; a singular matrix raises
+    One fraction-free elimination of [a | I]; a singular matrix raises
     DegenerateInputError.
     """
     n = len(a)
-    pivots, inverse = _gauss_jordan(a, identity_matrix(n))
+    pivots, d, adj = _bareiss_rref([list(row) + e for row, e in zip(a, identity_matrix(n))], n)
     if len(pivots) < n:
         raise DegenerateInputError("matrix is singular")
-    return inverse
+    return d, adj
 
 
 def invert_unimodular(a: Matrix) -> Matrix:

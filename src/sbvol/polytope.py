@@ -21,12 +21,14 @@ from .errors import (
     ResourceLimitError,
 )
 from .intlinalg import (
+    _bareiss_rref,
+    adjugate,
     det,
     dot,
     hermite_form,
     identity_matrix,
     integer_kernel,
-    invert_rational,
+    invert_unimodular,
     mat_mul,
     rank,
     transpose,
@@ -173,8 +175,6 @@ class AffineUnimodularMap:
         return LatticePolytope._trusted(self.dim, sorted(self.apply(v) for v in p.vertices))
 
     def inverse(self):
-        from .intlinalg import invert_unimodular
-
         inv = invert_unimodular([list(r) for r in self.linear])
         new_t = tuple(-dot(r, self.translation) for r in inv)
         return AffineUnimodularMap(tuple(tuple(r) for r in inv), new_t)
@@ -359,6 +359,7 @@ class LatticePolytope:
             cell = LatticePolytope._trusted(
                 self.ambient_dim, [self.vertices[i] for i in sorted(f)]
             )
+            cell._cache["dim"] = d
             by_dim.setdefault(d, []).append(cell)
         if k is None:
             return by_dim
@@ -665,12 +666,10 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
     qv = list(qa.vertices)
     v0 = pv[0]
     diffs = [tuple(a - b for a, b in zip(v, v0)) for v in pv[1:]]
-    frame_idx = _frame(diffs, d)
+    frame_idx = _frame(diffs)
     # A maps frame row f_j to the picked w_j, so A^T = F^{-1} W for W with
     # rows w_j; with D = det F, the integer matrix D F^{-1} is computed once.
-    frame = [list(diffs[i]) for i in frame_idx]
-    det_f = det(frame)
-    adj = [[int(x * det_f) for x in row] for row in invert_rational(frame)]
+    det_f, adj = adjugate([list(diffs[i]) for i in frame_idx])
 
     def tight_count(poly, vert):
         return sum(1 for n, c in poly.facet_system() if dot(n, vert) == c)
@@ -732,15 +731,9 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
 # -- internal helpers ----------------------------------------------------------
 
 
-def _frame(diffs, d):
-    """Indices of d linearly independent vectors of diffs, taken greedily."""
-    idx = []
-    for i, dv in enumerate(diffs):
-        if rank([list(diffs[k]) for k in idx] + [list(dv)]) == len(idx) + 1:
-            idx.append(i)
-        if len(idx) == d:
-            break
-    return idx
+def _frame(diffs):
+    """Indices of a basis of the span of diffs, taken greedily: the pivot columns of diffs^T."""
+    return _bareiss_rref(transpose(diffs), len(diffs))[0]
 
 
 # -- exact kernels -------------------------------------------------------------
@@ -867,11 +860,11 @@ def _width_search(q):
     best = spread(best_l)
     if best == 1:
         return best, best_l
-    frame = [diffs[i] for i in _frame(diffs, d)]
-    norms = [sum(abs(x) for x in row) for row in invert_rational(frame)]
+    det_f, adj = adjugate([diffs[i] for i in _frame(diffs)])
+    norms = [sum(abs(x) for x in row) for row in adj]
     while True:
         cons = [(f, 1 - best) for f in diffs] + [(tuple(-x for x in f), 1 - best) for f in diffs]
-        bound = [floor(nm * (best - 1)) for nm in norms]
+        bound = [nm * (best - 1) // abs(det_f) for nm in norms]
         box = ([-b for b in bound], bound)
         for l in integer_points(cons, *box, DEFAULT_POINT_BUDGET, "LatticePolytope.lattice_width"):
             if 0 < spread(l) < best:

@@ -21,7 +21,7 @@ from .errors import (
     InternalConsistencyError,
     SubdivisionError,
 )
-from .intlinalg import dot, rank, solve_rational
+from .intlinalg import adjugate, dot
 from .polytope import LatticePolytope, _as_int_tuple, _check_ambient, _is_rational, hull, slacks
 
 
@@ -84,6 +84,8 @@ def _check_height_points(p: LatticePolytope, heights):
     """Raise unless every point of the height table is a lattice point of p."""
     points = set(p.lattice_points())
     for x in heights:
+        if not isinstance(x, tuple):
+            raise DegenerateInputError(f"height key {x!r} is not a lattice point of the polytope")
         if len(x) != p.ambient_dim:
             raise DimensionMismatchError(f"height point {list(x)} is not in Z^{p.ambient_dim}")
         if x not in points or any(type(v) is not int for v in x):
@@ -212,12 +214,14 @@ def _certify_min_norm(points, weights, y):
 
 
 def _affine_minimizer(corral):
-    """Weights of the point of the affine span nearest the origin, from [G 1; 1^T 0]."""
+    """Weights of the point of the affine span nearest the origin, from adj [G 1; 1^T 0]."""
     k = len(corral)
     system = [[dot(p, q) for q in corral] + [1] for p in corral] + [[1] * k + [0]]
-    if rank(system) <= k:
-        raise InternalConsistencyError("corral points are affinely dependent")
-    return solve_rational(system, [0] * k + [1])[:k]
+    try:
+        d, adj = adjugate(system)
+    except DegenerateInputError:
+        raise InternalConsistencyError("corral points are affinely dependent") from None
+    return [Fraction(row[k], d) for row in adj[:k]]
 
 
 def _wolfe_min_norm(points):

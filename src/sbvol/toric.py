@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import floor, lcm
+from math import lcm
 
 from . import dd
 from .errors import (
@@ -21,10 +21,10 @@ from .errors import (
     UnsupportedInputError,
 )
 from .intlinalg import (
+    adjugate,
     det,
     dot,
     hermite_form,
-    invert_rational,
     invert_unimodular,
     mat_vec,
     primitive,
@@ -126,14 +126,14 @@ def _fundamental_parallelepiped(gens, dim):
 
     In the chart of their span the generators are the columns of a square
     integer matrix M; each coset representative r of Z^d / M Z^d is moved
-    into the parallelepiped by subtracting M floor(M^{-1} r).
+    into the parallelepiped by subtracting M floor(adj(M) r / det M).
     """
     chart = AffineChart.for_points([tuple([0] * dim)] + list(gens))
     m_cols = transpose([chart.to_chart(g) for g in gens])
-    m_inv = invert_rational(m_cols)
+    det_m, adj = adjugate(m_cols)
     out = set()
     for r in _group_representatives(m_cols):
-        shift = [floor(t) for t in mat_vec(m_inv, r)]
+        shift = [t // det_m for t in mat_vec(adj, r)]
         out.add(chart.from_chart(tuple(a - b for a, b in zip(r, mat_vec(m_cols, shift)))))
     return out
 
@@ -222,10 +222,9 @@ def _subcone_scan_frame(tri, d):
     uinv = invert_unimodular(u)
     new_rays = [tuple(sum(u[i][k] * r[k] for k in range(d)) for i in range(d)) for r in tri]
     # t_j >= 0 in t = M^{-1} n', for M with the rays as columns, reads
-    # <row j of |det M| M^{-1}, n'> >= 0.
-    m = transpose(new_rays)
-    abs_det = abs(det(m))
-    tcons = [(tuple(int(x * abs_det) for x in row), 0) for row in invert_rational(m)]
+    # <row j of |det M| M^{-1}, n'> >= 0, and |det M| M^{-1} = sign(det M) adj M.
+    det_m, adj = adjugate(transpose(new_rays))
+    tcons = [(tuple(x if det_m > 0 else -x for x in row), 0) for row in adj]
     lo = [sum(min(0, r[k]) for r in new_rays) for k in range(d)]
     hi = [sum(max(0, r[k]) for r in new_rays) for k in range(d)]
     return uinv, tcons, lo, hi, new_rays

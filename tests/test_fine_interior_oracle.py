@@ -21,7 +21,6 @@ from sbvol.intlinalg import (
     det,
     dot,
     hermite_form,
-    invert_rational,
     invert_unimodular,
     primitive,
     transpose,
@@ -29,6 +28,7 @@ from sbvol.intlinalg import (
 from sbvol.polytope import LatticePolytope, RationalPolytope, _triangulate_cone, hull, integer_points
 from sbvol.toric import FineInteriorResult, NormalFan, fine_interior, normal_fan, ord_value
 from sbvol.verification import SEED, _random_polytope
+from test_elimination_oracle import invert_rational
 
 
 def _subcone_scan_frame(tri, d):

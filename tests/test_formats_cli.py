@@ -162,6 +162,24 @@ class TestCli:
         out = " ".join(capsys.readouterr().out.split())
         assert "2 usage or input error; 3 internal consistency error" in out
 
+    def test_polytope_document_not_an_object_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["compute", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_construct_missing_argument_exit_2(self, capsys):
+        assert main(["construct", "--family", "tpq", "--args", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: tpq: missing")
+
+    def test_construct_extra_argument_exit_2(self, capsys):
+        assert main(["construct", "--family", "hpt", "--args", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: hpt: too many")
+
+    def test_construct_non_integer_argument_exit_2(self, capsys):
+        assert main(["construct", "--family", "tpq", "--args", "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: --args takes integers")
+
     def test_missing_file_exit_2(self):
         assert main(["width", "--input", "/nonexistent/nope.json"]) == 2
 

@@ -10,11 +10,11 @@ import pytest
 
 from sbvol.errors import DegenerateInputError
 from sbvol.intlinalg import (
+    adjugate,
     det,
     hermite_form,
     identity_matrix,
     integer_kernel,
-    invert_rational,
     invert_unimodular,
     mat_mul,
     mat_vec,
@@ -301,6 +301,34 @@ def test_package_has_no_unused_imports():
     assert _unused_imports(ast.parse(code)) == [(1, "ceil"), (2, "it")]
 
 
+def _function_local_imports(tree):
+    """(line, innermost function) of every import statement inside a function body."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found[inner.lineno] = node.name
+    return sorted(found.items())
+
+
+def test_package_has_no_function_local_imports():
+    package = Path(__file__).resolve().parents[1] / "src" / "sbvol"
+    found = [
+        f"{path.name}:{line} in {name}"
+        for path in sorted(package.glob("*.py"))
+        for line, name in _function_local_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+    # the guard sees imports in functions, nested functions and methods, not at module level
+    code = (
+        "import os\n"
+        "def f():\n    from math import floor\n    def g():\n        import re\n    return floor\n"
+        "class A:\n    def m(self):\n        import json\n"
+    )
+    assert _function_local_imports(ast.parse(code)) == [(3, "f"), (5, "g"), (9, "m")]
+
+
 def _private_definitions(tree):
     """(line, name) of single-underscore top-level functions and classes, and methods."""
     nodes = list(tree.body)
@@ -349,7 +377,7 @@ def test_package_has_no_unused_private_definitions():
     assert _unused_private_definitions({"m.py": ast.parse(code)}) == ["m.py:3 _left", "m.py:6 _stale"]
 
 
-def test_invert_rational_against_unit_vector_solves():
+def test_adjugate_against_unit_vector_solves():
     rng = random.Random(17)
     tried = 0
     while tried < 150:
@@ -361,13 +389,14 @@ def test_invert_rational_against_unit_vector_solves():
         # Oracle: row i of a^{-1} solves a^T x = e_i, one solve per unit vector.
         a_t = [list(col) for col in zip(*a)]
         oracle = [list(solve_rational(a_t, [1 if j == i else 0 for j in range(n)])) for i in range(n)]
-        inv = invert_rational(a)
-        assert inv == oracle
-        assert all(isinstance(x, Fraction) for row in inv for x in row)
-        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in inv] == identity_matrix(n)
+        d, adj = adjugate(a)
+        assert d == det(a)
+        assert [[Fraction(x, d) for x in row] for row in adj] == oracle
+        assert all(type(x) is int for row in adj for x in row)
+        assert mat_mul(adj, a) == [[d * x for x in row] for row in identity_matrix(n)]
 
 
-def test_invert_rational_rejects_singular():
+def test_adjugate_rejects_singular():
     rng = random.Random(18)
     for _ in range(50):
         n = rng.randint(1, 5)
@@ -378,7 +407,7 @@ def test_invert_rational_rejects_singular():
             row = [x + c * y for x, y in zip(row, r)]
         a.insert(rng.randint(0, n - 1), row)
         with pytest.raises(DegenerateInputError):
-            invert_rational(a)
+            adjugate(a)
 
 
 def test_solve_rational_inconsistent():

@@ -207,6 +207,23 @@ class TestFaces:
             for k in range(n + 1):
                 assert len(p.faces(k)) == comb(n + 1, k + 1)
 
+    def test_faces_carry_their_dimension(self, monkeypatch):
+        # Each face's dimension is ranked once, in the face enumeration.
+        ranked = []
+        original = polytope_module.rank
+
+        def counted(a):
+            ranked.append(a)
+            return original(a)
+
+        monkeypatch.setattr(polytope_module, "rank", counted)
+        p = hull([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1)])
+        faces = p.faces()
+        before = len(ranked)
+        assert before > 0
+        assert all(c.dim() == d for d, cells in faces.items() for c in cells)
+        assert len(ranked) == before
+
     def test_budget_error_names_the_closure(self):
         tight = [frozenset(range(4)) - {i} for i in range(4)]  # a tetrahedron's facets
         with pytest.raises(
@@ -269,13 +286,13 @@ class TestWidth:
     def test_width_one_needs_no_inverse(self, monkeypatch):
         # The expected pairs are what the frame search returns without the width-1 exit.
         calls = []
-        original = polytope_module.invert_rational
+        original = polytope_module.adjugate
 
         def counted(a):
             calls.append(a)
             return original(a)
 
-        monkeypatch.setattr(polytope_module, "invert_rational", counted)
+        monkeypatch.setattr(polytope_module, "adjugate", counted)
         cases = [
             (simplex(4), (1, (1, 0, 0, 0))),
             (hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)]), (1, (1, 0, 0))),

@@ -120,7 +120,7 @@ class TestHeightPoints:
         with pytest.raises(DegenerateInputError, match=r"\[0.5, 0\] is not a lattice point"):
             make_subdivision(p, [p], {(0.5, 0): 1, (0, 0): 0})
 
-    @pytest.mark.parametrize("extra", [(7, 7), (0.5, 0.5), (1.0, 0)])
+    @pytest.mark.parametrize("extra", [(7, 7), (0.5, 0.5), (1.0, 0), 5])
     def test_foreign_point_raises(self, extra):
         p = hull([(0, 0), (2, 0), (0, 2)])
         heights = {x: 0 for x in p.lattice_points() if x != extra}  # (1.0, 0) replaces (1, 0)
