@@ -9,7 +9,6 @@ from .polytope import (
     convex_union,
     dilate,
     hull,
-    polytope_algebra,
     translate,
     unimodular_equivalence,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "convex_union",
     "dilate",
     "hull",
-    "polytope_algebra",
     "translate",
     "unimodular_equivalence",
     "__version__",

@@ -10,6 +10,7 @@ consistency error (a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -286,7 +287,9 @@ EXIT_CODES = (
 )
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sbvol",
         description="Exact lattice-polytope invariants and obstruction ledgers",
@@ -343,7 +346,7 @@ def build_parser():
 
     sp = sub.add_parser("construct", help="build a named polytope family member")
     sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    sp.add_argument("--args", nargs="*", default=[])
+    sp.add_argument("--args", nargs="*", default=())
     sp.add_argument("--name", default=None)
     sp.add_argument("--output", default=None)
     sp.set_defaults(fn=cmd_construct)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import DegenerateInputError
 from .ledger import Ledger, Verdict
 from .polytope import LatticePolytope, hull
-from .subdivision import Subdivision, lies_in_boundary
+from .subdivision import Subdivision, interior_cells
 
 
 def fraction_str(x) -> str:
@@ -100,11 +100,12 @@ def heights_from_doc(doc: dict) -> dict:
 
 def subdivision_to_dict(s: Subdivision) -> dict:
     """Cells with dimensions and boundary flags, plus the height table."""
+    inner = set(interior_cells(s))
     cells = [
         {
             "vertices": [list(v) for v in c.vertices],
             "dim": c.dim(),
-            "boundary": lies_in_boundary(s.polytope, c.vertices),
+            "boundary": c not in inner,
             "maximal": c in s.maximal_cells,
         }
         for c in s.cells

@@ -13,9 +13,11 @@ The verdict applies only sound non-cancellation rules and degrades to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .errors import DegenerateInputError, SubdivisionError
-from .polytope import LatticePolytope, hull, unimodular_equivalence
+from .errors import DegenerateInputError, DimensionMismatchError, SubdivisionError
+from .intlinalg import dot
+from .polytope import LatticePolytope, _as_int_tuple, _bits, hull, unimodular_equivalence
 from .subdivision import (
     Subdivision,
     distance_height,
@@ -79,17 +81,35 @@ class SeedRegistry:
         return len(self.entries)
 
 
-def classify_cell(cell: LatticePolytope, seeds: SeedRegistry | None = None) -> CellClassTag:
+def classify_cell(
+    cell: LatticePolytope, seeds: SeedRegistry | None = None, certificates=()
+) -> CellClassTag:
     """Tag a subdivision cell by the reason its class is under control.
 
     Rationality rules come first (width one, dimension at most one, empty
     Fine interior in dimension at most three), then registered seeds, then
     interior lattice points, which certify strong variation on their own.
+
+    certificates is an iterable of integer functionals on the ambient
+    space (anything else raises), such as the width certificates of the
+    full-dimensional cells that contain this one.  One whose values on the
+    cell's vertices spread exactly 1 proves lattice width one, in the
+    lattice of the cell's own span too, without a chart or a width search;
+    otherwise the cell is charted and its width searched.
     """
-    q, _ = cell.normalize_full_dimensional()
-    d = q.dim()
+    d = cell.dim()
     if d <= 1:
         return CellClassTag("rational", "dimension at most one")
+    for l in certificates:
+        l = _as_int_tuple(l)
+        if len(l) != cell.ambient_dim:
+            raise DimensionMismatchError(
+                f"certificate {l!r} is not a functional on Z^{cell.ambient_dim}"
+            )
+        values = [dot(l, v) for v in cell.vertices]
+        if max(values) - min(values) == 1:
+            return CellClassTag("rational", "lattice width one")
+    q, _ = cell.normalize_full_dimensional()
     if q.lattice_width()[0] == 1:
         return CellClassTag("rational", "lattice width one")
     if d <= 3 and fine_interior(q).is_empty:
@@ -161,15 +181,17 @@ def volume_ledger(
     sign = -1 if p.dim() % 2 else 1
     point_coeff = 0
     groups = []  # (normalized cell, tag, fingerprint, coeff, members)
+    parents = dict(zip(s.cells, s.cell_parents))
     for cell in interior_cells(s, p):
         d = cell.dim()
         coeff = sign * (-1 if d % 2 else 1)
-        tag = classify_cell(cell, seeds)
+        tag = classify_cell(cell, seeds, _width_certificates(s, parents[cell]))
         if tag.kind == "rational":
             if d == 0:
                 mult = 0  # a single monomial has empty zero set in the torus
             elif d == 1:
-                mult = 1 + cell.n_interior_points()
+                # 1 + its interior lattice points, the gcd of its edge vector
+                mult = gcd(*(a - b for a, b in zip(*cell.vertices)))
             else:
                 mult = 1
             point_coeff += coeff * mult
@@ -189,6 +211,18 @@ def volume_ledger(
         if g[3] != 0
     )
     return Ledger(p, point_coeff, entries, provenance="subdivision ledger")
+
+
+def _width_certificates(s: Subdivision, parents):
+    """Width certificates of the full-dimensional maximal cells in the bitmask parents, lazily.
+
+    A lower-dimensional cell's certificate is in its chart's coordinates,
+    not the ambient ones, so it lends none.
+    """
+    for k in _bits(parents):
+        cell = s.maximal_cells[k]
+        if cell.is_full_dimensional():
+            yield cell.lattice_width()[1]
 
 
 @dataclass(frozen=True)

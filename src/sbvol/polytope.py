@@ -179,12 +179,6 @@ class AffineUnimodularMap:
         new_t = tuple(-dot(r, self.translation) for r in inv)
         return AffineUnimodularMap(tuple(tuple(r) for r in inv), new_t)
 
-    def compose(self, other):
-        """self after other: x -> self(other(x))."""
-        lin = mat_mul([list(r) for r in self.linear], [list(r) for r in other.linear])
-        t = self.apply(other.translation)
-        return AffineUnimodularMap(tuple(tuple(r) for r in lin), t)
-
 
 class LatticePolytope:
     """Convex hull of finitely many lattice points, stored by vertex set."""
@@ -309,9 +303,7 @@ class LatticePolytope:
                     budget,
                     "LatticePolytope.lattice_points",
                 )
-                table = [
-                    (x, sum(1 << i for i, s in enumerate(slacks(facets, x)) if s == 0)) for x in pts
-                ]
+                table = [(x, carrier(facets, x)) for x in pts]
             self._cache["points"] = dict(table)
         return self._cache["points"]
 
@@ -328,37 +320,38 @@ class LatticePolytope:
 
     # -- faces ---------------------------------------------------------------
 
-    def _face_index_sets(self, budget=DEFAULT_FACE_BUDGET):
+    def _face_masks(self, budget=DEFAULT_FACE_BUDGET):
+        """Every nonempty face as a bitmask over self.vertices, mapped to its dimension.
+
+        A simplex's faces are its nonempty vertex subsets.  Any other
+        polytope's are the face lattice of its facets' tight sets.
+        """
+        if "face_masks" not in self._cache:
+            nv = len(self.vertices)
+            if self.is_simplex():
+                if (1 << nv) - 1 > budget:
+                    _face_budget_error(budget + 1, budget, nv, nv)
+                masks = {m: m.bit_count() - 1 for m in range(1, 1 << nv)}
+            else:
+                q, ch = self.normalize_full_dimensional()
+                cverts = [ch.to_chart(v) for v in self.vertices]
+                tight = [
+                    sum(1 << i for i, v in enumerate(cverts) if dot(n, v) == c)
+                    for n, c in q.facet_system()
+                ]
+                masks = face_lattice((1 << nv) - 1, tight, q.dim(), budget)
+            self._cache["face_masks"] = masks
+        return self._cache["face_masks"]
+
+    def _face_index_sets(self):
         """All nonempty faces as frozensets of indices into self.vertices, with dims."""
-        if "face_sets" not in self._cache:
-            q, ch = self.normalize_full_dimensional()
-            cverts = [ch.to_chart(v) for v in self.vertices]
-            nv = len(cverts)
-            full = frozenset(range(nv))
-            if q.dim() == 0:
-                self._cache["face_sets"] = {full: 0}
-                return self._cache["face_sets"]
-            tight = []
-            for n, c in q.facet_system():
-                tight.append(frozenset(i for i, v in enumerate(cverts) if dot(n, v) == c))
-            faces = face_closure(full, tight, budget=budget)
-            dims = {}
-            for f in faces:
-                pts = [cverts[i] for i in sorted(f)]
-                v0 = pts[0]
-                diffs = [[a - b for a, b in zip(p, v0)] for p in pts[1:]]
-                dims[f] = rank(diffs) if diffs else 0
-            self._cache["face_sets"] = dims
-        return self._cache["face_sets"]
+        return {frozenset(_bits(m)): d for m, d in self._face_masks().items()}
 
     def faces(self, k=None):
         """All k-faces as LatticePolytopes (all faces grouped by dim when k is None)."""
-        dims = self._face_index_sets()
         by_dim = {}
-        for f, d in sorted(dims.items(), key=lambda kv: (kv[1], sorted(kv[0]))):
-            cell = LatticePolytope._trusted(
-                self.ambient_dim, [self.vertices[i] for i in sorted(f)]
-            )
+        for d, idx in sorted((d, list(_bits(m))) for m, d in self._face_masks().items()):
+            cell = LatticePolytope._trusted(self.ambient_dim, [self.vertices[i] for i in idx])
             cell._cache["dim"] = d
             by_dim.setdefault(d, []).append(cell)
         if k is None:
@@ -368,9 +361,8 @@ class LatticePolytope:
         return by_dim.get(k, [])
 
     def f_vector(self):
-        dims = self._face_index_sets()
         out = [0] * (self.dim() + 1)
-        for _, d in dims.items():
+        for d in self._face_masks().values():
             out[d] += 1
         return tuple(out)
 
@@ -562,7 +554,7 @@ def hull(points) -> LatticePolytope:
 
 
 def face_closure(full, tight_sets, budget=DEFAULT_FACE_BUDGET):
-    """All nonempty faces as index sets: closure of the tight sets under intersection."""
+    """All nonempty faces as index sets or int bitmasks: the tight sets closed under intersection."""
     faces = {full}
     frontier = [full]
     while frontier:
@@ -574,13 +566,46 @@ def face_closure(full, tight_sets, budget=DEFAULT_FACE_BUDGET):
                     faces.add(g)
                     nxt.append(g)
                     if len(faces) > budget:
-                        raise ResourceLimitError(
-                            f"face_closure: face enumeration reached {len(faces)} faces,"
-                            f" over its budget of {budget} ({len(full)} vertices,"
-                            f" {len(tight_sets)} facets)"
-                        )
+                        size = full.bit_count() if isinstance(full, int) else len(full)
+                        _face_budget_error(len(faces), budget, size, len(tight_sets))
         frontier = nxt
     return faces
+
+
+def face_lattice(full, tight_sets, d, budget=DEFAULT_FACE_BUDGET):
+    """Every nonempty face of a d-polytope as an int bitmask, mapped to its dimension.
+
+    The faces are the closure of the facets' tight sets.  A facet of a face
+    f is f & t for some facet t of the polytope, and every f & t is a face
+    of f, so a face lies one dimension below the lowest face it is a
+    proper f & t of; faces are graded from the top, each after all of its
+    supersets (Kaibel and Pfetsch, Comput. Geom. 23, 2002).
+    """
+    dims = {full: d}
+    for f in sorted(face_closure(full, tight_sets, budget), key=int.bit_count, reverse=True):
+        below = dims[f] - 1
+        for t in tight_sets:
+            g = f & t
+            if g and g != f and dims.get(g, d) > below:
+                dims[g] = below
+    return dims
+
+
+def _face_budget_error(reached, budget, n_vertices, n_facets):
+    raise ResourceLimitError(
+        f"face_closure: face enumeration reached {reached} faces, over its budget of {budget}"
+        f" ({n_vertices} vertices, {n_facets} facets)"
+    )
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
@@ -616,18 +641,6 @@ def convex_union(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatchError("convex union needs a common ambient space")
     return hull(list(p.vertices) + list(q.vertices))
-
-
-def polytope_algebra(op: str, *args):
-    ops = {
-        "dilate": dilate,
-        "translate": translate,
-        "product": cartesian_product,
-        "convex_union": convex_union,
-    }
-    if op not in ops:
-        raise DegenerateInputError(f"unknown polytope operation {op!r}")
-    return ops[op](*args)
 
 
 @dataclass(frozen=True)
@@ -796,6 +809,11 @@ def integer_points(constraints, lo, hi, budget, routine):
         j += 1
         low, top[j] = interval(j, part[j])
         x[j] = low - 1
+
+
+def carrier(system, x):
+    """Bitmask of the halfspaces <n, y> >= c of system that are tight at x."""
+    return sum(1 << i for i, (n, c) in enumerate(system) if dot(n, x) == c)
 
 
 def slacks(system, x):

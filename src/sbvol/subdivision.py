@@ -2,17 +2,20 @@
 
 A subdivision is stored as its maximal cells plus the full face closure,
 together with the inducing heights and, as the witness of regularity, the
-lower facet of the lifted points on each maximal cell.  Everything is
-exact; heights are rationals and get scaled to integers before the lifted
-hull is computed, and the witness stays in those integers.
+lower facet of the lifted points on each maximal cell.  Every cell is also
+a bitmask over the distinct vertices of the maximal cells, which makes
+"lies in the boundary" an AND of the vertices' facet carriers.  Everything
+is exact; heights are rationals and get scaled to integers before the
+lifted hull is computed, and the witness stays in those integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import lcm
+from operator import and_
 
 from . import dd
 from .errors import (
@@ -22,7 +25,16 @@ from .errors import (
     SubdivisionError,
 )
 from .intlinalg import adjugate, dot
-from .polytope import LatticePolytope, _as_int_tuple, _check_ambient, _is_rational, hull, slacks
+from .polytope import (
+    LatticePolytope,
+    _as_int_tuple,
+    _bits,
+    _check_ambient,
+    _is_rational,
+    carrier,
+    hull,
+    slacks,
+)
 
 
 def _exact_height(x, h) -> Fraction:
@@ -39,13 +51,26 @@ def height_function(p: LatticePolytope, fn) -> dict:
 
 @dataclass(frozen=True)
 class Subdivision:
+    """Maximal cells, their face closure and, when regular, heights and witness.
+
+    Each cell is also a bitmask over `points`, the sorted distinct vertices
+    of the maximal cells: bit i stands for points[i].  `cell_parents[j]` is
+    a bitmask over the maximal cells that cells[j] is a face of, bit k
+    standing for maximal_cells[k].  A cell lies in the boundary of the
+    polytope when the AND of its vertices' carriers, the bitmasks of the
+    facets each lies on, is nonzero.
+    """
+
     polytope: LatticePolytope
     maximal_cells: tuple  # LatticePolytope, full-dimensional, sorted
-    cells: tuple  # full face closure, sorted by (dim, vertices)
+    cells: tuple  # full face closure, sorted by (dim, vertices), each dim cached
     heights: tuple | None  # sorted ((point, Fraction), ...) or None for hand-built
     # Per maximal cell, its lower facet (n, c) of the lifted points (x, h(x) * scale):
     # integers, n[-1] > 0, <n, (x, h(x) * scale)> >= c with equality on the cell.
     witness: tuple | None
+    points: tuple = field(repr=False)
+    cell_masks: tuple = field(repr=False)  # aligned with cells
+    cell_parents: tuple = field(repr=False)  # aligned with cells
 
     def height_map(self):
         return dict(self.heights) if self.heights is not None else None
@@ -72,12 +97,45 @@ class Subdivision:
         return min(vals)
 
 
-def _face_closure_cells(maximal_cells):
-    out = set()
-    for cell in maximal_cells:
-        for _, faces in cell.faces().items():
-            out.update(faces)
-    return tuple(sorted(out, key=lambda c: (c.dim(), c.vertices)))
+def _cell_lattice(maximal_cells):
+    """(points, cells, masks, parents) of the face closure of the sorted maximal cells.
+
+    Each maximal cell's faces come from its face lattice as bitmasks over
+    its own vertices and are renumbered onto the shared points.  The top
+    face of a maximal cell is the cell itself, so caches such as its width
+    are shared.
+    """
+    points = tuple(sorted({v for c in maximal_cells for v in c.vertices}))
+    bit = {v: 1 << i for i, v in enumerate(points)}
+    found = {}  # mask over points -> [cell, mask over maximal cells]
+    for k, cell in enumerate(maximal_cells):
+        bits = [bit[v] for v in cell.vertices]
+        top = (1 << len(bits)) - 1
+        for local, d in cell._face_masks().items():
+            idx = _bits(local)
+            mask = sum(bits[i] for i in idx)
+            entry = found.get(mask)
+            if entry is not None:
+                entry[1] |= 1 << k
+                continue
+            if local == top:
+                face = cell
+            else:
+                face = LatticePolytope._trusted(cell.ambient_dim, [cell.vertices[i] for i in idx])
+                face._cache["dim"] = d
+            found[mask] = [face, 1 << k]
+    order = sorted(found.items(), key=lambda kv: (kv[1][0].dim(), kv[1][0].vertices))
+    return (
+        points,
+        tuple(face for _, (face, _) in order),
+        tuple(mask for mask, _ in order),
+        tuple(parents for _, (_, parents) in order),
+    )
+
+
+def _subdivision(p, maximal_cells, heights, witness):
+    points, cells, masks, parents = _cell_lattice(maximal_cells)
+    return Subdivision(p, maximal_cells, cells, heights, witness, points, masks, parents)
 
 
 def _check_height_points(p: LatticePolytope, heights):
@@ -123,12 +181,11 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
         maximal.append(hull(tight))
         witness.append((n, c))
     order = sorted(range(len(maximal)), key=lambda i: maximal[i].vertices)
-    return Subdivision(
-        polytope=p,
-        maximal_cells=tuple(maximal[i] for i in order),
-        cells=_face_closure_cells(maximal),
-        heights=tuple(sorted(hmap.items())),
-        witness=tuple(witness[i] for i in order),
+    return _subdivision(
+        p,
+        tuple(maximal[i] for i in order),
+        tuple(sorted(hmap.items())),
+        tuple(witness[i] for i in order),
     )
 
 
@@ -136,15 +193,13 @@ def make_subdivision(p: LatticePolytope, maximal_cells, heights=None) -> Subdivi
     """Package hand-built cells (for validation tests and display); they carry no witness."""
     if heights:
         _check_height_points(p, heights)
-    cells = tuple(sorted(maximal_cells, key=lambda c: c.vertices))
-    return Subdivision(
-        polytope=p,
-        maximal_cells=cells,
-        cells=_face_closure_cells(cells),
-        heights=tuple(sorted((tuple(k), _exact_height(k, v)) for k, v in heights.items()))
+    return _subdivision(
+        p,
+        tuple(sorted(maximal_cells, key=lambda c: c.vertices)),
+        tuple(sorted((tuple(k), _exact_height(k, v)) for k, v in heights.items()))
         if heights
         else None,
-        witness=None,
+        None,
     )
 
 
@@ -314,8 +369,33 @@ class ValidationReport:
 
 
 def lies_in_boundary(p: LatticePolytope, points) -> bool:
-    """True when the points lie in one facet of the full-dimensional polytope p."""
-    return any(all(dot(n, x) == c for x in points) for n, c in p.facet_system())
+    """True when the points lie in one facet of the full-dimensional polytope p.
+
+    That is, when the AND of the points' carriers, the bitmasks of the
+    facets of p each lies on, is nonzero.
+    """
+    facets = p.facet_system()
+    return reduce(and_, (carrier(facets, x) for x in points), (1 << len(facets)) - 1) != 0
+
+
+def _boundary_test(s: Subdivision, p: LatticePolytope):
+    """The test of whether a bitmask over s.points lies in the boundary of p.
+
+    Each point's carrier is computed once; a mask's is the AND over its bits.
+    """
+    facets = p.facet_system()
+    carriers = [carrier(facets, x) for x in s.points]
+    every = (1 << len(facets)) - 1
+
+    def in_boundary(mask):
+        common = every
+        while mask and common:
+            low = mask & -mask
+            common &= carriers[low.bit_length() - 1]
+            mask ^= low
+        return common != 0
+
+    return in_boundary
 
 
 def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationReport:
@@ -346,19 +426,22 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
         ("cover", cover, f"cell volume sum {vol} vs {p.normalized_volume()}")
     )
 
-    sides = {}  # vertex set of a facet off the boundary -> [(cell index, inner normal)]
+    in_boundary = _boundary_test(s, p) if dims_ok else None
+    bit = {v: 1 << i for i, v in enumerate(s.points)}
+    sides = {}  # vertex mask of a facet off the boundary -> [(cell index, inner normal)]
     for i, cell in enumerate(s.maximal_cells if dims_ok else ()):
         for n, c in cell.facet_system():
-            facet = frozenset(v for v in cell.vertices if dot(n, v) == c)
-            if not lies_in_boundary(p, facet):
+            facet = sum(bit[v] for v in cell.vertices if dot(n, v) == c)
+            if not in_boundary(facet):
                 sides.setdefault(facet, []).append((i, n))
-    walls = []  # (cell index, cell index, shared facet vertex set)
+    walls = []  # (cell index, cell index, shared facet vertex mask)
     detail = "" if dims_ok else "a maximal cell is not full-dimensional"
     for facet, found in sides.items():
         if len(found) == 2 and found[0][1] == tuple(-x for x in found[1][1]):
             walls.append((found[0][0], found[1][0], facet))
         elif not detail:
-            detail = f"facet {sorted(facet)} is not shared by two opposite cells: {found}"
+            vertices = [s.points[k] for k in _bits(facet)]
+            detail = f"facet {vertices} is not shared by two opposite cells: {found}"
     checks.append(("pairwise_faces", not detail, detail))
 
     if s.witness is not None:
@@ -392,7 +475,7 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
                 (s.witness[j], s.witness[i], i),
             )
             for u in s.maximal_cells[b].vertices
-            if u not in wall
+            if not bit[u] & wall
         )
         checks.append(("witness_strictly_convex", strict_ok, ""))
 
@@ -402,6 +485,5 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
 
 def interior_cells(s: Subdivision, p: LatticePolytope | None = None):
     """Cells not contained in the boundary of the subdivided polytope."""
-    if p is None:
-        p = s.polytope
-    return tuple(c for c in s.cells if not lies_in_boundary(p, c.vertices))
+    in_boundary = _boundary_test(s, s.polytope if p is None else p)
+    return tuple(c for c, mask in zip(s.cells, s.cell_masks) if not in_boundary(mask))

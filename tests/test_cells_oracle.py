@@ -1,0 +1,241 @@
+"""Bitmask subdivision cells and inherited width certificates against the earlier routines.
+
+The oracles are the earlier face closure, which takes every face of every
+maximal cell from the closure of frozensets under intersection and ranks
+each one for its dimension, the earlier boundary test, a dot product
+against every facet of P per cell, and the earlier classify_cell, which
+charts every cell and searches its width.  The new code must give the
+same cells in the same order with the same dimensions, the same parents,
+the same interior cells and the same tags, on the dim4 pipeline, the
+staged double cone, random subdivisions (many with non-simplicial cells)
+and the unimodular images of criterion 11b.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from sbvol.families import (
+    builtin_seed_registry,
+    dilated_simplex,
+    divisor_23_double_cone,
+    kollar_totaro,
+)
+from sbvol.intlinalg import dot, rank
+from sbvol.ledger import CellClassTag, _width_certificates, classify_cell
+from sbvol.polytope import LatticePolytope, face_closure, hull
+from sbvol.subdivision import (
+    distance_height,
+    interior_cells,
+    lies_in_boundary,
+    make_subdivision,
+    regular_subdivision,
+    staged_distance_height,
+)
+from sbvol.toric import fine_interior
+from sbvol.verification import SEED, _random_polytope, _random_unimodular
+
+# -- the earlier routines --------------------------------------------------------------
+
+
+def oracle_face_index_sets(cell):
+    """Every face as a frozenset of indices into cell.vertices, ranked for its dimension."""
+    q, ch = cell.normalize_full_dimensional()
+    cverts = [ch.to_chart(v) for v in cell.vertices]
+    full = frozenset(range(len(cverts)))
+    if q.dim() == 0:
+        return {full: 0}
+    tight = [
+        frozenset(i for i, v in enumerate(cverts) if dot(n, v) == c) for n, c in q.facet_system()
+    ]
+    dims = {}
+    for f in face_closure(full, tight):
+        pts = [cverts[i] for i in sorted(f)]
+        diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+        dims[f] = rank(diffs) if diffs else 0
+    return dims
+
+
+def oracle_face_closure_cells(maximal_cells):
+    """[(cell, dim, indices of the maximal cells it is a face of)], sorted by (dim, vertices)."""
+    out = {}
+    for k, cell in enumerate(maximal_cells):
+        for f, d in oracle_face_index_sets(cell).items():
+            face = LatticePolytope._trusted(cell.ambient_dim, [cell.vertices[i] for i in sorted(f)])
+            out.setdefault(face, (d, set()))[1].add(k)
+    return sorted(
+        ((c, d, parents) for c, (d, parents) in out.items()), key=lambda t: (t[1], t[0].vertices)
+    )
+
+
+def oracle_lies_in_boundary(p, points):
+    return any(all(dot(n, x) == c for x in points) for n, c in p.facet_system())
+
+
+def oracle_classify_cell(cell, seeds=None):
+    q, _ = cell.normalize_full_dimensional()
+    d = q.dim()
+    if d <= 1:
+        return CellClassTag("rational", "dimension at most one")
+    if q.lattice_width()[0] == 1:
+        return CellClassTag("rational", "lattice width one")
+    if d <= 3 and fine_interior(q).is_empty:
+        return CellClassTag("rational", "empty fine interior in dimension at most three")
+    if seeds is not None:
+        entry = seeds.match(q)
+        if entry is not None:
+            varying = bool(entry.condition_m) or q.n_interior_points() >= 1
+            why = f"registered non-stably-rational seed {entry.name!r}"
+            if varying:
+                why += " with strong variation"
+            return CellClassTag("seed", why, entry.name, varying)
+    interior = q.n_interior_points()
+    if interior == 1:
+        return CellClassTag("strongly_varying", "unique interior lattice point", None, True)
+    if interior > 1:
+        return CellClassTag("strongly_varying", f"{interior} interior lattice points", None, True)
+    return CellClassTag("unknown", "no rationality or variation rule applies")
+
+
+# -- agreement ---------------------------------------------------------------------------
+
+
+def fresh(cell):
+    """The same polytope with an empty cache, so the oracle recomputes everything."""
+    return LatticePolytope._trusted(cell.ambient_dim, cell.vertices)
+
+
+def assert_cells_agree(s):
+    """Cells, order, dims, masks, parents and interior cells equal the oracles'."""
+    want = oracle_face_closure_cells(s.maximal_cells)
+    assert [(c, c.dim()) for c in s.cells] == [(c, d) for c, d, _ in want]
+    assert all(c.dim() == fresh(c).dim() for c in s.cells)
+    index = {v: i for i, v in enumerate(s.points)}
+    assert list(s.points) == sorted({v for c in s.maximal_cells for v in c.vertices})
+    for c, mask, parents, (_, _, want_parents) in zip(s.cells, s.cell_masks, s.cell_parents, want):
+        assert mask == sum(1 << index[v] for v in c.vertices)
+        assert parents == sum(1 << k for k in want_parents)
+    inner = interior_cells(s)
+    assert inner == tuple(c for c in s.cells if not oracle_lies_in_boundary(s.polytope, c.vertices))
+    return inner
+
+
+def assert_boundary_agrees(s, midpoints):
+    """lies_in_boundary on every cell; with midpoints, also on points that are no vertex."""
+    p = s.polytope
+    for c in s.cells:
+        assert lies_in_boundary(p, c.vertices) == oracle_lies_in_boundary(p, c.vertices)
+        if midpoints:
+            mid = [tuple(Fraction(a + b, 2) for a, b in zip(c.vertices[0], v)) for v in c.vertices]
+            assert lies_in_boundary(p, mid) == oracle_lies_in_boundary(p, mid)
+
+
+def assert_tags_agree(s, seeds=None):
+    """Every interior cell: the tag with its parents' certificates equals the oracle's.
+
+    Returns how many cells the certificates settled.
+    """
+    parents = dict(zip(s.cells, s.cell_parents))
+    inherited = 0
+    for cell in interior_cells(s):
+        want = oracle_classify_cell(fresh(cell), seeds)
+        certificates = list(_width_certificates(s, parents[cell]))
+        assert classify_cell(cell, seeds, certificates) == want, cell.vertices
+        inherited += cell.dim() >= 2 and any(spread(l, cell) == 1 for l in certificates)
+        if cell.dim() == 1:
+            u, v = cell.vertices
+            assert gcd(*(a - b for a, b in zip(u, v))) == 1 + fresh(cell).n_interior_points()
+    return inherited
+
+
+def spread(l, cell):
+    values = [dot(l, v) for v in cell.vertices]
+    return max(values) - min(values)
+
+
+# -- inputs ----------------------------------------------------------------------------------
+
+
+def test_dim4_pipeline():
+    big = dilated_simplex(4, 4)
+    s = regular_subdivision(big, distance_height(big, kollar_totaro(3, 4)))
+    inner = assert_cells_agree(s)
+    assert (len(s.maximal_cells), len(inner)) == (196, 727)
+    assert_boundary_agrees(s, midpoints=False)
+    seeds = builtin_seed_registry()
+    seeds.register("kt34", kollar_totaro(3, 4), "double cover of P3 branched in a quartic")
+    assert assert_tags_agree(s, seeds) >= 680
+
+
+def test_staged_double_cone():
+    dc = divisor_23_double_cone()
+    s = regular_subdivision(
+        dc.polytope, staged_distance_height(dc.polytope, dc.embedded_base(), dc.slices())
+    )
+    assert len(assert_cells_agree(s)) > 0
+    assert len(s.cells) == 671
+    assert_tags_agree(s)
+
+
+def test_random_subdivisions():
+    # The inputs of test_validate_oracle.py: criterion 11d's subdivisions and
+    # random ones in dimensions 2-4.  Tags are compared on those from heights
+    # 0-1, which leave many non-simplicial cells.
+    rng = random.Random(SEED + 3)
+    tagged, untagged = [], []
+    for _ in range(100):
+        dim = rng.choice([2, 2, 3])
+        p = _random_polytope(rng, dim, coord=3 if dim == 2 else 2)
+        untagged.append(regular_subdivision(p, {x: rng.randint(0, 6) for x in p.lattice_points()}))
+    rng = random.Random(2010)
+    for trial in range(300):
+        dim = (2, 3, 4)[trial % 3]
+        p = _random_polytope(rng, dim, coord=(4, 3, 2)[dim - 2], extra=3)
+        top = rng.choice([1, 6])
+        s = regular_subdivision(p, {x: rng.randint(0, top) for x in p.lattice_points()})
+        (tagged if top == 1 else untagged).append(s)
+    for s in tagged + untagged:
+        assert_cells_agree(s)
+    inherited = sum(assert_tags_agree(s) for s in tagged)
+    non_simplicial = sum(not c.is_simplex() for s in tagged for c in s.maximal_cells)
+    assert inherited >= 1000 and non_simplicial >= 100, (inherited, non_simplicial)
+
+
+def test_non_simplicial_cells():
+    # Zero heights leave one maximal cell, the polytope itself: cubes, a
+    # prism and an octahedron, and hand-built cells that cut a cube in two.
+    cube = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+    polytopes = [
+        hull(cube),
+        hull([(x, y, z, w) for x in (0, 1) for y in (0, 1) for z in (0, 1) for w in (0, 1)]),
+        hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 3), (2, 0, 3), (0, 2, 3)]),
+        hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]),
+    ]
+    for p in polytopes:
+        s = regular_subdivision(p, {x: 0 for x in p.lattice_points()})
+        assert s.maximal_cells == (p,) and not p.is_simplex()
+        assert_cells_agree(s)
+        assert_boundary_agrees(s, midpoints=True)
+        assert_tags_agree(s)
+    cut = [(1, y, z) for y in (0, 2) for z in (0, 2)]
+    halves = [hull([v for v in cube if v[0] == 0] + cut), hull([v for v in cube if v[0] == 2] + cut)]
+    s = make_subdivision(hull(cube), halves)
+    assert sum(c.dim() == 2 for c in interior_cells(s)) == 1
+    assert_cells_agree(s)
+    assert_tags_agree(s)
+
+
+def test_criterion_11b_images():
+    # The unimodular image of each polytope of criterion 11b, and its facets
+    # with the image's width certificate.
+    rng = random.Random(SEED + 1)
+    for _ in range(200):
+        dim = rng.choice([2, 2, 3])
+        p = _random_polytope(rng, dim)
+        m = _random_unimodular(rng, dim)
+        q = m.apply_polytope(p)
+        assert classify_cell(fresh(q)) == oracle_classify_cell(fresh(q))
+        cert = [q.lattice_width()[1]]
+        for facet in q.faces(dim - 1):
+            want = oracle_classify_cell(fresh(facet))
+            assert classify_cell(fresh(facet), certificates=cert) == want

@@ -191,6 +191,26 @@ class TestCli:
     def test_verify_paper_unknown_filter(self, capsys):
         assert main(["verify-paper", "--only", "zzz-no-such"]) == 2
 
+    def test_successive_calls_share_one_parser(self, tmp_path, capsys):
+        # One parser serves every call in a process; each call still returns
+        # its own exit code and output, and no parsed default carries over.
+        path = self.write_polytope(tmp_path, dilated_simplex(2, 2))
+        assert main(["compute", "--input", path, "--no-such-flag"]) == 2
+        usage = capsys.readouterr()
+        assert usage.out == "" and "unrecognized arguments: --no-such-flag" in usage.err
+        assert main(["compute", "--input", path, "--width"]) == 0
+        width = json.loads(capsys.readouterr().out)
+        assert sorted(width) == ["ambient_dim", "dim", "name", "width", "width_certificate"]
+        assert main(["compute", "--input", path, "--all"]) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert {"classification", "fine_interior", "hodge_row", "width"} <= set(full)
+        assert full["width"] == width["width"] == 2
+        assert main(["construct", "--family", "tpq", "--args", "2", "5"]) == 0
+        assert main(["construct", "--family", "hpt"]) == 0
+        capsys.readouterr()
+        assert cli.build_parser().parse_args(["construct", "--family", "hpt"]).args == ()
+        assert cli.build_parser() is cli.build_parser()
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = self.write_polytope(tmp_path, dilated_simplex(2, 2))
         main(["compute", "--input", path, "--width"])

@@ -1,6 +1,16 @@
+import random
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
-from sbvol.errors import DegenerateInputError, ResourceLimitError, SubdivisionError
+from sbvol import ledger as ledger_module
+from sbvol.errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    ResourceLimitError,
+    SubdivisionError,
+)
 from sbvol.families import builtin_seed_registry, hpt, kollar_totaro
 from sbvol.ledger import (
     SeedRegistry,
@@ -10,12 +20,14 @@ from sbvol.ledger import (
     verdict,
     volume_ledger,
 )
-from sbvol.polytope import dilate, hull
+from sbvol.polytope import AffineUnimodularMap, LatticePolytope, dilate, hull
 from sbvol.subdivision import (
     height_function,
+    interior_cells,
     make_subdivision,
     pulling_refinement,
     regular_subdivision,
+    validate,
 )
 
 
@@ -142,6 +154,117 @@ class TestVolumeLedger:
         s2 = pulling_refinement(s, (1, 0, 0))  # refine inside a rational cell
         v2 = verdict(volume_ledger(p, s2))
         assert v1.status == v2.status == "obstructed"
+
+
+class TestInheritedWidth:
+    """Width certificates lent by the full-dimensional maximal cells that contain a cell."""
+
+    def recorded(self, monkeypatch):
+        """Wrap classify_cell to record, per cell, the certificates volume_ledger hands it."""
+        calls = {}
+        original = ledger_module.classify_cell
+
+        def classify(cell, seeds=None, certificates=()):
+            calls[cell.vertices] = list(certificates)
+            return original(cell, seeds, calls[cell.vertices])
+
+        monkeypatch.setattr(ledger_module, "classify_cell", classify)
+        return calls
+
+    def test_lower_dimensional_maximal_cell_lends_nothing(self, monkeypatch):
+        # Unchecked, hand-built: a tetrahedron and one of its facets as a second
+        # "maximal" cell.  The facet's own width certificate is in the chart
+        # coordinates of its plane, so only the tetrahedron may lend.
+        p = hull([(x, y, z) for x in (0, 4) for y in (0, 4) for z in (0, 4)])
+        tetra = hull([(1, 1, 1), (3, 1, 1), (1, 3, 1), (1, 1, 3)])
+        facet = hull([(1, 1, 1), (3, 1, 1), (1, 3, 1)])
+        facet.lattice_width()  # cached: a certificate a lender could read
+        s = make_subdivision(p, [tetra, facet])
+        calls = self.recorded(monkeypatch)
+        volume_ledger(p, s, check=False)
+        lent = [tetra.lattice_width()[1]]
+        assert calls[facet.vertices] == lent
+        assert calls[tetra.vertices] == lent
+        alone = make_subdivision(p, [facet])
+        volume_ledger(p, alone, check=False)
+        assert calls[facet.vertices] == []
+
+    def test_uncertified_cell_falls_through_to_the_search(self):
+        # Certificates spreading 0 or at least 2 settle nothing: the chart and
+        # the width search run, and the tag is the one without certificates.
+        wide = hull([(0, 0, 0), (0, 2, 0), (0, 0, 2)])  # 2 * simplex2, width 2
+        thin = hull([(0, 0, 0), (0, 1, 0), (0, 0, 3)])  # width 1, not on an axis pair
+        certs = [(1, 0, 0), (0, 1, 1)]  # spreads 0, and 2 or 3
+        for cell, why in (
+            (wide, "empty fine interior in dimension at most three"),
+            (thin, "lattice width one"),
+        ):
+            fresh = LatticePolytope._trusted(3, cell.vertices)
+            tag = classify_cell(fresh, certificates=certs)
+            assert tag == classify_cell(LatticePolytope._trusted(3, cell.vertices))
+            assert tag.justification == why
+            assert "width" in fresh.normalize_full_dimensional()[0]._cache
+
+    def test_certificates_must_be_integer_functionals_on_the_ambient_space(self):
+        cell = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0)])
+        with pytest.raises(DegenerateInputError, match="integer vector expected"):
+            classify_cell(cell, certificates=[(Fraction(1, 2), 0, 0)])
+        with pytest.raises(DimensionMismatchError, match=r"is not a functional on Z\^3$"):
+            classify_cell(cell, certificates=[(1, 0)])
+        assert classify_cell(cell, certificates=[(Fraction(2, 2), 0, 0)]).kind == "rational"
+
+    def test_uncertified_cell_in_a_ledger(self, monkeypatch):
+        # Two tetrahedra glued along a triangle of width 2 in the plane x = 0:
+        # each one's certificate (1, 0, 0) spreads 0 on it.
+        left = hull([(-1, 0, 0), (0, 0, 0), (0, 2, 0), (0, 0, 2)])
+        right = hull([(1, 0, 0), (0, 0, 0), (0, 2, 0), (0, 0, 2)])
+        p = hull(left.vertices + right.vertices)
+        s = make_subdivision(p, [left, right])
+        assert validate(s).ok
+        calls = self.recorded(monkeypatch)
+        led = volume_ledger(p, s)
+        wall = ((0, 0, 0), (0, 0, 2), (0, 2, 0))
+        assert calls[wall] == [(1, 0, 0), (1, 0, 0)]
+        fresh = LatticePolytope._trusted(3, wall)
+        why = "empty fine interior in dimension at most three"
+        assert classify_cell(fresh).justification == why
+        assert led.point_coefficient == volume_ledger(p, s, check=False).point_coefficient
+
+    def test_segment_multiplicity_is_the_gcd_of_its_edge(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.choice([2, 3, 4])
+            u = tuple(rng.randint(-9, 9) for _ in range(n))
+            v = tuple(a + rng.choice([1, 2, 3, 6]) * rng.randint(-7, 7) for a in u)
+            if u == v:
+                continue
+            segment = hull([u, v])
+            assert gcd(*(a - b for a, b in zip(u, v))) == 1 + segment.n_interior_points()
+
+    def test_skewed_ledgers_count_segment_points(self):
+        # Unimodular images of subdivided triangles: interior segments are
+        # skewed, and the point coefficient counts 1 + their interior points.
+        rng = random.Random(31)
+        for _ in range(20):
+            p = hull([(0, 0), (rng.randint(2, 5), 0), (0, rng.randint(2, 5))])
+            lin = ((1, 0), (0, 1))
+            for _ in range(4):
+                a, b = lin
+                c = rng.choice([-2, -1, 1, 2])
+                lin = (b, tuple(x + c * y for x, y in zip(a, b)))
+            m = AffineUnimodularMap(lin, (rng.randint(-3, 3), rng.randint(-3, 3)))
+            q = m.apply_polytope(p)
+            s = regular_subdivision(q, {x: rng.randint(0, 4) for x in q.lattice_points()})
+            led = volume_ledger(q, s)
+            want = 0
+            for cell in interior_cells(s):
+                sign = (-1) ** cell.dim()
+                if cell.dim() == 1:
+                    fresh = LatticePolytope._trusted(2, cell.vertices)
+                    want += sign * (1 + fresh.n_interior_points())
+                elif cell.dim() == 2 and classify_cell(cell).kind == "rational":
+                    want += sign
+            assert led.point_coefficient == want
 
 
 class TestVerdict:

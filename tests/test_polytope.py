@@ -19,7 +19,6 @@ from sbvol.polytope import (
     dilate,
     face_closure,
     hull,
-    polytope_algebra,
     slacks,
     translate,
     unimodular_equivalence,
@@ -232,6 +231,16 @@ class TestFaces:
             r" \(4 vertices, 4 facets\)$",
         ):
             face_closure(frozenset(range(4)), tight, budget=2)
+
+    def test_simplex_faces_keep_the_closure_budget(self):
+        # A simplex's faces are its vertex subsets, listed without the
+        # closure; over the budget it raises the closure's error.
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^face_closure: face enumeration reached 11 faces, over its budget of 10"
+            r" \(4 vertices, 4 facets\)$",
+        ):
+            hull([(0, 0, 0), (5, 0, 0), (0, 3, 0), (1, 1, 7)])._face_masks(budget=10)
 
     def test_euler_relation(self):
         rng = random.Random(13)
@@ -472,11 +481,6 @@ class TestAlgebra:
         u = convex_union(p, q)
         for v in list(p.vertices) + list(q.vertices):
             assert u.contains(v)
-
-    def test_dispatcher(self):
-        assert polytope_algebra("dilate", simplex(2), 2) == dilate(simplex(2), 2)
-        with pytest.raises(DegenerateInputError):
-            polytope_algebra("nope", simplex(2))
 
 
 class TestInvariants:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sbvol import dd
+from sbvol import polytope as polytope_module
 from sbvol.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -24,6 +25,7 @@ from sbvol.subdivision import (
     distance_height,
     height_function,
     interior_cells,
+    lies_in_boundary,
     make_subdivision,
     min_squared_distance,
     pulling_refinement,
@@ -427,6 +429,28 @@ class TestValidation:
             ("cover", False),
             ("pairwise_faces", False),
         ]
+
+    def test_boundary_tests_run_no_lattice_point_scan(self, monkeypatch):
+        # A huge single cell: the boundary test reads carriers off the facet
+        # system and the face lattice off the vertices, so nothing scans P.
+        p = dilate(simplex(4), 200)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a lattice-point scan ran")
+
+        monkeypatch.setattr(polytope_module, "integer_points", no_scan)
+        s = make_subdivision(p, [p])
+        assert [c.dim() for c in interior_cells(s)] == [4]
+        assert [c.dim() for c in interior_cells(s, p)] == [4]
+        assert validate(s).ok
+        assert lies_in_boundary(p, [(0, 0, 0, 0), (200, 0, 0, 0), (0, 0, 7, 0)])
+        assert not lies_in_boundary(p, [(0, 0, 0, 0), (1, 1, 1, 1)])
+        # Points that are no lattice vertex: rational, interior, on one facet only.
+        assert lies_in_boundary(p, [(Fraction(1, 3), 0, 5, 0), (0, 0, Fraction(9, 2), 1)])
+        assert not lies_in_boundary(p, [(1, 1, 1, 1)])
+        assert lies_in_boundary(p, [(50, 50, 50, 50)])
+        assert not lies_in_boundary(p, [(50, 50, 50, 49), (0, 0, 0, 0)])
+        assert "points" not in p._cache
 
     def test_figure_subdivision_valid(self):
         p = dilate(simplex(3), 4)
