@@ -36,7 +36,10 @@ def _load_polytope(path):
 
 
 def _emit(doc, output):
-    text = formats.dumps(doc)
+    _write_text(formats.dumps(doc), output)
+
+
+def _write_text(text, output):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -98,13 +101,12 @@ def _compute_report(name, p, which, max_points):
     return report
 
 
+COMPUTE_REPORTS = ("width", "classify", "fine-interior", "class-group", "condition-m", "hodge")
+
+
 def cmd_compute(args):
     name, p = _load_polytope(args.input)
-    chosen = [
-        key
-        for key in ("width", "classify", "fine-interior", "class-group", "condition-m", "hodge")
-        if getattr(args, key.replace("-", "_"))
-    ]
+    chosen = [key for key in COMPUTE_REPORTS if getattr(args, key.replace("-", "_"))]
     if args.all or not chosen:
         which = lambda key: True
     else:
@@ -240,12 +242,7 @@ def cmd_bounds_table(args):
     if args.grid:
         lines = ["N\td\tstatus"]
         lines += [f"{n}\t{d}\t{status}" for n, d, status in grid]
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text("\n".join(lines) + "\n", args.output)
         return 0
     doc = {
         "kind": args.kind,
@@ -305,7 +302,7 @@ def build_parser():
     sp = sub.add_parser("compute", help="invariant report for a polytope")
     add_io(sp)
     sp.add_argument("--all", action="store_true")
-    for flag in ("width", "classify", "fine-interior", "class-group", "condition-m", "hodge"):
+    for flag in COMPUTE_REPORTS:
         sp.add_argument(f"--{flag}", action="store_true")
     sp.add_argument("--max-points", type=int, default=5_000_000)
     sp.set_defaults(fn=cmd_compute)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
+from .errors import DegenerateInputError, InternalConsistencyError, InvalidParameterError
 from .intlinalg import dot
 from .ledger import find_unobstructed_subdivision
-from .polytope import LatticePolytope
+from .polytope import LatticePolytope, integer_points
 from .toric import (
     DivisorClassGroup,
     NormalFan,
@@ -35,66 +35,28 @@ class ConditionMReport:
     group: DivisorClassGroup
 
 
-def _free_prunable_dfs(free_parts, target_free, accept, chosen_cap, budget=2_000_000):
-    """Enumerate exponent vectors with per-ray caps hitting an exact free degree.
+def _ample_exponents(group: DivisorClassGroup, lo, hi, budget, routine):
+    """Exponent vectors lo <= x <= hi over the rays of ample degree, in lexicographic order.
 
-    free_parts[i] is the free part (tuple) of ray i's class, chosen_cap[i]
-    the maximal exponent.  Vectors whose free degree cannot reach the
-    target (componentwise interval argument over the remaining rays) are
-    pruned.  Each complete vector is passed to accept().
+    One integer point scan: each coordinate of the free part of the degree
+    is an equality, two opposite halfspaces; the torsion part filters the
+    points the scan yields.
     """
-    n = len(free_parts)
-    fr = len(target_free)
-    suf_min = [[0] * fr for _ in range(n + 1)]
-    suf_max = [[0] * fr for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for j in range(fr):
-            contrib = free_parts[i][j] * chosen_cap[i]
-            lo = min(0, contrib)
-            hi = max(0, contrib)
-            suf_min[i][j] = suf_min[i + 1][j] + lo
-            suf_max[i][j] = suf_max[i + 1][j] + hi
-    nodes = 0
-    vec = [0] * n
-
-    def rec(i, acc):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError(
-                f"_free_prunable_dfs: condition (M) witness enumeration spent {nodes} nodes,"
-                f" over its budget of {budget} ({n} rays, free rank {fr})"
-            )
-        for j in range(fr):
-            if not (
-                acc[j] + suf_min[i][j] <= target_free[j] <= acc[j] + suf_max[i][j]
-            ):
-                return
-        if i == n:
-            accept(tuple(vec))
-            return
-        fp = free_parts[i]
-        for k in range(chosen_cap[i] + 1):
-            vec[i] = k
-            rec(i + 1, tuple(a + k * f for a, f in zip(acc, fp)))
-        vec[i] = 0
-
-    rec(0, tuple([0] * fr))
+    target = group.ample_class()
+    free = [group.ray_degree(i).free for i in range(group.fan.n_rays)]
+    cons = []
+    for j, t in enumerate(target.free):
+        row = tuple(f[j] for f in free)
+        cons += [(row, t), (tuple(-a for a in row), -t)]
+    for x in integer_points(cons, lo, hi, budget, routine):
+        if group.degree(x).torsion == target.torsion:
+            yield x
 
 
 def reduced_witnesses(group: DivisorClassGroup, budget=2_000_000):
     """All square-free exponent vectors of ample degree, sorted."""
     n = group.fan.n_rays
-    target = group.ample_class()
-    found = []
-
-    def accept(vec):
-        if group.degree(vec).torsion == target.torsion:
-            found.append(vec)
-
-    free_parts = [group.ray_degree(i).free for i in range(n)]
-    _free_prunable_dfs(free_parts, target.free, accept, [1] * n, budget=budget)
-    return sorted(found)
+    return list(_ample_exponents(group, [0] * n, [1] * n, budget, "reduced_witnesses"))
 
 
 def check_condition_m(
@@ -183,28 +145,21 @@ def cross_check_unrestricted(
 ) -> CrossCheckResult:
     """Two routes to 'an unrestricted witness exists for this ray' must agree.
 
-    Route one enumerates exponent vectors directly, capped by the width of
-    the polytope along each ray (any section's exponent lies in that range);
-    route two tests the shifted divisor polytope for a lattice point.
+    Route one scans exponent vectors directly, capped by the width of the
+    polytope along each ray (any section's exponent lies in that range), up
+    to the first one that vanishes on the ray; route two tests the shifted
+    divisor polytope for a lattice point.
     """
     if fan is None:
         fan = normal_fan(p)
+    if not 0 <= ray_index < fan.n_rays:
+        raise DegenerateInputError(f"ray index {ray_index} is not in 0..{fan.n_rays - 1}")
     group = class_group(p, fan)
-    target = group.ample_class()
-    caps = []
-    for u, c in zip(fan.rays, fan.offsets):
-        caps.append(max(dot(v, u) for v in p.vertices) - c)
-    found = []
-
-    def accept(vec):
-        if found or vec[ray_index] < 1:
-            return
-        if group.degree(vec).torsion == target.torsion:
-            found.append(vec)
-
-    free_parts = [group.ray_degree(i).free for i in range(fan.n_rays)]
-    _free_prunable_dfs(free_parts, target.free, accept, caps, budget=budget)
-    by_exponents = bool(found)
+    caps = [max(dot(v, u) for v in p.vertices) - c for u, c in zip(fan.rays, fan.offsets)]
+    lo = [0] * fan.n_rays
+    lo[ray_index] = 1
+    scan = _ample_exponents(group, lo, caps, budget, "cross_check_unrestricted")
+    by_exponents = next(scan, None) is not None
     by_polytope = len(facet_shift(p, ray_index, fan).lattice_points()) > 0
 
     result = CrossCheckResult(ray_index, by_exponents, by_polytope)

@@ -385,9 +385,13 @@ def adjugate(a: Matrix) -> tuple:
 
 
 def invert_unimodular(a: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix (again integer)."""
-    n = len(a)
-    h, u = hermite_form(a)
-    if h != identity_matrix(n):
+    """Exact inverse of a unimodular integer matrix (again integer): det(a) adj(a)."""
+    if any(len(row) != len(a) for row in a):
         raise DegenerateInputError("matrix is not unimodular")
-    return u
+    try:
+        d, adj = adjugate(a)
+    except DegenerateInputError:
+        d = 0
+    if abs(d) != 1:
+        raise DegenerateInputError("matrix is not unimodular")
+    return [[d * x for x in row] for row in adj]

@@ -32,6 +32,7 @@ from .intlinalg import (
     mat_mul,
     rank,
     transpose,
+    vec_gcd,
 )
 
 DEFAULT_POINT_BUDGET = 5_000_000
@@ -450,9 +451,7 @@ class RationalPolytope:
             if not _is_rational(c):
                 raise DegenerateInputError(f"halfspace offset {c!r} is not an int or a Fraction")
             c = Fraction(c)
-            g = 0
-            for x in a:
-                g = gcd(g, abs(x))
+            g = vec_gcd(a)
             if g == 0:
                 if c > 0:
                     raise DegenerateInputError("halfspace 0 >= c with c > 0 is infeasible")

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import lcm
-from operator import and_
 
 from . import dd
 from .errors import (
@@ -374,17 +373,17 @@ def lies_in_boundary(p: LatticePolytope, points) -> bool:
     That is, when the AND of the points' carriers, the bitmasks of the
     facets of p each lies on, is nonzero.
     """
-    facets = p.facet_system()
-    return reduce(and_, (carrier(facets, x) for x in points), (1 << len(facets)) - 1) != 0
+    points = list(points)
+    return _boundary_test(points, p)((1 << len(points)) - 1)
 
 
-def _boundary_test(s: Subdivision, p: LatticePolytope):
-    """The test of whether a bitmask over s.points lies in the boundary of p.
+def _boundary_test(points, p: LatticePolytope):
+    """The test of whether a bitmask over points lies in the boundary of p.
 
     Each point's carrier is computed once; a mask's is the AND over its bits.
     """
     facets = p.facet_system()
-    carriers = [carrier(facets, x) for x in s.points]
+    carriers = [carrier(facets, x) for x in points]
     every = (1 << len(facets)) - 1
 
     def in_boundary(mask):
@@ -426,7 +425,7 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
         ("cover", cover, f"cell volume sum {vol} vs {p.normalized_volume()}")
     )
 
-    in_boundary = _boundary_test(s, p) if dims_ok else None
+    in_boundary = _boundary_test(s.points, p) if dims_ok else None
     bit = {v: 1 << i for i, v in enumerate(s.points)}
     sides = {}  # vertex mask of a facet off the boundary -> [(cell index, inner normal)]
     for i, cell in enumerate(s.maximal_cells if dims_ok else ()):
@@ -485,5 +484,5 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
 
 def interior_cells(s: Subdivision, p: LatticePolytope | None = None):
     """Cells not contained in the boundary of the subdivided polytope."""
-    in_boundary = _boundary_test(s, s.polytope if p is None else p)
+    in_boundary = _boundary_test(s.points, s.polytope if p is None else p)
     return tuple(c for c, mask in zip(s.cells, s.cell_masks) if not in_boundary(mask))

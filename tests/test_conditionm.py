@@ -10,7 +10,7 @@ from sbvol.conditionm import (
     sections_of_class,
     strong_variation_certificate,
 )
-from sbvol.errors import InvalidParameterError, ResourceLimitError
+from sbvol.errors import DegenerateInputError, InvalidParameterError, ResourceLimitError
 from sbvol.families import builtin_seed_registry, hpt, tpq
 from sbvol.polytope import dilate, hull
 from sbvol.toric import normal_fan
@@ -34,8 +34,8 @@ class TestConditionM:
     def test_budget_error_names_the_enumeration(self):
         with pytest.raises(
             ResourceLimitError,
-            match=r"^_free_prunable_dfs: condition \(M\) witness enumeration spent 2 nodes,"
-            r" over its budget of 1 \(6 rays, free rank 1\)$",
+            match=r"^reduced_witnesses: integer point scan spent 2 nodes, over its budget of 1"
+            r" \(dimension 6, 2 constraints\)$",
         ):
             check_condition_m(hpt(), budget=1)
 
@@ -163,6 +163,26 @@ class TestCrossCheck:
         fan = normal_fan(p)
         for i in range(fan.n_rays):
             assert cross_check_unrestricted(p, i, fan).agree
+
+    def test_budget_error_names_the_cross_check(self):
+        p = hpt()
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^cross_check_unrestricted: integer point scan spent 2 nodes, over its budget of 1"
+            r" \(dimension 6, 2 constraints\)$",
+        ):
+            cross_check_unrestricted(p, 0, normal_fan(p), budget=1)
+
+    @pytest.mark.parametrize("ray_index", [6, 99, -1, -7])
+    def test_ray_index_out_of_range_raises_before_any_search(self, ray_index, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("searched for a witness on a ray that does not exist")
+
+        monkeypatch.setattr(conditionm, "class_group", refuse)
+        monkeypatch.setattr(conditionm, "integer_points", refuse)
+        p = hpt()
+        with pytest.raises(DegenerateInputError, match=r"^ray index -?\d+ is not in 0\.\.5$"):
+            cross_check_unrestricted(p, ray_index, normal_fan(p))
 
 
 class TestDefinitionChase:

@@ -206,6 +206,31 @@ def test_invert_unimodular():
         invert_unimodular([[2, 0], [0, 1]])
 
 
+def test_invert_unimodular_matches_the_hermite_transform():
+    # a unimodular matrix has Hermite form I, and its transform is the inverse
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        u = identity_matrix(n)
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            f = rng.choice([-2, -1, 1, 2])
+            u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+        if rng.random() < 0.5:
+            u[0] = [-x for x in u[0]]
+        h, hermite_inverse = hermite_form(u)
+        assert h == identity_matrix(n)
+        assert invert_unimodular(u) == hermite_inverse
+
+
+@pytest.mark.parametrize(
+    "a", [[[1, 2], [2, 4]], [[0, 0], [0, 0]], [[2, 1], [1, 2]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]]
+)
+def test_invert_unimodular_rejects_singular_non_unimodular_and_non_square(a):
+    with pytest.raises(DegenerateInputError, match="^matrix is not unimodular$"):
+        invert_unimodular(a)
+
+
 def test_unimodularity_check_survives_optimize():
     # python -O strips assert statements; the input check must still raise.
     src = str(Path(__file__).resolve().parents[1] / "src")

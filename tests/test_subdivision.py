@@ -452,6 +452,14 @@ class TestValidation:
         assert not lies_in_boundary(p, [(50, 50, 50, 49), (0, 0, 0, 0)])
         assert "points" not in p._cache
 
+    def test_lies_in_boundary_edge_inputs(self):
+        # No points: the AND over nothing is every facet.  A generator is read once.
+        p = dilate(simplex(2), 3)
+        assert lies_in_boundary(p, [])
+        assert lies_in_boundary(p, iter([(0, 0), (3, 0)]))
+        with pytest.raises(DegenerateInputError, match="full-dimensional"):
+            lies_in_boundary(hull([(0, 0)]), [])
+
     def test_figure_subdivision_valid(self):
         p = dilate(simplex(3), 4)
         s = regular_subdivision(p, height_function(p, lambda v: abs(v[0] + v[1] + 2 * v[2] - 4)))
