@@ -19,6 +19,7 @@ from .polytope import LatticePolytope, integer_points
 from .toric import (
     DivisorClassGroup,
     NormalFan,
+    _fan_for,
     class_group,
     divisor_polytope,
     facet_shift,
@@ -59,6 +60,14 @@ def reduced_witnesses(group: DivisorClassGroup, budget=2_000_000):
     return list(_ample_exponents(group, [0] * n, [1] * n, budget, "reduced_witnesses"))
 
 
+def _check_witness(group: DivisorClassGroup, i, w):
+    """Raise unless w is a monomial (exponents >= 0) of ample degree vanishing on ray i."""
+    if any(x < 0 for x in w) or w[i] < 1 or group.degree(w) != group.ample_class():
+        raise InternalConsistencyError(
+            f"ray {i}: witness {w} is not an ample section vanishing on it"
+        )
+
+
 def check_condition_m(
     p: LatticePolytope,
     mode: str = "reduced",
@@ -75,10 +84,11 @@ def check_condition_m(
     """
     if mode not in ("reduced", "unrestricted"):
         raise InvalidParameterError(f"unknown mode {mode!r}; choose 'reduced' or 'unrestricted'")
-    if fan is None:
-        fan = normal_fan(p)
+    fan = _fan_for(p, fan)
     if group is None:
         group = class_group(p, fan)
+    elif group.fan != fan:
+        raise DegenerateInputError(f"the class group given is not that of {p}")
     n = fan.n_rays
     if mode == "reduced":
         pool = reduced_witnesses(group, budget=budget)
@@ -90,13 +100,7 @@ def check_condition_m(
         ample = fan.ample_coefficients()
         for i in range(n):
             pts = facet_shift(p, i, fan).lattice_points()
-            if not pts:
-                witnesses.append(None)
-                continue
-            m = pts[0]
-            w = tuple(dot(m, u) + a for u, a in zip(fan.rays, ample))
-            if w[i] < 1 or any(x < 0 for x in w):
-                raise InternalConsistencyError(f"ray {i}: section {w} does not vanish on it")
+            w = tuple(dot(pts[0], u) + a for u, a in zip(fan.rays, ample)) if pts else None
             witnesses.append(w)
     report = ConditionMReport(
         holds=all(w is not None for w in witnesses),
@@ -106,10 +110,7 @@ def check_condition_m(
     )
     for i, w in enumerate(report.witnesses):
         if w is not None:
-            if w[i] < 1 or group.degree(w) != group.ample_class():
-                raise InternalConsistencyError(
-                    f"ray {i}: witness {w} is not an ample section vanishing on it"
-                )
+            _check_witness(group, i, w)
     return report
 
 
@@ -119,8 +120,7 @@ def sections_of_class(p: LatticePolytope, coefficients, fan: NormalFan | None = 
     Returns a sorted list of (lattice point, exponent vector over rays); the
     exponent vector of m is (<m, u_ray> + a_ray)_ray.
     """
-    if fan is None:
-        fan = normal_fan(p)
+    fan = _fan_for(p, fan)
     pd = divisor_polytope(fan, coefficients)
     out = []
     for m in pd.lattice_points():
@@ -147,19 +147,27 @@ def cross_check_unrestricted(
 
     Route one scans exponent vectors directly, capped by the width of the
     polytope along each ray (any section's exponent lies in that range), up
-    to the first one that vanishes on the ray; route two tests the shifted
+    to the first one that vanishes on the ray, and checks that hit as
+    `check_condition_m` checks its witnesses; route two tests the shifted
     divisor polytope for a lattice point.
+
+    On a full-dimensional lattice polytope both routes always answer True,
+    as unrestricted condition (M) always holds there: a vertex v off facet
+    i has <u_i, v> >= c_i + 1, so the shifted divisor polytope contains it.
+    The check is that route one's hit is a real witness and that both
+    routes agree.
     """
-    if fan is None:
-        fan = normal_fan(p)
+    fan = _fan_for(p, fan)
     if not 0 <= ray_index < fan.n_rays:
         raise DegenerateInputError(f"ray index {ray_index} is not in 0..{fan.n_rays - 1}")
     group = class_group(p, fan)
     caps = [max(dot(v, u) for v in p.vertices) - c for u, c in zip(fan.rays, fan.offsets)]
     lo = [0] * fan.n_rays
     lo[ray_index] = 1
-    scan = _ample_exponents(group, lo, caps, budget, "cross_check_unrestricted")
-    by_exponents = next(scan, None) is not None
+    hit = next(_ample_exponents(group, lo, caps, budget, "cross_check_unrestricted"), None)
+    if hit is not None:
+        _check_witness(group, ray_index, hit)
+    by_exponents = hit is not None
     by_polytope = len(facet_shift(p, ray_index, fan).lattice_points()) > 0
 
     result = CrossCheckResult(ray_index, by_exponents, by_polytope)

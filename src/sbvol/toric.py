@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import dd
 from .errors import (
@@ -113,6 +113,15 @@ def normal_fan(p: LatticePolytope) -> NormalFan:
     return NormalFan(p, rays, offsets, tuple(cones))
 
 
+def _fan_for(p: LatticePolytope, fan: NormalFan | None) -> NormalFan:
+    """`fan`, or the normal fan of p when it is None; a fan of another polytope is rejected."""
+    if fan is None:
+        return normal_fan(p)
+    if fan.polytope != p:
+        raise DegenerateInputError(f"the fan given is the normal fan of {fan.polytope}, not of {p}")
+    return fan
+
+
 def ord_value(p: LatticePolytope, n) -> int:
     """min over the polytope of the pairing with the dual vector n."""
     return min(dot(v, n) for v in p.vertices)
@@ -197,27 +206,74 @@ class FineInteriorResult:
         return self.polytope.vertices()
 
 
+def _minor_gcds(rays, d):
+    """Table g[S] over the nonempty subsets S of d independent rays (bitmasks).
+
+    g[S] is the gcd of the |S| x |S| minors of the rays in S, so a
+    singleton's entry is the gcd of its coordinates and the full set's is
+    |det|.  Each subset's minors come from those of the subset without its
+    highest ray, by Laplace expansion along that ray; every minor of one
+    size carries the same sign, which no gcd sees.
+    """
+    rows_of = [[] for _ in range(d + 1)]
+    for r in range(1 << d):
+        rows_of[r.bit_count()].append(r)
+    minors = {0: {0: 1}}
+    g = {}
+    for s in range(1, 1 << d):
+        top = s.bit_length() - 1
+        below = minors[s ^ (1 << top)]
+        ray = rays[top]
+        col = {}
+        for r in rows_of[s.bit_count()]:
+            total = 0
+            sign = 1
+            rest = r
+            while rest:
+                low = rest & -rest
+                total += sign * ray[low.bit_length() - 1] * below[r ^ low]
+                sign = -sign
+                rest ^= low
+            col[r] = total
+        minors[s] = col
+        g[s] = gcd(*col.values())
+    return g
+
+
 def _subcone_scan_frame(tri, d):
     """Scan data (uinv, tcons, lo, hi, rays) for one simplicial subcone: a
     coordinate change making the ray matrix lower-triangular with large
     pivots early, membership constraints in the new coordinates, and the
-    slab bounding box."""
-    best = None
-    perms = (
-        itertools.permutations(range(d)) if d <= 6 else [tuple(range(d))]
-    )
-    for perm in perms:
-        cols = [[tri[perm[j]][k] for j in range(d)] for k in range(d)]
-        h, u0 = hermite_form(cols)
-        piv = [abs(h[j][j]) for j in range(d)]
-        score = 0
-        prod = 1
-        for k in range(d - 1):
-            prod *= max(piv[d - 1 - k], 1)
-            score += prod
-        if best is None or score < best[0]:
-            best = (score, u0)
-    u0 = best[1]
+    slab bounding box.
+
+    The coordinate change is the transform of the Hermite form of the ray
+    matrix, its columns the rays in the order that minimises
+    sum_k (product of the last k pivots), k = 1..d-1.  For any order, the
+    product of the first j pivots is the gcd of the j x j minors of the
+    first j rays, which depends on the set S_j of those rays only; so that
+    sum is sum_{j=1}^{d-1} |det| / g(S_j), read off the `_minor_gcds`
+    table with no Hermite form.  Orders are scored in
+    `itertools.permutations` order and `min` keeps the first of equal
+    scores, so ties go to the lexicographically first order.  From d = 7
+    on, the rays keep their given order.  One Hermite form, of the chosen
+    order, gives the transform.
+    """
+    perm = tuple(range(d))
+    if d <= 6:
+        g = _minor_gcds(tri, d)
+        abs_det = g[(1 << d) - 1]
+        quotient = {s: abs_det // x for s, x in g.items()}
+
+        def score(order):
+            s = 0
+            total = 0
+            for j in order[:-1]:
+                s |= 1 << j
+                total += quotient[s]
+            return total
+
+        perm = min(itertools.permutations(range(d)), key=score)
+    _, u0 = hermite_form([[tri[perm[j]][k] for j in range(d)] for k in range(d)])
     u = [list(r) for r in reversed(u0)]  # flip rows: structured-zero ray matrix
     uinv = invert_unimodular(u)
     new_rays = [tuple(sum(u[i][k] * r[k] for k in range(d)) for i in range(d)) for r in tri]
@@ -250,8 +306,7 @@ def fine_interior(
     does not return adds at least one new primitive vector, and all of
     them are integer points of the subcones' fixed slab boxes, a finite set.
     """
-    if fan is None:
-        fan = normal_fan(p)
+    fan = _fan_for(p, fan)
     d = p.ambient_dim
     halfspaces = {u: c + 1 for u, c in zip(fan.rays, fan.offsets)}
 
@@ -367,8 +422,7 @@ def divisor_polytope(fan: NormalFan, coefficients) -> RationalPolytope:
 
 def facet_shift(p: LatticePolytope, ray_index: int, fan: NormalFan | None = None) -> RationalPolytope:
     """Shift the supporting halfspace of one facet inward by one, keep the rest."""
-    if fan is None:
-        fan = normal_fan(p)
+    fan = _fan_for(p, fan)
     if not 0 <= ray_index < fan.n_rays:
         raise DegenerateInputError(f"no ray with index {ray_index}")
     coeffs = list(fan.ample_coefficients())
@@ -431,8 +485,7 @@ class DivisorClassGroup:
 
 
 def class_group(p: LatticePolytope, fan: NormalFan | None = None) -> DivisorClassGroup:
-    if fan is None:
-        fan = normal_fan(p)
+    fan = _fan_for(p, fan)
     pairing = [list(u) for u in fan.rays]  # rays x dim
     sd = smith_form(pairing)
     r = len(pairing[0])

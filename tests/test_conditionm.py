@@ -10,10 +10,15 @@ from sbvol.conditionm import (
     sections_of_class,
     strong_variation_certificate,
 )
-from sbvol.errors import DegenerateInputError, InvalidParameterError, ResourceLimitError
+from sbvol.errors import (
+    DegenerateInputError,
+    InternalConsistencyError,
+    InvalidParameterError,
+    ResourceLimitError,
+)
 from sbvol.families import builtin_seed_registry, hpt, tpq
 from sbvol.polytope import dilate, hull
-from sbvol.toric import normal_fan
+from sbvol.toric import class_group, normal_fan
 
 
 def simplex(n):
@@ -183,6 +188,50 @@ class TestCrossCheck:
         p = hpt()
         with pytest.raises(DegenerateInputError, match=r"^ray index -?\d+ is not in 0\.\.5$"):
             cross_check_unrestricted(p, ray_index, normal_fan(p))
+
+    def test_route_one_checks_its_hit(self, monkeypatch):
+        # The unit triangle's ample divisor has coefficient 0 on the rays
+        # through the origin: it is of ample degree but does not vanish there.
+        p = simplex(2)
+        fan = normal_fan(p)
+        ray = fan.ample_coefficients().index(0)
+        assert ray == 1
+
+        def ample_vector(*args):
+            yield fan.ample_coefficients()
+
+        monkeypatch.setattr(conditionm, "_ample_exponents", ample_vector)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^ray 1: witness \(1, 0, 0\) is not an ample section vanishing on it$",
+        ):
+            cross_check_unrestricted(p, ray, fan)
+
+
+class TestForeignFan:
+    """A fan or class group passed alongside a polytope must be that polytope's."""
+
+    TRIANGLE = hull([(0, 0), (4, 0), (0, 4)])
+    SQUARE_FAN = normal_fan(hull([(0, 0), (3, 0), (0, 3), (3, 3)]))
+    FOREIGN = r"^the fan given is the normal fan of LatticePolytope\(dim 2 in Z\^2, 4 vertices\)"
+
+    def test_check_condition_m(self):
+        # With the square's fan the parent answered holds=False with no witness.
+        for mode in ("reduced", "unrestricted"):
+            with pytest.raises(DegenerateInputError, match=self.FOREIGN):
+                check_condition_m(self.TRIANGLE, mode=mode, fan=self.SQUARE_FAN)
+        with pytest.raises(DegenerateInputError, match=r"^the class group given is not that of"):
+            check_condition_m(self.TRIANGLE, group=class_group(self.SQUARE_FAN.polytope))
+        own = normal_fan(hull([(4, 0), (0, 4), (0, 0)]))  # equal polytope, another object
+        assert check_condition_m(self.TRIANGLE, fan=own) == check_condition_m(self.TRIANGLE)
+
+    def test_sections_of_class(self):
+        with pytest.raises(DegenerateInputError, match=self.FOREIGN):
+            sections_of_class(self.TRIANGLE, (0, 0, 0, 0), self.SQUARE_FAN)
+
+    def test_cross_check_unrestricted(self):
+        with pytest.raises(DegenerateInputError, match=self.FOREIGN):
+            cross_check_unrestricted(self.TRIANGLE, 0, self.SQUARE_FAN)
 
 
 class TestDefinitionChase:

@@ -8,13 +8,19 @@ integers, one pass per round.  Both must return the same emptiness,
 dimension, lattice flag, generators and vertices on the inputs of criterion
 11a, the paper's named polytopes and families, and 0/1 4-polytopes under
 unimodular maps like those of the invariant-batch workload.
+
+The oracle's _subcone_scan_frame is the earlier frame search, one Hermite
+form per ray order.  The kernel scores every order from one table of minor
+gcds and runs one Hermite form; both must choose the same frame.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, lcm, prod
 
+from sbvol import toric
 from sbvol.errors import InternalConsistencyError, ResourceLimitError
 from sbvol.families import dilated_simplex, hpt, kollar_totaro, tpq
 from sbvol.intlinalg import (
@@ -182,6 +188,7 @@ def assert_agrees(p):
     return got
 
 
+@functools.cache
 def _criterion_11a_inputs():
     """The 400 polytopes of criterion 11a, drawn as it draws them."""
     rng = random.Random(SEED)
@@ -253,3 +260,100 @@ def _unimodular_01_polytopes(rng, count):
 def test_unimodular_images_of_01_polytopes():
     for p in _unimodular_01_polytopes(random.Random(8), 20):
         assert_agrees(p)
+
+
+# -- subcone frames -------------------------------------------------------------
+
+
+def _subcones(polytopes):
+    """Each distinct simplicial vertex subcone of the polytopes, with its dimension."""
+    out = {}
+    for p in polytopes:
+        fan = normal_fan(p)
+        for cone in fan.vertex_cones:
+            for tri in _triangulate_cone([fan.rays[j] for j in sorted(cone)], p.ambient_dim):
+                out[tuple(tri)] = p.ambient_dim
+    return list(out.items())
+
+
+def _random_cone(rng, d):
+    """d independent primitive rays with entries in -3..3."""
+    while True:
+        rays = [primitive(tuple(rng.randint(-3, 3) for _ in range(d))) for _ in range(d)]
+        if all(any(r) for r in rays) and det([list(r) for r in rays]) != 0:
+            return rays
+
+
+def _unimodular_cone(rng, d):
+    """The rows of a unimodular matrix: the identity under a few row additions."""
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return [tuple(r) for r in rows]
+
+
+def _identity_order(tri, d):
+    """The ray matrix, rays as columns in their given order."""
+    return [[tri[j][k] for j in range(d)] for k in range(d)]
+
+
+def _frame_inputs():
+    rng = random.Random(13)
+    sizes = ((2, 20), (3, 20), (4, 20), (5, 4), (6, 2))
+    random_cones = [(_random_cone(rng, d), d) for d, n in sizes for _ in range(n)]
+    unimodular = [(_unimodular_cone(rng, d), d) for d in (2, 3, 4, 5, 6)]
+    if any(abs(det([list(r) for r in tri])) != 1 for tri, _ in unimodular):
+        raise AssertionError("a unimodular cone is not unimodular")
+    seven = [(_random_cone(rng, 7), 7)]
+    return _subcones(_criterion_11a_inputs()) + random_cones, unimodular, seven
+
+
+def test_subcone_frames_match_the_search_over_orders():
+    general, unimodular, seven = _frame_inputs()
+    assert {d for _, d in general} == {2, 3, 4, 5, 6}
+    for tri, d in general + unimodular + seven:
+        want = _subcone_scan_frame(tri, d)
+        got = toric._subcone_scan_frame(tri, d)
+        assert got == (want["uinv"], want["tcons"], want["lo"], want["hi"], want["rays"])
+
+
+def test_one_hermite_form_per_subcone(monkeypatch):
+    seen = []
+
+    def counting(a):
+        seen.append(a)
+        return hermite_form(a)
+
+    monkeypatch.setattr(toric, "hermite_form", counting)
+    general, unimodular, seven = _frame_inputs()
+    for tri, d in general:
+        seen.clear()
+        toric._subcone_scan_frame(tri, d)
+        assert len(seen) == 1
+    # Every order of a unimodular cone scores d - 1, and from d = 7 on the
+    # order is not searched: the rays keep their given order either way.
+    for tri, d in unimodular + seven:
+        seen.clear()
+        toric._subcone_scan_frame(tri, d)
+        assert seen == [_identity_order(tri, d)]
+
+
+def test_minor_gcd_table_is_the_pivot_product_of_an_order_starting_with_the_set():
+    rng = random.Random(29)
+    sizes = ((1, 3), (2, 8), (3, 8), (4, 6), (5, 2), (6, 1))
+    cones = [_random_cone(rng, d) for d, n in sizes for _ in range(n)]
+    for rays in cones:
+        d = len(rays)
+        table = toric._minor_gcds(rays, d)
+        assert set(table) == set(range(1, 1 << d))
+        assert table[(1 << d) - 1] == abs(det([list(r) for r in rays]))
+        for s, g in table.items():
+            inside = [j for j in range(d) if s >> j & 1]
+            outside = [j for j in range(d) if not s >> j & 1]
+            rng.shuffle(inside)
+            rng.shuffle(outside)
+            order = inside + outside
+            h, _ = hermite_form([[rays[j][k] for j in order] for k in range(d)])
+            assert g == prod(h[j][j] for j in range(len(inside)))

@@ -7,7 +7,7 @@ import pytest
 
 from sbvol import dd
 from sbvol import toric as toric_module
-from sbvol.errors import ResourceLimitError, UnsupportedInputError
+from sbvol.errors import DegenerateInputError, ResourceLimitError, UnsupportedInputError
 from sbvol.families import hpt, schreieder
 from sbvol.polytope import dilate, hull
 from sbvol.toric import (
@@ -384,3 +384,32 @@ class TestClassGroup:
                 continue
             g = class_group(p)
             assert g.free_rank + d == g.fan.n_rays
+
+
+class TestForeignFan:
+    """A fan passed alongside a polytope must be that polytope's normal fan.
+
+    The triangle's fan-free Fine interior has vertices (1, 1), (1, 2) and
+    (2, 1); read through the fan of the 3 x 3 square it would come out as
+    the square [1, 2]^2, with (2, 2) outside the triangle's.
+    """
+
+    TRIANGLE = hull([(0, 0), (4, 0), (0, 4)])
+    SQUARE_FAN = normal_fan(hull([(0, 0), (3, 0), (0, 3), (3, 3)]))
+    FOREIGN = r"^the fan given is the normal fan of LatticePolytope\(dim 2 in Z\^2, 4 vertices\)"
+
+    def test_fine_interior(self):
+        with pytest.raises(DegenerateInputError, match=self.FOREIGN):
+            fine_interior(self.TRIANGLE, fan=self.SQUARE_FAN)
+        own = normal_fan(hull([(4, 0), (0, 4), (0, 0)]))  # equal polytope, another object
+        got = fine_interior(self.TRIANGLE, fan=own)
+        assert got.generators == fine_interior(self.TRIANGLE).generators
+        assert got.vertices() == ((1, 1), (1, 2), (2, 1))
+
+    def test_facet_shift(self):
+        with pytest.raises(DegenerateInputError, match=self.FOREIGN):
+            facet_shift(self.TRIANGLE, 0, self.SQUARE_FAN)
+
+    def test_class_group(self):
+        with pytest.raises(DegenerateInputError, match=self.FOREIGN):
+            class_group(self.TRIANGLE, self.SQUARE_FAN)
