@@ -22,12 +22,11 @@ g = class_group(p)
 print("== the (2,2) divisor polytope ==")
 print("  class group:", describe_group(g))
 print("  ample class:", g.ample_class())
-fan = g.fan
-secs = sections_of_class(p, fan.ample_coefficients(), fan)
+secs = sections_of_class(p, g.fan.ample_coefficients())
 print(f"  {len(secs)} sections of the ample divisor; exponent vectors:")
 for _, w in secs:
     print("   ", w)
-rep = check_condition_m(p, group=g)
+rep = check_condition_m(p)
 print("  condition (M) holds:", rep.holds)
 for i, wit in enumerate(rep.witnesses):
     print(f"    ray {i}: witness {wit}")
@@ -50,7 +49,7 @@ print("\n== small-support hypersurface polytopes ==")
 for n in (3, 4):
     data = schreieder(n)
     g = class_group(data.polytope)
-    rep = check_condition_m(data.polytope, group=g)
+    rep = check_condition_m(data.polytope)
     print(
         f"  n={n}: class group {describe_group(g)}, ample {g.ample_class()}, "
         f"condition (M) {'holds' if rep.holds else 'fails'}"

@@ -22,7 +22,7 @@ from .families import FAMILIES, bounds_table, build, builtin_seed_registry
 from .hodge import h_p0_compact
 from .ledger import verdict, volume_ledger
 from .subdivision import distance_height, regular_subdivision, validate
-from .toric import class_group, fine_interior, kodaira_dimension
+from .toric import class_group, fine_interior
 from .verification import run_all
 
 
@@ -76,7 +76,7 @@ def _compute_report(name, p, which, max_points):
             "is_lattice": fi.is_lattice,
             "vertices": _fraction_vertices(fi.polytope) if not fi.is_empty else [],
         }
-        kappa = kodaira_dimension(q, fi)
+        kappa = fi.kodaira_dimension
         report["kodaira_dimension"] = "-infinity" if kappa == float("-inf") else kappa
         report["general_type"] = kappa == p.dim() - 1
     if which("class-group") and p.dim() >= 1:

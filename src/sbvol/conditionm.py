@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from .errors import DegenerateInputError, InternalConsistencyError, InvalidParameterError
 from .intlinalg import dot
 from .ledger import find_unobstructed_subdivision
-from .polytope import LatticePolytope, integer_points
+from .polytope import LatticePolytope, _as_int_tuple, integer_points
 from .toric import (
     DivisorClassGroup,
-    NormalFan,
-    _fan_for,
     class_group,
     divisor_polytope,
     facet_shift,
@@ -68,13 +66,7 @@ def _check_witness(group: DivisorClassGroup, i, w):
         )
 
 
-def check_condition_m(
-    p: LatticePolytope,
-    mode: str = "reduced",
-    fan: NormalFan | None = None,
-    group: DivisorClassGroup | None = None,
-    budget=2_000_000,
-) -> ConditionMReport:
+def check_condition_m(p: LatticePolytope, mode: str = "reduced", budget=2_000_000) -> ConditionMReport:
     """Per ray, find a monomial of ample degree whose zero set contains the ray's divisor.
 
     Reduced mode enumerates square-free exponent vectors exactly, so absence
@@ -84,11 +76,8 @@ def check_condition_m(
     """
     if mode not in ("reduced", "unrestricted"):
         raise InvalidParameterError(f"unknown mode {mode!r}; choose 'reduced' or 'unrestricted'")
-    fan = _fan_for(p, fan)
-    if group is None:
-        group = class_group(p, fan)
-    elif group.fan != fan:
-        raise DegenerateInputError(f"the class group given is not that of {p}")
+    group = class_group(p)
+    fan = group.fan
     n = fan.n_rays
     if mode == "reduced":
         pool = reduced_witnesses(group, budget=budget)
@@ -99,7 +88,7 @@ def check_condition_m(
         witnesses = []
         ample = fan.ample_coefficients()
         for i in range(n):
-            pts = facet_shift(p, i, fan).lattice_points()
+            pts = facet_shift(p, i).lattice_points()
             w = tuple(dot(pts[0], u) + a for u, a in zip(fan.rays, ample)) if pts else None
             witnesses.append(w)
     report = ConditionMReport(
@@ -114,13 +103,14 @@ def check_condition_m(
     return report
 
 
-def sections_of_class(p: LatticePolytope, coefficients, fan: NormalFan | None = None):
+def sections_of_class(p: LatticePolytope, coefficients):
     """Torus-invariant sections of the divisor: lattice points of P_D with exponents.
 
     Returns a sorted list of (lattice point, exponent vector over rays); the
     exponent vector of m is (<m, u_ray> + a_ray)_ray.
     """
-    fan = _fan_for(p, fan)
+    coefficients = _as_int_tuple(coefficients)
+    fan = normal_fan(p)
     pd = divisor_polytope(fan, coefficients)
     out = []
     for m in pd.lattice_points():
@@ -140,9 +130,7 @@ class CrossCheckResult:
         return self.exists_by_exponents == self.exists_by_polytope
 
 
-def cross_check_unrestricted(
-    p: LatticePolytope, ray_index: int, fan: NormalFan | None = None, budget=2_000_000
-) -> CrossCheckResult:
+def cross_check_unrestricted(p: LatticePolytope, ray_index: int, budget=2_000_000) -> CrossCheckResult:
     """Two routes to 'an unrestricted witness exists for this ray' must agree.
 
     Route one scans exponent vectors directly, capped by the width of the
@@ -157,10 +145,10 @@ def cross_check_unrestricted(
     The check is that route one's hit is a real witness and that both
     routes agree.
     """
-    fan = _fan_for(p, fan)
+    fan = normal_fan(p)
     if not 0 <= ray_index < fan.n_rays:
         raise DegenerateInputError(f"ray index {ray_index} is not in 0..{fan.n_rays - 1}")
-    group = class_group(p, fan)
+    group = class_group(p)
     caps = [max(dot(v, u) for v in p.vertices) - c for u, c in zip(fan.rays, fan.offsets)]
     lo = [0] * fan.n_rays
     lo[ray_index] = 1
@@ -168,7 +156,7 @@ def cross_check_unrestricted(
     if hit is not None:
         _check_witness(group, ray_index, hit)
     by_exponents = hit is not None
-    by_polytope = len(facet_shift(p, ray_index, fan).lattice_points()) > 0
+    by_polytope = len(facet_shift(p, ray_index).lattice_points()) > 0
 
     result = CrossCheckResult(ray_index, by_exponents, by_polytope)
     if not result.agree:
@@ -217,9 +205,8 @@ def strong_variation_certificate(p: LatticePolytope, seeds=None) -> VariationCer
     smooth = is_smooth(q)
     if smooth.overall:
         evidence = []
-        fan = normal_fan(q)
-        for i in range(fan.n_rays):
-            shifted = facet_shift(q, i, fan)
+        for i in range(normal_fan(q).n_rays):
+            shifted = facet_shift(q, i)
             if shifted.is_empty() or not shifted.is_lattice():
                 return VariationCertificate("none")
             sub = find_unobstructed_subdivision(shifted.to_lattice_polytope())

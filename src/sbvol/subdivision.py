@@ -397,6 +397,16 @@ def _boundary_test(points, p: LatticePolytope):
     return in_boundary
 
 
+def _subdivided(s: Subdivision, p: LatticePolytope | None) -> LatticePolytope:
+    """s.polytope, which p, when given, must be; a p that s does not subdivide raises."""
+    if p is not None and p != s.polytope:
+        raise DegenerateInputError(
+            f"the subdivision is of the polytope with vertices {s.polytope.vertices}, "
+            f"not of the one with vertices {p.vertices}"
+        )
+    return s.polytope
+
+
 def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationReport:
     """Check integrality, cover, face-to-face facet pairing, and the witness.
 
@@ -406,8 +416,7 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
     (De Loera, Rambau, Santos, Triangulations, 2010, section 4.5).  The
     matched facets are the walls the strict convexity check crosses.
     """
-    if p is None:
-        p = s.polytope
+    p = _subdivided(s, p)
     checks = []
     d = p.dim()
 
@@ -484,5 +493,5 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
 
 def interior_cells(s: Subdivision, p: LatticePolytope | None = None):
     """Cells not contained in the boundary of the subdivided polytope."""
-    in_boundary = _boundary_test(s.points, s.polytope if p is None else p)
+    in_boundary = _boundary_test(s.points, _subdivided(s, p))
     return tuple(c for c, mask in zip(s.cells, s.cell_masks) if not in_boundary(mask))

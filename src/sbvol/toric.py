@@ -37,6 +37,8 @@ from .polytope import (
     AffineChart,
     LatticePolytope,
     RationalPolytope,
+    _as_int_tuple,
+    _is_rational,
     _triangulate_cone,
     integer_points,
 )
@@ -100,26 +102,20 @@ class NormalFan:
 
 
 def normal_fan(p: LatticePolytope) -> NormalFan:
-    if not p.is_full_dimensional():
-        raise DegenerateInputError("normal fan requires a full-dimensional polytope")
-    if p.dim() == 0:
-        raise DegenerateInputError("normal fan of a point is empty")
-    system = p.facet_system()
-    rays = tuple(n for n, _ in system)
-    offsets = tuple(c for _, c in system)
-    cones = []
-    for v in p.vertices:
-        cones.append(frozenset(i for i, (n, c) in enumerate(system) if dot(n, v) == c))
-    return NormalFan(p, rays, offsets, tuple(cones))
-
-
-def _fan_for(p: LatticePolytope, fan: NormalFan | None) -> NormalFan:
-    """`fan`, or the normal fan of p when it is None; a fan of another polytope is rejected."""
-    if fan is None:
-        return normal_fan(p)
-    if fan.polytope != p:
-        raise DegenerateInputError(f"the fan given is the normal fan of {fan.polytope}, not of {p}")
-    return fan
+    """The normal fan of p, built once and kept with p."""
+    if "fan" not in p._cache:
+        if not p.is_full_dimensional():
+            raise DegenerateInputError("normal fan requires a full-dimensional polytope")
+        if p.dim() == 0:
+            raise DegenerateInputError("normal fan of a point is empty")
+        system = p.facet_system()
+        rays = tuple(n for n, _ in system)
+        offsets = tuple(c for _, c in system)
+        cones = []
+        for v in p.vertices:
+            cones.append(frozenset(i for i, (n, c) in enumerate(system) if dot(n, v) == c))
+        p._cache["fan"] = NormalFan(p, rays, offsets, tuple(cones))
+    return p._cache["fan"]
 
 
 def ord_value(p: LatticePolytope, n) -> int:
@@ -205,6 +201,15 @@ class FineInteriorResult:
     def vertices(self):
         return self.polytope.vertices()
 
+    @property
+    def kodaira_dimension(self):
+        """-inf when empty, else the dim, less one at the full dim of the ambient space."""
+        if self.is_empty:
+            return float("-inf")
+        if self.dim == self.polytope.ambient_dim:
+            return self.dim - 1
+        return self.dim
+
 
 def _minor_gcds(rays, d):
     """Table g[S] over the nonempty subsets S of d independent rays (bitmasks).
@@ -286,9 +291,7 @@ def _subcone_scan_frame(tri, d):
     return uinv, tcons, lo, hi, new_rays
 
 
-def fine_interior(
-    p: LatticePolytope, fan: NormalFan | None = None, budget=50_000_000
-) -> FineInteriorResult:
+def fine_interior(p: LatticePolytope, budget=50_000_000) -> FineInteriorResult:
     """Intersection of all supporting halfspaces shifted inward by one.
 
     Strategy: start from the facet normals and iterate.  If m satisfies the
@@ -306,7 +309,7 @@ def fine_interior(
     does not return adds at least one new primitive vector, and all of
     them are integer points of the subcones' fixed slab boxes, a finite set.
     """
-    fan = _fan_for(p, fan)
+    fan = normal_fan(p)
     d = p.ambient_dim
     halfspaces = {u: c + 1 for u, c in zip(fan.rays, fan.offsets)}
 
@@ -361,18 +364,12 @@ def fine_interior(
             halfspaces[n] = ord_value(p, n) + 1
 
 
-def kodaira_dimension(p: LatticePolytope, fi: FineInteriorResult | None = None):
+def kodaira_dimension(p: LatticePolytope):
     """-inf when the Fine interior is empty, else its dim, less one at full dim."""
     if p.dim() < 1:
         raise DegenerateInputError("Kodaira dimension needs a positive-dimensional polytope")
-    if fi is None:
-        q, _ = p.normalize_full_dimensional()
-        fi = fine_interior(q)
-    if fi.is_empty:
-        return float("-inf")
-    if fi.dim == p.dim():
-        return fi.dim - 1
-    return fi.dim
+    q, _ = p.normalize_full_dimensional()
+    return fine_interior(q).kodaira_dimension
 
 
 def is_general_type(p: LatticePolytope) -> bool:
@@ -416,13 +413,15 @@ def divisor_polytope(fan: NormalFan, coefficients) -> RationalPolytope:
         raise DimensionMismatchError(
             f"divisor has {len(coefficients)} coefficients, fan has {fan.n_rays} rays"
         )
+    if not all(_is_rational(a) for a in coefficients):
+        raise DegenerateInputError(f"divisor coefficients {coefficients!r} are not ints or Fractions")
     halfspaces = [(u, Fraction(-a)) for u, a in zip(fan.rays, coefficients)]
     return RationalPolytope(fan.polytope.ambient_dim, halfspaces)
 
 
-def facet_shift(p: LatticePolytope, ray_index: int, fan: NormalFan | None = None) -> RationalPolytope:
+def facet_shift(p: LatticePolytope, ray_index: int) -> RationalPolytope:
     """Shift the supporting halfspace of one facet inward by one, keep the rest."""
-    fan = _fan_for(p, fan)
+    fan = normal_fan(p)
     if not 0 <= ray_index < fan.n_rays:
         raise DegenerateInputError(f"no ray with index {ray_index}")
     coeffs = list(fan.ample_coefficients())
@@ -464,6 +463,7 @@ class DivisorClassGroup:
         return self.torsion_moduli
 
     def degree(self, coefficients) -> ClassElement:
+        coefficients = _as_int_tuple(coefficients)
         if len(coefficients) != self.fan.n_rays:
             raise DegenerateInputError("coefficient vector length must match the ray count")
         t = mat_vec([list(r) for r in self.u_matrix], coefficients)
@@ -484,24 +484,25 @@ class DivisorClassGroup:
         return (self.free_rank, self.torsion_moduli)
 
 
-def class_group(p: LatticePolytope, fan: NormalFan | None = None) -> DivisorClassGroup:
-    fan = _fan_for(p, fan)
-    pairing = [list(u) for u in fan.rays]  # rays x dim
-    sd = smith_form(pairing)
-    r = len(pairing[0])
-    diag = [sd.s[i][i] for i in range(min(len(pairing), r))]
-    if any(d == 0 for d in diag):
-        raise DegenerateInputError("the ray pairing matrix must have full column rank")
-    torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)
-    torsion_moduli = tuple(diag[i] for i in torsion_positions)
-    free_positions = tuple(range(len(diag), len(pairing)))
-    return DivisorClassGroup(
-        fan=fan,
-        u_matrix=sd.u,
-        torsion_moduli=torsion_moduli,
-        torsion_positions=torsion_positions,
-        free_positions=free_positions,
-    )
+def class_group(p: LatticePolytope) -> DivisorClassGroup:
+    """The divisor class group of p's normal fan, built once and kept with p."""
+    if "class_group" not in p._cache:
+        fan = normal_fan(p)
+        pairing = [list(u) for u in fan.rays]  # rays x dim
+        sd = smith_form(pairing)
+        r = len(pairing[0])
+        diag = [sd.s[i][i] for i in range(min(len(pairing), r))]
+        if any(d == 0 for d in diag):
+            raise DegenerateInputError("the ray pairing matrix must have full column rank")
+        torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)
+        p._cache["class_group"] = DivisorClassGroup(
+            fan=fan,
+            u_matrix=sd.u,
+            torsion_moduli=tuple(diag[i] for i in torsion_positions),
+            torsion_positions=torsion_positions,
+            free_positions=tuple(range(len(diag), len(pairing))),
+        )
+    return p._cache["class_group"]
 
 
 def divisor_class(group: DivisorClassGroup, coefficients) -> ClassElement:

@@ -113,7 +113,7 @@ def _c02_hpt():
     g = class_group(p)
     if g.describe() != (1, (2, 2)):
         return False, f"class group {g.describe()} != (1, (2, 2))"
-    sections = sections_of_class(p, g.fan.ample_coefficients(), g.fan)
+    sections = sections_of_class(p, g.fan.ample_coefficients())
     if len(sections) != 12:
         return False, f"{len(sections)} sections, expected 12"
     perm = _match_up_to_ray_permutation(
@@ -121,7 +121,7 @@ def _c02_hpt():
     )
     if perm is None:
         return False, "section exponents do not match the listed monomials"
-    rep = check_condition_m(p, mode="reduced", group=g)
+    rep = check_condition_m(p, mode="reduced")
     if not rep.holds:
         return False, "condition (M) fails in reduced mode"
     return True, "class group Z x Z/2 x Z/2, 12 sections, condition (M) holds"
@@ -140,7 +140,7 @@ def _c03_schreieder_class_groups():
         ample = g.ample_class()
         if abs(ample.free[0]) != 2 * d or any(t != 0 for t in ample.torsion):
             return False, f"n={n}: ample class {ample}"
-        rep = check_condition_m(data.polytope, group=g)
+        rep = check_condition_m(data.polytope)
         if not rep.holds:
             return False, f"n={n}: condition (M) fails"
     return True, "condition (M) and (Z/2)^n x Z with ample (0,..,0,2d) for n=3,4"
@@ -353,9 +353,8 @@ def _c11c_condition_m_agreement():
     while done < 50:
         dim = rng.choice([2, 2, 3])
         p = _random_polytope(rng, dim, coord=2)
-        fan = normal_fan(p)
-        for i in range(fan.n_rays):
-            cross_check_unrestricted(p, i, fan)  # raises on disagreement
+        for i in range(normal_fan(p).n_rays):
+            cross_check_unrestricted(p, i)  # raises on disagreement
         done += 1
     return True, "50 polytopes, every ray, both routes agree"
 

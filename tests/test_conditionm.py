@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sbvol import conditionm
+from sbvol import conditionm, toric
 from sbvol.conditionm import (
     check_condition_m,
     cross_check_unrestricted,
@@ -115,14 +115,20 @@ class TestSections:
         ]
         p = hpt()
         fan = normal_fan(p)
-        secs = sections_of_class(p, fan.ample_coefficients(), fan)
+        secs = sections_of_class(p, fan.ample_coefficients())
         assert len(secs) == 12
         assert match_up_to_permutation([w for _, w in secs], expected)
+
+    def test_float_and_bool_coefficients_rejected(self):
+        for coeffs in ([0.5, 2.0, True], [0, 0, True], [1.0, 0, 0]):
+            with pytest.raises(DegenerateInputError, match=r"^integer vector expected"):
+                sections_of_class(simplex(2), coeffs)
+        assert sections_of_class(simplex(2), [0, 0, 1]) == sections_of_class(simplex(2), (0, 0, 1))
 
     def test_zero_divisor_single_section(self):
         p = dilate(simplex(2), 3)
         fan = normal_fan(p)
-        secs = sections_of_class(p, [0] * fan.n_rays, fan)
+        secs = sections_of_class(p, [0] * fan.n_rays)
         assert len(secs) == 1
         assert secs[0][0] == (0, 0)
 
@@ -137,7 +143,7 @@ class TestSections:
         p = hull([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
         fan = normal_fan(p)
         assert fan.n_rays == 6
-        secs = sections_of_class(p, fan.ample_coefficients(), fan)
+        secs = sections_of_class(p, fan.ample_coefficients())
         assert len(secs) == 5
         assert match_up_to_permutation([w for _, w in secs], expected)
         rep = check_condition_m(p)
@@ -154,20 +160,35 @@ class TestCrossCheck:
             p = dilate(simplex(3), d)
             fan = normal_fan(p)
             for i in range(fan.n_rays):
-                res = cross_check_unrestricted(p, i, fan)
+                res = cross_check_unrestricted(p, i)
                 assert res.agree and res.exists_by_polytope
 
     def test_hpt_agrees(self):
         p = hpt()
         fan = normal_fan(p)
         for i in range(fan.n_rays):
-            assert cross_check_unrestricted(p, i, fan).agree
+            assert cross_check_unrestricted(p, i).agree
 
     def test_singular_simplex_agrees(self):
         p = tpq(1, 2)
         fan = normal_fan(p)
         for i in range(fan.n_rays):
-            assert cross_check_unrestricted(p, i, fan).agree
+            assert cross_check_unrestricted(p, i).agree
+
+    def test_one_smith_form_across_all_rays(self, monkeypatch):
+        calls = []
+        smith_form = toric.smith_form
+
+        def counted(m):
+            calls.append(m)
+            return smith_form(m)
+
+        monkeypatch.setattr(toric, "smith_form", counted)
+        for p in (hpt(), tpq(1, 2)):
+            before = len(calls)
+            for i in range(normal_fan(p).n_rays):
+                cross_check_unrestricted(p, i)
+            assert len(calls) - before == 1
 
     def test_budget_error_names_the_cross_check(self):
         p = hpt()
@@ -176,7 +197,7 @@ class TestCrossCheck:
             match=r"^cross_check_unrestricted: integer point scan spent 2 nodes, over its budget of 1"
             r" \(dimension 6, 2 constraints\)$",
         ):
-            cross_check_unrestricted(p, 0, normal_fan(p), budget=1)
+            cross_check_unrestricted(p, 0, budget=1)
 
     @pytest.mark.parametrize("ray_index", [6, 99, -1, -7])
     def test_ray_index_out_of_range_raises_before_any_search(self, ray_index, monkeypatch):
@@ -187,7 +208,7 @@ class TestCrossCheck:
         monkeypatch.setattr(conditionm, "integer_points", refuse)
         p = hpt()
         with pytest.raises(DegenerateInputError, match=r"^ray index -?\d+ is not in 0\.\.5$"):
-            cross_check_unrestricted(p, ray_index, normal_fan(p))
+            cross_check_unrestricted(p, ray_index)
 
     def test_route_one_checks_its_hit(self, monkeypatch):
         # The unit triangle's ample divisor has coefficient 0 on the rays
@@ -205,33 +226,7 @@ class TestCrossCheck:
             InternalConsistencyError,
             match=r"^ray 1: witness \(1, 0, 0\) is not an ample section vanishing on it$",
         ):
-            cross_check_unrestricted(p, ray, fan)
-
-
-class TestForeignFan:
-    """A fan or class group passed alongside a polytope must be that polytope's."""
-
-    TRIANGLE = hull([(0, 0), (4, 0), (0, 4)])
-    SQUARE_FAN = normal_fan(hull([(0, 0), (3, 0), (0, 3), (3, 3)]))
-    FOREIGN = r"^the fan given is the normal fan of LatticePolytope\(dim 2 in Z\^2, 4 vertices\)"
-
-    def test_check_condition_m(self):
-        # With the square's fan the parent answered holds=False with no witness.
-        for mode in ("reduced", "unrestricted"):
-            with pytest.raises(DegenerateInputError, match=self.FOREIGN):
-                check_condition_m(self.TRIANGLE, mode=mode, fan=self.SQUARE_FAN)
-        with pytest.raises(DegenerateInputError, match=r"^the class group given is not that of"):
-            check_condition_m(self.TRIANGLE, group=class_group(self.SQUARE_FAN.polytope))
-        own = normal_fan(hull([(4, 0), (0, 4), (0, 0)]))  # equal polytope, another object
-        assert check_condition_m(self.TRIANGLE, fan=own) == check_condition_m(self.TRIANGLE)
-
-    def test_sections_of_class(self):
-        with pytest.raises(DegenerateInputError, match=self.FOREIGN):
-            sections_of_class(self.TRIANGLE, (0, 0, 0, 0), self.SQUARE_FAN)
-
-    def test_cross_check_unrestricted(self):
-        with pytest.raises(DegenerateInputError, match=self.FOREIGN):
-            cross_check_unrestricted(self.TRIANGLE, 0, self.SQUARE_FAN)
+            cross_check_unrestricted(p, ray)
 
 
 class TestDefinitionChase:
@@ -243,11 +238,11 @@ class TestDefinitionChase:
             fan = normal_fan(p)
             ample = fan.ample_coefficients()
             for i in range(fan.n_rays):
-                shifted = facet_shift(p, i, fan)
+                shifted = facet_shift(p, i)
                 assert shifted.is_lattice()
                 coeffs = list(ample)
                 coeffs[i] -= 1
-                secs = sections_of_class(p, coeffs, fan)
+                secs = sections_of_class(p, coeffs)
                 assert (len(secs) > 0) == (len(shifted.lattice_points()) > 0)
 
 

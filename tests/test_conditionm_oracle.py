@@ -87,7 +87,7 @@ def oracle_reduced_witnesses(group, budget=2_000_000):
 
 def oracle_route_one(p, ray_index, fan, budget=2_000_000):
     """Route one of the cross check: does an exponent vector of ample degree vanish on the ray?"""
-    group = class_group(p, fan)
+    group = class_group(p)
     target = group.ample_class()
     caps = []
     for u, c in zip(fan.rays, fan.offsets):
@@ -157,7 +157,7 @@ def check_reduced(p):
     group = class_group(p)
     pool, nodes = dfs_nodes(lambda: oracle_reduced_witnesses(group))
     assert reduced_witnesses(group, budget=nodes) == pool
-    report = check_condition_m(p, group=group, budget=nodes)
+    report = check_condition_m(p, budget=nodes)
     n = group.fan.n_rays
     assert report.witnesses == tuple(next((w for w in pool if w[i] >= 1), None) for i in range(n))
 
@@ -166,7 +166,7 @@ def check_route_one(p, rays=None):
     fan = normal_fan(p)
     for i in range(fan.n_rays) if rays is None else rays:
         exists, nodes = dfs_nodes(lambda: oracle_route_one(p, i, fan))
-        res = cross_check_unrestricted(p, i, fan, budget=nodes)
+        res = cross_check_unrestricted(p, i, budget=nodes)
         assert res.exists_by_exponents == exists == res.exists_by_polytope
 
 
@@ -194,6 +194,6 @@ def test_route_one_stops_at_its_first_hit():
     # the oracle spends 42,000 nodes on this ray; the scan stops at its first hit, after 1,076
     p = schreieder(3).polytope
     fan = normal_fan(p)
-    res = cross_check_unrestricted(p, 0, fan, budget=2_000)
+    res = cross_check_unrestricted(p, 0, budget=2_000)
     assert res.exists_by_exponents and res.agree
 

@@ -247,9 +247,11 @@ def _unimodular_01_polytopes(rng, count):
         lin = [[int(i == j) for j in range(4)] for i in range(4)]
         for _ in range(4):
             i, j = rng.sample(range(4), 2)
-            row = [a + rng.choice((-1, 1)) * b for a, b in zip(lin[i], lin[j])]
+            sign = rng.choice((-1, 1))
+            row = [a + sign * b for a, b in zip(lin[i], lin[j])]
             if max(abs(x) for x in row) <= 1:
                 lin[i] = row
+        assert abs(det(lin)) == 1
         shift = [rng.randint(-3, 3) for _ in range(4)]
         p = hull([tuple(sum(a * x for a, x in zip(row, q)) + t for row, t in zip(lin, shift)) for q in pts])
         if p.dim() == 4:

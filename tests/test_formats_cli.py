@@ -4,7 +4,7 @@ import pytest
 
 from sbvol import formats
 from sbvol.cli import main
-from sbvol import cli
+from sbvol import cli, toric
 from sbvol.errors import DegenerateInputError, InternalConsistencyError
 from sbvol.families import dilated_simplex, hpt
 from sbvol.polytope import hull
@@ -57,6 +57,20 @@ class TestCli:
         assert doc["class_group"]["invariant_factors"] == [2, 2]
         assert doc["condition_m"]["holds"] is True
         assert doc["fine_interior"]["empty"] is True
+
+    def test_compute_all_runs_one_smith_form(self, tmp_path, capsys, monkeypatch):
+        # The class group report and condition (M) share the polytope's group.
+        calls = []
+        smith_form = toric.smith_form
+
+        def counted(m):
+            calls.append(m)
+            return smith_form(m)
+
+        monkeypatch.setattr(toric, "smith_form", counted)
+        path = self.write_polytope(tmp_path, hpt(), "hpt")
+        assert main(["compute", "--input", path, "--all"]) == 0
+        assert len(calls) == 1
 
     def test_construct_and_fine_interior(self, tmp_path, capsys):
         out = str(tmp_path / "p.json")

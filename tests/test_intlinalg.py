@@ -284,7 +284,7 @@ def test_package_has_no_floats_in_the_math_path():
     # Kodaira dimension -inf (returned and compared) and the time budgets
     # of the acceptance criteria.
     allowed = {
-        ("toric.py", "kodaira_dimension", "float('-inf')"),
+        ("toric.py", "FineInteriorResult", "float('-inf')"),
         ("cli.py", "_compute_report", "float('-inf')"),
         ("verification.py", "ALL_CRITERIA", "literal"),
     }

@@ -147,6 +147,18 @@ class TestVolumeLedger:
         with pytest.raises(SubdivisionError):
             volume_ledger(p, bad)
 
+    def test_rejects_a_polytope_the_subdivision_is_not_of(self):
+        # Unchecked, the trivial subdivision of [0, 2]^2 read against
+        # [-1, 3]^2 gave -8*[point] plus a strongly varying square.
+        small = hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+        big = hull([(-1, -1), (3, -1), (-1, 3), (3, 3)])
+        s = regular_subdivision(small, height_function(small, lambda v: 0))
+        for check in (True, False):
+            with pytest.raises(DegenerateInputError, match=r"^the subdivision is of the polytope with vertices"):
+                volume_ledger(big, s, check=check)
+        own = volume_ledger(small, s, check=False)
+        assert own.point_coefficient == 0 and [e.coefficient for e in own.entries] == [1]
+
     def test_refinement_of_rational_cells_keeps_verdict(self):
         p = dilate(simplex(3), 4)
         s = regular_subdivision(p, height_function(p, lambda v: abs(v[0] + v[1] + 2 * v[2] - 4)))

@@ -386,7 +386,28 @@ class TestStagedDistance:
             staged_distance_height(p, hull([(1, 1)]), [hull([(0, 0), (1, 0)])])
 
 
+def _square_and_the_square_around_it():
+    """The trivial subdivision of [0, 2]^2, and [-1, 3]^2, which it does not subdivide."""
+    small = hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    return regular_subdivision(small, {x: 0 for x in small.lattice_points()}), hull(
+        [(-1, -1), (3, -1), (-1, 3), (3, 3)]
+    )
+
+
 class TestValidation:
+    def test_validate_rejects_a_polytope_it_does_not_subdivide(self):
+        s, big = _square_and_the_square_around_it()
+        with pytest.raises(DegenerateInputError, match=r"^the subdivision is of the polytope with vertices"):
+            validate(s, big)
+        assert validate(s, hull([(2, 2), (0, 0), (2, 0), (0, 2)])).ok  # equal polytope, another object
+
+    def test_interior_cells_rejects_a_polytope_it_does_not_subdivide(self):
+        # Read against the big square, every one of the 9 cells was interior.
+        s, big = _square_and_the_square_around_it()
+        with pytest.raises(DegenerateInputError, match=r"^the subdivision is of the polytope with vertices"):
+            interior_cells(s, big)
+        assert [c.dim() for c in interior_cells(s, hull([(2, 2), (0, 0), (2, 0), (0, 2)]))] == [2]
+
     def test_overlapping_cells_fail_cover(self):
         p = hull([(0, 0), (2, 0), (0, 2), (2, 2)])
         a = hull([(0, 0), (2, 0), (0, 2), (2, 2)])

@@ -269,25 +269,32 @@ class TestDivisors:
         pd = divisor_polytope(fan, [0] * fan.n_rays)
         assert pd.vertices() == ((Fraction(0), Fraction(0)),)
 
+    def test_divisor_polytope_rejects_floats_and_bools(self):
+        fan = normal_fan(simplex(2))
+        for coeffs in ([0.1, 0, 2], [True, 0, 0]):
+            with pytest.raises(DegenerateInputError, match=r"^divisor coefficients .* are not ints or Fractions$"):
+                divisor_polytope(fan, coeffs)
+        assert divisor_polytope(fan, [Fraction(1, 2), 0, 0]).halfspaces
+
     def test_facet_shift_segment(self):
         p = hull([(0,), (5,)])
         fan = normal_fan(p)
         left = [i for i, u in enumerate(fan.rays) if u == (1,)][0]
-        shifted = facet_shift(p, left, fan)
+        shifted = facet_shift(p, left)
         assert sorted(shifted.vertices()) == [(Fraction(1),), (Fraction(5),)]
 
     def test_facet_shift_smooth_is_lattice(self):
         p = dilate(simplex(3), 4)
         fan = normal_fan(p)
         for i in range(fan.n_rays):
-            assert facet_shift(p, i, fan).is_lattice()
+            assert facet_shift(p, i).is_lattice()
 
     def test_shift_matches_divisor_polytope(self):
         p = dilate(simplex(3), 4)
         fan = normal_fan(p)
         coeffs = list(fan.ample_coefficients())
         coeffs[0] -= 1
-        a = facet_shift(p, 0, fan)
+        a = facet_shift(p, 0)
         b = divisor_polytope(fan, coeffs)
         assert sorted(a.vertices()) == sorted(b.vertices())
 
@@ -296,7 +303,7 @@ class TestDivisors:
         polys = [dilate(simplex(3), 4), hpt(), hull([(0, 0, 0), (3, 0, 0), (0, 2, 0), (1, 1, 3)])]
         for p in polys:
             fan = normal_fan(p)
-            systems = [facet_shift(p, i, fan) for i in range(fan.n_rays)]
+            systems = [facet_shift(p, i) for i in range(fan.n_rays)]
             for _ in range(4):
                 # rational offsets around the ample divisor
                 coeffs = [a + Fraction(rng.randint(-3, 2), rng.randint(1, 3)) for a in fan.ample_coefficients()]
@@ -375,6 +382,28 @@ class TestClassGroup:
             coeffs = [sum(a * b for a, b in zip(m, u)) for u in g.fan.rays]
             assert divisor_class(g, coeffs).is_zero()
 
+    def test_fan_and_group_are_built_once_per_polytope(self, monkeypatch):
+        calls = []
+        smith_form = toric_module.smith_form
+
+        def counted(m):
+            calls.append(m)
+            return smith_form(m)
+
+        monkeypatch.setattr(toric_module, "smith_form", counted)
+        p = hull([(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 2)])
+        assert normal_fan(p) is normal_fan(p)
+        assert class_group(p) is class_group(p)
+        assert class_group(p).fan is normal_fan(p)
+        assert len(calls) == 1
+
+    def test_degree_rejects_floats_and_bools(self):
+        g = class_group(simplex(2))
+        for coeffs in ([0.5, 1, True], [1.0, 0, 0], [True, 0, 0], [Fraction(1, 2), 0, 0]):
+            with pytest.raises(DegenerateInputError, match=r"^integer vector expected"):
+                g.degree(coeffs)
+        assert g.degree([Fraction(2), 0, -1]) == g.degree((2, 0, -1))
+
     def test_rank_nullity(self):
         rng = random.Random(23)
         for _ in range(8):
@@ -384,32 +413,3 @@ class TestClassGroup:
                 continue
             g = class_group(p)
             assert g.free_rank + d == g.fan.n_rays
-
-
-class TestForeignFan:
-    """A fan passed alongside a polytope must be that polytope's normal fan.
-
-    The triangle's fan-free Fine interior has vertices (1, 1), (1, 2) and
-    (2, 1); read through the fan of the 3 x 3 square it would come out as
-    the square [1, 2]^2, with (2, 2) outside the triangle's.
-    """
-
-    TRIANGLE = hull([(0, 0), (4, 0), (0, 4)])
-    SQUARE_FAN = normal_fan(hull([(0, 0), (3, 0), (0, 3), (3, 3)]))
-    FOREIGN = r"^the fan given is the normal fan of LatticePolytope\(dim 2 in Z\^2, 4 vertices\)"
-
-    def test_fine_interior(self):
-        with pytest.raises(DegenerateInputError, match=self.FOREIGN):
-            fine_interior(self.TRIANGLE, fan=self.SQUARE_FAN)
-        own = normal_fan(hull([(4, 0), (0, 4), (0, 0)]))  # equal polytope, another object
-        got = fine_interior(self.TRIANGLE, fan=own)
-        assert got.generators == fine_interior(self.TRIANGLE).generators
-        assert got.vertices() == ((1, 1), (1, 2), (2, 1))
-
-    def test_facet_shift(self):
-        with pytest.raises(DegenerateInputError, match=self.FOREIGN):
-            facet_shift(self.TRIANGLE, 0, self.SQUARE_FAN)
-
-    def test_class_group(self):
-        with pytest.raises(DegenerateInputError, match=self.FOREIGN):
-            class_group(self.TRIANGLE, self.SQUARE_FAN)
