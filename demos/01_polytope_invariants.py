@@ -5,7 +5,7 @@ Run as: python3 demos/01_polytope_invariants.py
 
 from sbvol import hull
 from sbvol.families import dilated_simplex, tpq
-from sbvol.toric import fine_interior, kodaira_dimension, is_general_type
+from sbvol.toric import fine_interior
 
 
 def show(title, lines):
@@ -45,19 +45,22 @@ show(
         f"fine interior dim: {fi.dim}, lattice: {fi.is_lattice}",
         "fine interior vertices: "
         + ", ".join("(" + ", ".join(str(x) for x in v) + ")" for v in fi.vertices()),
-        f"kodaira dimension: {kodaira_dimension(p)} (general type: {is_general_type(p)})",
+        # general type: Kodaira dimension one less than the polytope's dimension
+        f"kodaira dimension: {fi.kodaira_dimension}"
+        f" (general type: {fi.kodaira_dimension == p.dim() - 1})",
     ],
 )
 
 # The K3 case: one interior point, Kodaira dimension zero.
 s = dilated_simplex(4, 3)
+fi = fine_interior(s)
 show(
     "the quartic surface polytope",
     [
         "fine interior vertices: "
         + ", ".join(
-            "(" + ", ".join(str(x) for x in v) + ")" for v in fine_interior(s).vertices()
+            "(" + ", ".join(str(x) for x in v) + ")" for v in fi.vertices()
         ),
-        f"kodaira dimension: {kodaira_dimension(s)}",
+        f"kodaira dimension: {fi.kodaira_dimension}",
     ],
 )

@@ -146,8 +146,8 @@ def cross_check_unrestricted(p: LatticePolytope, ray_index: int, budget=2_000_00
     routes agree.
     """
     fan = normal_fan(p)
-    if not 0 <= ray_index < fan.n_rays:
-        raise DegenerateInputError(f"ray index {ray_index} is not in 0..{fan.n_rays - 1}")
+    if type(ray_index) is not int or not 0 <= ray_index < fan.n_rays:
+        raise DegenerateInputError(f"ray index {ray_index!r} is not in 0..{fan.n_rays - 1}")
     group = class_group(p)
     caps = [max(dot(v, u) for v in p.vertices) - c for u, c in zip(fan.rays, fan.offsets)]
     lo = [0] * fan.n_rays

@@ -30,7 +30,7 @@ def standard_simplex(n: int) -> LatticePolytope:
 
 
 def dilated_simplex(d: int, n: int) -> LatticePolytope:
-    if d < 1 or n < 1:
+    if type(d) is not int or type(n) is not int or d < 1 or n < 1:
         raise InvalidParameterError("dilated simplex needs d >= 1 and n >= 1")
     return dilate(standard_simplex(n), d)
 

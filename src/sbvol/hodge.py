@@ -16,7 +16,7 @@ from functools import reduce
 from operator import and_
 
 from .errors import DegenerateInputError
-from .polytope import LatticePolytope
+from .polytope import LatticePolytope, _bits
 from .toric import fine_interior
 
 
@@ -34,7 +34,7 @@ class HodgeRow:
 
 
 def _face_data(p: LatticePolytope):
-    """(index set, dim, interior count, vertex count) for every face.
+    """(vertex bitmask, dim, interior count, vertex count) for every face.
 
     The points in a face's relative interior are those whose carrier is the
     AND of its vertices' carriers: they lie on exactly the facets it lies on.
@@ -43,8 +43,8 @@ def _face_data(p: LatticePolytope):
     counts = Counter(table.values())
     carriers = [table[v] for v in p.vertices]
     return {
-        f: (d, counts[reduce(and_, (carriers[i] for i in f))], len(f))
-        for f, d in p._face_index_sets().items()
+        f: (d, counts[reduce(and_, (carriers[i] for i in _bits(f)))], f.bit_count())
+        for f, d in p._face_masks().items()
     }
 
 
@@ -55,12 +55,12 @@ def _e_open_from_faces(face_items, sub, sub_dim, p):
         edges = sum(
             interior
             for f, (d, interior, _nv) in face_items
-            if d == 1 and f <= sub
+            if d == 1 and f & sub == f
         )
-        nverts = sum(1 for f, (d, _i, _nv) in face_items if d == 0 and f <= sub)
+        nverts = sum(1 for f, (d, _i, _nv) in face_items if d == 0 and f & sub == f)
         return sign * (edges + nverts - 1)
     total = sum(
-        interior for f, (d, interior, _nv) in face_items if d == p + 1 and f <= sub
+        interior for f, (d, interior, _nv) in face_items if d == p + 1 and f & sub == f
     )
     return sign * total
 

@@ -262,6 +262,12 @@ class LatticePolytope:
                 self._cache["facets"] = tuple(dd.facet_normals_from_points(self.vertices))
         return self._cache["facets"]
 
+    def _vertex_carriers(self):
+        """One carrier per vertex, over facet_system(): bit i is set when it lies on facet i."""
+        if "vertex_carriers" not in self._cache:
+            self._cache["vertex_carriers"] = tuple(carrier(self.facet_system(), v) for v in self.vertices)
+        return self._cache["vertex_carriers"]
+
     def as_halfspaces(self) -> "RationalPolytope":
         sys = self.facet_system()
         return RationalPolytope(self.ambient_dim, tuple((n, Fraction(c)) for n, c in sys))
@@ -343,10 +349,6 @@ class LatticePolytope:
                 masks = face_lattice((1 << nv) - 1, tight, q.dim(), budget)
             self._cache["face_masks"] = masks
         return self._cache["face_masks"]
-
-    def _face_index_sets(self):
-        """All nonempty faces as frozensets of indices into self.vertices, with dims."""
-        return {frozenset(_bits(m)): d for m, d in self._face_masks().items()}
 
     def faces(self, k=None):
         """All k-faces as LatticePolytopes (all faces grouped by dim when k is None)."""
@@ -540,15 +542,16 @@ def hull(points) -> LatticePolytope:
     if d == 0:
         return LatticePolytope._trusted(n, pts[:1])
     facets = dd.facet_normals_from_points(cpts)
-    verts = []
-    for p, orig in zip(cpts, pts):
-        tight = [list(nrm) for nrm, c in facets if dot(nrm, p) == c]
-        if tight and rank(tight) == d:
-            verts.append(orig)
-    out = LatticePolytope._trusted(n, sorted(verts))
+    carriers = [carrier(facets, x) for x in cpts]
+    # A vertex is the only point on all the facets it lies on.  Any other point lies
+    # in a face of dimension one or more, whose vertices have strictly larger carriers.
+    distinct = set(carriers)
+    alone = {m for m in distinct if not any(o != m and o & m == m for o in distinct)}
+    out = LatticePolytope._trusted(n, [x for x, m in zip(pts, carriers) if m in alone])
     if d == n:
         # The chart only moved the origin to its base: shift the offsets back.
         out._cache["facets"] = tuple((nrm, c + dot(nrm, ch.base)) for nrm, c in facets)
+        out._cache["vertex_carriers"] = tuple(m for m in carriers if m in alone)
     return out
 
 
@@ -608,6 +611,8 @@ def _bits(mask):
 
 
 def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
+    if type(k) is not int:
+        raise DegenerateInputError(f"dilation factor {k!r} is not an int")
     if k < 0:
         raise DegenerateInputError("dilation factor must be nonnegative")
     if k == 0:
@@ -683,12 +688,10 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
     # rows w_j; with D = det F, the integer matrix D F^{-1} is computed once.
     det_f, adj = adjugate([list(diffs[i]) for i in frame_idx])
 
-    def tight_count(poly, vert):
-        return sum(1 for n, c in poly.facet_system() if dot(n, vert) == c)
-
-    p_counts = [tight_count(pa, pv[1:][i]) for i in frame_idx]
-    q_count_of = {w: tight_count(qa, w) for w in qv}
-    v0_count = tight_count(pa, v0)
+    p_tight = [m.bit_count() for m in pa._vertex_carriers()]  # facets at each vertex
+    p_counts = [p_tight[i + 1] for i in frame_idx]
+    q_count_of = {w: m.bit_count() for w, m in zip(qv, qa._vertex_carriers())}
+    v0_count = p_tight[0]
 
     nodes = 0
     for w0 in qv:

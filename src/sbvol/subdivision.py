@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from . import dd
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -154,9 +153,9 @@ def _check_height_points(p: LatticePolytope, heights):
 def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
     """Subdivision induced by the lower convex envelope of the lifted lattice points.
 
-    An apex above the first point keeps the lifted set full-dimensional when
-    the heights are affine; it lies above the lower envelope, so it is on no
-    lower facet and leaves them unchanged.
+    The cells are the projected lower facets of one hull of the lift.  An apex
+    above the last point, which sorts last, keeps the lift full-dimensional
+    for affine heights and lies on no lower facet, as it is above them all.
     """
     if not p.is_full_dimensional():
         raise DegenerateInputError("subdivide a full-dimensional polytope (normalize first)")
@@ -170,14 +169,14 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
     d = p.dim()
     scale = lcm(*[v.denominator for v in hmap.values()])
     lifted = [x + (int(hmap[x] * scale),) for x in pts]
-    apex = pts[0] + (max(q[d] for q in lifted) + 1,)
+    lift = hull(lifted + [pts[-1] + (max(q[d] for q in lifted) + 1,)])
     maximal = []
     witness = []
-    for n, c in dd.facet_normals_from_points(lifted + [apex]):
+    for k, (n, c) in enumerate(lift.facet_system()):
         if n[d] <= 0:
             continue  # not a lower facet
-        tight = [x for x, q in zip(pts, lifted) if dot(n, q) == c]
-        maximal.append(hull(tight))
+        on = [v[:d] for v, m in zip(lift.vertices, lift._vertex_carriers()) if m >> k & 1]
+        maximal.append(LatticePolytope._trusted(d, on))
         witness.append((n, c))
     order = sorted(range(len(maximal)), key=lambda i: maximal[i].vertices)
     return _subdivision(

@@ -38,6 +38,7 @@ from .polytope import (
     LatticePolytope,
     RationalPolytope,
     _as_int_tuple,
+    _bits,
     _is_rational,
     _triangulate_cone,
     integer_points,
@@ -111,10 +112,8 @@ def normal_fan(p: LatticePolytope) -> NormalFan:
         system = p.facet_system()
         rays = tuple(n for n, _ in system)
         offsets = tuple(c for _, c in system)
-        cones = []
-        for v in p.vertices:
-            cones.append(frozenset(i for i, (n, c) in enumerate(system) if dot(n, v) == c))
-        p._cache["fan"] = NormalFan(p, rays, offsets, tuple(cones))
+        cones = tuple(frozenset(_bits(m)) for m in p._vertex_carriers())
+        p._cache["fan"] = NormalFan(p, rays, offsets, cones)
     return p._cache["fan"]
 
 
@@ -422,8 +421,8 @@ def divisor_polytope(fan: NormalFan, coefficients) -> RationalPolytope:
 def facet_shift(p: LatticePolytope, ray_index: int) -> RationalPolytope:
     """Shift the supporting halfspace of one facet inward by one, keep the rest."""
     fan = normal_fan(p)
-    if not 0 <= ray_index < fan.n_rays:
-        raise DegenerateInputError(f"no ray with index {ray_index}")
+    if type(ray_index) is not int or not 0 <= ray_index < fan.n_rays:
+        raise DegenerateInputError(f"no ray with index {ray_index!r}")
     coeffs = list(fan.ample_coefficients())
     coeffs[ray_index] -= 1
     return divisor_polytope(fan, coeffs)
@@ -465,7 +464,9 @@ class DivisorClassGroup:
     def degree(self, coefficients) -> ClassElement:
         coefficients = _as_int_tuple(coefficients)
         if len(coefficients) != self.fan.n_rays:
-            raise DegenerateInputError("coefficient vector length must match the ray count")
+            raise DimensionMismatchError(
+                f"divisor has {len(coefficients)} coefficients, fan has {self.fan.n_rays} rays"
+            )
         t = mat_vec([list(r) for r in self.u_matrix], coefficients)
         tor = tuple(t[i] % m for i, m in zip(self.torsion_positions, self.torsion_moduli))
         free = tuple(t[i] for i in self.free_positions)

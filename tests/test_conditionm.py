@@ -12,13 +12,14 @@ from sbvol.conditionm import (
 )
 from sbvol.errors import (
     DegenerateInputError,
+    DimensionMismatchError,
     InternalConsistencyError,
     InvalidParameterError,
     ResourceLimitError,
 )
 from sbvol.families import builtin_seed_registry, hpt, tpq
 from sbvol.polytope import dilate, hull
-from sbvol.toric import class_group, normal_fan
+from sbvol.toric import class_group, divisor_polytope, normal_fan
 
 
 def simplex(n):
@@ -125,6 +126,17 @@ class TestSections:
                 sections_of_class(simplex(2), coeffs)
         assert sections_of_class(simplex(2), [0, 0, 1]) == sections_of_class(simplex(2), (0, 0, 1))
 
+    def test_wrong_length_raises_one_error_everywhere(self):
+        p = simplex(2)
+        calls = (
+            lambda: class_group(p).degree([1, 2]),
+            lambda: divisor_polytope(normal_fan(p), [1, 2]),
+            lambda: sections_of_class(p, [1, 2]),
+        )
+        for call in calls:
+            with pytest.raises(DimensionMismatchError, match=r"^divisor has 2 coefficients, fan has 3 rays$"):
+                call()
+
     def test_zero_divisor_single_section(self):
         p = dilate(simplex(2), 3)
         fan = normal_fan(p)
@@ -209,6 +221,16 @@ class TestCrossCheck:
         p = hpt()
         with pytest.raises(DegenerateInputError, match=r"^ray index -?\d+ is not in 0\.\.5$"):
             cross_check_unrestricted(p, ray_index)
+
+    @pytest.mark.parametrize("ray_index", [True, False, 1.0])
+    def test_ray_index_that_is_not_an_int_raises_before_any_search(self, ray_index, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("searched for a witness on a ray index that is not an int")
+
+        monkeypatch.setattr(conditionm, "class_group", refuse)
+        monkeypatch.setattr(conditionm, "integer_points", refuse)
+        with pytest.raises(DegenerateInputError, match=r"^ray index \S+ is not in 0\.\.5$"):
+            cross_check_unrestricted(hpt(), ray_index)
 
     def test_route_one_checks_its_hit(self, monkeypatch):
         # The unit triangle's ample divisor has coefficient 0 on the rays

@@ -22,7 +22,7 @@ def _face_vertex_lists(poly):
     """Vertex lists of all faces, for lattice or rational polytopes."""
     verts = _vertex_list(poly)
     if isinstance(poly, LatticePolytope):
-        return [[verts[i] for i in sorted(f)] for f in poly._face_index_sets()]
+        return [[verts[i] for i in range(len(verts)) if f >> i & 1] for f in poly._face_masks()]
     if not verts:
         raise DegenerateInputError("empty polytope has no faces")
     full = frozenset(range(len(verts)))

@@ -70,12 +70,13 @@ def _oracle_classify(self, budget=DEFAULT_POINT_BUDGET) -> PolytopeClassificatio
 
 
 def _oracle_face_data(p: LatticePolytope):
-    """(index set, dim, interior count, vertex count) for every face."""
-    sets = p._face_index_sets()
+    """(vertex bitmask, dim, interior count, vertex count) for every face."""
+    sets = p._face_masks()
     cells = {}
     for f, d in sets.items():
-        cell = LatticePolytope._trusted(p.ambient_dim, [p.vertices[i] for i in sorted(f)])
-        cells[f] = (d, cell.n_interior_points(), len(f))
+        idx = [i for i in range(len(p.vertices)) if f >> i & 1]
+        cell = LatticePolytope._trusted(p.ambient_dim, [p.vertices[i] for i in idx])
+        cells[f] = (d, cell.n_interior_points(), len(idx))
     return cells
 
 

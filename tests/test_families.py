@@ -26,6 +26,11 @@ from sbvol.subdivision import regular_subdivision, staged_distance_height, valid
 
 
 class TestBuilders:
+    def test_dilated_simplex_rejects_parameters_that_are_not_ints(self):
+        for d, n in ((1.5, 2), (2, 1.5), (True, 2), (2, True)):
+            with pytest.raises(InvalidParameterError):
+                dilated_simplex(d, n)
+
     def test_hpt_vertices(self):
         p = hpt()
         assert p.dim() == 5 and len(p.vertices) == 6

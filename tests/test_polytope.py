@@ -465,6 +465,11 @@ class TestAlgebra:
     def test_dilate(self):
         assert dilate(simplex(2), 4) == hull([(0, 0), (4, 0), (0, 4)])
 
+    def test_dilate_rejects_a_factor_that_is_not_an_int(self):
+        for k in (1.5, Fraction(3, 2), Fraction(2), True):
+            with pytest.raises(DegenerateInputError, match=r"^dilation factor .* is not an int$"):
+                dilate(simplex(2), k)
+
     def test_product_counts(self):
         p = cartesian_product(dilate(simplex(3), 2), dilate(simplex(4), 3))
         assert p.dim() == 7

@@ -33,6 +33,7 @@ from sbvol.subdivision import (
     staged_distance_height,
     validate,
 )
+from test_lower_hull_oracle import _oracle_hull
 
 
 def simplex(n):
@@ -175,7 +176,7 @@ def _oracle_cells_and_witness(p, hmap):
     out = []
     for n, c in dd.facet_normals_from_points(lifted):
         if n[d] > 0:
-            out.append((hull([x for x, q in zip(pts, lifted) if dot(n, q) == c]).vertices, (n, c)))
+            out.append((_oracle_hull([x for x, q in zip(pts, lifted) if dot(n, q) == c]).vertices, (n, c)))
     return sorted(out)
 
 

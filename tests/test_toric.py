@@ -283,6 +283,12 @@ class TestDivisors:
         shifted = facet_shift(p, left)
         assert sorted(shifted.vertices()) == [(Fraction(1),), (Fraction(5),)]
 
+    def test_facet_shift_rejects_a_ray_index_that_is_not_an_int(self):
+        p = simplex(2)
+        for i in (True, False, 1.0):
+            with pytest.raises(DegenerateInputError, match=r"^no ray with index "):
+                facet_shift(p, i)
+
     def test_facet_shift_smooth_is_lattice(self):
         p = dilate(simplex(3), 4)
         fan = normal_fan(p)
