@@ -3,7 +3,8 @@
 This single engine backs every hull-type computation in the package:
 facet systems of lattice polytopes, vertex enumeration of rational
 halfspace systems, facets of rational cones, and lower hulls of lifted
-point sets.  All arithmetic is integer.
+point sets, all in integer arithmetic.  Each run also yields its incidence
+table: every ray's zero set over the input rows, such as a facet's points.
 """
 
 from __future__ import annotations
@@ -17,28 +18,37 @@ from .intlinalg import dot, primitive
 def extreme_rays(constraints, dim):
     """Minimal generators of the cone {y in R^dim : <a, y> >= 0 for all a}.
 
-    Returns (rays, lineality): primitive integer extreme rays modulo the
-    lineality space, and an integer basis of the lineality space.  The
-    classical incremental algorithm: start from all of R^dim, add one
-    halfspace at a time in input order, combine adjacent positive/negative
-    ray pairs.  Adjacency is decided combinatorially via zero-set
-    inclusion, tracked as bitmasks over the processed constraints.  Before
-    that scan, a pair is dropped when its common zero set has fewer than
-    dim - len(lineality) - 2 constraints: a face spanned by two adjacent
-    rays has dimension len(lineality) + 2, so its equality set has at least
-    that rank (Fukuda-Prodon, "Double description method revisited", 1996).
+    Returns (rays, lineality, zero_sets): the primitive integer extreme rays
+    modulo the lineality space, sorted; an integer basis of the lineality
+    space; and each ray's zero set, a bitmask with bit i set exactly when
+    <a_i, ray> = 0.  The classical incremental algorithm adds one halfspace
+    at a time in input order and combines adjacent positive/negative ray
+    pairs, adjacency being zero-set inclusion.  A pair is dropped first when
+    its common zero set has fewer than dim - len(lineality) - 2 rows: a face
+    spanned by two adjacent rays has dimension len(lineality) + 2, so its
+    equality set has at least that rank (Fukuda-Prodon, "Double description
+    method revisited", 1996).
+
+    Each tracked set is its ray's zero set over the processed rows.  A ray
+    that stays gains row k when it is zero there.  A combined ray
+    vp rm - vm rp, with vp > 0 > vm, has slack vp s_m - vm s_p on an earlier
+    row, both slacks nonnegative, so it is tight exactly where both rays
+    are.  In a lineality split l0 lies in every processed hyperplane: a ray
+    projected along it keeps its earlier zeros and gains row k, and l0 is
+    zero on exactly the earlier rows.  Zero rows, skipped, vanish on every ray.
     """
     lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     rays = []  # list of (vector, zeroset bitmask)
-    processed = []
+    done = 0  # bitmask of the nonzero rows processed so far
+    skipped = 0  # bitmask of the zero rows
 
-    for a in constraints:
+    for k, a in enumerate(constraints):
         a = tuple(a)
         if len(a) != dim:
             raise DimensionMismatchError(f"constraint of length {len(a)} in dimension {dim}")
         if all(x == 0 for x in a):
+            skipped |= 1 << k
             continue
-        k = len(processed)
         lin_vals = [dot(a, l) for l in lineality]
         pivot = next((i for i, v in enumerate(lin_vals) if v != 0), None)
         if pivot is not None:
@@ -60,8 +70,7 @@ def extreme_rays(constraints, dim):
                 if v != 0:
                     r = primitive(tuple(p0 * x - v * y for x, y in zip(r, l0)))
                 new_rays.append((r, zs | (1 << k)))
-            all_mask = (1 << (k + 1)) - 1
-            new_rays.append((l0, all_mask & ~(1 << k)))
+            new_rays.append((l0, done))
             lineality = new_lin
             rays = new_rays
         else:
@@ -89,33 +98,34 @@ def extreme_rays(constraints, dim):
                         w = primitive(tuple(vp * x - vm * y for x, y in zip(rm, rp)))
                         new_rays.append((w, z | (1 << k)))
             rays = new_rays
-        processed.append(a)
+        done |= 1 << k
 
-    out = sorted(r for r, _ in rays)
-    return out, sorted(lineality)
+    rays.sort()
+    return [r for r, _ in rays], sorted(lineality), [zs | skipped for _, zs in rays]
 
 
 def facet_normals_from_points(points):
-    """Facet halfspaces of conv(points) for a full-dimensional point set.
+    """(facets, tight) of conv(points) for a full-dimensional point set.
 
-    Each returned pair (n, c) is a primitive inner normal with offset,
-    meaning the halfspace <n, x> >= c, tight on a facet.  Raises if the
-    points do not span the ambient space affinely.
+    Each facet (n, c), sorted, is a primitive inner normal with offset: the
+    halfspace <n, x> >= c is tight on a facet.  tight[j] is the zero set of
+    its ray over the rows (p, 1), bit i set when points[i] lies on facet j.
+    Raises if the points do not span the ambient space affinely.
     """
     if not points:
         raise DegenerateInputError("no points given")
     dim = len(points[0])
     constraints = [tuple(p) + (1,) for p in points]
-    rays, lineality = extreme_rays(constraints, dim + 1)
+    rays, lineality, zero_sets = extreme_rays(constraints, dim + 1)
     if lineality:
         raise DegenerateInputError("point set is not full-dimensional")
-    out = []
-    for r in rays:
-        n, c = r[:dim], r[dim]
-        if all(x == 0 for x in n):
-            continue  # the ray (0, 1), present only in degenerate low dimensions
-        out.append((tuple(n), -c))
-    return sorted(out)
+    # Distinct facets have distinct normals, so the rays' order is the facets'.
+    facets, tight = [], []
+    for r, zs in zip(rays, zero_sets):
+        if any(r[:dim]):  # else the ray (0, 1), present only in degenerate low dimensions
+            facets.append((r[:dim], -r[dim]))
+            tight.append(zs)
+    return facets, tight
 
 
 def vertices_from_halfspaces(halfspaces, dim):
@@ -131,7 +141,7 @@ def vertices_from_halfspaces(halfspaces, dim):
         q = c.denominator
         constraints.append(tuple(q * x for x in a) + (-c.numerator,))
     constraints.append(tuple([0] * dim + [1]))
-    rays, lineality = extreme_rays(constraints, dim + 1)
+    rays, lineality, _ = extreme_rays(constraints, dim + 1)
     if lineality:
         raise DegenerateInputError("halfspace system admits a line")
     verts = []

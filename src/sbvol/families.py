@@ -25,12 +25,21 @@ def _unit(i, n):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
+def _check_ints(routine, **params):
+    """Raise InvalidParameterError unless every parameter is an int; a float or a bool is not."""
+    for name, x in params.items():
+        if type(x) is not int:
+            raise InvalidParameterError(f"{routine} needs an int {name}, got {x!r}")
+
+
 def standard_simplex(n: int) -> LatticePolytope:
+    _check_ints("standard_simplex", n=n)
     return hull([tuple([0] * n)] + [_unit(i, n) for i in range(n)])
 
 
 def dilated_simplex(d: int, n: int) -> LatticePolytope:
-    if type(d) is not int or type(n) is not int or d < 1 or n < 1:
+    _check_ints("dilated_simplex", d=d, n=n)
+    if d < 1 or n < 1:
         raise InvalidParameterError("dilated simplex needs d >= 1 and n >= 1")
     return dilate(standard_simplex(n), d)
 
@@ -67,6 +76,7 @@ def hpt() -> LatticePolytope:
 
 def kollar_totaro(n: int, d: int) -> LatticePolytope:
     """Newton polytope of a double cover branched along a cyclic degree-d form."""
+    _check_ints("kollar_totaro", n=n, d=d)
     if n < 2 or d < 2:
         raise InvalidParameterError("kollar_totaro needs n >= 2 and d >= 2")
     m = n + 1
@@ -84,6 +94,7 @@ def kollar_totaro(n: int, d: int) -> LatticePolytope:
 
 def cubic_empty(n: int) -> LatticePolytope:
     """Rational empty simplices from cyclic cubics; n must be odd."""
+    _check_ints("cubic_empty", n=n)
     if n < 3 or n % 2 == 0:
         raise InvalidParameterError("cubic_empty needs odd n >= 3")
     verts = [_unit(0, n)]
@@ -100,6 +111,7 @@ def cubic_empty(n: int) -> LatticePolytope:
 
 def tpq(p: int, q: int) -> LatticePolytope:
     """The empty tetrahedron Conv{0, e1, e3, p e1 + q e2 + e3}."""
+    _check_ints("tpq", p=p, q=q)
     if not (1 <= p <= q) or gcd(p, q) != 1:
         raise InvalidParameterError("tpq needs 1 <= p <= q with gcd(p, q) = 1")
     return hull([(0, 0, 0), (1, 0, 0), (0, 0, 1), (p, q, 1)])
@@ -107,6 +119,7 @@ def tpq(p: int, q: int) -> LatticePolytope:
 
 def double_cover(d: int, n: int) -> LatticePolytope:
     """Newton polytope of a double cover of projective n-space branched in degree d."""
+    _check_ints("double_cover", d=d, n=n)
     if d < 1 or n < 1:
         raise InvalidParameterError("double_cover needs d >= 1 and N >= 1")
     m = n + 1
@@ -121,6 +134,7 @@ def double_cover(d: int, n: int) -> LatticePolytope:
 
 def exponent_tuples(n: int):
     """All 0/1 tuples of length n with coordinate sum at most n - 2, the pinned order."""
+    _check_ints("exponent_tuples", n=n)
     out = [t for t in itertools.product((0, 1), repeat=n) if sum(t) <= n - 2]
     zero = tuple([0] * n)
     rest = sorted(t for t in out if t != zero)
@@ -147,6 +161,7 @@ def schreieder(n: int, rho=None) -> SchreiederData:
     lexicographically.  A custom bijection may be supplied as a sequence of
     the same tuples in the desired column order.
     """
+    _check_ints("schreieder", n=n)
     if n < 3:
         raise InvalidParameterError(
             "schreieder needs n >= 3: for n = 2 no reduced ample monomial covers "
@@ -375,6 +390,7 @@ def containment_certificate(
 
 def sum_identity(n: int):
     """(enumerated sum, closed form, equal) of the per-tuple extension allowances."""
+    _check_ints("sum_identity", n=n)
     if n < 2:
         raise InvalidParameterError("the identity needs n >= 2")
     lhs = sum((n - sum(eps)) // 2 for eps in exponent_tuples(n))
@@ -403,6 +419,7 @@ def bounds_table(n_values, kind: str = "hypersurface"):
         raise InvalidParameterError(f"unknown bounds table kind {kind!r}")
     rows = []
     for n in n_values:
+        _check_ints("bounds_table", n=n)
         if n < 2:
             raise InvalidParameterError("bounds rows need n >= 2")
         lhs, rhs, equal = sum_identity(n)

@@ -301,32 +301,6 @@ def integer_kernel(a: Matrix) -> list:
     return basis
 
 
-def solve_diophantine(a: Matrix, b) -> Vector | None:
-    """One integer solution x of a x = b, or None when none exists."""
-    rows = len(a)
-    if rows == 0:
-        return ()
-    cols = len(a[0])
-    h, u = hermite_form(transpose(a))  # u * a^T = h, so a = h^T u^{-T}
-    residual = list(b)
-    z = [0] * cols
-    for i in range(cols):
-        lead = next((j for j in range(rows) if h[i][j] != 0), None)
-        if lead is None:
-            continue
-        if residual[lead] % h[i][lead] != 0:
-            return None
-        q = residual[lead] // h[i][lead]
-        z[i] = q
-        residual = [r - q * hij for r, hij in zip(residual, h[i])]
-    if any(r != 0 for r in residual):
-        return None
-    x = vec_mat(z, u)
-    if mat_vec(a, x) != tuple(b):
-        raise InternalConsistencyError("Diophantine solve: the solution does not satisfy a x = b")
-    return x
-
-
 def _bareiss_rref(a: Matrix, cols: int):
     """Fraction-free (Bareiss) reduced row echelon form over Z, pivoting in the first cols columns.
 

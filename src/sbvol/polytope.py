@@ -256,16 +256,19 @@ class LatticePolytope:
                 raise DegenerateInputError(
                     "facet system requires a full-dimensional polytope; normalize first"
                 )
-            if self.dim() == 0:
-                self._cache["facets"] = ()
-            else:
-                self._cache["facets"] = tuple(dd.facet_normals_from_points(self.vertices))
+            facets, tight = dd.facet_normals_from_points(self.vertices) if self.dim() else ((), ())
+            self._cache["facets"], self._cache["tight"] = tuple(facets), tuple(tight)
         return self._cache["facets"]
+
+    def _tight_sets(self):
+        """One bitmask over self.vertices per facet of facet_system(), from the same DD run."""
+        self.facet_system()
+        return self._cache["tight"]
 
     def _vertex_carriers(self):
         """One carrier per vertex, over facet_system(): bit i is set when it lies on facet i."""
         if "vertex_carriers" not in self._cache:
-            self._cache["vertex_carriers"] = tuple(carrier(self.facet_system(), v) for v in self.vertices)
+            self._cache["vertex_carriers"] = _transpose(self._tight_sets(), len(self.vertices))
         return self._cache["vertex_carriers"]
 
     def as_halfspaces(self) -> "RationalPolytope":
@@ -341,11 +344,8 @@ class LatticePolytope:
                 masks = {m: m.bit_count() - 1 for m in range(1, 1 << nv)}
             else:
                 q, ch = self.normalize_full_dimensional()
-                cverts = [ch.to_chart(v) for v in self.vertices]
-                tight = [
-                    sum(1 << i for i, v in enumerate(cverts) if dot(n, v) == c)
-                    for n, c in q.facet_system()
-                ]
+                at = {ch.to_chart(v): i for i, v in enumerate(self.vertices)}  # index in self
+                tight = [sum(1 << at[q.vertices[j]] for j in _bits(m)) for m in q._tight_sets()]
                 masks = face_lattice((1 << nv) - 1, tight, q.dim(), budget)
             self._cache["face_masks"] = masks
         return self._cache["face_masks"]
@@ -541,8 +541,8 @@ def hull(points) -> LatticePolytope:
     d = ch.dim
     if d == 0:
         return LatticePolytope._trusted(n, pts[:1])
-    facets = dd.facet_normals_from_points(cpts)
-    carriers = [carrier(facets, x) for x in cpts]
+    facets, tight = dd.facet_normals_from_points(cpts)
+    carriers = _transpose(tight, len(cpts))
     # A vertex is the only point on all the facets it lies on.  Any other point lies
     # in a face of dimension one or more, whose vertices have strictly larger carriers.
     distinct = set(carriers)
@@ -551,7 +551,7 @@ def hull(points) -> LatticePolytope:
     if d == n:
         # The chart only moved the origin to its base: shift the offsets back.
         out._cache["facets"] = tuple((nrm, c + dot(nrm, ch.base)) for nrm, c in facets)
-        out._cache["vertex_carriers"] = tuple(m for m in carriers if m in alone)
+        out._cache["tight"] = _transpose([m for m in carriers if m in alone], len(tight))
     return out
 
 
@@ -610,6 +610,15 @@ def _bits(mask):
     return out
 
 
+def _transpose(masks, n):
+    """The transposed bit matrix: n masks, bit i of the j-th set exactly when masks[i] has bit j."""
+    out = [0] * n
+    for i, m in enumerate(masks):
+        for j in _bits(m):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
 def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
     if type(k) is not int:
         raise DegenerateInputError(f"dilation factor {k!r} is not an int")
@@ -631,14 +640,7 @@ def translate(p: LatticePolytope, v) -> LatticePolytope:
 
 def cartesian_product(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
     verts = [a + b for a in p.vertices for b in q.vertices]
-    out = LatticePolytope._trusted(p.ambient_dim + q.ambient_dim, sorted(verts))
-    if p.is_full_dimensional() and q.is_full_dimensional() and p.dim() > 0 and q.dim() > 0:
-        zeros_q = tuple([0] * q.ambient_dim)
-        zeros_p = tuple([0] * p.ambient_dim)
-        combined = [(n + zeros_q, c) for n, c in p.facet_system()]
-        combined += [(zeros_p + n, c) for n, c in q.facet_system()]
-        out._cache["facets"] = tuple(sorted(combined))
-    return out
+    return LatticePolytope._trusted(p.ambient_dim + q.ambient_dim, verts)
 
 
 def convex_union(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
@@ -839,14 +841,13 @@ def _triangulate_cone(rays, dim):
     """
     if len(rays) == rank([list(g) for g in rays]):
         return [list(rays)]
-    normals, _ = dd.extreme_rays(rays, dim)
-    r0 = rays[0]
+    _, _, zero_sets = dd.extreme_rays(rays, dim)
     out = []
-    for n in normals:
-        if dot(n, r0) == 0:
-            continue
-        for t in _triangulate_cone([g for g in rays if dot(n, g) == 0], dim):
-            out.append(t + [r0])
+    for z in zero_sets:
+        if z & 1:
+            continue  # a facet through rays[0]
+        for t in _triangulate_cone([rays[i] for i in _bits(z)], dim):
+            out.append(t + [rays[0]])
     return out
 
 

@@ -172,11 +172,10 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
     lift = hull(lifted + [pts[-1] + (max(q[d] for q in lifted) + 1,)])
     maximal = []
     witness = []
-    for k, (n, c) in enumerate(lift.facet_system()):
+    for (n, c), tight in zip(lift.facet_system(), lift._tight_sets()):
         if n[d] <= 0:
             continue  # not a lower facet
-        on = [v[:d] for v, m in zip(lift.vertices, lift._vertex_carriers()) if m >> k & 1]
-        maximal.append(LatticePolytope._trusted(d, on))
+        maximal.append(LatticePolytope._trusted(d, [lift.vertices[i][:d] for i in _bits(tight)]))
         witness.append((n, c))
     order = sorted(range(len(maximal)), key=lambda i: maximal[i].vertices)
     return _subdivision(
@@ -379,10 +378,12 @@ def lies_in_boundary(p: LatticePolytope, points) -> bool:
 def _boundary_test(points, p: LatticePolytope):
     """The test of whether a bitmask over points lies in the boundary of p.
 
-    Each point's carrier is computed once; a mask's is the AND over its bits.
+    Each point's carrier is found once, read off p's lattice-point scan when it
+    has run (a hand-built cell may reach outside p); a mask's is the AND over its bits.
     """
     facets = p.facet_system()
-    carriers = [carrier(facets, x) for x in points]
+    scanned = p._cache.get("points", {})
+    carriers = [scanned[x] if x in scanned else carrier(facets, x) for x in points]
     every = (1 << len(facets)) - 1
 
     def in_boundary(mask):
@@ -437,8 +438,9 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
     bit = {v: 1 << i for i, v in enumerate(s.points)}
     sides = {}  # vertex mask of a facet off the boundary -> [(cell index, inner normal)]
     for i, cell in enumerate(s.maximal_cells if dims_ok else ()):
-        for n, c in cell.facet_system():
-            facet = sum(bit[v] for v in cell.vertices if dot(n, v) == c)
+        at = [bit[v] for v in cell.vertices]
+        for (n, _), tight in zip(cell.facet_system(), cell._tight_sets()):
+            facet = sum(at[k] for k in _bits(tight))
             if not in_boundary(facet):
                 sides.setdefault(facet, []).append((i, n))
     walls = []  # (cell index, cell index, shared facet vertex mask)

@@ -65,7 +65,7 @@ class RationalCone:
 
     @cached_property
     def _facet_data(self):
-        return dd.extreme_rays(self.generators, self.dim)
+        return dd.extreme_rays(self.generators, self.dim)[:2]
 
     def rank(self) -> int:
         return rank([list(g) for g in self.generators])
@@ -504,7 +504,3 @@ def class_group(p: LatticePolytope) -> DivisorClassGroup:
             free_positions=tuple(range(len(diag), len(pairing))),
         )
     return p._cache["class_group"]
-
-
-def divisor_class(group: DivisorClassGroup, coefficients) -> ClassElement:
-    return group.degree(coefficients)

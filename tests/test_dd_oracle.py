@@ -1,11 +1,13 @@
 """Double description with the zero-set prefilter against the unfiltered engine.
 
 The oracle is the earlier extreme_rays: it scans every other ray for each
-plus/minus pair, with no cardinality test first.  The prefilter only skips
-pairs that cannot be adjacent, so the two must return exactly the same
-(rays, lineality) on brute-force cones, seeded random systems (lineality,
-duplicate and zero rows included), the lifted distance-height hull of the
-dim4 pipeline, and the facet and vertex routes built on the engine.
+plus/minus pair, with no cardinality test first, and derives each ray's
+zero set afresh by dot products with every input row.  The prefilter only
+skips pairs that cannot be adjacent, so the two must return exactly the
+same (rays, lineality, zero sets) on brute-force cones, seeded random
+systems (lineality, duplicate and zero rows included), the lifted
+distance-height hull of the dim4 pipeline, and the facet and vertex routes
+built on the engine.
 """
 
 import itertools
@@ -19,19 +21,22 @@ from sbvol import dd
 from sbvol.errors import DegenerateInputError, DimensionMismatchError
 from sbvol.families import dilated_simplex, kollar_totaro
 from sbvol.intlinalg import dot, integer_kernel, primitive, rank
+from sbvol.polytope import carrier
 from sbvol.subdivision import distance_height
 
 
 def _oracle_extreme_rays(constraints, dim):
     """Minimal generators of the cone {y in R^dim : <a, y> >= 0 for all a}.
 
-    Returns (rays, lineality): primitive integer extreme rays modulo the
-    lineality space, and an integer basis of the lineality space.  The
+    Returns (rays, lineality, zero_sets): primitive integer extreme rays
+    modulo the lineality space, an integer basis of the lineality space, and
+    each ray's zero set over the input rows, found by dot products.  The
     classical incremental algorithm: start from all of R^dim, add one
     halfspace at a time, combine adjacent positive/negative ray pairs.
     Adjacency is decided combinatorially via zero-set inclusion, tracked as
     bitmasks over the processed constraints.
     """
+    constraints = list(constraints)
     lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     rays = []  # list of (vector, zeroset bitmask)
     processed = []
@@ -103,7 +108,8 @@ def _oracle_extreme_rays(constraints, dim):
         processed.append(a)
 
     out = sorted(r for r, _ in rays)
-    return out, sorted(lineality)
+    zero_sets = [sum(1 << i for i, a in enumerate(constraints) if dot(a, r) == 0) for r in out]
+    return out, sorted(lineality), zero_sets
 
 
 def _brute_force_rays(constraints, dim):
@@ -161,8 +167,9 @@ def test_brute_force_small_cones():
         if rank([list(a) for a in rows]) != dim:
             continue  # brute force covers pointed cones only
         expected = _brute_force_rays(rows, dim)
-        assert dd.extreme_rays(rows, dim) == (expected, [])
-        assert _oracle_extreme_rays(rows, dim) == (expected, [])
+        rays, lineality, zero_sets = dd.extreme_rays(rows, dim)
+        assert (rays, lineality) == (expected, [])
+        assert (rays, lineality, zero_sets) == _oracle_extreme_rays(rows, dim)
         checked += 1
 
 
@@ -173,8 +180,8 @@ def test_random_systems():
         rng = random.Random(710 + dim)
         for _ in range(40 if dim < 6 else 20):
             rows = _random_system(rng, dim)
-            rays, lineality = dd.extreme_rays(rows, dim)
-            assert (rays, lineality) == _oracle_extreme_rays(rows, dim)
+            rays, lineality, zero_sets = dd.extreme_rays(rows, dim)
+            assert (rays, lineality, zero_sets) == _oracle_extreme_rays(rows, dim)
             if lineality:
                 seen.add("lineality")
             if len(set(rows)) < len(rows):
@@ -194,22 +201,43 @@ def test_dim4_lifted_distance_hull():
     assert len(constraints) == 70
     new = dd.extreme_rays(constraints, 6)
     assert new == _oracle_extreme_rays(constraints, 6)
-    rays, lineality = new
+    rays, lineality, _ = new
     assert lineality == []
     assert len(rays) == 202
     assert sum(1 for r in rays if r[4] > 0) == 196
 
 
 def test_facet_normals_from_random_lattice_polytopes(monkeypatch):
+    """Facets and their tight sets; a tight set is the transpose of the points' carriers."""
     rng = random.Random(720)
     cases = []
     for _ in range(30):
         dim = rng.randint(2, 4)
         pts = _random_lattice_points(rng, dim, rng.randint(dim + 1, dim + 8))
-        cases.append((pts, dd.facet_normals_from_points(pts)))
+        facets, tight = dd.facet_normals_from_points(pts)
+        carriers = [carrier(facets, x) for x in pts]
+        assert tight == [
+            sum(1 << i for i, m in enumerate(carriers) if m >> j & 1) for j in range(len(facets))
+        ]
+        cases.append((pts, (facets, tight)))
     monkeypatch.setattr(dd, "extreme_rays", _oracle_extreme_rays)
     for pts, facets in cases:
         assert dd.facet_normals_from_points(pts) == facets
+
+
+def test_zero_sets_through_a_lineality_split_and_a_zero_row():
+    """Row 0 is zero.  Rows 1 and 2 split the lineality space: row 2 projects
+    the ray e1 to e1 - e2, which becomes zero on row 2, and the new ray l0 = e2
+    is zero on exactly row 1.  Row 3 combines the two into e1, zero on row 3."""
+    rows = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
+    got = dd.extreme_rays(rows, 3)
+    assert got == _oracle_extreme_rays(rows, 3)
+    assert got == ([(0, 1, 0), (1, 0, 0)], [(0, 0, 1)], [0b0011, 0b1001])
+    # a full-dimensional facet system with a repeated point
+    pts = [(0, 0), (2, 0), (0, 2), (2, 0), (1, 1)]
+    facets, tight = dd.facet_normals_from_points(pts)
+    assert facets == [((-1, -1), -2), ((0, 1), 0), ((1, 0), 0)]
+    assert tight == [0b11110, 0b01011, 0b00101]
 
 
 def test_vertices_from_random_bounded_systems(monkeypatch):

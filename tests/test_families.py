@@ -18,11 +18,33 @@ from sbvol.families import (
     kollar_totaro,
     schreieder,
     simplex_product,
+    standard_simplex,
     sum_identity,
     tpq,
 )
 from sbvol.polytope import AffineUnimodularMap, hull
 from sbvol.subdivision import regular_subdivision, staged_distance_height, validate
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kollar_totaro(3.0, 4),
+        lambda: tpq(2.0, 5),
+        lambda: tpq(True, 3),
+        lambda: cubic_empty(3.0),
+        lambda: schreieder(3.0),
+        lambda: sum_identity(3.0),
+        lambda: exponent_tuples(2.0),
+        lambda: bounds_table([3.0]),
+        lambda: standard_simplex(2.0),
+        lambda: double_cover(2, 1.0),
+        lambda: double_cover(1.5, 2),
+    ],
+)
+def test_family_parameters_that_are_not_ints_are_rejected(call):
+    with pytest.raises(InvalidParameterError, match="needs an int"):
+        call()
 
 
 class TestBuilders:

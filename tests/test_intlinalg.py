@@ -17,10 +17,8 @@ from sbvol.intlinalg import (
     integer_kernel,
     invert_unimodular,
     mat_mul,
-    mat_vec,
     rank,
     smith_form,
-    solve_diophantine,
     solve_rational,
 )
 
@@ -164,32 +162,6 @@ def test_kernel_basis_is_lattice_basis():
     for x in basis[0]:
         g = gcd(g, abs(x))
     assert g == 1
-
-
-def test_solve_diophantine_parity():
-    assert solve_diophantine([[2]], [3]) is None
-
-
-def test_solve_diophantine_identity():
-    assert solve_diophantine(identity_matrix(3), [5, -2, 7]) == (5, -2, 7)
-
-
-def test_solve_diophantine_gcd():
-    x = solve_diophantine([[2, 3]], [1])
-    assert x is not None
-    assert 2 * x[0] + 3 * x[1] == 1
-
-
-def test_solve_diophantine_random():
-    rng = random.Random(4)
-    for _ in range(30):
-        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
-        a = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        x0 = [rng.randint(-4, 4) for _ in range(cols)]
-        b = mat_vec(a, x0)
-        x = solve_diophantine(a, b)
-        assert x is not None
-        assert mat_vec(a, x) == tuple(b)
 
 
 def test_rank_and_det():

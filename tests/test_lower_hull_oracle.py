@@ -53,7 +53,7 @@ def _oracle_hull(points) -> LatticePolytope:
     d = ch.dim
     if d == 0:
         return LatticePolytope._trusted(n, pts[:1])
-    facets = dd.facet_normals_from_points(cpts)
+    facets, _ = dd.facet_normals_from_points(cpts)
     verts = []
     for p, orig in zip(cpts, pts):
         tight = [list(nrm) for nrm, c in facets if dot(nrm, p) == c]
@@ -63,6 +63,10 @@ def _oracle_hull(points) -> LatticePolytope:
     if d == n:
         # The chart only moved the origin to its base: shift the offsets back.
         out._cache["facets"] = tuple((nrm, c + dot(nrm, ch.base)) for nrm, c in facets)
+        out._cache["tight"] = tuple(
+            sum(1 << i for i, v in enumerate(out.vertices) if dot(nrm, v) == c)
+            for nrm, c in out._cache["facets"]
+        )
     return out
 
 
@@ -88,7 +92,7 @@ def _oracle_regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivisio
     apex = pts[0] + (max(q[d] for q in lifted) + 1,)
     maximal = []
     witness = []
-    for n, c in dd.facet_normals_from_points(lifted + [apex]):
+    for n, c in dd.facet_normals_from_points(lifted + [apex])[0]:
         if n[d] <= 0:
             continue  # not a lower facet
         tight = [x for x, q in zip(pts, lifted) if dot(n, q) == c]
@@ -150,6 +154,7 @@ def test_hull_against_the_rank_rule():
             continue
         facets = got._cache["facets"]
         assert facets == want._cache["facets"]
+        assert got._tight_sets() == want._cache["tight"]
         # the incidences hull kept are those read off the vertices afresh
         assert got._vertex_carriers() == tuple(carrier(facets, v) for v in got.vertices)
         assert got._vertex_carriers() == _fresh(got)._vertex_carriers()

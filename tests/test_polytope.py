@@ -9,6 +9,7 @@ from sbvol import dd
 from sbvol import polytope as polytope_module
 from sbvol.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from sbvol.hodge import h_p0_compact
+from sbvol import subdivision as subdivision_module
 from sbvol.intlinalg import dot
 from sbvol.polytope import (
     AffineUnimodularMap,
@@ -23,7 +24,7 @@ from sbvol.polytope import (
     translate,
     unimodular_equivalence,
 )
-from sbvol.subdivision import min_squared_distance
+from sbvol.subdivision import min_squared_distance, regular_subdivision, validate
 
 
 def simplex(n):
@@ -385,6 +386,31 @@ class TestFacetSystemsComputedOnce:
         assert tri.n_interior_points() == 0
         assert tri.lattice_width()[0] == 2
         assert len(calls) == 2  # the hull, then the chart polytope's facets
+
+    def test_vertex_facet_incidences_are_read_off_the_double_description(self, monkeypatch):
+        """hull, facet_system, _vertex_carriers, _face_masks and validate make no carrier call."""
+        big = dilate(simplex(3), 2)
+        s = regular_subdivision(big, {x: sum(c * c for c in x) for x in big.lattice_points()})
+        calls = []
+        original = polytope_module.carrier
+
+        def counted(system, x):
+            calls.append(x)
+            return original(system, x)
+
+        monkeypatch.setattr(polytope_module, "carrier", counted)
+        monkeypatch.setattr(subdivision_module, "carrier", counted)
+        p = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 2), (1, 1, 1), (1, 0, 0)])
+        fresh = LatticePolytope._trusted(3, p.vertices)
+        assert fresh.facet_system() == p.facet_system()
+        assert fresh._vertex_carriers() == p._vertex_carriers()
+        assert not fresh.is_simplex() and fresh.f_vector() == (5, 9, 6, 1)
+        square = hull([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])  # planar, in Z^3
+        assert square.f_vector() == (4, 4, 1)
+        assert validate(s).ok and len(s.maximal_cells) > 1
+        assert calls == []
+        fresh.lattice_points()  # the lattice-point scan does call it
+        assert len(calls) == fresh.n_lattice_points()
 
 
 class TestOneLatticePointScan:

@@ -174,7 +174,7 @@ def _oracle_cells_and_witness(p, hmap):
     if rank([[a - b for a, b in zip(q, lifted[0])] for q in lifted[1:]]) <= d:
         return [(p.vertices, _affine_fit(pts, hmap, d, scale))]
     out = []
-    for n, c in dd.facet_normals_from_points(lifted):
+    for n, c in dd.facet_normals_from_points(lifted)[0]:
         if n[d] > 0:
             out.append((_oracle_hull([x for x, q in zip(pts, lifted) if dot(n, q) == c]).vertices, (n, c)))
     return sorted(out)
