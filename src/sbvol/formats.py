@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError
 from .ledger import Ledger, Verdict
-from .polytope import LatticePolytope, hull
-from .subdivision import Subdivision, interior_cells
+from .polytope import LatticePolytope, _bits, hull
+from .subdivision import Subdivision, _boundary_test
 
 
 def fraction_str(x) -> str:
@@ -99,16 +99,17 @@ def heights_from_doc(doc: dict) -> dict:
 
 
 def subdivision_to_dict(s: Subdivision) -> dict:
-    """Cells with dimensions and boundary flags, plus the height table."""
-    inner = set(interior_cells(s))
+    """Cells with dimensions and boundary flags, plus the height table; no cell is built."""
+    in_boundary = _boundary_test(s.points, s.polytope)
+    maximal = set(s.maximal_masks)
     cells = [
         {
-            "vertices": [list(v) for v in c.vertices],
-            "dim": c.dim(),
-            "boundary": c not in inner,
-            "maximal": c in s.maximal_cells,
+            "vertices": [list(s.points[i]) for i in _bits(mask)],
+            "dim": d,
+            "boundary": in_boundary(mask),
+            "maximal": mask in maximal,
         }
-        for c in s.cells
+        for mask, d in zip(s.cell_masks, s.cell_dims)
     ]
     doc = {
         "polytope": polytope_to_dict(s.polytope),

@@ -20,8 +20,8 @@ from .intlinalg import dot
 from .polytope import LatticePolytope, _as_int_tuple, _bits, hull, unimodular_equivalence
 from .subdivision import (
     Subdivision,
+    _interior,
     distance_height,
-    interior_cells,
     lies_in_boundary,
     pulling_refinement,
     regular_subdivision,
@@ -181,11 +181,11 @@ def volume_ledger(
     sign = -1 if p.dim() % 2 else 1
     point_coeff = 0
     groups = []  # (normalized cell, tag, fingerprint, coeff, members)
-    parents = dict(zip(s.cells, s.cell_parents))
-    for cell in interior_cells(s, p):
+    for j in _interior(s, p):
+        cell = s.cells[j]
         d = cell.dim()
         coeff = sign * (-1 if d % 2 else 1)
-        tag = classify_cell(cell, seeds, _width_certificates(s, parents[cell]))
+        tag = classify_cell(cell, seeds, _width_certificates(s, s.cell_parents[j]))
         if tag.kind == "rational":
             if d == 0:
                 mult = 0  # a single monomial has empty zero set in the torus
@@ -340,7 +340,7 @@ def dim4_pipeline(big: LatticePolytope, small: LatticePolytope, seeds: SeedRegis
         )
     heights = distance_height(bq, sq)
     s = regular_subdivision(bq, heights)
-    if not any(c == sq for c in s.cells):
+    if sq not in s.cells:
         raise SubdivisionError(
             "the distance subdivision merged the seed with other points; "
             "the seed is not a cell"

@@ -2,15 +2,17 @@
 
 A subdivision is stored as its maximal cells plus the full face closure,
 together with the inducing heights and, as the witness of regularity, the
-lower facet of the lifted points on each maximal cell.  Every cell is also
-a bitmask over the distinct vertices of the maximal cells, which makes
-"lies in the boundary" an AND of the vertices' facet carriers.  Everything
+lower facet of the lifted points on each maximal cell.  Every cell of the
+closure is a bitmask over the distinct vertices of the maximal cells, which
+makes "lies in the boundary" an AND of the vertices' facet carriers; a
+cell's polytope is built only when it is read.  Everything
 is exact; heights are rationals and get scaled to integers before the
 lifted hull is computed, and the witness stays in those integers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -24,10 +26,12 @@ from .errors import (
 )
 from .intlinalg import adjugate, dot
 from .polytope import (
+    DEFAULT_FACE_BUDGET,
     LatticePolytope,
     _as_int_tuple,
     _bits,
     _check_ambient,
+    _face_budget_error,
     _is_rational,
     carrier,
     hull,
@@ -51,24 +55,27 @@ def height_function(p: LatticePolytope, fn) -> dict:
 class Subdivision:
     """Maximal cells, their face closure and, when regular, heights and witness.
 
-    Each cell is also a bitmask over `points`, the sorted distinct vertices
-    of the maximal cells: bit i stands for points[i].  `cell_parents[j]` is
-    a bitmask over the maximal cells that cells[j] is a face of, bit k
-    standing for maximal_cells[k].  A cell lies in the boundary of the
-    polytope when the AND of its vertices' carriers, the bitmasks of the
-    facets each lies on, is nonzero.
+    The face closure is stored as bitmasks over `points`, the sorted
+    distinct vertices of the maximal cells: bit i stands for points[i].
+    `cell_masks` is sorted by (dimension, vertices), `cell_dims` holds each
+    cell's dimension and `cell_parents[j]` is a bitmask over the maximal
+    cells that cell j is a face of, bit k standing for maximal_cells[k].
+    `cells` is the same closure as LatticePolytopes, aligned with the masks:
+    its length is read off the masks, and a cell is built the first time it
+    is read.  A cell lies in the boundary of the polytope when the AND of its
+    vertices' carriers, the bitmasks of the facets each lies on, is nonzero.
     """
 
     polytope: LatticePolytope
     maximal_cells: tuple  # LatticePolytope, full-dimensional, sorted
-    cells: tuple  # full face closure, sorted by (dim, vertices), each dim cached
     heights: tuple | None  # sorted ((point, Fraction), ...) or None for hand-built
     # Per maximal cell, its lower facet (n, c) of the lifted points (x, h(x) * scale):
     # integers, n[-1] > 0, <n, (x, h(x) * scale)> >= c with equality on the cell.
     witness: tuple | None
     points: tuple = field(repr=False)
-    cell_masks: tuple = field(repr=False)  # aligned with cells
-    cell_parents: tuple = field(repr=False)  # aligned with cells
+    cell_masks: tuple = field(repr=False)
+    cell_dims: tuple = field(repr=False)  # aligned with cell_masks
+    cell_parents: tuple = field(repr=False)  # aligned with cell_masks
 
     def height_map(self):
         return dict(self.heights) if self.heights is not None else None
@@ -78,13 +85,30 @@ class Subdivision:
         """lcm of the height denominators: h(x) * scale is the lifted coordinate."""
         return lcm(*(h.denominator for _, h in self.heights or ()))
 
+    @cached_property
+    def maximal_masks(self) -> tuple:
+        """Each maximal cell's vertex mask over `points`."""
+        bit = {v: 1 << i for i, v in enumerate(self.points)}
+        return tuple(sum(bit[v] for v in c.vertices) for c in self.maximal_cells)
+
+    @cached_property
+    def cells(self) -> "Cells":
+        """The face closure as LatticePolytopes, aligned with cell_masks, built on read."""
+        return Cells(self)
+
+    def _witness(self):
+        if self.witness is None:
+            raise SubdivisionError("a hand-built subdivision has no regularity witness")
+        return self.witness
+
     def witness_value(self, cell_index, x):
         """The cell's affine piece (c - <n', x>) / (n[-1] * scale) at x; n' is n without n[-1]."""
-        n, c = self.witness[cell_index]
+        n, c = self._witness()[cell_index]
         return Fraction(c - dot(n, x), n[-1] * self.height_scale)
 
     def envelope_value(self, x):
         """Value of the piecewise affine witness at a point of the polytope."""
+        self._witness()
         vals = [
             self.witness_value(i, x)
             for i, c in enumerate(self.maximal_cells)
@@ -95,45 +119,87 @@ class Subdivision:
         return min(vals)
 
 
-def _cell_lattice(maximal_cells):
-    """(points, cells, masks, parents) of the face closure of the sorted maximal cells.
+class Cells(Sequence):
+    """The cells of a subdivision, each built from its vertex mask the first time it is read.
 
-    Each maximal cell's faces come from its face lattice as bitmasks over
-    its own vertices and are renumbered onto the shared points.  The top
-    face of a maximal cell is the cell itself, so caches such as its width
-    are shared.
+    A maximal cell is read as the maximal cell object itself, so caches such
+    as its width are shared.  `in` looks up the vertex mask and builds no cell.
+    """
+
+    def __init__(self, s: Subdivision):
+        self._points = s.points
+        self._masks = s.cell_masks
+        self._dims = s.cell_dims
+        self._ambient = s.polytope.ambient_dim
+        self._cells = [None] * len(s.cell_masks)
+        self._maximal = dict(zip(s.maximal_masks, s.maximal_cells))
+        self._lookup = None  # (point -> bit, set of masks), made on the first `in`
+
+    def __len__(self):
+        return len(self._masks)
+
+    def __getitem__(self, j):
+        cell = self._cells[j]
+        if cell is None:
+            mask = self._masks[j]
+            cell = self._maximal.get(mask)
+            if cell is None:
+                cell = LatticePolytope._trusted(self._ambient, [self._points[i] for i in _bits(mask)])
+                cell._cache["dim"] = self._dims[j]
+            self._cells[j] = cell
+        return cell
+
+    def __contains__(self, cell):
+        if self._lookup is None:
+            self._lookup = ({v: 1 << i for i, v in enumerate(self._points)}, set(self._masks))
+        bit, masks = self._lookup
+        return (
+            isinstance(cell, LatticePolytope)
+            and cell.ambient_dim == self._ambient
+            and all(v in bit for v in cell.vertices)
+            and sum(bit[v] for v in cell.vertices) in masks
+        )
+
+
+def _simplex_faces(full):
+    """(mask, dim) of every nonempty submask of a simplex's vertex mask, within the face budget."""
+    n = full.bit_count()
+    if (1 << n) - 1 > DEFAULT_FACE_BUDGET:
+        _face_budget_error(DEFAULT_FACE_BUDGET + 1, DEFAULT_FACE_BUDGET, n, n)
+    sub = full
+    while sub:
+        yield sub, sub.bit_count() - 1
+        sub = (sub - 1) & full
+
+
+def _cell_lattice(maximal_cells):
+    """(points, masks, dims, parents) of the face closure of the sorted maximal cells.
+
+    A simplex's faces are the submasks of its vertex mask over the shared
+    points.  Any other cell's come from its face lattice, as bitmasks over
+    its own vertices, and are renumbered onto the shared points.  The points
+    are sorted, so ordering the masks by dimension and then by their
+    ascending bit indices orders the cells by (dim, vertices).
     """
     points = tuple(sorted({v for c in maximal_cells for v in c.vertices}))
     bit = {v: 1 << i for i, v in enumerate(points)}
-    found = {}  # mask over points -> [cell, mask over maximal cells]
+    dims = {}
+    parents = {}
     for k, cell in enumerate(maximal_cells):
-        bits = [bit[v] for v in cell.vertices]
-        top = (1 << len(bits)) - 1
-        for local, d in cell._face_masks().items():
-            idx = _bits(local)
-            mask = sum(bits[i] for i in idx)
-            entry = found.get(mask)
-            if entry is not None:
-                entry[1] |= 1 << k
-                continue
-            if local == top:
-                face = cell
-            else:
-                face = LatticePolytope._trusted(cell.ambient_dim, [cell.vertices[i] for i in idx])
-                face._cache["dim"] = d
-            found[mask] = [face, 1 << k]
-    order = sorted(found.items(), key=lambda kv: (kv[1][0].dim(), kv[1][0].vertices))
-    return (
-        points,
-        tuple(face for _, (face, _) in order),
-        tuple(mask for mask, _ in order),
-        tuple(parents for _, (_, parents) in order),
-    )
+        at = [bit[v] for v in cell.vertices]
+        if cell.is_simplex():
+            faces = _simplex_faces(sum(at))
+        else:
+            faces = ((sum(at[i] for i in _bits(m)), d) for m, d in cell._face_masks().items())
+        for mask, d in faces:
+            dims[mask] = d
+            parents[mask] = parents.get(mask, 0) | 1 << k
+    masks = sorted(dims, key=lambda m: (dims[m], _bits(m)))
+    return points, tuple(masks), tuple(dims[m] for m in masks), tuple(parents[m] for m in masks)
 
 
 def _subdivision(p, maximal_cells, heights, witness):
-    points, cells, masks, parents = _cell_lattice(maximal_cells)
-    return Subdivision(p, maximal_cells, cells, heights, witness, points, masks, parents)
+    return Subdivision(p, maximal_cells, heights, witness, *_cell_lattice(maximal_cells))
 
 
 def _check_height_points(p: LatticePolytope, heights):
@@ -309,18 +375,27 @@ def _wolfe_min_norm(points):
     return [weights.get(i, 0) for i in range(len(points))], tuple(Fraction(c, den) for c in big)
 
 
+def _translated(verts, x):
+    """(points, scale): the vertices minus x, times the lcm of their denominators, as integers."""
+    diffs = [[a - b for a, b in zip(v, x)] for v in verts]
+    scale = lcm(*(c.denominator for row in diffs for c in row))
+    return [tuple(int(c * scale) for c in row) for row in diffs], scale
+
+
 def min_squared_distance(poly, x) -> Fraction:
     """Exact squared Euclidean distance from x to a (lattice or rational) polytope.
 
-    The certified Wolfe minimum-norm point of conv(V - x), scaled to integers.
+    A point of the polytope is at distance 0, certified by the exact slack
+    test of `contains`.  Any other point's distance is the certified Wolfe
+    minimum-norm point of conv(V - x), scaled to integers.
     """
     _check_ambient(poly, x)
     verts = _vertex_list(poly)
     if not verts:
         raise DegenerateInputError("empty polytope has no nearest point")
-    diffs = [[a - b for a, b in zip(v, x)] for v in verts]
-    scale = lcm(*(c.denominator for row in diffs for c in row))
-    points = [tuple(int(c * scale) for c in row) for row in diffs]
+    if poly.contains(x):
+        return Fraction(0)
+    points, scale = _translated(verts, x)
     weights, y = _wolfe_min_norm(points)
     _certify_min_norm(points, weights, y)
     return Fraction(dot(y, y), scale * scale)
@@ -492,7 +567,12 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
     return ValidationReport(ok, tuple(checks))
 
 
-def interior_cells(s: Subdivision, p: LatticePolytope | None = None):
-    """Cells not contained in the boundary of the subdivided polytope."""
+def _interior(s: Subdivision, p: LatticePolytope | None = None):
+    """Indices of the cells not contained in the boundary of the subdivided polytope."""
     in_boundary = _boundary_test(s.points, _subdivided(s, p))
-    return tuple(c for c, mask in zip(s.cells, s.cell_masks) if not in_boundary(mask))
+    return [j for j, mask in enumerate(s.cell_masks) if not in_boundary(mask)]
+
+
+def interior_cells(s: Subdivision, p: LatticePolytope | None = None):
+    """Cells not contained in the boundary of the subdivided polytope; no other cell is built."""
+    return tuple(s.cells[j] for j in _interior(s, p))

@@ -2,13 +2,15 @@
 
 The oracles are the earlier face closure, which takes every face of every
 maximal cell from the closure of frozensets under intersection and ranks
-each one for its dimension, the earlier boundary test, a dot product
-against every facet of P per cell, and the earlier classify_cell, which
-charts every cell and searches its width.  The new code must give the
-same cells in the same order with the same dimensions, the same parents,
-the same interior cells and the same tags, on the dim4 pipeline, the
-staged double cone, random subdivisions (many with non-simplicial cells)
-and the unimodular images of criterion 11b.
+each one for its dimension, the earlier eager cell lattice, which built a
+polytope for every face and renumbered each face's mask onto the shared
+points, the earlier boundary test, a dot product against every facet of P
+per cell, and the earlier classify_cell, which charts every cell and
+searches its width.  The new code must give the same cells in the same
+order with the same dimensions, masks and parents, the same interior cells
+and the same tags, on the dim4 pipeline, the staged double cone, random
+subdivisions (many with non-simplicial cells) and the unimodular images of
+criterion 11b.  Cells are built only when read, which is pinned too.
 """
 
 import random
@@ -22,9 +24,10 @@ from sbvol.families import (
     kollar_totaro,
 )
 from sbvol.intlinalg import dot, rank
-from sbvol.ledger import CellClassTag, _width_certificates, classify_cell
-from sbvol.polytope import LatticePolytope, face_closure, hull
+from sbvol.ledger import CellClassTag, _width_certificates, classify_cell, volume_ledger
+from sbvol.polytope import LatticePolytope, _bits, face_closure, hull
 from sbvol.subdivision import (
+    _interior,
     distance_height,
     interior_cells,
     lies_in_boundary,
@@ -68,6 +71,41 @@ def oracle_face_closure_cells(maximal_cells):
     )
 
 
+def oracle_cell_lattice(maximal_cells):
+    """(points, cells, masks, parents) of the face closure, every face built as a polytope.
+
+    Each maximal cell's faces come from its face lattice as bitmasks over
+    its own vertices and are renumbered onto the shared points.  The top
+    face of a maximal cell is the cell itself.
+    """
+    points = tuple(sorted({v for c in maximal_cells for v in c.vertices}))
+    bit = {v: 1 << i for i, v in enumerate(points)}
+    found = {}  # mask over points -> [cell, mask over maximal cells]
+    for k, cell in enumerate(maximal_cells):
+        bits = [bit[v] for v in cell.vertices]
+        top = (1 << len(bits)) - 1
+        for local, d in cell._face_masks().items():
+            idx = _bits(local)
+            mask = sum(bits[i] for i in idx)
+            entry = found.get(mask)
+            if entry is not None:
+                entry[1] |= 1 << k
+                continue
+            if local == top:
+                face = cell
+            else:
+                face = LatticePolytope._trusted(cell.ambient_dim, [cell.vertices[i] for i in idx])
+                face._cache["dim"] = d
+            found[mask] = [face, 1 << k]
+    order = sorted(found.items(), key=lambda kv: (kv[1][0].dim(), kv[1][0].vertices))
+    return (
+        points,
+        tuple(face for _, (face, _) in order),
+        tuple(mask for mask, _ in order),
+        tuple(parents for _, (_, parents) in order),
+    )
+
+
 def oracle_lies_in_boundary(p, points):
     return any(all(dot(n, x) == c for x in points) for n, c in p.facet_system())
 
@@ -105,8 +143,25 @@ def fresh(cell):
     return LatticePolytope._trusted(cell.ambient_dim, cell.vertices)
 
 
+def assert_lattice_agrees(s):
+    """Points, cells, order, dims, masks and parents equal the eager cell lattice's."""
+    points, cells, masks, parents = oracle_cell_lattice(s.maximal_cells)
+    assert (s.points, s.cell_masks, s.cell_parents) == (points, masks, parents)
+    assert s.cell_dims == tuple(c.dim() for c in cells)
+    assert len(s.cells) == len(cells)
+    assert list(s.cells) == list(cells)
+    assert [c.dim() for c in s.cells] == list(s.cell_dims)
+    # A maximal cell is its own top face, the same object, so its caches are shared.
+    for k, cell in enumerate(s.maximal_cells):
+        assert s.cells[s.cells.index(cell)] is cell
+        assert s.maximal_masks[k] == masks[s.cells.index(cell)]
+    assert all(c in s.cells for c in cells)
+    assert (s.polytope in s.cells) == (s.maximal_cells == (s.polytope,))
+
+
 def assert_cells_agree(s):
     """Cells, order, dims, masks, parents and interior cells equal the oracles'."""
+    assert_lattice_agrees(s)
     want = oracle_face_closure_cells(s.maximal_cells)
     assert [(c, c.dim()) for c in s.cells] == [(c, d) for c, d, _ in want]
     assert all(c.dim() == fresh(c).dim() for c in s.cells)
@@ -135,11 +190,11 @@ def assert_tags_agree(s, seeds=None):
 
     Returns how many cells the certificates settled.
     """
-    parents = dict(zip(s.cells, s.cell_parents))
     inherited = 0
-    for cell in interior_cells(s):
+    for j in _interior(s):
+        cell = s.cells[j]
         want = oracle_classify_cell(fresh(cell), seeds)
-        certificates = list(_width_certificates(s, parents[cell]))
+        certificates = list(_width_certificates(s, s.cell_parents[j]))
         assert classify_cell(cell, seeds, certificates) == want, cell.vertices
         inherited += cell.dim() >= 2 and any(spread(l, cell) == 1 for l in certificates)
         if cell.dim() == 1:
@@ -229,6 +284,7 @@ def test_criterion_11b_images():
     # The unimodular image of each polytope of criterion 11b, and its facets
     # with the image's width certificate.
     rng = random.Random(SEED + 1)
+    cuts = random.Random(SEED + 11)
     for _ in range(200):
         dim = rng.choice([2, 2, 3])
         p = _random_polytope(rng, dim)
@@ -239,3 +295,46 @@ def test_criterion_11b_images():
         for facet in q.faces(dim - 1):
             want = oracle_classify_cell(fresh(facet))
             assert classify_cell(fresh(facet), certificates=cert) == want
+        # The image as one cell, and cut by heights 0-1 into cells that are often
+        # not simplices; the heights have their own generator, so the images stay 11b's.
+        assert_lattice_agrees(make_subdivision(q, [q]))
+        heights = {x: cuts.randint(0, 1) for x in q.lattice_points()}
+        assert_lattice_agrees(regular_subdivision(q, heights))
+
+
+# -- cells are built when read ------------------------------------------------------------
+
+
+def test_length_builds_no_cell(monkeypatch):
+    dc = divisor_23_double_cone()
+    heights = staged_distance_height(dc.polytope, dc.embedded_base(), dc.slices())
+    built = []
+    trusted = LatticePolytope._trusted
+    monkeypatch.setattr(
+        LatticePolytope, "_trusted", staticmethod(lambda *args: built.append(args) or trusted(*args))
+    )
+    s = regular_subdivision(dc.polytope, heights)
+    assert len(built) == len(s.maximal_cells) + 1  # the maximal cells and the lift's hull
+    del built[:]
+    assert len(s.cells) == 671
+    assert not built
+
+
+def test_ledger_builds_only_interior_cells():
+    big = dilated_simplex(4, 4)
+    s = regular_subdivision(big, distance_height(big, kollar_totaro(3, 4)))
+    seeds = builtin_seed_registry()
+    seeds.register("kt34", kollar_totaro(3, 4), "double cover of P3 branched in a quartic")
+    volume_ledger(big, s, seeds)
+    read = [j for j, c in enumerate(s.cells._cells) if c is not None]
+    assert len(read) == 727 and read == _interior(s)
+    assert len(s.cells) == 2031
+
+
+def test_subdivisions_from_the_same_heights_are_equal():
+    big = dilated_simplex(4, 4)
+    heights = distance_height(big, kollar_totaro(3, 4))
+    s, t = regular_subdivision(big, heights), regular_subdivision(big, heights)
+    interior_cells(s)  # reading cells of one changes neither equality nor hash
+    assert s == t and hash(s) == hash(t)
+    assert s != make_subdivision(big, s.maximal_cells)

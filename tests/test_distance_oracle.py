@@ -4,6 +4,10 @@ The oracle is the earlier min_squared_distance: it projects the point onto
 the affine span of every face and keeps the nearest projection that lies in
 the polytope.  The two must agree exactly (Fraction equality) on the staged
 double-cone chain, on the dim4 pipeline heights and on random polytopes.
+
+A point of the polytope is answered 0 by the containment test alone.  On
+those points the slow path, certified Wolfe on the same integer points,
+must give 0 as well, and 0 must come exactly for the contained points.
 """
 
 import random
@@ -15,7 +19,14 @@ from sbvol.errors import DegenerateInputError, InternalConsistencyError
 from sbvol.families import dilated_simplex, divisor_23_double_cone, kollar_totaro
 from sbvol.intlinalg import rank, solve_rational
 from sbvol.polytope import LatticePolytope, RationalPolytope, face_closure, hull, slacks
-from sbvol.subdivision import _vertex_list, distance_height, min_squared_distance
+from sbvol.subdivision import (
+    _certify_min_norm,
+    _translated,
+    _vertex_list,
+    _wolfe_min_norm,
+    distance_height,
+    min_squared_distance,
+)
 
 
 def _face_vertex_lists(poly):
@@ -91,6 +102,24 @@ def assert_agrees(poly, queries):
         assert new == oracle_min_squared_distance(poly, x), (poly, x)
 
 
+def assert_zero_path(poly, x, oracle=None):
+    """0 exactly when poly contains x; then certified Wolfe gives 0, else the value is the oracle's.
+
+    Returns whether x is contained.
+    """
+    got = min_squared_distance(poly, x)
+    inside = poly.contains(x)
+    assert (got == 0) == inside, (poly, x)
+    if inside:
+        points, _ = _translated(_vertex_list(poly), x)
+        weights, y = _wolfe_min_norm(points)
+        _certify_min_norm(points, weights, y)
+        assert not any(y)
+    else:
+        assert got == (oracle_min_squared_distance(poly, x) if oracle is None else oracle)
+    return inside
+
+
 # -- the staged double-cone chain --------------------------------------------------
 
 
@@ -145,6 +174,24 @@ def test_staged_double_cone_chain(seed, chain_oracle):
     assert got == chain_oracle
     staged = sorted(map(sum, zip(*got)))
     assert staged == sorted([Fraction(0)] * 12 + [Fraction(1), Fraction(6, 5), Fraction(2), Fraction(2)])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 6])
+def test_staged_double_cone_zero_path(seed, chain_oracle):
+    chain, points = _permuted_chain(seed)
+    kinds = {(type(stage).__name__, stage.dim() < stage.ambient_dim) for stage in chain}
+    assert kinds == {("LatticePolytope", False), ("RationalPolytope", True), ("LatticePolytope", True)}
+    inside = [
+        sum(assert_zero_path(stage, x, want) for x, want in zip(points, row))
+        for stage, row in zip(chain, chain_oracle)
+    ]
+    assert inside == [16, 14, 12]  # of the 16 lattice points
+
+
+def test_dim4_target_zero_path():
+    big, small = dilated_simplex(4, 4), kollar_totaro(3, 4)
+    inside = [assert_zero_path(small, x) for x in big.lattice_points()]
+    assert sum(inside) == small.n_lattice_points() < len(inside)
 
 
 def test_dim4_pipeline_heights():
@@ -209,6 +256,41 @@ def test_random_rational_polytopes():
         fractional += not q.is_lattice()
         assert_agrees(q, _queries(rng, q, dim))
     assert fractional >= 20
+
+
+def _boundary_queries(rng, poly, dim):
+    """Vertices, edge midpoints and the vertex centroid, each also pushed a little outward."""
+    verts = [tuple(Fraction(c) for c in v) for v in _vertex_list(poly)]
+    centroid = tuple(sum(c) / len(verts) for c in zip(*verts))
+    out = [centroid] + verts
+    out += [tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in zip(verts, verts[1:])]
+    for v in list(out):
+        direction = [rng.randint(-1, 1) for _ in range(dim)]
+        out.append(tuple(c + Fraction(e, 7) for c, e in zip(v, direction)))
+    return out
+
+
+def test_random_polytopes_zero_path():
+    rng = random.Random(1977)
+    inside = outside = 0
+    for trial in range(80):
+        dim = 1 + trial % 4
+        if trial % 2:
+            poly = _random_lattice_polytope(rng, dim)
+        else:
+            while True:
+                p = hull([tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(dim + 2)])
+                if p.is_full_dimensional():
+                    break
+            poly = RationalPolytope(dim, [(n, c + Fraction(1, 3)) for n, c in p.facet_system()])
+            if poly.is_empty():
+                continue
+        for x in _boundary_queries(rng, poly, dim) + _queries(rng, poly, dim, count=3):
+            if assert_zero_path(poly, x):
+                inside += 1
+            else:
+                outside += 1
+    assert inside >= 700 and outside >= 600, (inside, outside)
 
 
 def test_hypothesis_property():

@@ -28,7 +28,7 @@ from sbvol.intlinalg import Matrix, adjugate, det, identity_matrix, rank, transp
 from sbvol.intlinalg import solve_rational as kernel_solve_rational
 from sbvol.ledger import dim4_pipeline
 from sbvol.polytope import _triangulate_cone, hull
-from sbvol.subdivision import distance_height, staged_distance_height
+from sbvol.subdivision import _translated, _vertex_list
 from sbvol.toric import normal_fan
 from sbvol.verification import SEED, _random_polytope
 
@@ -191,11 +191,19 @@ def _recorded(monkeypatch, module, name):
 
 
 def test_wolfe_bordered_systems(monkeypatch):
+    # Wolfe runs on every translated, integer-scaled vertex set that the dim4
+    # distance heights and the staged double cone pose, points in the stage
+    # included, though min_squared_distance settles those by containment.
     minimizers = _recorded(monkeypatch, subdivision_module, "_affine_minimizer")
     inverses = _recorded(monkeypatch, subdivision_module, "adjugate")
-    distance_height(dilated_simplex(4, 4), kollar_totaro(3, 4))
     dc = divisor_23_double_cone()
-    staged_distance_height(dc.polytope, dc.embedded_base(), dc.slices())
+    for big, stages in [
+        (dilated_simplex(4, 4), [kollar_totaro(3, 4)]),
+        (dc.polytope, list(dc.slices()) + [dc.embedded_base()]),
+    ]:
+        for stage in stages:
+            for x in big.lattice_points():
+                subdivision_module._wolfe_min_norm(_translated(_vertex_list(stage), x)[0])
     assert len(minimizers) > 150
     assert len(inverses) == len(minimizers)  # one elimination per affine minimum
     assert {len(corral) for (corral,), _ in minimizers} >= {2, 3, 4, 5}

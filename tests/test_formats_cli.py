@@ -8,6 +8,7 @@ from sbvol import cli, toric
 from sbvol.errors import DegenerateInputError, InternalConsistencyError
 from sbvol.families import dilated_simplex, hpt
 from sbvol.polytope import hull
+from sbvol.subdivision import interior_cells, regular_subdivision
 
 
 class TestInterchange:
@@ -36,6 +37,26 @@ class TestInterchange:
         assert formats.fraction_str(Fraction(4, 2)) == "2"
         assert formats.parse_fraction("7/5") == Fraction(7, 5)
         assert formats.parse_fraction(3) == 3
+
+    def test_subdivision_flags_read_off_the_masks(self):
+        # The cell entries, flags included, are those of the cells themselves,
+        # and writing them builds no cell.
+        p = hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 2), (2, 1, 2)])
+        s = regular_subdivision(p, {x: (x[0] * x[1] + x[2] ** 2) % 3 for x in p.lattice_points()})
+        doc = formats.subdivision_to_dict(s)
+        assert all(c is None for c in s.cells._cells)
+        inner = set(interior_cells(s))
+        assert doc["cells"] == [
+            {
+                "vertices": [list(v) for v in c.vertices],
+                "dim": c.dim(),
+                "boundary": c not in inner,
+                "maximal": c in s.maximal_cells,
+            }
+            for c in s.cells
+        ]
+        assert sum(c["maximal"] for c in doc["cells"]) == len(s.maximal_cells) > 1
+        assert {c["boundary"] for c in doc["cells"]} == {True, False}
 
 
 class TestCli:

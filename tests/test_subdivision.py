@@ -256,6 +256,27 @@ class TestPulling:
             assert validate(s).ok
 
 
+class TestWithoutWitness:
+    """A hand-built subdivision carries heights but no regularity witness."""
+
+    @pytest.fixture
+    def hand_built(self):
+        p = hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+        return make_subdivision(p, [p], {x: 0 for x in p.lattice_points()})
+
+    def test_pulling_raises(self, hand_built):
+        with pytest.raises(SubdivisionError, match="no regularity witness"):
+            pulling_refinement(hand_built, (1, 1))
+
+    def test_envelope_value_raises(self, hand_built):
+        with pytest.raises(SubdivisionError, match="no regularity witness"):
+            hand_built.envelope_value((1, 1))
+
+    def test_witness_value_raises(self, hand_built):
+        with pytest.raises(SubdivisionError, match="no regularity witness"):
+            hand_built.witness_value(0, (1, 1))
+
+
 class TestDistanceHeights:
     def test_zero_on_target(self):
         p = dilate(simplex(2), 3)
