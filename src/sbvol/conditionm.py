@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInputError, InternalConsistencyError, InvalidParameterError
 from .intlinalg import dot
-from .ledger import find_unobstructed_subdivision
-from .polytope import LatticePolytope, _as_int_tuple, integer_points
+from .polytope import LatticePolytope, _as_int_tuple, _check_budget, integer_points
 from .toric import (
     DivisorClassGroup,
     class_group,
     divisor_polytope,
     facet_shift,
-    is_smooth,
     normal_fan,
 )
 
@@ -76,6 +74,7 @@ def check_condition_m(p: LatticePolytope, mode: str = "reduced", budget=2_000_00
     """
     if mode not in ("reduced", "unrestricted"):
         raise InvalidParameterError(f"unknown mode {mode!r}; choose 'reduced' or 'unrestricted'")
+    _check_budget(budget, "check_condition_m")  # the unrestricted mode runs no budgeted scan
     group = class_group(p)
     fan = group.fan
     n = fan.n_rays
@@ -165,53 +164,3 @@ def cross_check_unrestricted(p: LatticePolytope, ray_index: int, budget=2_000_00
             f"divisor polytope says {by_polytope}"
         )
     return result
-
-
-@dataclass(frozen=True)
-class VariationCertificate:
-    """Why a polytope's hypersurface class varies strongly, if we can certify it."""
-
-    tag: str  # "unique_interior_point" | "has_interior_points" | "condition_m"
-    # | "smooth_unobstructed_shifts" | "none"
-    detail: object = None
-
-    @property
-    def certifies(self):
-        return self.tag != "none"
-
-
-def strong_variation_certificate(p: LatticePolytope, seeds=None) -> VariationCertificate:
-    """Certify strong variation of the stable birational type, when possible.
-
-    Interior lattice points certify unconditionally (the interior monomial
-    covers the whole boundary, and nonnegative Kodaira dimension rules out
-    stable rationality).  The condition-(M) and smoothness routes need the
-    polytope to be a registered non-stably-rational seed, because those
-    theorems consume non-stable-rationality as a hypothesis.
-    """
-    q, _ = p.normalize_full_dimensional()
-    if q.dim() >= 2:
-        interior = q.lattice_points(interior_only=True)
-        if len(interior) == 1:
-            return VariationCertificate("unique_interior_point", interior[0])
-        if len(interior) >= 2:
-            return VariationCertificate("has_interior_points", len(interior))
-    known_nsr = seeds is not None and seeds.match(q) is not None
-    if not known_nsr:
-        return VariationCertificate("none")
-    report = check_condition_m(q, mode="reduced")
-    if report.holds:
-        return VariationCertificate("condition_m", report)
-    smooth = is_smooth(q)
-    if smooth.overall:
-        evidence = []
-        for i in range(normal_fan(q).n_rays):
-            shifted = facet_shift(q, i)
-            if shifted.is_empty() or not shifted.is_lattice():
-                return VariationCertificate("none")
-            sub = find_unobstructed_subdivision(shifted.to_lattice_polytope())
-            if sub is None:
-                return VariationCertificate("none")
-            evidence.append(sub)
-        return VariationCertificate("smooth_unobstructed_shifts", tuple(evidence))
-    return VariationCertificate("none")

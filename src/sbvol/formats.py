@@ -67,7 +67,7 @@ def polytope_from_dict(doc: dict) -> tuple:
 
 
 def dump_polytope(p: LatticePolytope, name: str = "") -> str:
-    return json.dumps(polytope_to_dict(p, name), sort_keys=True, indent=2) + "\n"
+    return dumps(polytope_to_dict(p, name))
 
 
 def load_polytope(text: str):

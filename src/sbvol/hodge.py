@@ -17,7 +17,6 @@ from operator import and_
 
 from .errors import DegenerateInputError
 from .polytope import LatticePolytope, _bits
-from .toric import fine_interior
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,8 @@ def e_p0_open(p: LatticePolytope, degree: int) -> int:
     """Signed interior-count sum over (degree+1)-faces; vertex-corrected at degree 0."""
     q, _ = p.normalize_full_dimensional()
     n = q.dim()
-    if not 0 <= degree <= n - 1:
-        raise DegenerateInputError(f"degree {degree} out of range 0..{n - 1}")
+    if type(degree) is not int or not 0 <= degree <= n - 1:
+        raise DegenerateInputError(f"degree {degree!r} is not an int in 0..{n - 1}")
     faces = _face_data(q)
     full = next(f for f, (d, _i, _nv) in faces.items() if d == n)
     return _e_open_from_faces(list(faces.items()), full, n, degree)
@@ -100,31 +99,3 @@ def h_p0_compact(p: LatticePolytope) -> HodgeRow:
         )
         by_sum.append(e if deg % 2 == 0 else -e)
     return HodgeRow(tuple(closed), tuple(by_sum), m)
-
-
-@dataclass(frozen=True)
-class Dim3RationalityReport:
-    rational: bool
-    fine_interior_empty: bool
-    genus: int | None  # face-sum h^{1,0} when dim = 3
-
-
-def rational_dim3_test(p: LatticePolytope) -> Dim3RationalityReport:
-    """Rationality of the section for dim <= 3: exactly when the Fine interior is empty.
-
-    In dimension 3 the section is a surface ruled over a curve whose genus
-    is h^{1,0}; the face sum must report genus zero, which is recorded as a
-    consistency check.
-    """
-    q, _ = p.normalize_full_dimensional()
-    d = q.dim()
-    if d > 3:
-        raise DegenerateInputError("this rationality rule only applies up to dimension 3")
-    if d == 0:
-        return Dim3RationalityReport(True, True, None)
-    empty = fine_interior(q).is_empty
-    genus = None
-    if d == 3:
-        row = h_p0_compact(q)
-        genus = row.by_face_sum[1]
-    return Dim3RationalityReport(empty, empty, genus)

@@ -23,7 +23,6 @@ from .subdivision import (
     _interior,
     distance_height,
     lies_in_boundary,
-    pulling_refinement,
     regular_subdivision,
     validate,
 )
@@ -267,31 +266,6 @@ def verdict(ledger: Ledger) -> Verdict:
         "inconclusive",
         "uncertain classes remain and no non-cancellation rule applies",
     )
-
-
-def find_unobstructed_subdivision(p: LatticePolytope):
-    """A regular subdivision with ledger one point class, or None.
-
-    Tries the trivial subdivision, then the full pulling triangulation by
-    all lattice points; the result is certified through the ledger itself.
-    """
-    q, _ = p.normalize_full_dimensional()
-    if q.dim() == 0:
-        return None
-    zero = {x: 0 for x in q.lattice_points()}
-    s = regular_subdivision(q, zero)
-    led = volume_ledger(q, s, check=False)
-    if verdict(led).status == "unobstructed":
-        return s
-    for point in q.lattice_points():
-        cells_with = [c for c in s.maximal_cells if c.contains(point)]
-        if len(cells_with) == 1 and point in cells_with[0].vertices:
-            continue
-        s = pulling_refinement(s, point)
-    led = volume_ledger(q, s, check=False)
-    if verdict(led).status == "unobstructed":
-        return s
-    return None
 
 
 @dataclass(frozen=True)

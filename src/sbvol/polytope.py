@@ -18,6 +18,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     InternalConsistencyError,
+    InvalidParameterError,
     ResourceLimitError,
 )
 from .intlinalg import (
@@ -49,6 +50,12 @@ def _as_int_tuple(p):
         if not _is_rational(x) or x.denominator != 1:
             raise DegenerateInputError(f"integer vector expected, got {p!r}")
     return tuple(int(x) for x in t)
+
+
+def _check_budget(budget, routine):
+    """Raise unless budget is a nonnegative int; a bool or a float is not coerced."""
+    if type(budget) is not int or budget < 0:
+        raise InvalidParameterError(f"{routine}: budget must be a nonnegative int, got {budget!r}")
 
 
 def _check_ambient(poly, x):
@@ -297,6 +304,7 @@ class LatticePolytope:
         of exactly the face its carrier cuts out, so one scan answers every
         face's count.  A lower-dimensional polytope reads its chart's table.
         """
+        _check_budget(budget, "LatticePolytope.lattice_points")
         if "points" not in self._cache:
             q, ch = self.normalize_full_dimensional()
             if q is not self:
@@ -506,6 +514,7 @@ class RationalPolytope:
         return all(s >= 0 for s in slacks(self.halfspaces, x))
 
     def lattice_points(self, budget=DEFAULT_POINT_BUDGET):
+        _check_budget(budget, "RationalPolytope.lattice_points")
         vs = self.vertices()
         if not vs:
             return ()
@@ -670,6 +679,7 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
     relates the span-normalized polytopes; the ambient map is provided when
     both inputs are full-dimensional in the same ambient space.
     """
+    _check_budget(budget, "unimodular_equivalence")
     if p.fingerprint() != q.fingerprint():
         return EquivalenceResult("inequivalent", None, None)
     pa, chart_p = p.normalize_full_dimensional()
@@ -764,8 +774,10 @@ def integer_points(constraints, lo, hi, budget, routine):
     box bounds on the free suffix, so the last coordinate's interval is
     exact and no leaf is wasted.  The root and every tried coordinate value
     count as nodes; past `budget` nodes a ResourceLimitError names
-    `routine`.  Needs a box of dimension at least one.
+    `routine`; a budget that is not a nonnegative int raises
+    InvalidParameterError.  Needs a box of dimension at least one.
     """
+    _check_budget(budget, routine)
     d = len(lo)
     # rest[j][i]: max over the box of sum_{k >= j} a_i[k] x_k
     rest = [[0] * len(constraints) for _ in range(d + 1)]

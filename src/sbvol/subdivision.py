@@ -1,4 +1,4 @@
-"""Regular integral subdivisions: lower hulls, pulling refinements, distance heights.
+"""Regular integral subdivisions: lower hulls, distance heights, validation.
 
 A subdivision is stored as its maximal cells plus the full face closure,
 together with the inducing heights and, as the witness of regularity, the
@@ -22,13 +22,12 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     InternalConsistencyError,
-    SubdivisionError,
 )
 from .intlinalg import adjugate, dot
 from .polytope import (
     DEFAULT_FACE_BUDGET,
     LatticePolytope,
-    _as_int_tuple,
+    RationalPolytope,
     _bits,
     _check_ambient,
     _face_budget_error,
@@ -95,28 +94,6 @@ class Subdivision:
     def cells(self) -> "Cells":
         """The face closure as LatticePolytopes, aligned with cell_masks, built on read."""
         return Cells(self)
-
-    def _witness(self):
-        if self.witness is None:
-            raise SubdivisionError("a hand-built subdivision has no regularity witness")
-        return self.witness
-
-    def witness_value(self, cell_index, x):
-        """The cell's affine piece (c - <n', x>) / (n[-1] * scale) at x; n' is n without n[-1]."""
-        n, c = self._witness()[cell_index]
-        return Fraction(c - dot(n, x), n[-1] * self.height_scale)
-
-    def envelope_value(self, x):
-        """Value of the piecewise affine witness at a point of the polytope."""
-        self._witness()
-        vals = [
-            self.witness_value(i, x)
-            for i, c in enumerate(self.maximal_cells)
-            if c.contains(x)
-        ]
-        if not vals:
-            raise DegenerateInputError(f"{x!r} lies in no maximal cell")
-        return min(vals)
 
 
 class Cells(Sequence):
@@ -266,49 +243,16 @@ def make_subdivision(p: LatticePolytope, maximal_cells, heights=None) -> Subdivi
     )
 
 
-# -- pulling refinements ---------------------------------------------------------
-
-
-def pulling_refinement(s: Subdivision, point) -> Subdivision:
-    """Refine by coning a lattice point over the point-free faces of its cells.
-
-    The new subdivision is constructed from a height function (the stored
-    heights with the value at the point pulled down) and verified against
-    the combinatorial prediction; the pull-down amount is halved until the
-    lower hull reproduces the prediction exactly.
-    """
-    p = s.polytope
-    point = _as_int_tuple(point)
-    if point not in p.lattice_points():
-        raise DegenerateInputError(f"{point!r} is not a lattice point of the polytope")
-    if s.heights is None:
-        raise SubdivisionError("pulling needs the inducing heights")
-    predicted = set()
-    for cell in s.maximal_cells:
-        if not cell.contains(point):
-            predicted.add(cell)
-            continue
-        for facet in cell.faces(cell.dim() - 1):
-            if not facet.contains(point):
-                predicted.add(hull(list(facet.vertices) + [point]))
-    base = s.envelope_value(point)
-    hmap = s.height_map()
-    delta = Fraction(1)
-    for _ in range(64):
-        hmap[point] = base - delta
-        candidate = regular_subdivision(p, hmap)
-        if set(candidate.maximal_cells) == predicted:
-            return candidate
-        delta /= 2
-    raise SubdivisionError("no pull-down amount reproduced the pulling refinement")
-
-
 # -- distance heights --------------------------------------------------------------
 
 
 def _vertex_list(poly):
-    """Vertices of a lattice or a rational polytope."""
-    return poly.vertices if isinstance(poly, LatticePolytope) else poly.vertices()
+    """Vertices of a lattice or a rational polytope; anything else raises."""
+    if isinstance(poly, LatticePolytope):
+        return poly.vertices
+    if isinstance(poly, RationalPolytope):
+        return poly.vertices()
+    raise DegenerateInputError(f"{poly!r} is not a lattice or a rational polytope")
 
 
 def _combination(points, weights):
@@ -389,8 +333,8 @@ def min_squared_distance(poly, x) -> Fraction:
     test of `contains`.  Any other point's distance is the certified Wolfe
     minimum-norm point of conv(V - x), scaled to integers.
     """
-    _check_ambient(poly, x)
     verts = _vertex_list(poly)
+    _check_ambient(poly, x)
     if not verts:
         raise DegenerateInputError("empty polytope has no nearest point")
     if poly.contains(x):
@@ -416,8 +360,10 @@ def staged_distance_height(p: LatticePolytope, delta, slices=()) -> dict:
     does not match its intent and an error is raised.
     """
     chain = list(slices) + [delta]
-    if any(stage.ambient_dim != p.ambient_dim for stage in chain):
-        raise DimensionMismatchError(f"every stage must lie in Q^{p.ambient_dim}")
+    for stage in chain:
+        _vertex_list(stage)  # raises unless the stage is a polytope
+        if stage.ambient_dim != p.ambient_dim:
+            raise DimensionMismatchError(f"every stage must lie in Q^{p.ambient_dim}")
     for bigger, smaller in zip(chain, chain[1:]):
         if not all(bigger.contains(v) for v in _vertex_list(smaller)):
             raise DegenerateInputError("inconsistent slice chain: stages are not nested")

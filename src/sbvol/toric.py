@@ -1,4 +1,4 @@
-"""The toric layer: normal fans, Hilbert bases, Fine interiors, class groups.
+"""The toric layer: normal fans, Fine interiors, class groups.
 
 All computations are exact.  The central objects are the inward normal fan
 of a full-dimensional lattice polytope and the divisor class group
@@ -9,32 +9,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import dd
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     InternalConsistencyError,
-    UnsupportedInputError,
 )
 from .intlinalg import (
     adjugate,
-    det,
     dot,
     hermite_form,
     invert_unimodular,
     mat_vec,
     primitive,
-    rank,
     smith_form,
     transpose,
     vec_mat,
 )
 from .polytope import (
-    AffineChart,
     LatticePolytope,
     RationalPolytope,
     _as_int_tuple,
@@ -43,42 +37,6 @@ from .polytope import (
     _triangulate_cone,
     integer_points,
 )
-
-
-@dataclass(frozen=True)
-class RationalCone:
-    """cone(generators) with cached facet data; generators are primitive."""
-
-    dim: int
-    generators: tuple
-
-    @staticmethod
-    def from_generators(gens):
-        gens = tuple(sorted(set(primitive(g) for g in gens if any(g))))
-        if not gens:
-            raise DegenerateInputError("cone needs at least one nonzero generator")
-        return RationalCone(len(gens[0]), gens)
-
-    def facet_data(self):
-        """(inequalities, span equations) cutting the cone out of its ambient space."""
-        return self._facet_data
-
-    @cached_property
-    def _facet_data(self):
-        return dd.extreme_rays(self.generators, self.dim)[:2]
-
-    def rank(self) -> int:
-        return rank([list(g) for g in self.generators])
-
-    def is_pointed(self) -> bool:
-        normals, _ = self.facet_data()
-        return rank([list(n) for n in normals]) == self.rank()
-
-    def contains(self, x) -> bool:
-        normals, equations = self.facet_data()
-        return all(dot(n, x) >= 0 for n in normals) and all(
-            dot(e, x) == 0 for e in equations
-        )
 
 
 @dataclass(frozen=True)
@@ -97,9 +55,6 @@ class NormalFan:
     def ample_coefficients(self):
         """Coefficients of the distinguished ample divisor: a_ray = -ord(ray)."""
         return tuple(-c for c in self.offsets)
-
-    def vertex_cone(self, i) -> RationalCone:
-        return RationalCone.from_generators([self.rays[j] for j in sorted(self.vertex_cones[i])])
 
 
 def normal_fan(p: LatticePolytope) -> NormalFan:
@@ -120,70 +75,6 @@ def normal_fan(p: LatticePolytope) -> NormalFan:
 def ord_value(p: LatticePolytope, n) -> int:
     """min over the polytope of the pairing with the dual vector n."""
     return min(dot(v, n) for v in p.vertices)
-
-
-# -- Hilbert bases ---------------------------------------------------------------
-
-
-def _fundamental_parallelepiped(gens, dim):
-    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent generators.
-
-    In the chart of their span the generators are the columns of a square
-    integer matrix M; each coset representative r of Z^d / M Z^d is moved
-    into the parallelepiped by subtracting M floor(adj(M) r / det M).
-    """
-    chart = AffineChart.for_points([tuple([0] * dim)] + list(gens))
-    m_cols = transpose([chart.to_chart(g) for g in gens])
-    det_m, adj = adjugate(m_cols)
-    out = set()
-    for r in _group_representatives(m_cols):
-        shift = [t // det_m for t in mat_vec(adj, r)]
-        out.add(chart.from_chart(tuple(a - b for a, b in zip(r, mat_vec(m_cols, shift)))))
-    return out
-
-
-def _group_representatives(m_cols):
-    """Coset representatives of Z^d / (column lattice of m_cols)."""
-    d = len(m_cols)
-    sd = smith_form(m_cols)
-    diag = [sd.s[i][i] for i in range(d)]
-    u_inv = invert_unimodular([list(r) for r in sd.u])
-    reps = []
-    for combo in itertools.product(*(range(max(abs(x), 1)) for x in diag)):
-        reps.append(mat_vec(u_inv, combo))
-    return reps
-
-
-def hilbert_basis(cone: RationalCone):
-    """The unique minimal generating set of cone intersect the lattice.
-
-    Triangulates into simplicial subcones, collects fundamental
-    parallelepiped points, then extracts the irreducible elements by a
-    greedy pass in increasing order of a strictly positive functional.
-    """
-    if not cone.is_pointed():
-        raise UnsupportedInputError("Hilbert basis requires a pointed cone")
-    normals, _ = cone.facet_data()
-    candidates = set(cone.generators)
-    for sub in _triangulate_cone(list(cone.generators), cone.dim):
-        for p in _fundamental_parallelepiped(sub, cone.dim):
-            if any(x != 0 for x in p):
-                candidates.add(p)
-
-    def phi(x):
-        return sum(dot(n, x) for n in normals)
-
-    basis = []
-    for c in sorted(candidates, key=lambda x: (phi(x), x)):
-        reducible = False
-        for b in basis:
-            diff = tuple(a - t for a, t in zip(c, b))
-            if cone.contains(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(c)
-    return tuple(sorted(basis))
 
 
 # -- Fine interior -----------------------------------------------------------------
@@ -363,46 +254,6 @@ def fine_interior(p: LatticePolytope, budget=50_000_000) -> FineInteriorResult:
             halfspaces[n] = ord_value(p, n) + 1
 
 
-def kodaira_dimension(p: LatticePolytope):
-    """-inf when the Fine interior is empty, else its dim, less one at full dim."""
-    if p.dim() < 1:
-        raise DegenerateInputError("Kodaira dimension needs a positive-dimensional polytope")
-    q, _ = p.normalize_full_dimensional()
-    return fine_interior(q).kodaira_dimension
-
-
-def is_general_type(p: LatticePolytope) -> bool:
-    return kodaira_dimension(p) == p.dim() - 1
-
-
-# -- smoothness ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    overall: bool
-    per_vertex: tuple  # (vertex, is_simple, is_smooth)
-
-
-def is_smooth(p: LatticePolytope) -> SmoothnessReport:
-    """Vertex-by-vertex test: primitive edge directions must form a lattice basis."""
-    if not p.is_full_dimensional():
-        raise DegenerateInputError("smoothness test requires a full-dimensional polytope")
-    d = p.dim()
-    edges = p.faces(1)
-    rows = []
-    for v in p.vertices:
-        dirs = []
-        for e in edges:
-            if v in e.vertices:
-                w = e.vertices[0] if e.vertices[1] == v else e.vertices[1]
-                dirs.append(primitive(tuple(a - b for a, b in zip(w, v))))
-        simple = len(dirs) == d
-        smooth = simple and abs(det([list(x) for x in dirs])) == 1
-        rows.append((v, simple, smooth))
-    return SmoothnessReport(all(r[2] for r in rows), tuple(rows))
-
-
 # -- divisors and the class group ------------------------------------------------------
 
 
@@ -434,9 +285,6 @@ class ClassElement:
 
     free: tuple
     torsion: tuple
-
-    def is_zero(self):
-        return all(x == 0 for x in self.free) and all(x == 0 for x in self.torsion)
 
 
 @dataclass(frozen=True)
@@ -473,6 +321,8 @@ class DivisorClassGroup:
         return ClassElement(free, tor)
 
     def ray_degree(self, i) -> ClassElement:
+        if type(i) is not int or not 0 <= i < self.fan.n_rays:
+            raise DegenerateInputError(f"no ray with index {i!r}")
         e = [0] * self.fan.n_rays
         e[i] = 1
         return self.degree(e)

@@ -8,7 +8,6 @@ from sbvol.conditionm import (
     check_condition_m,
     cross_check_unrestricted,
     sections_of_class,
-    strong_variation_certificate,
 )
 from sbvol.errors import (
     DegenerateInputError,
@@ -17,7 +16,7 @@ from sbvol.errors import (
     InvalidParameterError,
     ResourceLimitError,
 )
-from sbvol.families import builtin_seed_registry, hpt, tpq
+from sbvol.families import hpt, tpq
 from sbvol.polytope import dilate, hull
 from sbvol.toric import class_group, divisor_polytope, normal_fan
 
@@ -44,6 +43,12 @@ class TestConditionM:
             r" \(dimension 6, 2 constraints\)$",
         ):
             check_condition_m(hpt(), budget=1)
+
+    @pytest.mark.parametrize("mode", ["reduced", "unrestricted"])
+    def test_budget_that_is_not_a_nonnegative_int_raises_in_either_mode(self, mode):
+        for budget in (-1, True, 2.5):
+            with pytest.raises(InvalidParameterError, match=r"budget must be a nonnegative int"):
+                check_condition_m(hpt(), mode=mode, budget=budget)
 
     def test_unknown_mode_raises_before_any_work(self, monkeypatch):
         def refuse(*args):
@@ -266,24 +271,3 @@ class TestDefinitionChase:
                 coeffs[i] -= 1
                 secs = sections_of_class(p, coeffs)
                 assert (len(secs) > 0) == (len(shifted.lattice_points()) > 0)
-
-
-class TestStrongVariation:
-    def test_hpt_condition_m_route(self):
-        seeds = builtin_seed_registry()
-        cert = strong_variation_certificate(hpt(), seeds)
-        assert cert.tag == "condition_m"
-
-    def test_unique_interior_point(self):
-        cert = strong_variation_certificate(dilate(simplex(3), 4))
-        assert cert.tag == "unique_interior_point"
-        assert cert.detail == (1, 1, 1)
-
-    def test_many_interior_points(self):
-        cert = strong_variation_certificate(dilate(simplex(2), 4))
-        assert cert.tag == "has_interior_points"
-
-    def test_no_certificate_for_rational(self):
-        cert = strong_variation_certificate(dilate(simplex(2), 2))
-        assert cert.tag == "none"
-        assert not cert.certifies

@@ -12,26 +12,51 @@ unimodular maps like those of the invariant-batch workload.
 The oracle's _subcone_scan_frame is the earlier frame search, one Hermite
 form per ray order.  The kernel scores every order from one table of minor
 gcds and runs one Hermite form; both must choose the same frame.
+
+The Hilbert-basis route at the end of this file (RationalCone, vertex_cone,
+_fundamental_parallelepiped, _group_representatives, hilbert_basis) is the
+package's earlier toric code, moved here unchanged apart from vertex_cone
+becoming a function of the fan.  It reaches the Fine interior through a
+second integer enumeration, Smith-form cosets of fundamental
+parallelepipeds, so tests in test_toric.py use it as an independent check.
 """
 
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, lcm, prod
 
-from sbvol import toric
-from sbvol.errors import InternalConsistencyError, ResourceLimitError
+from sbvol import dd, toric
+from sbvol.errors import (
+    DegenerateInputError,
+    InternalConsistencyError,
+    ResourceLimitError,
+    UnsupportedInputError,
+)
 from sbvol.families import dilated_simplex, hpt, kollar_totaro, tpq
 from sbvol.intlinalg import (
+    adjugate,
     det,
     dot,
     hermite_form,
     invert_unimodular,
+    mat_vec,
     primitive,
+    rank,
+    smith_form,
     transpose,
 )
-from sbvol.polytope import LatticePolytope, RationalPolytope, _triangulate_cone, hull, integer_points
+from sbvol.polytope import (
+    AffineChart,
+    LatticePolytope,
+    RationalPolytope,
+    _triangulate_cone,
+    hull,
+    integer_points,
+)
 from sbvol.toric import FineInteriorResult, NormalFan, fine_interior, normal_fan, ord_value
 from sbvol.verification import SEED, _random_polytope
 from test_elimination_oracle import invert_rational
@@ -359,3 +384,107 @@ def test_minor_gcd_table_is_the_pivot_product_of_an_order_starting_with_the_set(
             order = inside + outside
             h, _ = hermite_form([[rays[j][k] for j in order] for k in range(d)])
             assert g == prod(h[j][j] for j in range(len(inside)))
+
+
+# -- the Hilbert-basis route ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RationalCone:
+    """cone(generators) with cached facet data; generators are primitive."""
+
+    dim: int
+    generators: tuple
+
+    @staticmethod
+    def from_generators(gens):
+        gens = tuple(sorted(set(primitive(g) for g in gens if any(g))))
+        if not gens:
+            raise DegenerateInputError("cone needs at least one nonzero generator")
+        return RationalCone(len(gens[0]), gens)
+
+    def facet_data(self):
+        """(inequalities, span equations) cutting the cone out of its ambient space."""
+        return self._facet_data
+
+    @cached_property
+    def _facet_data(self):
+        return dd.extreme_rays(self.generators, self.dim)[:2]
+
+    def rank(self) -> int:
+        return rank([list(g) for g in self.generators])
+
+    def is_pointed(self) -> bool:
+        normals, _ = self.facet_data()
+        return rank([list(n) for n in normals]) == self.rank()
+
+    def contains(self, x) -> bool:
+        normals, equations = self.facet_data()
+        return all(dot(n, x) >= 0 for n in normals) and all(
+            dot(e, x) == 0 for e in equations
+        )
+
+
+def vertex_cone(fan: NormalFan, i) -> RationalCone:
+    return RationalCone.from_generators([fan.rays[j] for j in sorted(fan.vertex_cones[i])])
+
+
+def _fundamental_parallelepiped(gens, dim):
+    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent generators.
+
+    In the chart of their span the generators are the columns of a square
+    integer matrix M; each coset representative r of Z^d / M Z^d is moved
+    into the parallelepiped by subtracting M floor(adj(M) r / det M).
+    """
+    chart = AffineChart.for_points([tuple([0] * dim)] + list(gens))
+    m_cols = transpose([chart.to_chart(g) for g in gens])
+    det_m, adj = adjugate(m_cols)
+    out = set()
+    for r in _group_representatives(m_cols):
+        shift = [t // det_m for t in mat_vec(adj, r)]
+        out.add(chart.from_chart(tuple(a - b for a, b in zip(r, mat_vec(m_cols, shift)))))
+    return out
+
+
+def _group_representatives(m_cols):
+    """Coset representatives of Z^d / (column lattice of m_cols)."""
+    d = len(m_cols)
+    sd = smith_form(m_cols)
+    diag = [sd.s[i][i] for i in range(d)]
+    u_inv = invert_unimodular([list(r) for r in sd.u])
+    reps = []
+    for combo in itertools.product(*(range(max(abs(x), 1)) for x in diag)):
+        reps.append(mat_vec(u_inv, combo))
+    return reps
+
+
+def hilbert_basis(cone: RationalCone):
+    """The unique minimal generating set of cone intersect the lattice.
+
+    Triangulates into simplicial subcones, collects fundamental
+    parallelepiped points, then extracts the irreducible elements by a
+    greedy pass in increasing order of a strictly positive functional.
+    """
+    if not cone.is_pointed():
+        raise UnsupportedInputError("Hilbert basis requires a pointed cone")
+    normals, _ = cone.facet_data()
+    candidates = set(cone.generators)
+    for sub in _triangulate_cone(list(cone.generators), cone.dim):
+        for p in _fundamental_parallelepiped(sub, cone.dim):
+            if any(x != 0 for x in p):
+                candidates.add(p)
+
+    def phi(x):
+        return sum(dot(n, x) for n in normals)
+
+    basis = []
+    for c in sorted(candidates, key=lambda x: (phi(x), x)):
+        reducible = False
+        for b in basis:
+            diff = tuple(a - t for a, t in zip(c, b))
+            if cone.contains(diff):
+                reducible = True
+                break
+        if not reducible:
+            basis.append(c)
+    return tuple(sorted(basis))

@@ -197,6 +197,12 @@ class TestCli:
         out = " ".join(capsys.readouterr().out.split())
         assert "2 usage or input error; 3 internal consistency error" in out
 
+    def test_negative_max_points_exit_2(self, tmp_path, capsys):
+        path = self.write_polytope(tmp_path, hpt(), "hpt")
+        assert main(["compute", "--input", path, "--all", "--max-points", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: LatticePolytope.lattice_points: budget must be a nonnegative int, got -5\n"
+
     def test_polytope_document_not_an_object_exit_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from sbvol.errors import DegenerateInputError
-from sbvol.hodge import e_p0_open, h_p0_compact, rational_dim3_test
+from sbvol.hodge import e_p0_open, h_p0_compact
 from sbvol.polytope import dilate, hull
+from sbvol.toric import fine_interior
 
 
 def simplex(n):
@@ -26,6 +28,11 @@ class TestOpenInvariants:
     def test_out_of_range(self):
         with pytest.raises(DegenerateInputError):
             e_p0_open(simplex(2), 5)
+
+    @pytest.mark.parametrize("degree", [True, 1.0, Fraction(1)])
+    def test_degree_that_is_not_an_int_raises(self, degree):
+        with pytest.raises(DegenerateInputError, match=r"^degree .* is not an int in 0\.\.2$"):
+            e_p0_open(dilate(simplex(3), 4), degree)
 
 
 class TestCompactRow:
@@ -73,22 +80,21 @@ class TestCompactRow:
 
 
 class TestDim3Rule:
+    """Up to dimension three the section is rational exactly when the Fine interior is empty.
+
+    In dimension three it is then a surface ruled over a curve of genus
+    h^{1,0}, which the face sum must report as zero.
+    """
+
     def test_hollow_surface_rational(self):
-        rep = rational_dim3_test(dilate(simplex(2), 2))
-        assert rep.rational
+        assert fine_interior(dilate(simplex(2), 2)).is_empty
 
     def test_general_type_not_rational(self):
-        rep = rational_dim3_test(hull([(0, 2, 2), (1, 3, 0), (2, 4, 3), (3, 0, 1)]))
-        assert not rep.rational
+        assert not fine_interior(hull([(0, 2, 2), (1, 3, 0), (2, 4, 3), (3, 0, 1)])).is_empty
 
     def test_width_one_rational_with_genus_zero(self):
         p = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-        rep = rational_dim3_test(p)
-        assert rep.rational and rep.fine_interior_empty and rep.genus == 0
-
-    def test_dim_cap(self):
-        with pytest.raises(DegenerateInputError):
-            rational_dim3_test(simplex(4))
+        assert fine_interior(p).is_empty and h_p0_compact(p).by_face_sum[1] == 0
 
     def test_genus_zero_whenever_fine_interior_empty(self):
         rng = random.Random(52)
@@ -97,7 +103,6 @@ class TestDim3Rule:
             p = hull([tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(6)])
             if p.dim() != 3:
                 continue
-            rep = rational_dim3_test(p)
-            if rep.fine_interior_empty:
-                assert rep.genus == 0
+            if fine_interior(p).is_empty:
+                assert h_p0_compact(p).by_face_sum[1] == 0
             done += 1

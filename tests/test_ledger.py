@@ -16,7 +16,6 @@ from sbvol.ledger import (
     SeedRegistry,
     classify_cell,
     dim4_pipeline,
-    find_unobstructed_subdivision,
     verdict,
     volume_ledger,
 )
@@ -25,7 +24,6 @@ from sbvol.subdivision import (
     height_function,
     interior_cells,
     make_subdivision,
-    pulling_refinement,
     regular_subdivision,
     validate,
 )
@@ -35,14 +33,14 @@ def simplex(n):
     return hull([tuple([0] * n)] + [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)])
 
 
-def triangulate_fully(p):
-    s = regular_subdivision(p, height_function(p, lambda v: 0))
-    for point in p.lattice_points():
-        cells_with = [c for c in s.maximal_cells if c.contains(point)]
-        if len(cells_with) == 1 and point in cells_with[0].vertices:
-            continue
-        s = pulling_refinement(s, point)
-    return s
+def unimodular_triangulation():
+    """The lower hull of the strictly convex x^2 + xy + y^2 on 2*simplex(2): four unit triangles."""
+    p = dilate(simplex(2), 2)
+    heights = {(0, 0): 0, (1, 0): 1, (2, 0): 4, (0, 1): 1, (1, 1): 3, (0, 2): 4}
+    assert set(heights) == set(p.lattice_points())
+    s = regular_subdivision(p, heights)
+    assert [c.normalized_volume() for c in s.maximal_cells] == [1, 1, 1, 1]
+    return p, s
 
 
 class TestClassify:
@@ -120,8 +118,8 @@ class TestVolumeLedger:
         assert verdict(led).status == "obstructed"
 
     def test_unimodular_triangulation_unobstructed(self):
-        p = dilate(simplex(2), 2)
-        led = volume_ledger(p, triangulate_fully(p))
+        p, s = unimodular_triangulation()
+        led = volume_ledger(p, s)
         assert led.is_point_form()
         assert verdict(led).status == "unobstructed"
 
@@ -158,14 +156,6 @@ class TestVolumeLedger:
                 volume_ledger(big, s, check=check)
         own = volume_ledger(small, s, check=False)
         assert own.point_coefficient == 0 and [e.coefficient for e in own.entries] == [1]
-
-    def test_refinement_of_rational_cells_keeps_verdict(self):
-        p = dilate(simplex(3), 4)
-        s = regular_subdivision(p, height_function(p, lambda v: abs(v[0] + v[1] + 2 * v[2] - 4)))
-        v1 = verdict(volume_ledger(p, s))
-        s2 = pulling_refinement(s, (1, 0, 0))  # refine inside a rational cell
-        v2 = verdict(volume_ledger(p, s2))
-        assert v1.status == v2.status == "obstructed"
 
 
 class TestInheritedWidth:
@@ -339,15 +329,3 @@ class TestDim4Pipeline:
         reg = builtin_seed_registry()
         with pytest.raises(DegenerateInputError):
             dim4_pipeline(dilate(simplex(4), 4), kollar_totaro(3, 4), reg)
-
-
-class TestUnobstructedSearch:
-    def test_width_one_polytope(self):
-        p = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-        assert find_unobstructed_subdivision(p) is not None
-
-    def test_rational_two_dim(self):
-        assert find_unobstructed_subdivision(dilate(simplex(2), 2)) is not None
-
-    def test_elliptic_curve_has_none(self):
-        assert find_unobstructed_subdivision(dilate(simplex(2), 3)) is None

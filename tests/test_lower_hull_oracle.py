@@ -17,12 +17,11 @@ from math import lcm
 
 import pytest
 
-from sbvol import dd, ledger, subdivision
+from sbvol import dd, subdivision
 from sbvol import polytope as polytope_module
 from sbvol.errors import DegenerateInputError, DimensionMismatchError
 from sbvol.families import dilated_simplex, divisor_23_double_cone, kollar_totaro
 from sbvol.intlinalg import dot, rank
-from sbvol.ledger import find_unobstructed_subdivision
 from sbvol.polytope import AffineChart, LatticePolytope, _as_int_tuple, carrier, hull
 from sbvol.subdivision import (
     Subdivision,
@@ -282,15 +281,12 @@ def test_affine_heights():
         hull([(0, 0, 0), (1, 0, 2), (1, 2, 0), (1, 2, 2), (2, 2, 0)]),
     ],
 )
-def test_pulling_chain(p, monkeypatch):
-    # every lower hull on the way: the trivial one, then each pull-down tried
-    seen = []
-
-    def checked(q, heights):
-        seen.append(len(heights))
-        return _assert_same_subdivision(q, heights)
-
-    monkeypatch.setattr(ledger, "regular_subdivision", checked)
-    monkeypatch.setattr(subdivision, "regular_subdivision", checked)
-    assert find_unobstructed_subdivision(p) is None
-    assert len(seen) > 3
+def test_pulling_chain(p):
+    # Zero heights, then each lattice point in turn lowered by 1, 1/2, ..., 1/64
+    # below the table so far, as a pulling refinement tries its pull-downs.
+    heights = {x: Fraction(0) for x in p.lattice_points()}
+    _assert_same_subdivision(p, heights)
+    for x in p.lattice_points():
+        for k in range(7):
+            _assert_same_subdivision(p, {**heights, x: heights[x] - Fraction(1, 2**k)})
+        heights[x] -= Fraction(1, 64)

@@ -7,7 +7,12 @@ import pytest
 
 from sbvol import dd
 from sbvol import polytope as polytope_module
-from sbvol.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
+from sbvol.errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    ResourceLimitError,
+)
 from sbvol.hodge import h_p0_compact
 from sbvol import subdivision as subdivision_module
 from sbvol.intlinalg import dot
@@ -20,6 +25,7 @@ from sbvol.polytope import (
     dilate,
     face_closure,
     hull,
+    integer_points,
     slacks,
     translate,
     unimodular_equivalence,
@@ -186,6 +192,23 @@ class TestLatticePoints:
     def test_budget_error_names_the_scan(self):
         with pytest.raises(ResourceLimitError, match=r"LatticePolytope.lattice_points.*budget of 10 \(dimension 3"):
             dilate(simplex(3), 4).lattice_points(budget=10)
+
+    @pytest.mark.parametrize("budget", [-1, True, 1.5, 10.0, "10"])
+    def test_budget_that_is_not_a_nonnegative_int_raises(self, budget):
+        # Before any scan and after one: a cached table is no excuse.
+        p = dilate(simplex(3), 4)
+        match = r"^LatticePolytope.lattice_points: budget must be a nonnegative int, got "
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match=match):
+                p.lattice_points(budget=budget)
+            p.lattice_points()
+        with pytest.raises(InvalidParameterError, match=r"^scan: budget must be a nonnegative int"):
+            list(integer_points([((1,), 0)], [0], [3], budget, "scan"))
+        with pytest.raises(InvalidParameterError, match=r"^unimodular_equivalence: budget must be"):
+            unimodular_equivalence(p, p, budget=budget)
+        empty = RationalPolytope(1, [((1,), 1), ((-1,), 0)])
+        with pytest.raises(InvalidParameterError, match=r"^RationalPolytope.lattice_points: budget must be"):
+            empty.lattice_points(budget=budget)
 
     def test_lower_dimensional_points(self):
         p = hull([(0, 0), (2, 2)])

@@ -28,7 +28,6 @@ from sbvol.subdivision import (
     lies_in_boundary,
     make_subdivision,
     min_squared_distance,
-    pulling_refinement,
     regular_subdivision,
     staged_distance_height,
     validate,
@@ -77,7 +76,6 @@ class TestRegularSubdivision:
         )
         assert s.maximal_cells == (p,) and s.height_scale == 12
         assert s.witness == (((-4, 2, -6, 1), 3),)
-        assert all(s.witness_value(0, x) == h for x, h in s.heights)
         assert validate(s).ok
 
     def test_witness_must_be_a_lower_facet(self):
@@ -211,72 +209,6 @@ class TestLowerHullWithApex:
             self.check(p, {x: Fraction(rng.randint(0, 4)) for x in p.lattice_points()})
 
 
-class TestPulling:
-    def test_square_center(self):
-        p = hull([(0, 0), (2, 0), (0, 2), (2, 2)])
-        s = regular_subdivision(p, height_function(p, lambda v: 0))
-        s2 = pulling_refinement(s, (1, 1))
-        assert len(s2.maximal_cells) == 4
-        assert validate(s2).ok
-
-    def test_vertex_pull_is_trivial_on_simplex(self):
-        p = dilate(simplex(2), 3)
-        s = regular_subdivision(p, height_function(p, lambda v: 0))
-        s2 = pulling_refinement(s, (0, 0))
-        assert s2.maximal_cells == s.maximal_cells
-
-    def test_interior_pull(self):
-        p = dilate(simplex(2), 3)
-        s = regular_subdivision(p, height_function(p, lambda v: 0))
-        s2 = pulling_refinement(s, (1, 1))
-        assert len(s2.maximal_cells) == 3
-        for c in s2.maximal_cells:
-            assert (1, 1) in c.vertices
-
-    def test_pull_outside_raises(self):
-        p = simplex(2)
-        s = regular_subdivision(p, height_function(p, lambda v: 0))
-        with pytest.raises(DegenerateInputError):
-            pulling_refinement(s, (5, 5))
-
-    @pytest.mark.parametrize("point", [(1.7, 0.2), (Fraction(3, 2), Fraction(1, 2)), (True, False)])
-    def test_non_integer_point_raises(self, point):
-        # (1, 0) is a lattice point: a truncated point would pull it silently.
-        p = dilate(simplex(2), 3)
-        s = regular_subdivision(p, height_function(p, lambda v: 0))
-        with pytest.raises(DegenerateInputError, match="integer vector expected"):
-            pulling_refinement(s, point)
-
-    def test_pulling_preserves_regularity(self):
-        rng = random.Random(42)
-        p = hull([(0, 0), (3, 0), (0, 3), (3, 3)])
-        s = regular_subdivision(p, height_function(p, lambda v: 0))
-        for point in [(1, 1), (2, 2), (3, 0)]:
-            s = pulling_refinement(s, point)
-            assert validate(s).ok
-
-
-class TestWithoutWitness:
-    """A hand-built subdivision carries heights but no regularity witness."""
-
-    @pytest.fixture
-    def hand_built(self):
-        p = hull([(0, 0), (2, 0), (0, 2), (2, 2)])
-        return make_subdivision(p, [p], {x: 0 for x in p.lattice_points()})
-
-    def test_pulling_raises(self, hand_built):
-        with pytest.raises(SubdivisionError, match="no regularity witness"):
-            pulling_refinement(hand_built, (1, 1))
-
-    def test_envelope_value_raises(self, hand_built):
-        with pytest.raises(SubdivisionError, match="no regularity witness"):
-            hand_built.envelope_value((1, 1))
-
-    def test_witness_value_raises(self, hand_built):
-        with pytest.raises(SubdivisionError, match="no regularity witness"):
-            hand_built.witness_value(0, (1, 1))
-
-
 class TestDistanceHeights:
     def test_zero_on_target(self):
         p = dilate(simplex(2), 3)
@@ -302,6 +234,21 @@ class TestDistanceHeights:
     def test_not_contained_raises(self):
         with pytest.raises(DegenerateInputError):
             distance_height(simplex(2), hull([(5, 5)]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: distance_height(p, 5),
+            lambda p: distance_height(p, [(0, 0)]),
+            lambda p: staged_distance_height(p, None),
+            lambda p: staged_distance_height(p, p, slices=[True]),
+            lambda p: min_squared_distance((0, 0), (1, 1)),
+        ],
+        ids=["int-target", "list-target", "none-stage", "bool-slice", "tuple-polytope"],
+    )
+    def test_target_or_stage_that_is_not_a_polytope_raises(self, call):
+        with pytest.raises(DegenerateInputError, match=r"is not a lattice or a rational polytope$"):
+            call(simplex(2))
 
 
 class TestMinNormCertificate:

@@ -11,18 +11,14 @@ from sbvol.errors import DegenerateInputError, ResourceLimitError, UnsupportedIn
 from sbvol.families import hpt, schreieder
 from sbvol.polytope import dilate, hull
 from sbvol.toric import (
-    RationalCone,
     class_group,
     divisor_polytope,
     facet_shift,
     fine_interior,
-    hilbert_basis,
-    is_general_type,
-    is_smooth,
-    kodaira_dimension,
     normal_fan,
     ord_value,
 )
+from test_fine_interior_oracle import RationalCone, hilbert_basis, vertex_cone
 
 
 def simplex(n):
@@ -219,7 +215,7 @@ class TestFineInterior:
             fan = normal_fan(p)
             gens = set()
             for i in range(len(p.vertices)):
-                gens.update(hilbert_basis(fan.vertex_cone(i)))
+                gens.update(hilbert_basis(vertex_cone(fan, i)))
             from sbvol.polytope import RationalPolytope
 
             alt = RationalPolytope(
@@ -232,28 +228,13 @@ class TestFineInterior:
 
 class TestKodaira:
     def test_values(self):
-        assert kodaira_dimension(dilate(simplex(2), 2)) == float("-inf")
-        assert kodaira_dimension(dilate(simplex(2), 3)) == 0
-        assert kodaira_dimension(dilate(simplex(3), 4)) == 0
+        assert fine_interior(dilate(simplex(2), 2)).kodaira_dimension == float("-inf")
+        assert fine_interior(dilate(simplex(2), 3)).kodaira_dimension == 0
+        assert fine_interior(dilate(simplex(3), 4)).kodaira_dimension == 0
 
     def test_general_type_flag(self):
         p = hull([(0, 2, 2), (1, 3, 0), (2, 4, 3), (3, 0, 1)])
-        assert kodaira_dimension(p) == 2
-        assert is_general_type(p)
-
-
-class TestSmoothness:
-    def test_dilated_simplices_smooth(self):
-        for n in (2, 3, 4):
-            assert is_smooth(dilate(simplex(n), n + 1)).overall
-
-    def test_cube_smooth(self):
-        cube = hull(list(itertools.product((0, 1), repeat=3)))
-        assert is_smooth(cube).overall
-
-    def test_singular_tetrahedron(self):
-        p = hull([(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 2, 1)])
-        assert not is_smooth(p).overall
+        assert fine_interior(p).kodaira_dimension == 2 == p.dim() - 1
 
 
 class TestDivisors:
@@ -385,7 +366,13 @@ class TestClassGroup:
         g = class_group(p)
         for m in [(1, 0, 0), (0, 1, 0), (2, -1, 3)]:
             coeffs = [sum(a * b for a, b in zip(m, u)) for u in g.fan.rays]
-            assert g.degree(coeffs).is_zero()
+            assert g.degree(coeffs) == g.degree([0] * g.fan.n_rays)
+
+    @pytest.mark.parametrize("i", [9, -1, True])
+    def test_ray_degree_rejects_an_index_that_names_no_ray(self, i):
+        g = class_group(hull([(0, 0), (2, 0), (0, 2)]))
+        with pytest.raises(DegenerateInputError, match=rf"^no ray with index {i!r}$"):
+            g.ray_degree(i)
 
     def test_fan_and_group_are_built_once_per_polytope(self, monkeypatch):
         calls = []
