@@ -16,11 +16,12 @@ import sys
 from fractions import Fraction
 
 from . import formats
-from .conditionm import check_condition_m
+from .conditionm import WITNESS_BUDGET, check_condition_m
 from .errors import InternalConsistencyError, SbvolError
 from .families import FAMILIES, bounds_table, build, builtin_seed_registry
 from .hodge import h_p0_compact
 from .ledger import verdict, volume_ledger
+from .polytope import DEFAULT_POINT_BUDGET
 from .subdivision import distance_height, regular_subdivision, validate
 from .toric import class_group, fine_interior
 from .verification import run_all
@@ -58,8 +59,10 @@ def _compute_report(name, p, which, max_points):
         w, cert = p.lattice_width()
         report["width"] = w
         report["width_certificate"] = list(cert)
+    if which("classify") or which("hodge") and p.dim() >= 2:
+        p.lattice_points(budget=max_points)  # fills the one table that classify and hodge read
     if which("classify"):
-        c = p.classify(budget=max_points)
+        c = p.classify()
         report["classification"] = {
             "empty": c.is_empty_polytope,
             "empty_simplex": c.is_empty_simplex,
@@ -304,7 +307,9 @@ def build_parser():
     sp.add_argument("--all", action="store_true")
     for flag in COMPUTE_REPORTS:
         sp.add_argument(f"--{flag}", action="store_true")
-    sp.add_argument("--max-points", type=int, default=5_000_000)
+    sp.add_argument(
+        "--max-points", type=int, default=DEFAULT_POINT_BUDGET, help="lattice-point scan budget"
+    )
     sp.set_defaults(fn=cmd_compute)
 
     sp = sub.add_parser("fine-interior", help="the shifted-halfspace interior")
@@ -318,7 +323,7 @@ def build_parser():
     sp = sub.add_parser("condition-m", help="monomial boundary cover check")
     add_io(sp)
     sp.add_argument("--mode", choices=("reduced", "unrestricted"), default="reduced")
-    sp.add_argument("--budget", type=int, default=2_000_000, help="witness search node budget")
+    sp.add_argument("--budget", type=int, default=WITNESS_BUDGET, help="witness scan node budget")
     sp.set_defaults(fn=cmd_condition_m)
 
     sp = sub.add_parser("class-group", help="divisor class group data")

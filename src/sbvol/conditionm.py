@@ -23,6 +23,8 @@ from .toric import (
     normal_fan,
 )
 
+WITNESS_BUDGET = 2_000_000  # nodes of one witness scan; read when the scan runs
+
 
 @dataclass(frozen=True)
 class ConditionMReport:
@@ -37,7 +39,7 @@ def _ample_exponents(group: DivisorClassGroup, lo, hi, budget, routine):
 
     One integer point scan: each coordinate of the free part of the degree
     is an equality, two opposite halfspaces; the torsion part filters the
-    points the scan yields.
+    points the scan yields.  A budget of None is WITNESS_BUDGET.
     """
     target = group.ample_class()
     free = [group.ray_degree(i).free for i in range(group.fan.n_rays)]
@@ -45,13 +47,13 @@ def _ample_exponents(group: DivisorClassGroup, lo, hi, budget, routine):
     for j, t in enumerate(target.free):
         row = tuple(f[j] for f in free)
         cons += [(row, t), (tuple(-a for a in row), -t)]
-    for x in integer_points(cons, lo, hi, budget, routine):
+    for x in integer_points(cons, lo, hi, WITNESS_BUDGET if budget is None else budget, routine):
         if group.degree(x).torsion == target.torsion:
             yield x
 
 
-def reduced_witnesses(group: DivisorClassGroup, budget=2_000_000):
-    """All square-free exponent vectors of ample degree, sorted."""
+def reduced_witnesses(group: DivisorClassGroup, budget=None):
+    """All square-free exponent vectors of ample degree, sorted; budget caps the scan."""
     n = group.fan.n_rays
     return list(_ample_exponents(group, [0] * n, [1] * n, budget, "reduced_witnesses"))
 
@@ -64,17 +66,17 @@ def _check_witness(group: DivisorClassGroup, i, w):
         )
 
 
-def check_condition_m(p: LatticePolytope, mode: str = "reduced", budget=2_000_000) -> ConditionMReport:
+def check_condition_m(p: LatticePolytope, mode: str = "reduced", budget=None) -> ConditionMReport:
     """Per ray, find a monomial of ample degree whose zero set contains the ray's divisor.
 
     Reduced mode enumerates square-free exponent vectors exactly, so absence
     is certified.  Unrestricted mode tests the shifted divisor polytope for
     a lattice point, which is equivalent to the existence of an arbitrary
-    monomial witness.
+    monomial witness.  `budget` caps the reduced scan, as in reduced_witnesses.
     """
     if mode not in ("reduced", "unrestricted"):
         raise InvalidParameterError(f"unknown mode {mode!r}; choose 'reduced' or 'unrestricted'")
-    _check_budget(budget, "check_condition_m")  # the unrestricted mode runs no budgeted scan
+    _check_budget(WITNESS_BUDGET if budget is None else budget, "check_condition_m")  # both modes
     group = class_group(p)
     fan = group.fan
     n = fan.n_rays
@@ -129,14 +131,14 @@ class CrossCheckResult:
         return self.exists_by_exponents == self.exists_by_polytope
 
 
-def cross_check_unrestricted(p: LatticePolytope, ray_index: int, budget=2_000_000) -> CrossCheckResult:
+def cross_check_unrestricted(p: LatticePolytope, ray_index: int) -> CrossCheckResult:
     """Two routes to 'an unrestricted witness exists for this ray' must agree.
 
     Route one scans exponent vectors directly, capped by the width of the
     polytope along each ray (any section's exponent lies in that range), up
-    to the first one that vanishes on the ray, and checks that hit as
-    `check_condition_m` checks its witnesses; route two tests the shifted
-    divisor polytope for a lattice point.
+    to the first one that vanishes on the ray, within WITNESS_BUDGET nodes,
+    and checks that hit as `check_condition_m` checks its witnesses; route
+    two tests the shifted divisor polytope for a lattice point.
 
     On a full-dimensional lattice polytope both routes always answer True,
     as unrestricted condition (M) always holds there: a vertex v off facet
@@ -151,7 +153,7 @@ def cross_check_unrestricted(p: LatticePolytope, ray_index: int, budget=2_000_00
     caps = [max(dot(v, u) for v in p.vertices) - c for u, c in zip(fan.rays, fan.offsets)]
     lo = [0] * fan.n_rays
     lo[ray_index] = 1
-    hit = next(_ample_exponents(group, lo, caps, budget, "cross_check_unrestricted"), None)
+    hit = next(_ample_exponents(group, lo, caps, WITNESS_BUDGET, "cross_check_unrestricted"), None)
     if hit is not None:
         _check_witness(group, ray_index, hit)
     by_exponents = hit is not None

@@ -68,10 +68,10 @@ class SeedRegistry:
         self.entries.append(entry)
         return entry
 
-    def match(self, p: LatticePolytope, budget=200_000):
+    def match(self, p: LatticePolytope):
         q, _ = p.normalize_full_dimensional()
         for entry in self.entries:
-            res = unimodular_equivalence(q, entry.polytope, budget=budget)
+            res = unimodular_equivalence(q, entry.polytope)
             if res.found:
                 return entry
         return None
@@ -228,10 +228,6 @@ def _width_certificates(s: Subdivision, parents):
 class Verdict:
     status: str  # "obstructed" | "unobstructed" | "inconclusive"
     justification: str
-
-    @property
-    def obstructed(self):
-        return self.status == "obstructed"
 
 
 def verdict(ledger: Ledger) -> Verdict:

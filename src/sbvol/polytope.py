@@ -36,8 +36,9 @@ from .intlinalg import (
     vec_gcd,
 )
 
-DEFAULT_POINT_BUDGET = 5_000_000
-DEFAULT_FACE_BUDGET = 120_000
+DEFAULT_POINT_BUDGET = 5_000_000  # nodes of each lattice-point scan; read when the scan runs
+DEFAULT_FACE_BUDGET = 120_000  # faces of one face lattice
+EQUIVALENCE_BUDGET = 200_000  # nodes of one unimodular_equivalence frame search
 
 
 def _is_rational(x):
@@ -156,6 +157,12 @@ class AffineUnimodularMap:
     translation: tuple
 
     def __post_init__(self):
+        n = len(self.linear)
+        if len(self.translation) != n:
+            raise DimensionMismatchError(f"translation {self.translation!r} does not fit Z^{n}")
+        for r in (*self.linear, self.translation):
+            if len(r) != n or any(type(x) is not int for x in r):
+                raise DegenerateInputError(f"{self.linear}, {self.translation}: no square int map")
         if abs(det([list(r) for r in self.linear])) != 1:
             raise DegenerateInputError("linear part is not unimodular")
 
@@ -175,11 +182,11 @@ class AffineUnimodularMap:
         return len(self.translation)
 
     def apply(self, x):
+        if len(x) != self.dim:
+            raise DimensionMismatchError(f"{tuple(x)!r} is not a point of Z^{self.dim}")
         return tuple(dot(r, x) + t for r, t in zip(self.linear, self.translation))
 
     def apply_polytope(self, p: "LatticePolytope") -> "LatticePolytope":
-        if p.ambient_dim != self.dim:
-            raise DimensionMismatchError("map and polytope dimensions differ")
         return LatticePolytope._trusted(self.dim, sorted(self.apply(v) for v in p.vertices))
 
     def inverse(self):
@@ -296,7 +303,7 @@ class LatticePolytope:
 
     # -- lattice points ------------------------------------------------------
 
-    def _carriers(self, budget=DEFAULT_POINT_BUDGET):
+    def _carriers(self, budget=None):
         """Every lattice point, sorted, mapped to its carrier.
 
         The carrier is a bitmask over the chart's facet system: bit i is set
@@ -304,6 +311,7 @@ class LatticePolytope:
         of exactly the face its carrier cuts out, so one scan answers every
         face's count.  A lower-dimensional polytope reads its chart's table.
         """
+        budget = DEFAULT_POINT_BUDGET if budget is None else budget
         _check_budget(budget, "LatticePolytope.lattice_points")
         if "points" not in self._cache:
             q, ch = self.normalize_full_dimensional()
@@ -325,8 +333,9 @@ class LatticePolytope:
             self._cache["points"] = dict(table)
         return self._cache["points"]
 
-    def lattice_points(self, interior_only=False, budget=DEFAULT_POINT_BUDGET):
-        """All lattice points, or only those in the relative interior."""
+    def lattice_points(self, interior_only=False, budget=None):
+        """All lattice points, or only the relative interior ones, from the one cached table.
+        `budget` (None: DEFAULT_POINT_BUDGET) caps the scan that fills it; later calls read it."""
         table = self._carriers(budget)
         return tuple(x for x, c in table.items() if not c) if interior_only else tuple(table)
 
@@ -338,7 +347,7 @@ class LatticePolytope:
 
     # -- faces ---------------------------------------------------------------
 
-    def _face_masks(self, budget=DEFAULT_FACE_BUDGET):
+    def _face_masks(self):
         """Every nonempty face as a bitmask over self.vertices, mapped to its dimension.
 
         A simplex's faces are its nonempty vertex subsets.  Any other
@@ -347,14 +356,12 @@ class LatticePolytope:
         if "face_masks" not in self._cache:
             nv = len(self.vertices)
             if self.is_simplex():
-                if (1 << nv) - 1 > budget:
-                    _face_budget_error(budget + 1, budget, nv, nv)
-                masks = {m: m.bit_count() - 1 for m in range(1, 1 << nv)}
+                masks = dict(_simplex_faces((1 << nv) - 1))
             else:
                 q, ch = self.normalize_full_dimensional()
                 at = {ch.to_chart(v): i for i, v in enumerate(self.vertices)}  # index in self
                 tight = [sum(1 << at[q.vertices[j]] for j in _bits(m)) for m in q._tight_sets()]
-                masks = face_lattice((1 << nv) - 1, tight, q.dim(), budget)
+                masks = face_lattice((1 << nv) - 1, tight, q.dim())
             self._cache["face_masks"] = masks
         return self._cache["face_masks"]
 
@@ -367,8 +374,8 @@ class LatticePolytope:
             by_dim.setdefault(d, []).append(cell)
         if k is None:
             return by_dim
-        if k < 0 or k > self.dim():
-            raise DegenerateInputError(f"face dimension {k} out of range 0..{self.dim()}")
+        if type(k) is not int or not 0 <= k <= self.dim():
+            raise DegenerateInputError(f"face dimension {k!r} is not an int in 0..{self.dim()}")
         return by_dim.get(k, [])
 
     def f_vector(self):
@@ -406,10 +413,10 @@ class LatticePolytope:
             self._cache["width"] = _width_search(q)
         return self._cache["width"]
 
-    def classify(self, budget=DEFAULT_POINT_BUDGET) -> PolytopeClassification:
+    def classify(self) -> PolytopeClassification:
         """A facet is relatively empty when exactly one lattice point lies off it."""
         if "classify" not in self._cache:
-            table = self._carriers(budget)
+            table = self._carriers()
             empty = len(table) == len(self.vertices)
             simplex = empty and len(self.vertices) == self.dim() + 1
             if self.dim() == 0:
@@ -500,21 +507,11 @@ class RationalPolytope:
     def is_lattice(self) -> bool:
         return all(all(Fraction(x).denominator == 1 for x in v) for v in self.vertices())
 
-    def to_lattice_polytope(self) -> LatticePolytope:
-        if self.is_empty():
-            raise DegenerateInputError("empty polytope has no lattice model")
-        if not self.is_lattice():
-            raise DegenerateInputError("polytope has non-integral vertices")
-        return LatticePolytope._trusted(
-            self.ambient_dim, sorted(tuple(int(x) for x in v) for v in self.vertices())
-        )
-
     def contains(self, x) -> bool:
         _check_ambient(self, x)
         return all(s >= 0 for s in slacks(self.halfspaces, x))
 
-    def lattice_points(self, budget=DEFAULT_POINT_BUDGET):
-        _check_budget(budget, "RationalPolytope.lattice_points")
+    def lattice_points(self):
         vs = self.vertices()
         if not vs:
             return ()
@@ -525,7 +522,7 @@ class RationalPolytope:
                 [(n, ceil(c)) for n, c in self.halfspaces],
                 [ceil(min(v[i] for v in vs)) for i in range(d)],
                 [floor(max(v[i] for v in vs)) for i in range(d)],
-                budget,
+                DEFAULT_POINT_BUDGET,
                 "RationalPolytope.lattice_points",
             )
         )
@@ -564,7 +561,7 @@ def hull(points) -> LatticePolytope:
     return out
 
 
-def face_closure(full, tight_sets, budget=DEFAULT_FACE_BUDGET):
+def face_closure(full, tight_sets):
     """All nonempty faces as index sets or int bitmasks: the tight sets closed under intersection."""
     faces = {full}
     frontier = [full]
@@ -576,14 +573,14 @@ def face_closure(full, tight_sets, budget=DEFAULT_FACE_BUDGET):
                 if g and g not in faces:
                     faces.add(g)
                     nxt.append(g)
-                    if len(faces) > budget:
+                    if len(faces) > DEFAULT_FACE_BUDGET:
                         size = full.bit_count() if isinstance(full, int) else len(full)
-                        _face_budget_error(len(faces), budget, size, len(tight_sets))
+                        _face_budget_error(len(faces), size, len(tight_sets))
         frontier = nxt
     return faces
 
 
-def face_lattice(full, tight_sets, d, budget=DEFAULT_FACE_BUDGET):
+def face_lattice(full, tight_sets, d):
     """Every nonempty face of a d-polytope as an int bitmask, mapped to its dimension.
 
     The faces are the closure of the facets' tight sets.  A facet of a face
@@ -593,7 +590,7 @@ def face_lattice(full, tight_sets, d, budget=DEFAULT_FACE_BUDGET):
     supersets (Kaibel and Pfetsch, Comput. Geom. 23, 2002).
     """
     dims = {full: d}
-    for f in sorted(face_closure(full, tight_sets, budget), key=int.bit_count, reverse=True):
+    for f in sorted(face_closure(full, tight_sets), key=int.bit_count, reverse=True):
         below = dims[f] - 1
         for t in tight_sets:
             g = f & t
@@ -602,10 +599,21 @@ def face_lattice(full, tight_sets, d, budget=DEFAULT_FACE_BUDGET):
     return dims
 
 
-def _face_budget_error(reached, budget, n_vertices, n_facets):
+def _simplex_faces(full):
+    """Ascending (mask, dim) of each nonempty submask of a simplex vertex mask, within budget."""
+    n = full.bit_count()
+    if (1 << n) - 1 > DEFAULT_FACE_BUDGET:
+        _face_budget_error(DEFAULT_FACE_BUDGET + 1, n, n)
+    sub = full & -full
+    while sub:
+        yield sub, sub.bit_count() - 1
+        sub = (sub - full) & full
+
+
+def _face_budget_error(reached, n_vertices, n_facets):
     raise ResourceLimitError(
-        f"face_closure: face enumeration reached {reached} faces, over its budget of {budget}"
-        f" ({n_vertices} vertices, {n_facets} facets)"
+        f"face_closure: face enumeration reached {reached} faces, over its budget of"
+        f" {DEFAULT_FACE_BUDGET} ({n_vertices} vertices, {n_facets} facets)"
     )
 
 
@@ -669,17 +677,16 @@ class EquivalenceResult:
         return self.status == "found"
 
 
-def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_000):
+def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope):
     """Search for an affine unimodular map with T(p) = q.
 
     Polytopes are first compared by unimodular-invariant fingerprints
     (definite inequivalence on mismatch), then a vertex-anchored frame
-    search runs inside an explicit node budget; a spent budget raises
+    search spends at most EQUIVALENCE_BUDGET nodes; a spent budget raises
     ResourceLimitError instead of reading as either answer.  The chart map
     relates the span-normalized polytopes; the ambient map is provided when
     both inputs are full-dimensional in the same ambient space.
     """
-    _check_budget(budget, "unimodular_equivalence")
     if p.fingerprint() != q.fingerprint():
         return EquivalenceResult("inequivalent", None, None)
     pa, chart_p = p.normalize_full_dimensional()
@@ -718,10 +725,10 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope, budget=200_00
             nonlocal nodes
             if depth == d:
                 nodes += 1
-                if nodes > budget:
+                if nodes > EQUIVALENCE_BUDGET:
                     raise ResourceLimitError(
                         f"unimodular_equivalence: frame search spent {nodes} nodes, over its"
-                        f" budget of {budget} (dimension {d}, {len(pv)} vertices)"
+                        f" budget of {EQUIVALENCE_BUDGET} (dimension {d}, {len(pv)} vertices)"
                     )
                 scaled = transpose(mat_mul(adj, picked))  # D A
                 if any(x % det_f for row in scaled for x in row):

@@ -25,13 +25,12 @@ from .errors import (
 )
 from .intlinalg import adjugate, dot
 from .polytope import (
-    DEFAULT_FACE_BUDGET,
     LatticePolytope,
     RationalPolytope,
     _bits,
     _check_ambient,
-    _face_budget_error,
     _is_rational,
+    _simplex_faces,
     carrier,
     hull,
     slacks,
@@ -136,17 +135,6 @@ class Cells(Sequence):
             and all(v in bit for v in cell.vertices)
             and sum(bit[v] for v in cell.vertices) in masks
         )
-
-
-def _simplex_faces(full):
-    """(mask, dim) of every nonempty submask of a simplex's vertex mask, within the face budget."""
-    n = full.bit_count()
-    if (1 << n) - 1 > DEFAULT_FACE_BUDGET:
-        _face_budget_error(DEFAULT_FACE_BUDGET + 1, DEFAULT_FACE_BUDGET, n, n)
-    sub = full
-    while sub:
-        yield sub, sub.bit_count() - 1
-        sub = (sub - 1) & full
 
 
 def _cell_lattice(maximal_cells):

@@ -38,6 +38,8 @@ from .polytope import (
     integer_points,
 )
 
+FINE_INTERIOR_BUDGET = 50_000_000  # nodes of each Fine-interior scan; read when the scan runs
+
 
 @dataclass(frozen=True)
 class NormalFan:
@@ -181,7 +183,7 @@ def _subcone_scan_frame(tri, d):
     return uinv, tcons, lo, hi, new_rays
 
 
-def fine_interior(p: LatticePolytope, budget=50_000_000) -> FineInteriorResult:
+def fine_interior(p: LatticePolytope) -> FineInteriorResult:
     """Intersection of all supporting halfspaces shifted inward by one.
 
     Strategy: start from the facet normals and iterate.  If m satisfies the
@@ -194,9 +196,9 @@ def fine_interior(p: LatticePolytope, budget=50_000_000) -> FineInteriorResult:
     certified cutting description of the Fine interior.
 
     Each round runs one scan per (candidate vertex, simplicial vertex
-    subcone), in integers, with `budget` as that scan's node cap; a scan
-    over it raises ResourceLimitError.  The loop ends: every round that
-    does not return adds at least one new primitive vector, and all of
+    subcone), in integers, with FINE_INTERIOR_BUDGET as the node cap of
+    each; a scan over it raises ResourceLimitError.  The loop ends: every
+    round that does not return adds a new primitive vector, and all of
     them are integer points of the subcones' fixed slab boxes, a finite set.
     """
     fan = normal_fan(p)
@@ -238,7 +240,7 @@ def fine_interior(p: LatticePolytope, budget=50_000_000) -> FineInteriorResult:
                     hi_k = sum(max(0, r[k]) * s for r, s in zip(new_rays, scale)) * m
                     lo.append(max(box_lo[k], -(-lo_k // den)))
                     hi.append(min(box_hi[k], hi_k // den))
-                scan = integer_points(tcons + [cut], lo, hi, budget, "fine_interior")
+                scan = integer_points(tcons + [cut], lo, hi, FINE_INTERIOR_BUDGET, "fine_interior")
                 for n_t in itertools.islice(filter(any, scan), 4):
                     n = mat_vec(uinv, n_t)
                     # n must lie in this normal cone and violate the candidate.

@@ -207,14 +207,15 @@ class TestCrossCheck:
                 cross_check_unrestricted(p, i)
             assert len(calls) - before == 1
 
-    def test_budget_error_names_the_cross_check(self):
+    def test_budget_error_names_the_cross_check(self, monkeypatch):
         p = hpt()
+        monkeypatch.setattr(conditionm, "WITNESS_BUDGET", 1)
         with pytest.raises(
             ResourceLimitError,
             match=r"^cross_check_unrestricted: integer point scan spent 2 nodes, over its budget of 1"
             r" \(dimension 6, 2 constraints\)$",
         ):
-            cross_check_unrestricted(p, 0, budget=1)
+            cross_check_unrestricted(p, 0)
 
     @pytest.mark.parametrize("ray_index", [6, 99, -1, -7])
     def test_ray_index_out_of_range_raises_before_any_search(self, ray_index, monkeypatch):

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from sbvol import verification
+from sbvol import conditionm, verification
 from sbvol.conditionm import check_condition_m, cross_check_unrestricted, reduced_witnesses
 from sbvol.errors import ResourceLimitError
 from sbvol.families import hpt, schreieder, tpq
@@ -166,7 +166,9 @@ def check_route_one(p, rays=None):
     fan = normal_fan(p)
     for i in range(fan.n_rays) if rays is None else rays:
         exists, nodes = dfs_nodes(lambda: oracle_route_one(p, i, fan))
-        res = cross_check_unrestricted(p, i, budget=nodes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditionm, "WITNESS_BUDGET", nodes)
+            res = cross_check_unrestricted(p, i)
         assert res.exists_by_exponents == exists == res.exists_by_polytope
 
 
@@ -190,10 +192,11 @@ def test_criterion_11c_polytopes():
         check_route_one(p)
 
 
-def test_route_one_stops_at_its_first_hit():
+def test_route_one_stops_at_its_first_hit(monkeypatch):
     # the oracle spends 42,000 nodes on this ray; the scan stops at its first hit, after 1,076
     p = schreieder(3).polytope
     fan = normal_fan(p)
-    res = cross_check_unrestricted(p, 0, budget=2_000)
+    monkeypatch.setattr(conditionm, "WITNESS_BUDGET", 2_000)
+    res = cross_check_unrestricted(p, 0)
     assert res.exists_by_exponents and res.agree
 

@@ -203,6 +203,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: LatticePolytope.lattice_points: budget must be a nonnegative int, got -5\n"
 
+    @pytest.mark.parametrize("report", ["--classify", "--hodge", "--all"])
+    def test_max_points_caps_the_scan_of_every_report_that_reads_it(self, tmp_path, capsys, report):
+        path = self.write_polytope(tmp_path, dilated_simplex(3, 3), "t")
+        assert main(["compute", "--input", path, report, "--max-points", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: LatticePolytope.lattice_points: integer point scan spent 3 nodes, over its"
+            " budget of 2 (dimension 3, 4 constraints)\n"
+        )
+
+    def test_max_points_starts_no_scan_for_a_report_that_reads_none(self, tmp_path):
+        path = self.write_polytope(tmp_path, hull([(0, 0), (3, 0)]), "segment")
+        assert main(["compute", "--input", path, "--hodge", "--max-points", "1"]) == 0
+
     def test_polytope_document_not_an_object_exit_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -97,12 +97,14 @@ class TestSeedRegistry:
         assert reg.match(translate(hpt(), (1, 2, 3, 4, 5))) is not None
         assert reg.match(dilate(simplex(3), 4)) is None
 
-    def test_spent_budget_is_not_read_as_no_match(self):
+    def test_spent_budget_is_not_read_as_no_match(self, monkeypatch):
+        from sbvol import polytope
         from sbvol.polytope import translate
 
         reg = builtin_seed_registry()
+        monkeypatch.setattr(polytope, "EQUIVALENCE_BUDGET", 0)
         with pytest.raises(ResourceLimitError, match="unimodular_equivalence"):
-            reg.match(translate(hpt(), (1, 2, 3, 4, 5)), budget=0)
+            reg.match(translate(hpt(), (1, 2, 3, 4, 5)))
 
 
 class TestVolumeLedger:

@@ -5,8 +5,11 @@ from math import comb, gcd
 
 import pytest
 
+from sbvol import conditionm as conditionm_module
 from sbvol import dd
 from sbvol import polytope as polytope_module
+from sbvol import toric as toric_module
+from sbvol.conditionm import check_condition_m
 from sbvol.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -31,6 +34,7 @@ from sbvol.polytope import (
     unimodular_equivalence,
 )
 from sbvol.subdivision import min_squared_distance, regular_subdivision, validate
+from sbvol.toric import fine_interior
 
 
 def simplex(n):
@@ -204,11 +208,6 @@ class TestLatticePoints:
             p.lattice_points()
         with pytest.raises(InvalidParameterError, match=r"^scan: budget must be a nonnegative int"):
             list(integer_points([((1,), 0)], [0], [3], budget, "scan"))
-        with pytest.raises(InvalidParameterError, match=r"^unimodular_equivalence: budget must be"):
-            unimodular_equivalence(p, p, budget=budget)
-        empty = RationalPolytope(1, [((1,), 1), ((-1,), 0)])
-        with pytest.raises(InvalidParameterError, match=r"^RationalPolytope.lattice_points: budget must be"):
-            empty.lattice_points(budget=budget)
 
     def test_lower_dimensional_points(self):
         p = hull([(0, 0), (2, 2)])
@@ -247,24 +246,26 @@ class TestFaces:
         assert all(c.dim() == d for d, cells in faces.items() for c in cells)
         assert len(ranked) == before
 
-    def test_budget_error_names_the_closure(self):
+    def test_budget_error_names_the_closure(self, monkeypatch):
+        monkeypatch.setattr(polytope_module, "DEFAULT_FACE_BUDGET", 2)
         tight = [frozenset(range(4)) - {i} for i in range(4)]  # a tetrahedron's facets
         with pytest.raises(
             ResourceLimitError,
             match=r"^face_closure: face enumeration reached 3 faces, over its budget of 2"
             r" \(4 vertices, 4 facets\)$",
         ):
-            face_closure(frozenset(range(4)), tight, budget=2)
+            face_closure(frozenset(range(4)), tight)
 
-    def test_simplex_faces_keep_the_closure_budget(self):
+    def test_simplex_faces_keep_the_closure_budget(self, monkeypatch):
         # A simplex's faces are its vertex subsets, listed without the
         # closure; over the budget it raises the closure's error.
+        monkeypatch.setattr(polytope_module, "DEFAULT_FACE_BUDGET", 10)
         with pytest.raises(
             ResourceLimitError,
             match=r"^face_closure: face enumeration reached 11 faces, over its budget of 10"
             r" \(4 vertices, 4 facets\)$",
         ):
-            hull([(0, 0, 0), (5, 0, 0), (0, 3, 0), (1, 1, 7)])._face_masks(budget=10)
+            hull([(0, 0, 0), (5, 0, 0), (0, 3, 0), (1, 1, 7)])._face_masks()
 
     def test_euler_relation(self):
         rng = random.Random(13)
@@ -455,7 +456,8 @@ class TestOneLatticePointScan:
 
         monkeypatch.setattr(polytope_module, "integer_points", counted)
         p = LatticePolytope._trusted(p.ambient_dim, p.vertices)
-        p.classify(budget=10_000)
+        p.lattice_points(budget=10_000)
+        p.classify()
         p.n_lattice_points()
         p.n_interior_points()
         p.fingerprint()
@@ -489,13 +491,14 @@ class TestEquivalence:
         square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
         assert unimodular_equivalence(t2, square).status == "inequivalent"
 
-    def test_spent_budget_raises(self):
+    def test_spent_budget_raises(self, monkeypatch):
         p = hull([(0, 0), (3, 1), (1, 2), (0, 1)])
         q = AffineUnimodularMap(((1, 1), (0, 1)), (2, -1)).apply_polytope(p)
         assert p.fingerprint() == q.fingerprint()
         assert unimodular_equivalence(p, q).found
+        monkeypatch.setattr(polytope_module, "EQUIVALENCE_BUDGET", 0)
         with pytest.raises(ResourceLimitError, match="unimodular_equivalence.*budget of 0"):
-            unimodular_equivalence(p, q, budget=0)
+            unimodular_equivalence(p, q)
 
     def test_found_preserves_invariants(self):
         rng = random.Random(16)
@@ -654,3 +657,52 @@ class TestRejectsFloatsAndBools:
     def test_bool_vertices(self):
         with pytest.raises(DegenerateInputError):
             hull([(True, 0), (0, 1), (0, 0)])
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: AffineUnimodularMap(((1.0, 0), (0, 1)), (0, 0)), DegenerateInputError),
+            (lambda: AffineUnimodularMap(((1, 0), (0, 1)), (Fraction(1, 2), 0)), DegenerateInputError),
+            (lambda: AffineUnimodularMap(((True, False), (False, True)), (0, 0)), DegenerateInputError),
+            (lambda: AffineUnimodularMap(((1, 0), (0, 1)), (True, 0)), DegenerateInputError),
+            (lambda: AffineUnimodularMap(((1, 0, 0), (0, 1, 0)), (0, 0)), DegenerateInputError),
+            (lambda: AffineUnimodularMap(((1, 0), (0, 1)), (0, 0, 0)), DimensionMismatchError),
+            (lambda: AffineUnimodularMap.identity(2).apply((1, 2, 3)), DimensionMismatchError),
+            (lambda: hull([(0, 0), (1, 0), (0, 1)]).faces(True), DegenerateInputError),
+            (lambda: hull([(0, 0), (1, 0), (0, 1)]).faces(1.0), DegenerateInputError),
+        ],
+        ids=[
+            "float-linear",
+            "fraction-translation",
+            "bool-linear",
+            "bool-translation",
+            "2x3-linear",
+            "long-translation",
+            "long-point",
+            "faces-True",
+            "faces-1.0",
+        ],
+    )
+    def test_maps_and_face_dimensions_take_ints_of_the_right_shape(self, call, error):
+        with pytest.raises(error):
+            call()
+
+
+@pytest.mark.parametrize(
+    "module, constant, call, routine",
+    [
+        (polytope_module, "DEFAULT_POINT_BUDGET", LatticePolytope.classify, "LatticePolytope.lattice_points"),
+        (polytope_module, "DEFAULT_FACE_BUDGET", LatticePolytope.f_vector, "face_closure"),
+        (polytope_module, "EQUIVALENCE_BUDGET", lambda p: unimodular_equivalence(p, p), "unimodular_equivalence"),
+        (toric_module, "FINE_INTERIOR_BUDGET", fine_interior, "fine_interior"),
+        (conditionm_module, "WITNESS_BUDGET", check_condition_m, "reduced_witnesses"),
+    ],
+    ids=["point", "face", "equivalence", "fine-interior", "witness"],
+)
+def test_each_budget_constant_is_read_when_its_routine_runs(
+    monkeypatch, module, constant, call, routine
+):
+    p = dilate(simplex(3), 4)
+    monkeypatch.setattr(module, constant, 0)
+    with pytest.raises(ResourceLimitError, match=rf"^{routine}: .* over its budget of 0 \("):
+        call(p)

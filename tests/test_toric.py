@@ -152,7 +152,8 @@ class TestFineInterior:
             return original(constraints, lo, hi, budget, routine)
 
         monkeypatch.setattr(toric_module, "integer_points", recorded)
-        fi = fine_interior(p, budget=100)
+        monkeypatch.setattr(toric_module, "FINE_INTERIOR_BUDGET", 100)
+        fi = fine_interior(p)
         assert caps and set(caps) == {100}
         assert (fi.is_empty, fi.dim, fi.generators) == (
             expected.is_empty,
@@ -160,23 +161,25 @@ class TestFineInterior:
             expected.generators,
         )
 
-    def test_budget_error_names_the_scan(self):
+    def test_budget_error_names_the_scan(self, monkeypatch):
         p = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)])
+        monkeypatch.setattr(toric_module, "FINE_INTERIOR_BUDGET", 0)
         with pytest.raises(
             ResourceLimitError,
             match=r"^fine_interior: integer point scan spent 2 nodes, over its budget of 0"
             r" \(dimension 3, 4 constraints\)$",
         ):
-            fine_interior(p, budget=0)
+            fine_interior(p)
 
-    def test_budget_error_names_a_plane_scan(self):
+    def test_budget_error_names_a_plane_scan(self, monkeypatch):
         p = hull([(0, 0), (7, 2), (3, 9)])
+        monkeypatch.setattr(toric_module, "FINE_INTERIOR_BUDGET", 10)
         with pytest.raises(
             ResourceLimitError,
             match=r"^fine_interior: integer point scan spent 11 nodes, over its budget of 10"
             r" \(dimension 2, 3 constraints\)$",
         ):
-            fine_interior(p, budget=10)
+            fine_interior(p)
 
     def test_single_point(self):
         fi = fine_interior(dilate(simplex(2), 3))
