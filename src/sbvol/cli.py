@@ -52,6 +52,16 @@ def _fraction_vertices(rp):
     return [[formats.fraction_str(x) for x in v] for v in rp.vertices()]
 
 
+def _fine_interior_section(fi):
+    vertices = _fraction_vertices(fi.polytope) if not fi.is_empty else []
+    return {"empty": fi.is_empty, "dim": fi.dim, "is_lattice": fi.is_lattice, "vertices": vertices}
+
+
+def _condition_m_section(rep):
+    witnesses = [list(w) if w else None for w in rep.witnesses]
+    return {"holds": rep.holds, "mode": rep.mode, "witnesses": witnesses}
+
+
 def _compute_report(name, p, which, max_points):
     report = {"name": name, "ambient_dim": p.ambient_dim, "dim": p.dim()}
     q, _ = p.normalize_full_dimensional()
@@ -73,12 +83,7 @@ def _compute_report(name, p, which, max_points):
         report["interior_points"] = p.n_interior_points()
     if which("fine-interior") and p.dim() >= 1:
         fi = fine_interior(q)
-        report["fine_interior"] = {
-            "empty": fi.is_empty,
-            "dim": fi.dim,
-            "is_lattice": fi.is_lattice,
-            "vertices": _fraction_vertices(fi.polytope) if not fi.is_empty else [],
-        }
+        report["fine_interior"] = _fine_interior_section(fi)
         kappa = fi.kodaira_dimension
         report["kodaira_dimension"] = "-infinity" if kappa == float("-inf") else kappa
         report["general_type"] = kappa == p.dim() - 1
@@ -91,12 +96,7 @@ def _compute_report(name, p, which, max_points):
             "ample_torsion": list(g.ample_class().torsion),
         }
     if which("condition-m") and p.dim() >= 1:
-        rep = check_condition_m(q)
-        report["condition_m"] = {
-            "holds": rep.holds,
-            "mode": rep.mode,
-            "witnesses": [list(w) if w else None for w in rep.witnesses],
-        }
+        report["condition_m"] = _condition_m_section(check_condition_m(q))
     if which("hodge") and p.dim() >= 2:
         row = h_p0_compact(q)
         report["hodge_row"] = list(row.values)
@@ -122,17 +122,8 @@ def cmd_fine_interior(args):
     name, p = _load_polytope(args.input)
     q, _ = p.normalize_full_dimensional()
     fi = fine_interior(q)
-    _emit(
-        {
-            "name": name,
-            "empty": fi.is_empty,
-            "dim": fi.dim,
-            "is_lattice": fi.is_lattice,
-            "vertices": _fraction_vertices(fi.polytope) if not fi.is_empty else [],
-            "generators": [list(g) for g in fi.generators],
-        },
-        args.output,
-    )
+    generators = [list(g) for g in fi.generators]
+    _emit({"name": name, **_fine_interior_section(fi), "generators": generators}, args.output)
     return 0
 
 
@@ -147,17 +138,8 @@ def cmd_condition_m(args):
     name, p = _load_polytope(args.input)
     q, _ = p.normalize_full_dimensional()
     rep = check_condition_m(q, mode=args.mode, budget=args.budget)
-    fan = rep.group.fan
-    _emit(
-        {
-            "name": name,
-            "mode": rep.mode,
-            "holds": rep.holds,
-            "rays": [list(u) for u in fan.rays],
-            "witnesses": [list(w) if w else None for w in rep.witnesses],
-        },
-        args.output,
-    )
+    rays = [list(u) for u in rep.group.fan.rays]
+    _emit({"name": name, **_condition_m_section(rep), "rays": rays}, args.output)
     return 0
 
 
@@ -280,6 +262,13 @@ def cmd_verify_paper(args):
     return 0 if failures == 0 else 1
 
 
+def _budget(text):
+    """A node budget flag's value: a non-negative int, checked at parse time (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative int, got {text!r}")
+    return int(text)
+
+
 EXIT_CODES = (
     "exit codes: 0 success; 1 verification failure (a failed criterion or "
     "--expect-obstructed not met); 2 usage or input error; 3 internal "
@@ -308,7 +297,7 @@ def build_parser():
     for flag in COMPUTE_REPORTS:
         sp.add_argument(f"--{flag}", action="store_true")
     sp.add_argument(
-        "--max-points", type=int, default=DEFAULT_POINT_BUDGET, help="lattice-point scan budget"
+        "--max-points", type=_budget, default=DEFAULT_POINT_BUDGET, help="lattice-point scan budget"
     )
     sp.set_defaults(fn=cmd_compute)
 
@@ -323,7 +312,7 @@ def build_parser():
     sp = sub.add_parser("condition-m", help="monomial boundary cover check")
     add_io(sp)
     sp.add_argument("--mode", choices=("reduced", "unrestricted"), default="reduced")
-    sp.add_argument("--budget", type=int, default=WITNESS_BUDGET, help="witness scan node budget")
+    sp.add_argument("--budget", type=_budget, default=WITNESS_BUDGET, help="witness scan node budget")
     sp.set_defaults(fn=cmd_condition_m)
 
     sp = sub.add_parser("class-group", help="divisor class group data")

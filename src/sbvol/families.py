@@ -9,7 +9,6 @@ from inspect import signature
 from math import gcd
 
 from .errors import DegenerateInputError, InternalConsistencyError, InvalidParameterError
-from .intlinalg import dot
 from .ledger import SeedRegistry
 from .polytope import (
     AffineUnimodularMap,
@@ -18,6 +17,7 @@ from .polytope import (
     cartesian_product,
     dilate,
     hull,
+    slacks,
 )
 
 
@@ -308,10 +308,6 @@ class ExtendedPolytope:
     polytope: LatticePolytope
     steps: tuple
 
-    @property
-    def r(self):
-        return len(self.steps)
-
 
 def extend_schreieder(data: SchreiederData, steps) -> ExtendedPolytope:
     """Grow the polytope one double-cone step at a time without raising the degree.
@@ -337,12 +333,11 @@ def extend_schreieder(data: SchreiederData, steps) -> ExtendedPolytope:
             )
         cur = poly.ambient_dim
         col = data.column_of(eps)
-        embedded = [v + (0,) for v in poly.vertices]
         v_plus = tuple(1 if j == cur else 0 for j in range(cur + 1))
         v_minus = tuple(
             (1 if j == col else 0) - (1 if j == cur else 0) for j in range(cur + 1)
         )
-        coned = hull(embedded + [v_plus, v_minus])
+        coned = double_cone(poly, [(v_plus, v_minus)]).polytope
         shear_rows = []
         for i in range(cur + 1):
             row = [1 if j == i else 0 for j in range(cur + 1)]
@@ -379,9 +374,9 @@ def containment_certificate(
     system = target.facet_system()
     for v in p.vertices:
         w = mapping.apply(v)
-        for nrm, c in system:
-            if dot(nrm, w) < c:
-                return ContainmentCertificate(False, (nrm, c), w)
+        for halfspace, sl in zip(system, slacks(system, w)):
+            if sl < 0:
+                return ContainmentCertificate(False, halfspace, w)
     return ContainmentCertificate(True, None, None)
 
 

@@ -29,7 +29,6 @@ from .intlinalg import (
     hermite_form,
     identity_matrix,
     integer_kernel,
-    invert_unimodular,
     mat_mul,
     rank,
     transpose,
@@ -188,11 +187,6 @@ class AffineUnimodularMap:
 
     def apply_polytope(self, p: "LatticePolytope") -> "LatticePolytope":
         return LatticePolytope._trusted(self.dim, sorted(self.apply(v) for v in p.vertices))
-
-    def inverse(self):
-        inv = invert_unimodular([list(r) for r in self.linear])
-        new_t = tuple(-dot(r, self.translation) for r in inv)
-        return AffineUnimodularMap(tuple(tuple(r) for r in inv), new_t)
 
 
 class LatticePolytope:
@@ -545,8 +539,6 @@ def hull(points) -> LatticePolytope:
     ch = AffineChart.for_points(pts)
     cpts = [ch.to_chart(p) for p in pts]
     d = ch.dim
-    if d == 0:
-        return LatticePolytope._trusted(n, pts[:1])
     facets, tight = dd.facet_normals_from_points(cpts)
     carriers = _transpose(tight, len(cpts))
     # A vertex is the only point on all the facets it lies on.  Any other point lies

@@ -335,26 +335,26 @@ def min_squared_distance(poly, x) -> Fraction:
 
 def distance_height(p: LatticePolytope, delta) -> dict:
     """Squared distance to a subpolytope at every lattice point; zero exactly on it."""
-    if not all(p.contains(v) for v in _vertex_list(delta)):
-        raise DegenerateInputError("the target polytope is not contained in the big one")
-    return {x: min_squared_distance(delta, x) for x in p.lattice_points()}
+    return staged_distance_height(p, delta)
 
 
 def staged_distance_height(p: LatticePolytope, delta, slices=()) -> dict:
     """Sum of squared distances to a nested chain of slices ending at delta.
 
     slices lists the strictly larger stages, outermost first; the final
-    stage is delta itself.  The chain must be nested, else the construction
-    does not match its intent and an error is raised.
+    stage is delta itself.  The chain must be nested in p, else the
+    construction does not match its intent and an error is raised.
     """
     chain = list(slices) + [delta]
     for stage in chain:
         _vertex_list(stage)  # raises unless the stage is a polytope
         if stage.ambient_dim != p.ambient_dim:
             raise DimensionMismatchError(f"every stage must lie in Q^{p.ambient_dim}")
-    for bigger, smaller in zip(chain, chain[1:]):
+    for bigger, smaller in zip([p] + chain, chain):
         if not all(bigger.contains(v) for v in _vertex_list(smaller)):
-            raise DegenerateInputError("inconsistent slice chain: stages are not nested")
+            raise DegenerateInputError(
+                "stages not nested: a stage is not contained in p or in the stage before it"
+            )
     total = {x: Fraction(0) for x in p.lattice_points()}
     for stage in chain:
         for x in total:
@@ -436,9 +436,7 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
 
     dims_ok = all(c.dim() == d for c in s.maximal_cells)
     vol = sum((c.normalized_volume() for c in s.maximal_cells), 0)
-    cover = dims_ok and vol == p.normalized_volume() and all(
-        p.contains(v) for c in s.maximal_cells for v in c.vertices
-    )
+    cover = dims_ok and vol == p.normalized_volume() and all(p.contains(v) for v in s.points)
     checks.append(
         ("cover", cover, f"cell volume sum {vol} vs {p.normalized_volume()}")
     )

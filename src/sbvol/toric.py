@@ -343,8 +343,7 @@ def class_group(p: LatticePolytope) -> DivisorClassGroup:
         fan = normal_fan(p)
         pairing = [list(u) for u in fan.rays]  # rays x dim
         sd = smith_form(pairing)
-        r = len(pairing[0])
-        diag = [sd.s[i][i] for i in range(min(len(pairing), r))]
+        diag = sd.diagonal
         if any(d == 0 for d in diag):
             raise DegenerateInputError("the ray pairing matrix must have full column rank")
         torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)

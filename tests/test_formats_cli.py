@@ -6,7 +6,7 @@ from sbvol import formats
 from sbvol.cli import main
 from sbvol import cli, toric
 from sbvol.errors import DegenerateInputError, InternalConsistencyError
-from sbvol.families import dilated_simplex, hpt
+from sbvol.families import bounds_table, dilated_simplex, hpt, simplex_product
 from sbvol.polytope import hull
 from sbvol.subdivision import interior_cells, regular_subdivision
 
@@ -99,6 +99,71 @@ class TestCli:
         assert main(["fine-interior", "--input", out]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["vertices"] == [["1", "1"]]
+
+    @pytest.mark.parametrize(
+        "mode, witnesses",
+        [("reduced", [[1, 0, 1], [0, 1, 1], [0, 1, 1]]), ("unrestricted", [[2, 0, 0], [1, 1, 0], [1, 0, 1]])],
+    )
+    def test_condition_m_command(self, tmp_path, capsys, mode, witnesses):
+        path = self.write_polytope(tmp_path, dilated_simplex(2, 2), "t")
+        assert main(["condition-m", "--input", path, "--mode", mode]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "name": "t",
+            "mode": mode,
+            "holds": True,
+            "rays": [[-1, -1], [0, 1], [1, 0]],
+            "witnesses": witnesses,
+        }
+
+    def test_class_group_command(self, tmp_path, capsys):
+        path = self.write_polytope(tmp_path, dilated_simplex(2, 2), "t")
+        assert main(["class-group", "--input", path]) == 0
+        degree = {"free": [1], "torsion": []}
+        assert json.loads(capsys.readouterr().out) == {
+            "name": "t",
+            "free_rank": 1,
+            "invariant_factors": [],
+            "rays": [[-1, -1], [0, 1], [1, 0]],
+            "ray_degrees": [degree, degree, degree],
+            "ample": {"free": [2], "torsion": []},
+        }
+        path = self.write_polytope(tmp_path, hpt(), "hpt")
+        assert main(["class-group", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["invariant_factors"] == [2, 2]
+
+    @pytest.mark.parametrize("p", [dilated_simplex(3, 2), dilated_simplex(4, 3), hpt()])
+    def test_compute_sections_match_their_subcommands(self, tmp_path, capsys, p):
+        path = self.write_polytope(tmp_path, p)
+        assert main(["compute", "--input", path, "--fine-interior", "--condition-m"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["fine-interior", "--input", path]) == 0
+        fi = json.loads(capsys.readouterr().out)
+        assert main(["condition-m", "--input", path]) == 0
+        cm = json.loads(capsys.readouterr().out)
+        assert report["fine_interior"] == {k: fi[k] for k in ("empty", "dim", "is_lattice", "vertices")}
+        assert report["condition_m"] == {k: cm[k] for k in ("holds", "mode", "witnesses")}
+
+    def test_construct_simplex_product(self, capsys):
+        assert main(["construct", "--family", "simplex_product", "--args", "2", "3", "3", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        p = simplex_product([(2, 3), (3, 4)])
+        assert doc == formats.polytope_to_dict(p, "simplex_product")
+        assert doc["ambient_dim"] == 7 and len(doc["vertices"]) == 20
+        assert main(["construct", "--family", "simplex_product", "--args", "2", "3", "3"]) == 2
+        assert capsys.readouterr().err == "error: simplex_product takes pairs: d1 n1 d2 n2 ...\n"
+
+    def test_bounds_table_document(self, capsys):
+        assert main(["bounds-table", "--n-min", "3", "--n-max", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == "hypersurface"
+        assert doc["rows"] == [
+            {"n": 3, "degree": 5, "N_min": 5, "N_max_baseline": 9, "N_max": 13},
+            {"n": 4, "degree": 6, "N_min": 10, "N_max_baseline": 18, "N_max": 30},
+        ]
+        assert {"N": 13, "d": 5, "status": "new"} in doc["grid"]
+        assert {"N": 9, "d": 5, "status": "paper-baseline"} in doc["grid"]
+        _, grid = bounds_table(range(3, 5), "hypersurface")
+        assert doc["grid"] == [{"N": n, "d": d, "status": status} for n, d, status in grid]
 
     def test_subdivide_distance(self, tmp_path, capsys):
         big = self.write_polytope(tmp_path, dilated_simplex(4, 3), "big")
@@ -201,7 +266,21 @@ class TestCli:
         path = self.write_polytope(tmp_path, hpt(), "hpt")
         assert main(["compute", "--input", path, "--all", "--max-points", "-5"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: LatticePolytope.lattice_points: budget must be a nonnegative int, got -5\n"
+        assert err.endswith("error: argument --max-points: must be a non-negative int, got '-5'\n")
+
+    @pytest.mark.parametrize(
+        "report", ["--width", "--classify", "--fine-interior", "--class-group", "--condition-m", "--hodge"]
+    )
+    def test_bad_budget_exits_2_at_parse_time_whatever_the_report(self, tmp_path, capsys, report):
+        # The value is checked before any report runs, so one that reads no
+        # lattice-point table rejects it too.
+        path = self.write_polytope(tmp_path, hpt(), "hpt")
+        for value in ("-5", "1.5", "x"):
+            assert main(["compute", "--input", path, report, "--max-points", value]) == 2
+            assert "error: argument --max-points: must be a non-negative int" in capsys.readouterr().err
+        assert main(["condition-m", "--input", path, "--budget", "-1"]) == 2
+        assert "error: argument --budget: must be a non-negative int" in capsys.readouterr().err
+        assert main(["compute", "--input", path, "--width", "--max-points", "0"]) == 0
 
     @pytest.mark.parametrize("report", ["--classify", "--hodge", "--all"])
     def test_max_points_caps_the_scan_of_every_report_that_reads_it(self, tmp_path, capsys, report):

@@ -16,6 +16,7 @@ from sbvol.errors import (
     InvalidParameterError,
     ResourceLimitError,
 )
+from sbvol.families import tpq
 from sbvol.hodge import h_p0_compact
 from sbvol import subdivision as subdivision_module
 from sbvol.intlinalg import dot
@@ -491,6 +492,14 @@ class TestEquivalence:
         square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
         assert unimodular_equivalence(t2, square).status == "inequivalent"
 
+    def test_inequivalent_by_frame_search(self):
+        # The fingerprints agree, so only the frame search tells these apart.
+        a, b, c = tpq(1, 5), tpq(2, 5), tpq(4, 5)
+        assert a.fingerprint() == b.fingerprint() == c.fingerprint() == (3, 4, 4, 0, 5, 1, (4, 6, 4, 1))
+        assert unimodular_equivalence(a, b).status == "inequivalent"
+        res = unimodular_equivalence(a, c)
+        assert res.found and res.ambient_map.apply_polytope(a) == c
+
     def test_spent_budget_raises(self, monkeypatch):
         p = hull([(0, 0), (3, 1), (1, 2), (0, 1)])
         q = AffineUnimodularMap(((1, 1), (0, 1)), (2, -1)).apply_polytope(p)
@@ -630,6 +639,14 @@ class TestRejectsFloatsAndBools:
         # ints and Fractions stay accepted, integral Fraction normals too
         p = RationalPolytope(2, [((Fraction(1), 0), Fraction(1, 2))] + self.SQUARE)
         assert ((1, 0), Fraction(1, 2)) in p.halfspaces
+
+    def test_halfspace_cleaning(self):
+        # A zero normal with offset <= 0 holds everywhere and is dropped; a
+        # normal with content g is divided by g, its offset too.
+        p = RationalPolytope(2, [((0, 0), 0), ((0, 0), Fraction(-3)), ((2, 0), 1)] + self.SQUARE)
+        assert p.halfspaces == (((-1, 0), -1), ((0, -1), -1), ((0, 1), 0), ((1, 0), Fraction(1, 2)))
+        with pytest.raises(DegenerateInputError, match="infeasible"):
+            RationalPolytope(2, [((0, 0), Fraction(1, 3))] + self.SQUARE)
 
     def test_contains_float_point(self):
         triangle = hull([(0, 0), (1, 0), (0, 1)])

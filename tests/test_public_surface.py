@@ -26,7 +26,6 @@ UNREACHED = {
     "intlinalg.solve_rational": "bench/tracing.py counts its calls, and tests/test_trace_targets.py pins that",
     "polytope.LatticePolytope.as_halfspaces": "the frozen pairwise_validate oracle calls it",
     "polytope.LatticePolytope.volume": "the Euclidean volume; only tests read it",
-    "polytope.AffineUnimodularMap.inverse": "only tests invert an equivalence map",
     "subdivision.Subdivision.height_map": "only tests read the heights back as a dict",
 }
 

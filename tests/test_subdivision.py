@@ -235,6 +235,20 @@ class TestDistanceHeights:
         with pytest.raises(DegenerateInputError):
             distance_height(simplex(2), hull([(5, 5)]))
 
+    def test_is_the_staged_height_with_no_slices(self):
+        p = dilate(simplex(2), 3)
+        delta = hull([(0, 0), (1, 1)])
+        h = distance_height(p, delta)
+        assert list(h.items()) == [(x, min_squared_distance(delta, x)) for x in p.lattice_points()]
+        assert list(h.items()) == list(staged_distance_height(p, delta).items())
+
+    def test_staged_chain_must_lie_in_p(self):
+        # Each stage lies in the one before it, but the outermost is not in p.
+        p = dilate(simplex(2), 2)
+        with pytest.raises(DegenerateInputError, match="stages not nested"):
+            staged_distance_height(p, hull([(0, 0)]), slices=[dilate(simplex(2), 3)])
+        assert staged_distance_height(p, hull([(0, 0)]), slices=[p])[(2, 0)] == 4
+
     @pytest.mark.parametrize(
         "call",
         [
