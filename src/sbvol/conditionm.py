@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInputError, InternalConsistencyError, InvalidParameterError
+from .errors import InternalConsistencyError, InvalidParameterError
 from .intlinalg import dot
-from .polytope import LatticePolytope, _as_int_tuple, _check_budget, integer_points
+from .polytope import LatticePolytope, _as_int_tuple, _int_in, integer_points
 from .toric import (
     DivisorClassGroup,
     class_group,
@@ -76,7 +76,8 @@ def check_condition_m(p: LatticePolytope, mode: str = "reduced", budget=None) ->
     """
     if mode not in ("reduced", "unrestricted"):
         raise InvalidParameterError(f"unknown mode {mode!r}; choose 'reduced' or 'unrestricted'")
-    _check_budget(WITNESS_BUDGET if budget is None else budget, "check_condition_m")  # both modes
+    if budget is not None:  # both modes
+        _int_in(budget, "check_condition_m: budget", 0, error=InvalidParameterError)
     group = class_group(p)
     fan = group.fan
     n = fan.n_rays
@@ -110,8 +111,8 @@ def sections_of_class(p: LatticePolytope, coefficients):
     Returns a sorted list of (lattice point, exponent vector over rays); the
     exponent vector of m is (<m, u_ray> + a_ray)_ray.
     """
-    coefficients = _as_int_tuple(coefficients)
     fan = normal_fan(p)
+    coefficients = _as_int_tuple(coefficients, fan.n_rays, "divisor coefficient vector")
     pd = divisor_polytope(fan, coefficients)
     out = []
     for m in pd.lattice_points():
@@ -147,8 +148,7 @@ def cross_check_unrestricted(p: LatticePolytope, ray_index: int) -> CrossCheckRe
     routes agree.
     """
     fan = normal_fan(p)
-    if type(ray_index) is not int or not 0 <= ray_index < fan.n_rays:
-        raise DegenerateInputError(f"ray index {ray_index!r} is not in 0..{fan.n_rays - 1}")
+    _int_in(ray_index, "ray index", 0, fan.n_rays - 1)
     group = class_group(p)
     caps = [max(dot(v, u) for v in p.vertices) - c for u, c in zip(fan.rays, fan.offsets)]
     lo = [0] * fan.n_rays

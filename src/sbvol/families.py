@@ -8,12 +8,18 @@ from fractions import Fraction
 from inspect import signature
 from math import gcd
 
-from .errors import DegenerateInputError, InternalConsistencyError, InvalidParameterError
+from .errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    InternalConsistencyError,
+    InvalidParameterError,
+)
 from .ledger import SeedRegistry
 from .polytope import (
     AffineUnimodularMap,
     LatticePolytope,
     RationalPolytope,
+    _int_in,
     cartesian_product,
     dilate,
     hull,
@@ -25,30 +31,22 @@ def _unit(i, n):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _check_ints(routine, **params):
-    """Raise InvalidParameterError unless every parameter is an int; a float or a bool is not."""
-    for name, x in params.items():
-        if type(x) is not int:
-            raise InvalidParameterError(f"{routine} needs an int {name}, got {x!r}")
-
-
 def standard_simplex(n: int) -> LatticePolytope:
-    _check_ints("standard_simplex", n=n)
+    _int_in(n, "standard_simplex: n", 0, error=InvalidParameterError)
     return hull([tuple([0] * n)] + [_unit(i, n) for i in range(n)])
 
 
 def dilated_simplex(d: int, n: int) -> LatticePolytope:
-    _check_ints("dilated_simplex", d=d, n=n)
-    if d < 1 or n < 1:
-        raise InvalidParameterError("dilated simplex needs d >= 1 and n >= 1")
+    _int_in(d, "dilated_simplex: d", 1, error=InvalidParameterError)
+    _int_in(n, "dilated_simplex: n", 1, error=InvalidParameterError)
     return dilate(standard_simplex(n), d)
 
 
 def simplex_product(factors) -> LatticePolytope:
     """d_1 Delta_{n_1} x ... x d_r Delta_{n_r}."""
-    factors = list(factors)
-    if not factors:
-        raise InvalidParameterError("a product needs at least one factor")
+    factors = [tuple(f) for f in factors]
+    if not factors or any(len(f) != 2 for f in factors):
+        raise InvalidParameterError(f"simplex_product needs pairs (d, n), got {factors!r}")
     out = dilated_simplex(*factors[0])
     for d, n in factors[1:]:
         out = cartesian_product(out, dilated_simplex(d, n))
@@ -76,9 +74,8 @@ def hpt() -> LatticePolytope:
 
 def kollar_totaro(n: int, d: int) -> LatticePolytope:
     """Newton polytope of a double cover branched along a cyclic degree-d form."""
-    _check_ints("kollar_totaro", n=n, d=d)
-    if n < 2 or d < 2:
-        raise InvalidParameterError("kollar_totaro needs n >= 2 and d >= 2")
+    _int_in(n, "kollar_totaro: n", 2, error=InvalidParameterError)
+    _int_in(d, "kollar_totaro: d", 2, error=InvalidParameterError)
     m = n + 1
     verts = [tuple(2 if j == 0 else 0 for j in range(m)), _unit(1, m)]
     for i in range(2, n + 1):
@@ -94,7 +91,7 @@ def kollar_totaro(n: int, d: int) -> LatticePolytope:
 
 def cubic_empty(n: int) -> LatticePolytope:
     """Rational empty simplices from cyclic cubics; n must be odd."""
-    _check_ints("cubic_empty", n=n)
+    _int_in(n, "cubic_empty: n", error=InvalidParameterError)
     if n < 3 or n % 2 == 0:
         raise InvalidParameterError("cubic_empty needs odd n >= 3")
     verts = [_unit(0, n)]
@@ -111,7 +108,8 @@ def cubic_empty(n: int) -> LatticePolytope:
 
 def tpq(p: int, q: int) -> LatticePolytope:
     """The empty tetrahedron Conv{0, e1, e3, p e1 + q e2 + e3}."""
-    _check_ints("tpq", p=p, q=q)
+    _int_in(p, "tpq: p", error=InvalidParameterError)
+    _int_in(q, "tpq: q", error=InvalidParameterError)
     if not (1 <= p <= q) or gcd(p, q) != 1:
         raise InvalidParameterError("tpq needs 1 <= p <= q with gcd(p, q) = 1")
     return hull([(0, 0, 0), (1, 0, 0), (0, 0, 1), (p, q, 1)])
@@ -119,9 +117,8 @@ def tpq(p: int, q: int) -> LatticePolytope:
 
 def double_cover(d: int, n: int) -> LatticePolytope:
     """Newton polytope of a double cover of projective n-space branched in degree d."""
-    _check_ints("double_cover", d=d, n=n)
-    if d < 1 or n < 1:
-        raise InvalidParameterError("double_cover needs d >= 1 and N >= 1")
+    _int_in(d, "double_cover: d", 1, error=InvalidParameterError)
+    _int_in(n, "double_cover: n", 1, error=InvalidParameterError)
     m = n + 1
     verts = [tuple([0] * m)]
     verts += [tuple(d if j == i else 0 for j in range(m)) for i in range(n)]
@@ -134,7 +131,7 @@ def double_cover(d: int, n: int) -> LatticePolytope:
 
 def exponent_tuples(n: int):
     """All 0/1 tuples of length n with coordinate sum at most n - 2, the pinned order."""
-    _check_ints("exponent_tuples", n=n)
+    _int_in(n, "exponent_tuples: n", 2, error=InvalidParameterError)
     out = [t for t in itertools.product((0, 1), repeat=n) if sum(t) <= n - 2]
     zero = tuple([0] * n)
     rest = sorted(t for t in out if t != zero)
@@ -161,7 +158,7 @@ def schreieder(n: int, rho=None) -> SchreiederData:
     lexicographically.  A custom bijection may be supplied as a sequence of
     the same tuples in the desired column order.
     """
-    _check_ints("schreieder", n=n)
+    _int_in(n, "schreieder: n", error=InvalidParameterError)
     if n < 3:
         raise InvalidParameterError(
             "schreieder needs n >= 3: for n = 2 no reduced ample monomial covers "
@@ -371,6 +368,11 @@ def containment_certificate(
     """Apply the map and verify every image vertex against the target halfspaces."""
     if mapping is None:
         mapping = AffineUnimodularMap.identity(p.ambient_dim)
+    if not p.ambient_dim == mapping.dim == target.ambient_dim:
+        raise DimensionMismatchError(
+            f"containment needs one space: p in Z^{p.ambient_dim}, map on Z^{mapping.dim},"
+            f" target in Z^{target.ambient_dim}"
+        )
     system = target.facet_system()
     for v in p.vertices:
         w = mapping.apply(v)
@@ -385,9 +387,7 @@ def containment_certificate(
 
 def sum_identity(n: int):
     """(enumerated sum, closed form, equal) of the per-tuple extension allowances."""
-    _check_ints("sum_identity", n=n)
-    if n < 2:
-        raise InvalidParameterError("the identity needs n >= 2")
+    _int_in(n, "sum_identity: n", 2, error=InvalidParameterError)
     lhs = sum((n - sum(eps)) // 2 for eps in exponent_tuples(n))
     rhs = 2 ** (n - 2) * (n - 1)
     return lhs, rhs, lhs == rhs
@@ -414,9 +414,7 @@ def bounds_table(n_values, kind: str = "hypersurface"):
         raise InvalidParameterError(f"unknown bounds table kind {kind!r}")
     rows = []
     for n in n_values:
-        _check_ints("bounds_table", n=n)
-        if n < 2:
-            raise InvalidParameterError("bounds rows need n >= 2")
+        _int_in(n, "bounds_table: n", 2, error=InvalidParameterError)
         lhs, rhs, equal = sum_identity(n)
         if not equal:
             raise InternalConsistencyError(f"the extension budget identity fails at n = {n}")

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError
 from .ledger import Ledger, Verdict
-from .polytope import LatticePolytope, _bits, hull
+from .polytope import LatticePolytope, _bits, _int_in, _is_rational, hull
 from .subdivision import Subdivision, _boundary_test
 
 
@@ -23,16 +23,9 @@ def fraction_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_int(x) -> int:
-    """A JSON integer; bools, floats and strings are rejected, not coerced."""
-    if type(x) is not int:
-        raise DegenerateInputError(f"integer expected, got {x!r}")
-    return x
-
-
 def parse_fraction(s) -> Fraction:
     """A JSON integer or a "p" / "p/q" string with a nonzero denominator."""
-    if type(s) is int:
+    if _is_rational(s):  # a JSON integer
         return Fraction(s)
     match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s) if isinstance(s, str) else None
     q = int(match.group(2) or 1) if match else 0
@@ -55,8 +48,8 @@ def polytope_from_dict(doc: dict) -> tuple:
         raise DegenerateInputError(f"a polytope document is a JSON object, not a {type(doc).__name__}")
     try:
         name = doc.get("name", "")
-        ambient = parse_int(doc["ambient_dim"])
-        vertices = [tuple(parse_int(x) for x in v) for v in doc["vertices"]]
+        ambient = _int_in(doc["ambient_dim"], "ambient_dim")
+        vertices = [tuple(_int_in(x, "vertex coordinate") for x in v) for v in doc["vertices"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DegenerateInputError(f"malformed polytope document: {exc}") from exc
     if not vertices:
@@ -87,7 +80,10 @@ def heights_to_doc(heights: dict) -> dict:
 def heights_from_doc(doc: dict) -> dict:
     """The height table; a point listed twice is rejected, not overwritten."""
     try:
-        rows = [(tuple(parse_int(x) for x in k), parse_fraction(v)) for k, v in doc["heights"]]
+        rows = [
+            (tuple(_int_in(x, "height point coordinate") for x in k), parse_fraction(v))
+            for k, v in doc["heights"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise DegenerateInputError(f"malformed height table: {exc}") from exc
     heights = {}

@@ -16,7 +16,7 @@ from functools import reduce
 from operator import and_
 
 from .errors import DegenerateInputError
-from .polytope import LatticePolytope, _bits
+from .polytope import LatticePolytope, _bits, _int_in
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,7 @@ def e_p0_open(p: LatticePolytope, degree: int) -> int:
     """Signed interior-count sum over (degree+1)-faces; vertex-corrected at degree 0."""
     q, _ = p.normalize_full_dimensional()
     n = q.dim()
-    if type(degree) is not int or not 0 <= degree <= n - 1:
-        raise DegenerateInputError(f"degree {degree!r} is not an int in 0..{n - 1}")
+    _int_in(degree, "degree", 0, n - 1)
     faces = _face_data(q)
     full = next(f for f, (d, _i, _nv) in faces.items() if d == n)
     return _e_open_from_faces(list(faces.items()), full, n, degree)

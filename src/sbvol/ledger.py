@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DegenerateInputError, DimensionMismatchError, SubdivisionError
+from .errors import DegenerateInputError, SubdivisionError
 from .intlinalg import dot
 from .polytope import LatticePolytope, _as_int_tuple, _bits, hull, unimodular_equivalence
 from .subdivision import (
@@ -35,11 +35,6 @@ class CellClassTag:
     justification: str
     seed_name: str | None = None
     strongly_varying: bool = False
-
-    @property
-    def obstructs_alone(self):
-        """True when a nonzero coefficient on this class already settles the verdict."""
-        return self.strongly_varying
 
 
 @dataclass(frozen=True)
@@ -100,11 +95,7 @@ def classify_cell(
     if d <= 1:
         return CellClassTag("rational", "dimension at most one")
     for l in certificates:
-        l = _as_int_tuple(l)
-        if len(l) != cell.ambient_dim:
-            raise DimensionMismatchError(
-                f"certificate {l!r} is not a functional on Z^{cell.ambient_dim}"
-            )
+        l = _as_int_tuple(l, cell.ambient_dim, "certificate")
         values = [dot(l, v) for v in cell.vertices]
         if max(values) - min(values) == 1:
             return CellClassTag("rational", "lattice width one")
@@ -241,7 +232,7 @@ def verdict(ledger: Ledger) -> Verdict:
             f"every class is the point class, with total coefficient "
             f"{ledger.point_coefficient} != 1",
         )
-    strong = [e for e in entries if e.tag.obstructs_alone]
+    strong = [e for e in entries if e.tag.strongly_varying]
     if strong:
         e = strong[0]
         return Verdict(

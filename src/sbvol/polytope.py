@@ -44,18 +44,30 @@ def _is_rational(x):
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def _as_int_tuple(p):
-    t = tuple(p)
+def _int_in(x, what, lo=None, hi=None, error=DegenerateInputError):
+    """x when it is an int in lo..hi (a bound of None is open); a bool or a float raises `error`."""
+    if type(x) is not int or (lo is not None and x < lo) or (hi is not None and x > hi):
+        bounds = f" in {lo}..{hi}" if hi is not None else "" if lo is None else f" >= {lo}"
+        raise error(f"{what} must be an int{bounds}, got {x!r}")
+    return x
+
+
+def _rational(x, what):
+    """x as a Fraction when it is an int or a Fraction; a float or a bool raises."""
+    if not _is_rational(x):
+        raise DegenerateInputError(f"{what} must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
+
+
+def _as_int_tuple(v, n=None, what="integer vector"):
+    """v as a tuple of ints, of length n when n is given; integral Fractions are accepted."""
+    t = tuple(v)
     for x in t:
         if not _is_rational(x) or x.denominator != 1:
-            raise DegenerateInputError(f"integer vector expected, got {p!r}")
+            raise DegenerateInputError(f"{what} must have integer entries, got {v!r}")
+    if n is not None and len(t) != n:
+        raise DimensionMismatchError(f"{what} must have length {n}, got {t!r}")
     return tuple(int(x) for x in t)
-
-
-def _check_budget(budget, routine):
-    """Raise unless budget is a nonnegative int; a bool or a float is not coerced."""
-    if type(budget) is not int or budget < 0:
-        raise InvalidParameterError(f"{routine}: budget must be a nonnegative int, got {budget!r}")
 
 
 def _check_ambient(poly, x):
@@ -160,8 +172,10 @@ class AffineUnimodularMap:
         if len(self.translation) != n:
             raise DimensionMismatchError(f"translation {self.translation!r} does not fit Z^{n}")
         for r in (*self.linear, self.translation):
-            if len(r) != n or any(type(x) is not int for x in r):
+            if len(r) != n:
                 raise DegenerateInputError(f"{self.linear}, {self.translation}: no square int map")
+            for x in r:
+                _int_in(x, "map entry")
         if abs(det([list(r) for r in self.linear])) != 1:
             raise DegenerateInputError("linear part is not unimodular")
 
@@ -306,7 +320,7 @@ class LatticePolytope:
         face's count.  A lower-dimensional polytope reads its chart's table.
         """
         budget = DEFAULT_POINT_BUDGET if budget is None else budget
-        _check_budget(budget, "LatticePolytope.lattice_points")
+        _int_in(budget, "LatticePolytope.lattice_points: budget", 0, error=InvalidParameterError)
         if "points" not in self._cache:
             q, ch = self.normalize_full_dimensional()
             if q is not self:
@@ -368,9 +382,7 @@ class LatticePolytope:
             by_dim.setdefault(d, []).append(cell)
         if k is None:
             return by_dim
-        if type(k) is not int or not 0 <= k <= self.dim():
-            raise DegenerateInputError(f"face dimension {k!r} is not an int in 0..{self.dim()}")
-        return by_dim.get(k, [])
+        return by_dim.get(_int_in(k, "face dimension", 0, self.dim()), [])
 
     def f_vector(self):
         out = [0] * (self.dim() + 1)
@@ -455,13 +467,11 @@ class RationalPolytope:
     __slots__ = ("ambient_dim", "halfspaces", "_cache")
 
     def __init__(self, ambient_dim, halfspaces):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "ambient_dim", _int_in(ambient_dim, "ambient dimension", 0))
         cleaned = []
         for a, c in halfspaces:
-            a = _as_int_tuple(a)
-            if not _is_rational(c):
-                raise DegenerateInputError(f"halfspace offset {c!r} is not an int or a Fraction")
-            c = Fraction(c)
+            a = _as_int_tuple(a, ambient_dim, "halfspace normal")
+            c = _rational(c, "halfspace offset")
             g = vec_gcd(a)
             if g == 0:
                 if c > 0:
@@ -629,19 +639,13 @@ def _transpose(masks, n):
 
 
 def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
-    if type(k) is not int:
-        raise DegenerateInputError(f"dilation factor {k!r} is not an int")
-    if k < 0:
-        raise DegenerateInputError("dilation factor must be nonnegative")
-    if k == 0:
+    if _int_in(k, "dilation factor", 0) == 0:
         return LatticePolytope._trusted(p.ambient_dim, [tuple([0] * p.ambient_dim)])
     return LatticePolytope._trusted(p.ambient_dim, [tuple(k * x for x in v) for v in p.vertices])
 
 
 def translate(p: LatticePolytope, v) -> LatticePolytope:
-    v = _as_int_tuple(v)
-    if len(v) != p.ambient_dim:
-        raise DimensionMismatchError("translation vector has wrong dimension")
+    v = _as_int_tuple(v, p.ambient_dim, "translation vector")
     return LatticePolytope._trusted(
         p.ambient_dim, [tuple(a + b for a, b in zip(w, v)) for w in p.vertices]
     )
@@ -776,7 +780,7 @@ def integer_points(constraints, lo, hi, budget, routine):
     `routine`; a budget that is not a nonnegative int raises
     InvalidParameterError.  Needs a box of dimension at least one.
     """
-    _check_budget(budget, routine)
+    _int_in(budget, f"{routine}: budget", 0, error=InvalidParameterError)
     d = len(lo)
     # rest[j][i]: max over the box of sum_{k >= j} a_i[k] x_k
     rest = [[0] * len(constraints) for _ in range(d + 1)]

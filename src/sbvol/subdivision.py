@@ -29,7 +29,8 @@ from .polytope import (
     RationalPolytope,
     _bits,
     _check_ambient,
-    _is_rational,
+    _int_in,
+    _rational,
     _simplex_faces,
     carrier,
     hull,
@@ -37,16 +38,9 @@ from .polytope import (
 )
 
 
-def _exact_height(x, h) -> Fraction:
-    """The height h at x as a Fraction; a float, bool or other number raises."""
-    if not _is_rational(h):
-        raise DegenerateInputError(f"height at {x!r} must be an int or a Fraction, got {h!r}")
-    return Fraction(h)
-
-
 def height_function(p: LatticePolytope, fn) -> dict:
     """Tabulate a callable on the lattice points of p."""
-    return {x: _exact_height(x, fn(x)) for x in p.lattice_points()}
+    return {x: _rational(fn(x), f"height at {x!r}") for x in p.lattice_points()}
 
 
 @dataclass(frozen=True)
@@ -175,10 +169,12 @@ def _check_height_points(p: LatticePolytope, heights):
             raise DegenerateInputError(f"height key {x!r} is not a lattice point of the polytope")
         if len(x) != p.ambient_dim:
             raise DimensionMismatchError(f"height point {list(x)} is not in Z^{p.ambient_dim}")
-        if x not in points or any(type(v) is not int for v in x):
+        if x not in points:
             raise DegenerateInputError(
                 f"height point {list(x)} is not a lattice point of the polytope"
             )
+        for v in x:  # (1.0, 0) and (True, 0) equal lattice points
+            _int_in(v, "height point coordinate")
 
 
 def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
@@ -196,7 +192,7 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
     for x in pts:
         if x not in heights:
             raise DegenerateInputError(f"height function is not total: missing {x!r}")
-        hmap[x] = _exact_height(x, heights[x])
+        hmap[x] = _rational(heights[x], f"height at {x!r}")
     d = p.dim()
     scale = lcm(*[v.denominator for v in hmap.values()])
     lifted = [x + (int(hmap[x] * scale),) for x in pts]
@@ -219,12 +215,16 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
 
 def make_subdivision(p: LatticePolytope, maximal_cells, heights=None) -> Subdivision:
     """Package hand-built cells (for validation tests and display); they carry no witness."""
+    cells = tuple(sorted(maximal_cells, key=lambda c: c.vertices))
+    for c in cells:
+        if c.ambient_dim != p.ambient_dim:
+            raise DimensionMismatchError(f"cell {c!r} is not in Z^{p.ambient_dim}")
     if heights:
         _check_height_points(p, heights)
     return _subdivision(
         p,
-        tuple(sorted(maximal_cells, key=lambda c: c.vertices)),
-        tuple(sorted((tuple(k), _exact_height(k, v)) for k, v in heights.items()))
+        cells,
+        tuple(sorted((k, _rational(v, f"height at {k!r}")) for k, v in heights.items()))
         if heights
         else None,
         None,
@@ -381,6 +381,8 @@ def lies_in_boundary(p: LatticePolytope, points) -> bool:
     facets of p each lies on, is nonzero.
     """
     points = list(points)
+    for x in points:
+        _check_ambient(p, x)
     return _boundary_test(points, p)((1 << len(points)) - 1)
 
 

@@ -33,7 +33,8 @@ from .polytope import (
     RationalPolytope,
     _as_int_tuple,
     _bits,
-    _is_rational,
+    _int_in,
+    _rational,
     _triangulate_cone,
     integer_points,
 )
@@ -76,6 +77,7 @@ def normal_fan(p: LatticePolytope) -> NormalFan:
 
 def ord_value(p: LatticePolytope, n) -> int:
     """min over the polytope of the pairing with the dual vector n."""
+    n = _as_int_tuple(n, p.ambient_dim, "dual vector")
     return min(dot(v, n) for v in p.vertices)
 
 
@@ -263,19 +265,16 @@ def divisor_polytope(fan: NormalFan, coefficients) -> RationalPolytope:
     """P_D = {m : <m, u_ray> + a_ray >= 0} for D = sum a_ray D_ray."""
     if len(coefficients) != fan.n_rays:
         raise DimensionMismatchError(
-            f"divisor has {len(coefficients)} coefficients, fan has {fan.n_rays} rays"
+            f"divisor coefficient vector must have length {fan.n_rays}, got {tuple(coefficients)!r}"
         )
-    if not all(_is_rational(a) for a in coefficients):
-        raise DegenerateInputError(f"divisor coefficients {coefficients!r} are not ints or Fractions")
-    halfspaces = [(u, Fraction(-a)) for u, a in zip(fan.rays, coefficients)]
+    halfspaces = [(u, -_rational(a, "divisor coefficient")) for u, a in zip(fan.rays, coefficients)]
     return RationalPolytope(fan.polytope.ambient_dim, halfspaces)
 
 
 def facet_shift(p: LatticePolytope, ray_index: int) -> RationalPolytope:
     """Shift the supporting halfspace of one facet inward by one, keep the rest."""
     fan = normal_fan(p)
-    if type(ray_index) is not int or not 0 <= ray_index < fan.n_rays:
-        raise DegenerateInputError(f"no ray with index {ray_index!r}")
+    _int_in(ray_index, "ray index", 0, fan.n_rays - 1)
     coeffs = list(fan.ample_coefficients())
     coeffs[ray_index] -= 1
     return divisor_polytope(fan, coeffs)
@@ -312,21 +311,15 @@ class DivisorClassGroup:
         return self.torsion_moduli
 
     def degree(self, coefficients) -> ClassElement:
-        coefficients = _as_int_tuple(coefficients)
-        if len(coefficients) != self.fan.n_rays:
-            raise DimensionMismatchError(
-                f"divisor has {len(coefficients)} coefficients, fan has {self.fan.n_rays} rays"
-            )
+        coefficients = _as_int_tuple(coefficients, self.fan.n_rays, "divisor coefficient vector")
         t = mat_vec([list(r) for r in self.u_matrix], coefficients)
         tor = tuple(t[i] % m for i, m in zip(self.torsion_positions, self.torsion_moduli))
         free = tuple(t[i] for i in self.free_positions)
         return ClassElement(free, tor)
 
     def ray_degree(self, i) -> ClassElement:
-        if type(i) is not int or not 0 <= i < self.fan.n_rays:
-            raise DegenerateInputError(f"no ray with index {i!r}")
         e = [0] * self.fan.n_rays
-        e[i] = 1
+        e[_int_in(i, "ray index", 0, self.fan.n_rays - 1)] = 1
         return self.degree(e)
 
     def ample_class(self) -> ClassElement:

@@ -47,7 +47,7 @@ class TestConditionM:
     @pytest.mark.parametrize("mode", ["reduced", "unrestricted"])
     def test_budget_that_is_not_a_nonnegative_int_raises_in_either_mode(self, mode):
         for budget in (-1, True, 2.5):
-            with pytest.raises(InvalidParameterError, match=r"budget must be a nonnegative int"):
+            with pytest.raises(InvalidParameterError, match=rf"^check_condition_m: budget must be an int >= 0, got {budget!r}$"):
                 check_condition_m(hpt(), mode=mode, budget=budget)
 
     def test_unknown_mode_raises_before_any_work(self, monkeypatch):
@@ -127,7 +127,7 @@ class TestSections:
 
     def test_float_and_bool_coefficients_rejected(self):
         for coeffs in ([0.5, 2.0, True], [0, 0, True], [1.0, 0, 0]):
-            with pytest.raises(DegenerateInputError, match=r"^integer vector expected"):
+            with pytest.raises(DegenerateInputError, match=r"^divisor coefficient vector must have integer entries, got \["):
                 sections_of_class(simplex(2), coeffs)
         assert sections_of_class(simplex(2), [0, 0, 1]) == sections_of_class(simplex(2), (0, 0, 1))
 
@@ -139,7 +139,7 @@ class TestSections:
             lambda: sections_of_class(p, [1, 2]),
         )
         for call in calls:
-            with pytest.raises(DimensionMismatchError, match=r"^divisor has 2 coefficients, fan has 3 rays$"):
+            with pytest.raises(DimensionMismatchError, match=r"^divisor coefficient vector must have length 3, got \(1, 2\)$"):
                 call()
 
     def test_zero_divisor_single_section(self):
@@ -225,7 +225,7 @@ class TestCrossCheck:
         monkeypatch.setattr(conditionm, "class_group", refuse)
         monkeypatch.setattr(conditionm, "integer_points", refuse)
         p = hpt()
-        with pytest.raises(DegenerateInputError, match=r"^ray index -?\d+ is not in 0\.\.5$"):
+        with pytest.raises(DegenerateInputError, match=r"^ray index must be an int in 0\.\.5, got -?\d+$"):
             cross_check_unrestricted(p, ray_index)
 
     @pytest.mark.parametrize("ray_index", [True, False, 1.0])
@@ -235,7 +235,7 @@ class TestCrossCheck:
 
         monkeypatch.setattr(conditionm, "class_group", refuse)
         monkeypatch.setattr(conditionm, "integer_points", refuse)
-        with pytest.raises(DegenerateInputError, match=r"^ray index \S+ is not in 0\.\.5$"):
+        with pytest.raises(DegenerateInputError, match=r"^ray index must be an int in 0\.\.5, got \S+$"):
             cross_check_unrestricted(hpt(), ray_index)
 
     def test_route_one_checks_its_hit(self, monkeypatch):

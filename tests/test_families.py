@@ -43,16 +43,11 @@ from sbvol.subdivision import regular_subdivision, staged_distance_height, valid
     ],
 )
 def test_family_parameters_that_are_not_ints_are_rejected(call):
-    with pytest.raises(InvalidParameterError, match="needs an int"):
+    with pytest.raises(InvalidParameterError, match=r"^\w+: [dnpq] must be .*int.*, got (\d\.\d|True)$"):
         call()
 
 
 class TestBuilders:
-    def test_dilated_simplex_rejects_parameters_that_are_not_ints(self):
-        for d, n in ((1.5, 2), (2, 1.5), (True, 2), (2, True)):
-            with pytest.raises(InvalidParameterError):
-                dilated_simplex(d, n)
-
     def test_hpt_vertices(self):
         p = hpt()
         assert p.dim() == 5 and len(p.vertices) == 6

@@ -1,0 +1,101 @@
+"""Bad input is rejected, never coerced or truncated: one row per routine and bad argument.
+
+Each row is a public routine, a bad argument and the error class it must
+raise.  A float or a bool is never an int, a point or a vector of the wrong
+length never meets a shorter one in a zip, and an index or a family
+parameter outside its range is named, not looked up.  A case that an older
+test of its routine already pins is not repeated here.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from sbvol.conditionm import reduced_witnesses
+from sbvol.errors import DegenerateInputError, DimensionMismatchError, InvalidParameterError
+from sbvol.families import (
+    containment_certificate,
+    dilated_simplex,
+    exponent_tuples,
+    hpt,
+    simplex_product,
+    standard_simplex,
+)
+from sbvol.polytope import AffineUnimodularMap, RationalPolytope, dilate, hull, translate
+from sbvol.subdivision import lies_in_boundary, make_subdivision
+from sbvol.toric import class_group, facet_shift, ord_value
+
+SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+CUBE = hull(list(product((0, 1), repeat=3)))
+STRIP = [((1, 0), 0), ((-1, 0), -1)]  # 0 <= x <= 1 in Q^2
+
+Deg, Dim, Par = DegenerateInputError, DimensionMismatchError, InvalidParameterError
+
+ROWS = [
+    # a point of a polytope's space
+    ("contains-bool", lambda: SQUARE.contains((True, 0)), Deg),
+    ("boundary-longer-point", lambda: lies_in_boundary(SQUARE, [(0, 0, 7)]), Dim),
+    ("boundary-shorter-point", lambda: lies_in_boundary(SQUARE, [(0,)]), Dim),
+    ("boundary-float", lambda: lies_in_boundary(SQUARE, [(0.0, 0)]), Deg),
+    # an integer vector
+    ("hull-float", lambda: hull([(0, 0), (0.5, 0)]), Deg),
+    ("translate-float", lambda: translate(SQUARE, (1.5, 0)), Deg),
+    ("translate-bool", lambda: translate(SQUARE, (True, 0)), Deg),
+    ("translate-length", lambda: translate(SQUARE, (1, 0, 0)), Dim),
+    ("normal-too-short", lambda: RationalPolytope(3, STRIP), Dim),
+    ("normal-too-long", lambda: RationalPolytope(2, [((1, 0, 7), 0)]), Dim),
+    ("ambient-float", lambda: RationalPolytope(2.5, []), Deg),
+    ("ambient-bool", lambda: RationalPolytope(True, []), Deg),
+    ("ambient-negative", lambda: RationalPolytope(-1, []), Deg),
+    ("dual-vector-length", lambda: ord_value(SQUARE, (1,)), Dim),
+    ("dual-vector-float", lambda: ord_value(SQUARE, (1.0, 0)), Deg),
+    ("containment-spaces", lambda: containment_certificate(SQUARE, CUBE), Dim),
+    ("containment-map", lambda: containment_certificate(CUBE, CUBE, AffineUnimodularMap.identity(2)), Dim),
+    ("subdivision-cell-space", lambda: make_subdivision(SQUARE, [CUBE]), Dim),
+    # an index or a dimension in a range
+    ("face-dim-range", lambda: SQUARE.faces(3), Deg),
+    ("facet-shift-float", lambda: facet_shift(SQUARE, 1.0), Deg),
+    ("facet-shift-bool", lambda: facet_shift(SQUARE, True), Deg),
+    ("facet-shift-false", lambda: facet_shift(SQUARE, False), Deg),
+    ("facet-shift-range", lambda: facet_shift(SQUARE, 4), Deg),
+    ("ray-degree-float", lambda: class_group(SQUARE).ray_degree(0.0), Deg),
+    ("dilate-float", lambda: dilate(SQUARE, 1.5), Deg),
+    ("dilate-fraction", lambda: dilate(SQUARE, Fraction(3, 2)), Deg),
+    ("dilate-integral-fraction", lambda: dilate(SQUARE, Fraction(2)), Deg),
+    ("dilate-bool", lambda: dilate(SQUARE, True), Deg),
+    ("dilate-negative", lambda: dilate(SQUARE, -1), Deg),
+    # a budget
+    ("witness-budget-float", lambda: reduced_witnesses(class_group(hpt()), budget=2.5), Par),
+    ("witness-budget-bool", lambda: reduced_witnesses(class_group(hpt()), budget=True), Par),
+    ("witness-budget-negative", lambda: reduced_witnesses(class_group(hpt()), budget=-1), Par),
+    # a family parameter
+    ("standard-simplex-negative", lambda: standard_simplex(-2), Par),
+    ("exponent-tuples-negative", lambda: exponent_tuples(-1), Par),
+    ("product-short-factor", lambda: simplex_product([(1,)]), Par),
+    ("product-long-factor", lambda: simplex_product([(1, 2, 3)]), Par),
+    ("product-no-factor", lambda: simplex_product([]), Par),
+    ("dilated-simplex-float-d", lambda: dilated_simplex(1.5, 2), Par),
+    ("dilated-simplex-float-n", lambda: dilated_simplex(2, 1.5), Par),
+    ("dilated-simplex-bool-d", lambda: dilated_simplex(True, 2), Par),
+    ("dilated-simplex-bool-n", lambda: dilated_simplex(2, True), Par),
+    ("dilated-simplex-zero", lambda: dilated_simplex(0, 2), Par),
+]
+
+
+@pytest.mark.parametrize("call, error", [pytest.param(c, e, id=name) for name, c, e in ROWS])
+def test_bad_input_is_rejected(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_the_rejected_values_are_valid_one_step_away():
+    # The rows fail on their bad argument, not on the fixtures around it.
+    assert SQUARE.contains((Fraction(1, 2), 0)) and not lies_in_boundary(SQUARE, [(Fraction(1, 2),) * 2])
+    assert translate(SQUARE, (1, 0)).vertices[0] == (1, 0)
+    assert RationalPolytope(2, STRIP).contains((0, 5))
+    assert ord_value(SQUARE, (1, 0)) == 0 and ord_value(SQUARE, (Fraction(1), 0)) == 0
+    assert containment_certificate(SQUARE, dilate(SQUARE, 2)).contained
+    assert standard_simplex(0).vertices == ((),) and simplex_product([(1, 2)]) == dilated_simplex(1, 2)
+    assert dilate(SQUARE, 0).vertices == ((0, 0),) and len(SQUARE.faces(2)) == 1
+    assert facet_shift(SQUARE, 3).vertices() and exponent_tuples(2) == [(0, 0)]

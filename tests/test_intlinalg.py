@@ -271,6 +271,66 @@ def test_package_has_no_floats_in_the_math_path():
     assert _float_uses(ast.parse("def f():\n    return float(1) + 0.5\n")) == [("f", "float(1)"), ("f", "literal")]
 
 
+def _input_rules(tree):
+    """(owner, rule) for each int, bool or integral-rational test; owner is the top-level def or name."""
+    out = []
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Compare):
+                left, op, right = node.left, node.ops[0], node.comparators[0]
+                if (
+                    isinstance(left, ast.Call)
+                    and isinstance(left.func, ast.Name)
+                    and left.func.id == "type"
+                    and isinstance(op, (ast.Is, ast.IsNot))
+                    and isinstance(right, ast.Name)
+                    and right.id == "int"
+                ):
+                    out.append((owner, "type is int"))
+                elif (
+                    isinstance(left, ast.Attribute)
+                    and left.attr == "denominator"
+                    and isinstance(op, ast.NotEq)
+                    and isinstance(right, ast.Constant)
+                    and right.value == 1
+                ):
+                    out.append((owner, "denominator != 1"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                    out.append((owner, "isinstance bool"))
+    return out
+
+
+def test_input_rules_are_spelled_only_in_the_polytope_helpers():
+    # One place for input checks: every other module calls _int_in, _rational,
+    # _as_int_tuple or _is_rational instead of testing for int, bool or an
+    # integral denominator itself.
+    allowed = {
+        ("polytope.py", "_is_rational", "isinstance bool"),
+        ("polytope.py", "_int_in", "type is int"),
+        ("polytope.py", "_as_int_tuple", "denominator != 1"),
+    }
+    package = Path(__file__).resolve().parents[1] / "src" / "sbvol"
+    found = [
+        (path.name, owner, rule)
+        for path in sorted(package.glob("*.py"))
+        for owner, rule in _input_rules(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert [f for f in found if f not in allowed] == []
+    # the guard sees each spelling, in a def and in a class
+    code = (
+        "def f(x):\n    return type(x) is not int or isinstance(x, (int, bool))\n"
+        "class C:\n    def g(self, x):\n        return type(x) is int or x.denominator != 1\n"
+    )
+    assert _input_rules(ast.parse(code)) == [
+        ("f", "type is int"),
+        ("f", "isinstance bool"),
+        ("C", "type is int"),
+        ("C", "denominator != 1"),
+    ]
+
 def _unused_imports(tree):
     """Names bound by an import statement and never read elsewhere in the module."""
     imported = {}

@@ -22,11 +22,10 @@ from sbvol import polytope as polytope_module
 from sbvol.errors import DegenerateInputError, DimensionMismatchError
 from sbvol.families import dilated_simplex, divisor_23_double_cone, kollar_totaro
 from sbvol.intlinalg import dot, rank
-from sbvol.polytope import AffineChart, LatticePolytope, _as_int_tuple, carrier, hull
+from sbvol.polytope import AffineChart, LatticePolytope, _as_int_tuple, _rational, carrier, hull
 from sbvol.subdivision import (
     Subdivision,
     _check_height_points,
-    _exact_height,
     _subdivision,
     distance_height,
     regular_subdivision,
@@ -84,7 +83,7 @@ def _oracle_regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivisio
     for x in pts:
         if x not in heights:
             raise DegenerateInputError(f"height function is not total: missing {x!r}")
-        hmap[x] = _exact_height(x, heights[x])
+        hmap[x] = _rational(heights[x], f"height at {x!r}")
     d = p.dim()
     scale = lcm(*[v.denominator for v in hmap.values()])
     lifted = [x + (int(hmap[x] * scale),) for x in pts]

@@ -202,12 +202,12 @@ class TestLatticePoints:
     def test_budget_that_is_not_a_nonnegative_int_raises(self, budget):
         # Before any scan and after one: a cached table is no excuse.
         p = dilate(simplex(3), 4)
-        match = r"^LatticePolytope.lattice_points: budget must be a nonnegative int, got "
+        match = rf"^LatticePolytope.lattice_points: budget must be an int >= 0, got {budget!r}$"
         for _ in range(2):
             with pytest.raises(InvalidParameterError, match=match):
                 p.lattice_points(budget=budget)
             p.lattice_points()
-        with pytest.raises(InvalidParameterError, match=r"^scan: budget must be a nonnegative int"):
+        with pytest.raises(InvalidParameterError, match=rf"^scan: budget must be an int >= 0, got {budget!r}$"):
             list(integer_points([((1,), 0)], [0], [3], budget, "scan"))
 
     def test_lower_dimensional_points(self):
@@ -525,11 +525,6 @@ class TestEquivalence:
 class TestAlgebra:
     def test_dilate(self):
         assert dilate(simplex(2), 4) == hull([(0, 0), (4, 0), (0, 4)])
-
-    def test_dilate_rejects_a_factor_that_is_not_an_int(self):
-        for k in (1.5, Fraction(3, 2), Fraction(2), True):
-            with pytest.raises(DegenerateInputError, match=r"^dilation factor .* is not an int$"):
-                dilate(simplex(2), k)
 
     def test_product_counts(self):
         p = cartesian_product(dilate(simplex(3), 2), dilate(simplex(4), 3))

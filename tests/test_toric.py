@@ -255,7 +255,7 @@ class TestDivisors:
     def test_divisor_polytope_rejects_floats_and_bools(self):
         fan = normal_fan(simplex(2))
         for coeffs in ([0.1, 0, 2], [True, 0, 0]):
-            with pytest.raises(DegenerateInputError, match=r"^divisor coefficients .* are not ints or Fractions$"):
+            with pytest.raises(DegenerateInputError, match=r"^divisor coefficient must be an int or a Fraction, got (0\.1|True)$"):
                 divisor_polytope(fan, coeffs)
         assert divisor_polytope(fan, [Fraction(1, 2), 0, 0]).halfspaces
 
@@ -265,12 +265,6 @@ class TestDivisors:
         left = [i for i, u in enumerate(fan.rays) if u == (1,)][0]
         shifted = facet_shift(p, left)
         assert sorted(shifted.vertices()) == [(Fraction(1),), (Fraction(5),)]
-
-    def test_facet_shift_rejects_a_ray_index_that_is_not_an_int(self):
-        p = simplex(2)
-        for i in (True, False, 1.0):
-            with pytest.raises(DegenerateInputError, match=r"^no ray with index "):
-                facet_shift(p, i)
 
     def test_facet_shift_smooth_is_lattice(self):
         p = dilate(simplex(3), 4)
@@ -374,7 +368,7 @@ class TestClassGroup:
     @pytest.mark.parametrize("i", [9, -1, True])
     def test_ray_degree_rejects_an_index_that_names_no_ray(self, i):
         g = class_group(hull([(0, 0), (2, 0), (0, 2)]))
-        with pytest.raises(DegenerateInputError, match=rf"^no ray with index {i!r}$"):
+        with pytest.raises(DegenerateInputError, match=rf"^ray index must be an int in 0\.\.2, got {i!r}$"):
             g.ray_degree(i)
 
     def test_fan_and_group_are_built_once_per_polytope(self, monkeypatch):
@@ -395,7 +389,7 @@ class TestClassGroup:
     def test_degree_rejects_floats_and_bools(self):
         g = class_group(simplex(2))
         for coeffs in ([0.5, 1, True], [1.0, 0, 0], [True, 0, 0], [Fraction(1, 2), 0, 0]):
-            with pytest.raises(DegenerateInputError, match=r"^integer vector expected"):
+            with pytest.raises(DegenerateInputError, match=r"^divisor coefficient vector must have integer entries, got \["):
                 g.degree(coeffs)
         assert g.degree([Fraction(2), 0, -1]) == g.degree((2, 0, -1))
 
