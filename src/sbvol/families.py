@@ -19,6 +19,7 @@ from .polytope import (
     AffineUnimodularMap,
     LatticePolytope,
     RationalPolytope,
+    _as_tuple,
     _int_in,
     cartesian_product,
     dilate,
@@ -29,6 +30,12 @@ from .polytope import (
 
 def _unit(i, n):
     return tuple(1 if j == i else 0 for j in range(n))
+
+
+def _cyclic_chain(m, w, start):
+    """e_start, w e_start + e_{start+1}, ..., w e_{m-2} + e_{m-1}, w e_{m-1} in Z^m."""
+    e = [_unit(i, m) for i in range(m + 1)]  # e[m] = 0
+    return [e[start]] + [tuple(w * a + b for a, b in zip(e[i], e[i + 1])) for i in range(start, m)]
 
 
 def standard_simplex(n: int) -> LatticePolytope:
@@ -44,7 +51,8 @@ def dilated_simplex(d: int, n: int) -> LatticePolytope:
 
 def simplex_product(factors) -> LatticePolytope:
     """d_1 Delta_{n_1} x ... x d_r Delta_{n_r}."""
-    factors = [tuple(f) for f in factors]
+    factors = _as_tuple(factors, "simplex_product factors", InvalidParameterError)
+    factors = [_as_tuple(f, "simplex_product factor", InvalidParameterError) for f in factors]
     if not factors or any(len(f) != 2 for f in factors):
         raise InvalidParameterError(f"simplex_product needs pairs (d, n), got {factors!r}")
     out = dilated_simplex(*factors[0])
@@ -76,17 +84,7 @@ def kollar_totaro(n: int, d: int) -> LatticePolytope:
     """Newton polytope of a double cover branched along a cyclic degree-d form."""
     _int_in(n, "kollar_totaro: n", 2, error=InvalidParameterError)
     _int_in(d, "kollar_totaro: d", 2, error=InvalidParameterError)
-    m = n + 1
-    verts = [tuple(2 if j == 0 else 0 for j in range(m)), _unit(1, m)]
-    for i in range(2, n + 1):
-        v = [0] * m
-        v[i - 1] = d - 1
-        v[i] = 1
-        verts.append(tuple(v))
-    v = [0] * m
-    v[n] = d - 1
-    verts.append(tuple(v))
-    return hull(verts)
+    return hull([(2,) + (0,) * n] + _cyclic_chain(n + 1, d - 1, 1))
 
 
 def cubic_empty(n: int) -> LatticePolytope:
@@ -94,16 +92,7 @@ def cubic_empty(n: int) -> LatticePolytope:
     _int_in(n, "cubic_empty: n", error=InvalidParameterError)
     if n < 3 or n % 2 == 0:
         raise InvalidParameterError("cubic_empty needs odd n >= 3")
-    verts = [_unit(0, n)]
-    for i in range(1, n):
-        v = [0] * n
-        v[i - 1] = 3
-        v[i] = 1
-        verts.append(tuple(v))
-    v = [0] * n
-    v[n - 1] = 3
-    verts.append(tuple(v))
-    return hull(verts)
+    return hull(_cyclic_chain(n, 3, 0))
 
 
 def tpq(p: int, q: int) -> LatticePolytope:

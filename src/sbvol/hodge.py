@@ -47,21 +47,15 @@ def _face_data(p: LatticePolytope):
     }
 
 
-def _e_open_from_faces(face_items, sub, sub_dim, p):
-    """e^{p,0} of the open hypersurface piece attached to the face `sub`."""
-    sign = -1 if (sub_dim - 1) % 2 else 1
-    if p == 0:
-        edges = sum(
-            interior
-            for f, (d, interior, _nv) in face_items
-            if d == 1 and f & sub == f
-        )
-        nverts = sum(1 for f, (d, _i, _nv) in face_items if d == 0 and f & sub == f)
-        return sign * (edges + nverts - 1)
-    total = sum(
-        interior for f, (d, interior, _nv) in face_items if d == p + 1 and f & sub == f
-    )
-    return sign * total
+def _e_open_row(face_items, sub, sub_dim, length):
+    """e^{p,0}, p < length, of the open piece attached to the face `sub`, in one pass over
+    its faces: from -1 in degree 0, a (p+1)-face adds its interior count in degree p and a
+    vertex adds 1 in degree 0."""
+    row = [-1] + [0] * (length - 1)
+    for f, (d, interior, _nv) in face_items:
+        if f & sub == f:
+            row[max(d - 1, 0)] += interior if d else 1
+    return [(-1) ** (sub_dim + 1) * e for e in row]
 
 
 def e_p0_open(p: LatticePolytope, degree: int) -> int:
@@ -71,7 +65,7 @@ def e_p0_open(p: LatticePolytope, degree: int) -> int:
     _int_in(degree, "degree", 0, n - 1)
     faces = _face_data(q)
     full = next(f for f, (d, _i, _nv) in faces.items() if d == n)
-    return _e_open_from_faces(list(faces.items()), full, n, degree)
+    return _e_open_row(faces.items(), full, n, n)[degree]
 
 
 def h_p0_compact(p: LatticePolytope) -> HodgeRow:
@@ -90,11 +84,7 @@ def h_p0_compact(p: LatticePolytope) -> HodgeRow:
     closed = [0] * m
     closed[0] = 1
     closed[n] = q.n_interior_points()
-    faces = list(_face_data(q).items())
-    by_sum = []
-    for deg in range(m):
-        e = sum(
-            _e_open_from_faces(faces, f, d, deg) for f, (d, _i, _nv) in faces
-        )
-        by_sum.append(e if deg % 2 == 0 else -e)
+    faces = _face_data(q).items()
+    face_rows = [_e_open_row(faces, f, d, m) for f, (d, _i, _nv) in faces]
+    by_sum = [sum(col) if deg % 2 == 0 else -sum(col) for deg, col in enumerate(zip(*face_rows))]
     return HodgeRow(tuple(closed), tuple(by_sum), m)

@@ -182,87 +182,60 @@ class SmithDecomposition:
         return tuple(d for d in self.diagonal if d != 0)
 
 
+def _clear(x: Matrix, w: Matrix, t: int) -> bool:
+    """Euclid down column t of x below row t, mirrored on w; True when the column is clear."""
+    for i in range(t + 1, len(x)):
+        if x[i][t] != 0:
+            q = x[i][t] // x[t][t]
+            x[i] = [a - q * b for a, b in zip(x[i], x[t])]
+            w[i] = [a - q * b for a, b in zip(w[i], w[t])]
+            if x[i][t] != 0:  # remainder is a smaller pivot
+                x[t], x[i], w[t], w[i] = x[i], x[t], w[i], w[t]
+    return not any(x[i][t] for i in range(t + 1, len(x)))
+
+
 def smith_form(a: Matrix) -> SmithDecomposition:
     """Smith normal form with transforms.
 
     Pivot rule: smallest absolute value among nonzero entries, ties broken by
-    lowest (row, col); this makes the decomposition deterministic.
+    lowest (row, col); this makes the decomposition deterministic.  Column t is
+    cleared by row steps on (m, u), and row t by the same pass on (m^T, v^T).
     """
     m = copy_matrix(a)
     rows = len(m)
     cols = len(m[0]) if rows else 0
     u = identity_matrix(rows)
     v = identity_matrix(cols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     limit = min(rows, cols)
 
     def diagonalize(start):
         for t in range(start, limit):
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    e = m[i][j]
-                    if e != 0 and (best is None or abs(e) < abs(m[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
+            nz = [(abs(m[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]]
+            if not nz:
                 return
-            swap_rows(t, best[0])
-            swap_cols(t, best[1])
+            _, i, j = min(nz)
+            m[t], m[i], u[t], u[i] = m[i], m[t], u[i], u[t]
+            for row in m + v:
+                row[t], row[j] = row[j], row[t]
+            # Clear column t, then row t; restart if clearing reintroduces entries.
             while True:
-                # Clear column t, then row t; restart if clearing reintroduces entries.
-                for i in range(t + 1, rows):
-                    if m[i][t] != 0:
-                        q = m[i][t] // m[t][t]
-                        row_op(i, t, q)
-                        if m[i][t] != 0:  # remainder is a smaller pivot
-                            swap_rows(t, i)
-                if any(m[i][t] != 0 for i in range(t + 1, rows)):
-                    continue
-                for j in range(t + 1, cols):
-                    if m[t][j] != 0:
-                        q = m[t][j] // m[t][t]
-                        col_op(j, t, q)
-                        if m[t][j] != 0:
-                            swap_cols(t, j)
-                if any(m[t][j] != 0 for j in range(t + 1, cols)) or any(
-                    m[i][t] != 0 for i in range(t + 1, rows)
-                ):
-                    continue
-                break
+                if _clear(m, u, t):
+                    mt, vt = transpose(m), transpose(v)
+                    row_clear = _clear(mt, vt, t)
+                    m[:], v[:] = transpose(mt), transpose(vt)
+                    if row_clear and not any(m[i][t] for i in range(t + 1, rows)):
+                        break
 
     diagonalize(0)
     # Enforce the divisibility chain d_i | d_{i+1}: a column add exposes the
     # pair to a gcd step, then the block is re-diagonalized.
     while True:
-        bad = None
-        for i in range(limit - 1):
-            a_, b_ = m[i][i], m[i + 1][i + 1]
-            if a_ != 0 and b_ != 0 and b_ % a_ != 0:
-                bad = i
-                break
+        d = [m[i][i] for i in range(limit)]
+        bad = next((i for i in range(limit - 1) if d[i] != 0 and d[i + 1] % d[i] != 0), None)
         if bad is None:
             break
-        col_op(bad, bad + 1, -1)  # col_bad += col_{bad+1}
+        for row in m + v:  # col_bad += col_{bad+1}
+            row[bad] += row[bad + 1]
         diagonalize(bad)
 
     # Positive diagonal.

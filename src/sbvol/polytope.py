@@ -59,9 +59,18 @@ def _rational(x, what):
     return Fraction(x)
 
 
+def _as_tuple(x, what, error=DegenerateInputError):
+    """x as a tuple; an argument that cannot be iterated raises `error`."""
+    try:
+        items = iter(x)
+    except TypeError:
+        raise error(f"{what} must be a sequence, got {x!r}") from None
+    return tuple(items)
+
+
 def _as_int_tuple(v, n=None, what="integer vector"):
     """v as a tuple of ints, of length n when n is given; integral Fractions are accepted."""
-    t = tuple(v)
+    t = _as_tuple(v, what)
     for x in t:
         if not _is_rational(x) or x.denominator != 1:
             raise DegenerateInputError(f"{what} must have integer entries, got {v!r}")
@@ -71,10 +80,13 @@ def _as_int_tuple(v, n=None, what="integer vector"):
 
 
 def _check_ambient(poly, x):
+    """x as a tuple when it is a point of poly's space with int or Fraction coordinates."""
+    x = _as_tuple(x, "point")
     if len(x) != poly.ambient_dim:
-        raise DimensionMismatchError(f"{tuple(x)!r} is not a point of Q^{poly.ambient_dim}")
+        raise DimensionMismatchError(f"{x!r} is not a point of Q^{poly.ambient_dim}")
     if not all(_is_rational(v) for v in x):
-        raise DegenerateInputError(f"{tuple(x)!r} is not a point with int or Fraction coordinates")
+        raise DegenerateInputError(f"{x!r} is not a point with int or Fraction coordinates")
+    return x
 
 
 def _lowest(v):
@@ -168,6 +180,9 @@ class AffineUnimodularMap:
     translation: tuple
 
     def __post_init__(self):
+        linear = tuple(_as_tuple(r, "map row") for r in _as_tuple(self.linear, "linear part"))
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "translation", _as_tuple(self.translation, "translation"))
         n = len(self.linear)
         if len(self.translation) != n:
             raise DimensionMismatchError(f"translation {self.translation!r} does not fit Z^{n}")
@@ -298,7 +313,7 @@ class LatticePolytope:
         return RationalPolytope(self.ambient_dim, tuple((n, Fraction(c)) for n, c in sys))
 
     def contains(self, x) -> bool:
-        _check_ambient(self, x)
+        x = _check_ambient(self, x)
         if self.is_full_dimensional():
             return all(s >= 0 for s in slacks(self.facet_system(), x))
         ch = self.chart()
@@ -469,7 +484,7 @@ class RationalPolytope:
     def __init__(self, ambient_dim, halfspaces):
         object.__setattr__(self, "ambient_dim", _int_in(ambient_dim, "ambient dimension", 0))
         cleaned = []
-        for a, c in halfspaces:
+        for a, c in _as_tuple(halfspaces, "halfspaces"):
             a = _as_int_tuple(a, ambient_dim, "halfspace normal")
             c = _rational(c, "halfspace offset")
             g = vec_gcd(a)
@@ -512,7 +527,7 @@ class RationalPolytope:
         return all(all(Fraction(x).denominator == 1 for x in v) for v in self.vertices())
 
     def contains(self, x) -> bool:
-        _check_ambient(self, x)
+        x = _check_ambient(self, x)
         return all(s >= 0 for s in slacks(self.halfspaces, x))
 
     def lattice_points(self):
@@ -537,7 +552,7 @@ class RationalPolytope:
 
 def hull(points) -> LatticePolytope:
     """Convex hull; vertices are exactly the extreme points of the input."""
-    pts = [_as_int_tuple(p) for p in points]
+    pts = [_as_int_tuple(p) for p in _as_tuple(points, "point set")]
     if not pts:
         raise DegenerateInputError("hull of an empty point set")
     n = len(pts[0])

@@ -322,7 +322,7 @@ def min_squared_distance(poly, x) -> Fraction:
     minimum-norm point of conv(V - x), scaled to integers.
     """
     verts = _vertex_list(poly)
-    _check_ambient(poly, x)
+    x = _check_ambient(poly, x)
     if not verts:
         raise DegenerateInputError("empty polytope has no nearest point")
     if poly.contains(x):
@@ -380,9 +380,7 @@ def lies_in_boundary(p: LatticePolytope, points) -> bool:
     That is, when the AND of the points' carriers, the bitmasks of the
     facets of p each lies on, is nonzero.
     """
-    points = list(points)
-    for x in points:
-        _check_ambient(p, x)
+    points = [_check_ambient(p, x) for x in points]
     return _boundary_test(points, p)((1 << len(points)) - 1)
 
 

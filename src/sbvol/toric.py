@@ -140,10 +140,9 @@ def _minor_gcds(rays, d):
 
 
 def _subcone_scan_frame(tri, d):
-    """Scan data (uinv, tcons, lo, hi, rays) for one simplicial subcone: a
-    coordinate change making the ray matrix lower-triangular with large
-    pivots early, membership constraints in the new coordinates, and the
-    slab bounding box.
+    """Scan data (uinv, tcons, rays) for one simplicial subcone: a coordinate
+    change making the ray matrix lower-triangular with large pivots early,
+    and the membership constraints and rays in the new coordinates.
 
     The coordinate change is the transform of the Hermite form of the ray
     matrix, its columns the rays in the order that minimises
@@ -180,9 +179,7 @@ def _subcone_scan_frame(tri, d):
     # <row j of |det M| M^{-1}, n'> >= 0, and |det M| M^{-1} = sign(det M) adj M.
     det_m, adj = adjugate(transpose(new_rays))
     tcons = [(tuple(x if det_m > 0 else -x for x in row), 0) for row in adj]
-    lo = [sum(min(0, r[k]) for r in new_rays) for k in range(d)]
-    hi = [sum(max(0, r[k]) for r in new_rays) for k in range(d)]
-    return uinv, tcons, lo, hi, new_rays
+    return uinv, tcons, new_rays
 
 
 def fine_interior(p: LatticePolytope) -> FineInteriorResult:
@@ -201,7 +198,7 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
     subcone), in integers, with FINE_INTERIOR_BUDGET as the node cap of
     each; a scan over it raises ResourceLimitError.  The loop ends: every
     round that does not return adds a new primitive vector, and all of
-    them are integer points of the subcones' fixed slab boxes, a finite set.
+    them lie in the subcones' slabs {0 <= t_j <= m / pair_j <= 1}, a finite set.
     """
     fan = normal_fan(p)
     d = p.ambient_dim
@@ -224,24 +221,19 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
             m = lcm(*(x.denominator for x in q))
             cleared.append((m, [x.numerator * (m // x.denominator) for x in q]))
         found = set()
-        for v, rays, (uinv, tcons, box_lo, box_hi, new_rays) in frames:
+        for v, rays, (uinv, tcons, new_rays) in frames:
             for m, big in cleared:
                 pair = [dot(big, r) - m * dot(v, r) for r in rays]  # m <q - v, r>
                 if any(c < m for c in pair):
                     raise InternalConsistencyError("candidate vertex violates a shifted facet")
                 # m <q - v, n> <= m - 1, that is <m v - Q, n> >= 1 - m.
                 cut = (vec_mat([m * a - b for a, b in zip(v, big)], uinv), 1 - m)
-                # The region satisfies t_j <= m / pair_j, so the slab box shrinks
-                # with the pairing against the candidate; den clears the pairings.
+                # The region satisfies 0 <= t_j <= m / pair_j, so its box is the
+                # bounding box of that scaled slab; den clears the pairings.
                 den = lcm(*pair)
-                scale = [den // c for c in pair]
-                lo = []
-                hi = []
-                for k in range(d):
-                    lo_k = sum(min(0, r[k]) * s for r, s in zip(new_rays, scale)) * m
-                    hi_k = sum(max(0, r[k]) * s for r, s in zip(new_rays, scale)) * m
-                    lo.append(max(box_lo[k], -(-lo_k // den)))
-                    hi.append(min(box_hi[k], hi_k // den))
+                spans = [[r[k] * (den // c) for r, c in zip(new_rays, pair)] for k in range(d)]
+                lo = [-(-m * sum(min(0, x) for x in span) // den) for span in spans]
+                hi = [m * sum(max(0, x) for x in span) // den for span in spans]
                 scan = integer_points(tcons + [cut], lo, hi, FINE_INTERIOR_BUDGET, "fine_interior")
                 for n_t in itertools.islice(filter(any, scan), 4):
                     n = mat_vec(uinv, n_t)

@@ -1,4 +1,4 @@
-"""The integer elimination kernel against the earlier Fraction Gauss-Jordan.
+"""The integer elimination kernel against the earlier Fraction Gauss-Jordan and Smith form.
 
 The oracle is the earlier `_gauss_jordan`, `solve_rational` and
 `invert_rational`, copied below unchanged, with the earlier greedy `_frame`.
@@ -10,6 +10,12 @@ on their real inputs: every Wolfe bordered system of the dim4 distance
 heights and of the staged double-cone chain, every width and equivalence
 frame of the dim4 pipeline, and every subcone frame of the dimension-4
 inputs of criterion 11a.
+
+The Smith oracle is the earlier `smith_form`, copied below unchanged apart
+from its name, with separate row and column passes.  The kernel clears
+columns by the row pass on the transposes; S, U and V must be identical on
+seeded random matrices up to 9 x 9 and on every ray pairing matrix of the
+polytopes of criteria 2, 3 and 11c.
 """
 
 from __future__ import annotations
@@ -22,15 +28,32 @@ import pytest
 import sbvol.polytope as polytope_module
 import sbvol.subdivision as subdivision_module
 import sbvol.toric as toric_module
-from sbvol.errors import DegenerateInputError
+from sbvol.errors import DegenerateInputError, InternalConsistencyError
 from sbvol.families import builtin_seed_registry, dilated_simplex, divisor_23_double_cone, kollar_totaro
-from sbvol.intlinalg import Matrix, adjugate, det, identity_matrix, rank, transpose
+from sbvol.intlinalg import (
+    Matrix,
+    SmithDecomposition,
+    adjugate,
+    copy_matrix,
+    det,
+    identity_matrix,
+    mat_mul,
+    rank,
+    smith_form,
+    transpose,
+)
 from sbvol.intlinalg import solve_rational as kernel_solve_rational
 from sbvol.ledger import dim4_pipeline
 from sbvol.polytope import _triangulate_cone, hull
 from sbvol.subdivision import _translated, _vertex_list
 from sbvol.toric import normal_fan
-from sbvol.verification import SEED, _random_polytope
+from sbvol.verification import (
+    SEED,
+    _c02_hpt,
+    _c03_schreieder_class_groups,
+    _c11c_condition_m_agreement,
+    _random_polytope,
+)
 
 
 # -- the earlier routines, unchanged --------------------------------------------------
@@ -96,6 +119,109 @@ def _frame(diffs, d):
         if len(idx) == d:
             break
     return idx
+
+
+def _oracle_smith_form(a: Matrix) -> SmithDecomposition:
+    """Smith normal form with transforms.
+
+    Pivot rule: smallest absolute value among nonzero entries, ties broken by
+    lowest (row, col); this makes the decomposition deterministic.
+    """
+    m = copy_matrix(a)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    u = identity_matrix(rows)
+    v = identity_matrix(cols)
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in m:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    limit = min(rows, cols)
+
+    def diagonalize(start):
+        for t in range(start, limit):
+            best = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    e = m[i][j]
+                    if e != 0 and (best is None or abs(e) < abs(m[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                return
+            swap_rows(t, best[0])
+            swap_cols(t, best[1])
+            while True:
+                # Clear column t, then row t; restart if clearing reintroduces entries.
+                for i in range(t + 1, rows):
+                    if m[i][t] != 0:
+                        q = m[i][t] // m[t][t]
+                        row_op(i, t, q)
+                        if m[i][t] != 0:  # remainder is a smaller pivot
+                            swap_rows(t, i)
+                if any(m[i][t] != 0 for i in range(t + 1, rows)):
+                    continue
+                for j in range(t + 1, cols):
+                    if m[t][j] != 0:
+                        q = m[t][j] // m[t][t]
+                        col_op(j, t, q)
+                        if m[t][j] != 0:
+                            swap_cols(t, j)
+                if any(m[t][j] != 0 for j in range(t + 1, cols)) or any(
+                    m[i][t] != 0 for i in range(t + 1, rows)
+                ):
+                    continue
+                break
+
+    diagonalize(0)
+    # Enforce the divisibility chain d_i | d_{i+1}: a column add exposes the
+    # pair to a gcd step, then the block is re-diagonalized.
+    while True:
+        bad = None
+        for i in range(limit - 1):
+            a_, b_ = m[i][i], m[i + 1][i + 1]
+            if a_ != 0 and b_ != 0 and b_ % a_ != 0:
+                bad = i
+                break
+        if bad is None:
+            break
+        col_op(bad, bad + 1, -1)  # col_bad += col_{bad+1}
+        diagonalize(bad)
+
+    # Positive diagonal.
+    for i in range(limit):
+        if m[i][i] < 0:
+            m[i] = [-x for x in m[i]]
+            u[i] = [-x for x in u[i]]
+    if mat_mul(mat_mul(u, a), v) != m:
+        raise InternalConsistencyError("Smith form: the transforms do not reproduce the form")
+    if abs(det(u)) != 1 or abs(det(v)) != 1:
+        raise InternalConsistencyError("Smith form: a transform is not unimodular")
+    sd = SmithDecomposition(
+        s=tuple(tuple(r) for r in m),
+        u=tuple(tuple(r) for r in u),
+        v=tuple(tuple(r) for r in v),
+    )
+    diag = sd.invariant_factors
+    if any(diag[i + 1] % diag[i] for i in range(len(diag) - 1)):
+        raise InternalConsistencyError("Smith form: the invariant factors do not divide in turn")
+    return sd
 
 
 # -- agreement -------------------------------------------------------------------------
@@ -171,6 +297,25 @@ def test_edge_shapes():
     assert kernel_solve_rational([[0, 0]], [0]) == (0, 0)
     assert kernel_solve_rational([[0, 0]], [1]) is None
     assert kernel_solve_rational([[2], [4]], [Fraction(1, 3), Fraction(2, 3)]) == (Fraction(1, 6),)
+
+
+def _smith_triple(a):
+    sd = smith_form(a)
+    want = _oracle_smith_form(a)
+    assert (sd.s, sd.u, sd.v) == (want.s, want.u, want.v), a
+    return sd
+
+
+def test_random_smith_forms():
+    rng = random.Random(1993)
+    for a in ([], [[]], [[0]], [[0, 0], [0, 0]], [[-4]], [[2, 0], [0, 3]]):
+        _smith_triple(a)
+    nontrivial = 0
+    for _ in range(500):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        a = [[0 if rng.random() < 0.35 else rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+        nontrivial += any(d > 1 for d in _smith_triple(a).invariant_factors)
+    assert nontrivial > 50
 
 
 # -- the call sites --------------------------------------------------------------------
@@ -265,7 +410,7 @@ def test_criterion_11a_subcone_frames(monkeypatch):
         fan = normal_fan(p)
         for cone in fan.vertex_cones:
             for tri in _triangulate_cone([fan.rays[j] for j in sorted(cone)], 4):
-                _, tcons, _, _, new_rays = toric_module._subcone_scan_frame(tri, 4)
+                _, tcons, new_rays = toric_module._subcone_scan_frame(tri, 4)
                 frames += 1
                 # the earlier scan constraints: rows of |det M| M^{-1}
                 m = transpose(new_rays)
@@ -273,3 +418,13 @@ def test_criterion_11a_subcone_frames(monkeypatch):
                 assert tcons == [(tuple(int(x * abs_det) for x in row), 0) for row in invert_rational(m)]
                 assert assert_adjugate_agrees(m)
     assert len(inverses) == frames
+
+
+def test_class_group_smith_forms(monkeypatch):
+    calls = _recorded(monkeypatch, toric_module, "smith_form")
+    for criterion in (_c02_hpt, _c03_schreieder_class_groups, _c11c_condition_m_agreement):
+        assert criterion()[0]
+    assert len(calls) > 50
+    for (a,), got in calls:
+        want = _oracle_smith_form(a)
+        assert (got.s, got.u, got.v) == (want.s, want.u, want.v), a

@@ -8,6 +8,11 @@ polytope.  With `lattice_points` and `_face_data` swapped for them, the
 rest of the package (charts, facet systems, integer_points, faces) runs
 as it is.  Point lists, classify(), the Hodge rows, e^{p,0} at every
 degree and fingerprints must agree exactly.
+
+The face-sum oracle is the earlier per-degree loop: `_e_open_from_faces`,
+copied below unchanged apart from its name, scans every face once per
+(face, degree).  The kernel fills a face's whole row in one pass; the Hodge
+face sums and e^{p,0} at every degree must be identical on the corpus.
 """
 
 import random
@@ -78,6 +83,39 @@ def _oracle_face_data(p: LatticePolytope):
         cell = LatticePolytope._trusted(p.ambient_dim, [p.vertices[i] for i in idx])
         cells[f] = (d, cell.n_interior_points(), len(idx))
     return cells
+
+
+def _oracle_e_open_from_faces(face_items, sub, sub_dim, p):
+    """e^{p,0} of the open hypersurface piece attached to the face `sub`."""
+    sign = -1 if (sub_dim - 1) % 2 else 1
+    if p == 0:
+        edges = sum(
+            interior
+            for f, (d, interior, _nv) in face_items
+            if d == 1 and f & sub == f
+        )
+        nverts = sum(1 for f, (d, _i, _nv) in face_items if d == 0 and f & sub == f)
+        return sign * (edges + nverts - 1)
+    total = sum(
+        interior for f, (d, interior, _nv) in face_items if d == p + 1 and f & sub == f
+    )
+    return sign * total
+
+
+def _oracle_face_sums(p):
+    """(e^{p,0} of p at every degree, the Hodge face sum or None below dimension 2)."""
+    q, _ = p.normalize_full_dimensional()
+    m = q.dim()
+    faces = list(hodge._face_data(q).items())
+    full = next(f for f, (d, _i, _nv) in faces if d == m)
+    e_open = [_oracle_e_open_from_faces(faces, full, m, deg) for deg in range(m)]
+    if m < 2:
+        return e_open, None
+    by_sum = []
+    for deg in range(m):
+        e = sum(_oracle_e_open_from_faces(faces, f, d, deg) for f, (d, _i, _nv) in faces)
+        by_sum.append(e if deg % 2 == 0 else -e)
+    return e_open, tuple(by_sum)
 
 
 def _answers(p, classify):
@@ -166,3 +204,12 @@ def test_corpus_covers_every_shape():
 def test_carrier_counts_match_the_per_face_scans(start):
     for p in CORPUS[start : start + 40]:
         assert _answers(p, LatticePolytope.classify) == _oracle_answers(p), p.vertices
+
+
+def test_face_sums_match_the_per_degree_loop():
+    for p in CORPUS:
+        e_open, by_sum = _oracle_face_sums(p)
+        assert [e_p0_open(p, k) for k in range(p.dim())] == e_open, p.vertices
+        if by_sum is not None:
+            got = h_p0_compact(p).by_face_sum
+            assert got == by_sum and all(type(x) is int for x in got), p.vertices

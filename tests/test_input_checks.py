@@ -2,8 +2,9 @@
 
 Each row is a public routine, a bad argument and the error class it must
 raise.  A float or a bool is never an int, a point or a vector of the wrong
-length never meets a shorter one in a zip, and an index or a family
-parameter outside its range is named, not looked up.  A case that an older
+length never meets a shorter one in a zip, an int where a sequence is
+expected raises a package error rather than TypeError, and an index or a
+family parameter outside its range is named, not looked up.  A case that an older
 test of its routine already pins is not repeated here.
 """
 
@@ -23,10 +24,12 @@ from sbvol.families import (
     standard_simplex,
 )
 from sbvol.polytope import AffineUnimodularMap, RationalPolytope, dilate, hull, translate
-from sbvol.subdivision import lies_in_boundary, make_subdivision
+from sbvol.ledger import classify_cell
+from sbvol.subdivision import lies_in_boundary, make_subdivision, min_squared_distance
 from sbvol.toric import class_group, facet_shift, ord_value
 
 SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+TRIANGLE = hull([(0, 0), (1, 0), (0, 1)])
 CUBE = hull(list(product((0, 1), repeat=3)))
 STRIP = [((1, 0), 0), ((-1, 0), -1)]  # 0 <= x <= 1 in Q^2
 
@@ -38,6 +41,20 @@ ROWS = [
     ("boundary-longer-point", lambda: lies_in_boundary(SQUARE, [(0, 0, 7)]), Dim),
     ("boundary-shorter-point", lambda: lies_in_boundary(SQUARE, [(0,)]), Dim),
     ("boundary-float", lambda: lies_in_boundary(SQUARE, [(0.0, 0)]), Deg),
+    ("contains-int", lambda: SQUARE.contains(5), Deg),
+    ("distance-int", lambda: min_squared_distance(SQUARE, 5), Deg),
+    ("boundary-int-point", lambda: lies_in_boundary(SQUARE, [5]), Deg),
+    # a sequence where an int is given
+    ("hull-int", lambda: hull(5), Deg),
+    ("hull-int-points", lambda: hull([5, 6]), Deg),
+    ("translate-int", lambda: translate(SQUARE, 3), Deg),
+    ("dual-vector-int", lambda: ord_value(SQUARE, 3), Deg),
+    ("halfspaces-int", lambda: RationalPolytope(2, 5), Deg),
+    ("halfspace-int-normal", lambda: RationalPolytope(2, [(1, 0)]), Deg),
+    ("certificate-int", lambda: classify_cell(TRIANGLE, None, [5]), Deg),
+    ("divisor-int", lambda: class_group(SQUARE).degree(5), Deg),
+    ("map-int-linear", lambda: AffineUnimodularMap(5, (0,)), Deg),
+    ("product-int-factor", lambda: simplex_product([5]), Par),
     # an integer vector
     ("hull-float", lambda: hull([(0, 0), (0.5, 0)]), Deg),
     ("translate-float", lambda: translate(SQUARE, (1.5, 0)), Deg),
