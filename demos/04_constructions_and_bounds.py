@@ -48,10 +48,10 @@ for eps in exponent_tuples(3):
     steps += [eps] * ((3 - sum(eps)) // 2)
 print("  extension budget for n=3:", len(steps), "(closed form:", sum_identity(3)[1], ")")
 ext = extend_schreieder(data, steps)
-print("  extended polytope dimension:", ext.polytope.ambient_dim)
+print("  extended polytope dimension:", ext.ambient_dim)
 print(
     "  contained in 5*simplex:",
-    containment_certificate(ext.polytope, dilated_simplex(5, ext.polytope.ambient_dim)).contained,
+    containment_certificate(ext, dilated_simplex(5, ext.ambient_dim)).contained,
 )
 
 # -- covered dimension ranges ---------------------------------------------------

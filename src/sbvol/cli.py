@@ -286,9 +286,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("--input", required=True, help="polytope document (JSON)")
+    def add_io(sp):
+        sp.add_argument("--input", required=True, help="polytope document (JSON)")
         sp.add_argument("--output", default=None, help="write the report here")
 
     sp = sub.add_parser("compute", help="invariant report for a polytope")

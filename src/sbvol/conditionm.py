@@ -123,7 +123,6 @@ def sections_of_class(p: LatticePolytope, coefficients):
 
 @dataclass(frozen=True)
 class CrossCheckResult:
-    ray_index: int
     exists_by_exponents: bool
     exists_by_polytope: bool
 
@@ -159,7 +158,7 @@ def cross_check_unrestricted(p: LatticePolytope, ray_index: int) -> CrossCheckRe
     by_exponents = hit is not None
     by_polytope = len(facet_shift(p, ray_index).lattice_points()) > 0
 
-    result = CrossCheckResult(ray_index, by_exponents, by_polytope)
+    result = CrossCheckResult(by_exponents, by_polytope)
     if not result.agree:
         raise InternalConsistencyError(
             f"ray {ray_index}: exponent search says {by_exponents}, "

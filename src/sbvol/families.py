@@ -21,6 +21,7 @@ from .polytope import (
     RationalPolytope,
     _as_tuple,
     _int_in,
+    _pair,
     cartesian_product,
     dilate,
     hull,
@@ -52,8 +53,8 @@ def dilated_simplex(d: int, n: int) -> LatticePolytope:
 def simplex_product(factors) -> LatticePolytope:
     """d_1 Delta_{n_1} x ... x d_r Delta_{n_r}."""
     factors = _as_tuple(factors, "simplex_product factors", InvalidParameterError)
-    factors = [_as_tuple(f, "simplex_product factor", InvalidParameterError) for f in factors]
-    if not factors or any(len(f) != 2 for f in factors):
+    factors = [_pair(f, "simplex_product factor (d, n)", InvalidParameterError) for f in factors]
+    if not factors:
         raise InvalidParameterError(f"simplex_product needs pairs (d, n), got {factors!r}")
     out = dilated_simplex(*factors[0])
     for d, n in factors[1:]:
@@ -139,13 +140,12 @@ class SchreiederData:
         return 2 * self.n + self.rho.index(tuple(eps))
 
 
-def schreieder(n: int, rho=None) -> SchreiederData:
+def schreieder(n: int) -> SchreiederData:
     """The degree-(n+2) hypersurface polytope with 2^n + n vertices in Z^(2^n+n-1).
 
     The bijection rho assigns each admissible exponent tuple its extra
-    coordinate; the default pins the zero tuple first and orders the rest
-    lexicographically.  A custom bijection may be supplied as a sequence of
-    the same tuples in the desired column order.
+    coordinate; it pins the zero tuple first and orders the rest
+    lexicographically.
     """
     _int_in(n, "schreieder: n", error=InvalidParameterError)
     if n < 3:
@@ -154,13 +154,7 @@ def schreieder(n: int, rho=None) -> SchreiederData:
             "the first coordinate rays"
         )
     d = n + 2
-    tuples = exponent_tuples(n)
-    if rho is None:
-        rho = tuple(tuples)
-    else:
-        rho = tuple(tuple(t) for t in rho)
-        if sorted(rho) != sorted(tuples):
-            raise InvalidParameterError("rho must enumerate the admissible exponent tuples")
+    rho = tuple(exponent_tuples(n))
     dim = 2**n + n - 1
     verts = [tuple([0] * dim)]
     for i in range(2 * n):
@@ -221,10 +215,11 @@ def double_cone(p: LatticePolytope, pairs) -> DoubleConeResult:
     original polytope sits in the slice where all new coordinates vanish.
     """
     n = p.ambient_dim
+    pairs = _as_tuple(pairs, "cone point pairs")
     r = len(pairs)
     checked = []
-    for k, (vp, vm) in enumerate(pairs):
-        vp, vm = tuple(vp), tuple(vm)
+    for k, pair in enumerate(pairs):
+        vp, vm = (_as_tuple(v, "cone point") for v in _pair(pair, f"cone point pair {k}"))
         if len(vp) != n + r or len(vm) != n + r:
             raise DegenerateInputError("cone points live in the enlarged space")
         for j in range(r):
@@ -280,22 +275,7 @@ def divisor_23_certificate_map() -> AffineUnimodularMap:
 # -- degree-budget extensions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionStep:
-    eps: tuple
-    column: int  # coordinate carrying the doubled variable, 0-based, current space
-    new_coordinate: int  # 0-based index of the added coordinate
-    shear: AffineUnimodularMap
-
-
-@dataclass(frozen=True)
-class ExtendedPolytope:
-    data: SchreiederData
-    polytope: LatticePolytope
-    steps: tuple
-
-
-def extend_schreieder(data: SchreiederData, steps) -> ExtendedPolytope:
+def extend_schreieder(data: SchreiederData, steps) -> LatticePolytope:
     """Grow the polytope one double-cone step at a time without raising the degree.
 
     Each step picks an admissible exponent tuple, adds a coordinate with a
@@ -306,9 +286,8 @@ def extend_schreieder(data: SchreiederData, steps) -> ExtendedPolytope:
     n, d = data.n, data.degree
     poly = data.polytope
     used = {}
-    done = []
-    for eps in steps:
-        eps = tuple(eps)
+    for eps in _as_tuple(steps, "extension steps", InvalidParameterError):
+        eps = _as_tuple(eps, "exponent tuple", InvalidParameterError)
         if eps not in data.rho:
             raise InvalidParameterError(f"{eps!r} is not an admissible exponent tuple")
         allowance = (n - sum(eps)) // 2
@@ -337,8 +316,7 @@ def extend_schreieder(data: SchreiederData, steps) -> ExtendedPolytope:
                 raise InvalidParameterError(
                     "extension broke the nonnegative degree budget"
                 )
-        done.append(ExtensionStep(eps, col, cur, shear))
-    return ExtendedPolytope(data, poly, tuple(done))
+    return poly
 
 
 # -- containment certificates ---------------------------------------------------------
@@ -402,7 +380,7 @@ def bounds_table(n_values, kind: str = "hypersurface"):
     if kind not in ("hypersurface", "double_cover"):
         raise InvalidParameterError(f"unknown bounds table kind {kind!r}")
     rows = []
-    for n in n_values:
+    for n in _as_tuple(n_values, "bounds_table: n values", InvalidParameterError):
         _int_in(n, "bounds_table: n", 2, error=InvalidParameterError)
         lhs, rhs, equal = sum_identity(n)
         if not equal:

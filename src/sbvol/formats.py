@@ -59,10 +59,6 @@ def polytope_from_dict(doc: dict) -> tuple:
     return name, hull(vertices)
 
 
-def dump_polytope(p: LatticePolytope, name: str = "") -> str:
-    return dumps(polytope_to_dict(p, name))
-
-
 def load_polytope(text: str):
     try:
         doc = json.loads(text)
@@ -116,8 +112,8 @@ def subdivision_to_dict(s: Subdivision) -> dict:
     return doc
 
 
-def ledger_to_dict(ledger: Ledger, v: Verdict | None = None) -> dict:
-    doc = {
+def ledger_to_dict(ledger: Ledger, v: Verdict) -> dict:
+    return {
         "provenance": ledger.provenance,
         "point_coefficient": ledger.point_coefficient,
         "classes": [
@@ -132,11 +128,9 @@ def ledger_to_dict(ledger: Ledger, v: Verdict | None = None) -> dict:
             }
             for e in ledger.entries
         ],
+        "verdict": v.status,
+        "justification": v.justification,
     }
-    if v is not None:
-        doc["verdict"] = v.status
-        doc["justification"] = v.justification
-    return doc
 
 
 def dumps(doc) -> str:

@@ -25,7 +25,6 @@ class HodgeRow:
 
     values: tuple
     by_face_sum: tuple
-    polytope_dim: int
 
     @property
     def agree(self):
@@ -87,4 +86,4 @@ def h_p0_compact(p: LatticePolytope) -> HodgeRow:
     faces = _face_data(q).items()
     face_rows = [_e_open_row(faces, f, d, m) for f, (d, _i, _nv) in faces]
     by_sum = [sum(col) if deg % 2 == 0 else -sum(col) for deg, col in enumerate(zip(*face_rows))]
-    return HodgeRow(tuple(closed), tuple(by_sum), m)
+    return HodgeRow(tuple(closed), tuple(by_sum))

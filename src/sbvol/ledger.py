@@ -17,7 +17,7 @@ from math import gcd
 
 from .errors import DegenerateInputError, SubdivisionError
 from .intlinalg import dot
-from .polytope import LatticePolytope, _as_int_tuple, _bits, hull, unimodular_equivalence
+from .polytope import LatticePolytope, _as_int_tuple, _as_tuple, _bits, hull, unimodular_equivalence
 from .subdivision import (
     Subdivision,
     _interior,
@@ -94,7 +94,7 @@ def classify_cell(
     d = cell.dim()
     if d <= 1:
         return CellClassTag("rational", "dimension at most one")
-    for l in certificates:
+    for l in _as_tuple(certificates, "certificates"):
         l = _as_int_tuple(l, cell.ambient_dim, "certificate")
         values = [dot(l, v) for v in cell.vertices]
         if max(values) - min(values) == 1:
@@ -258,9 +258,8 @@ def verdict(ledger: Ledger) -> Verdict:
 @dataclass(frozen=True)
 class PipelineResult:
     verdict: Verdict
-    ledger: Ledger | None
+    ledger: Ledger | None  # None, with no subdivision, when the Kodaira shortcut decides
     subdivision: Subdivision | None
-    kodaira_shortcut: bool
 
 
 def dim4_pipeline(big: LatticePolytope, small: LatticePolytope, seeds: SeedRegistry):
@@ -297,7 +296,6 @@ def dim4_pipeline(big: LatticePolytope, small: LatticePolytope, seeds: SeedRegis
             ),
             None,
             None,
-            True,
         )
     heights = distance_height(bq, sq)
     s = regular_subdivision(bq, heights)
@@ -307,4 +305,4 @@ def dim4_pipeline(big: LatticePolytope, small: LatticePolytope, seeds: SeedRegis
             "the seed is not a cell"
         )
     led = volume_ledger(bq, s, seeds)
-    return PipelineResult(verdict(led), led, s, False)
+    return PipelineResult(verdict(led), led, s)

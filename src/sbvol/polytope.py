@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, factorial, floor, gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 from . import dd
 from .errors import (
@@ -66,6 +66,14 @@ def _as_tuple(x, what, error=DegenerateInputError):
     except TypeError:
         raise error(f"{what} must be a sequence, got {x!r}") from None
     return tuple(items)
+
+
+def _pair(x, what, error=DegenerateInputError):
+    """x as a 2-tuple; anything that is not a sequence of two items raises `error`."""
+    t = _as_tuple(x, what, error)
+    if len(t) != 2:
+        raise error(f"{what} must be a pair, got {x!r}")
+    return t
 
 
 def _as_int_tuple(v, n=None, what="integer vector"):
@@ -407,10 +415,6 @@ class LatticePolytope:
 
     # -- invariants ------------------------------------------------------------
 
-    def volume(self) -> Fraction:
-        """Euclidean volume inside the lattice of the span (exact)."""
-        return Fraction(self.normalized_volume(), factorial(self.dim()))
-
     def normalized_volume(self) -> int:
         """dim! times the volume; an integer, 0 only for points."""
         if "nvol" not in self._cache:
@@ -484,7 +488,8 @@ class RationalPolytope:
     def __init__(self, ambient_dim, halfspaces):
         object.__setattr__(self, "ambient_dim", _int_in(ambient_dim, "ambient dimension", 0))
         cleaned = []
-        for a, c in _as_tuple(halfspaces, "halfspaces"):
+        for h in _as_tuple(halfspaces, "halfspaces"):
+            a, c = _pair(h, "halfspace (normal, offset)")
             a = _as_int_tuple(a, ambient_dim, "halfspace normal")
             c = _rational(c, "halfspace offset")
             g = vec_gcd(a)
@@ -680,7 +685,6 @@ def convex_union(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
 @dataclass(frozen=True)
 class EquivalenceResult:
     status: str  # "found" | "inequivalent"
-    chart_map: AffineUnimodularMap | None
     ambient_map: AffineUnimodularMap | None
 
     @property
@@ -694,12 +698,12 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope):
     Polytopes are first compared by unimodular-invariant fingerprints
     (definite inequivalence on mismatch), then a vertex-anchored frame
     search spends at most EQUIVALENCE_BUDGET nodes; a spent budget raises
-    ResourceLimitError instead of reading as either answer.  The chart map
-    relates the span-normalized polytopes; the ambient map is provided when
-    both inputs are full-dimensional in the same ambient space.
+    ResourceLimitError instead of reading as either answer.  The ambient
+    map is provided when both inputs are full-dimensional in the same
+    ambient space, or are points of one space.
     """
     if p.fingerprint() != q.fingerprint():
-        return EquivalenceResult("inequivalent", None, None)
+        return EquivalenceResult("inequivalent", None)
     pa, chart_p = p.normalize_full_dimensional()
     qa, chart_q = q.normalize_full_dimensional()
     d = pa.dim()
@@ -707,7 +711,7 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope):
         shift = tuple(a - b for a, b in zip(q.vertices[0], p.vertices[0]))
         m = AffineUnimodularMap.identity(p.ambient_dim)
         amb = AffineUnimodularMap(m.linear, shift) if p.ambient_dim == q.ambient_dim else None
-        return EquivalenceResult("found", AffineUnimodularMap.identity(0), amb)
+        return EquivalenceResult("found", amb)
 
     pv = list(pa.vertices)
     qv = list(qa.vertices)
@@ -762,15 +766,9 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope):
 
         m = search(0, [])
         if m is not None:
-            amb = None
-            if (
-                chart_p.is_identity()
-                and chart_q.is_identity()
-                and p.ambient_dim == q.ambient_dim
-            ):
-                amb = m
-            return EquivalenceResult("found", m, amb)
-    return EquivalenceResult("inequivalent", None, None)
+            same = chart_p.is_identity() and chart_q.is_identity() and p.ambient_dim == q.ambient_dim
+            return EquivalenceResult("found", m if same else None)
+    return EquivalenceResult("inequivalent", None)
 
 
 # -- internal helpers ----------------------------------------------------------

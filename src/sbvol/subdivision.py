@@ -12,7 +12,7 @@ lifted hull is computed, and the witness stays in those integers.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,6 +27,7 @@ from .intlinalg import adjugate, dot
 from .polytope import (
     LatticePolytope,
     RationalPolytope,
+    _as_tuple,
     _bits,
     _check_ambient,
     _int_in,
@@ -162,7 +163,9 @@ def _subdivision(p, maximal_cells, heights, witness):
 
 
 def _check_height_points(p: LatticePolytope, heights):
-    """Raise unless every point of the height table is a lattice point of p."""
+    """Raise unless heights is a table whose every point is a lattice point of p."""
+    if not isinstance(heights, Mapping):
+        raise DegenerateInputError(f"heights must map lattice points to heights, got {heights!r}")
     points = set(p.lattice_points())
     for x in heights:
         if not isinstance(x, tuple):
@@ -215,10 +218,13 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
 
 def make_subdivision(p: LatticePolytope, maximal_cells, heights=None) -> Subdivision:
     """Package hand-built cells (for validation tests and display); they carry no witness."""
-    cells = tuple(sorted(maximal_cells, key=lambda c: c.vertices))
+    cells = _as_tuple(maximal_cells, "maximal cells")
     for c in cells:
+        if not isinstance(c, LatticePolytope):
+            raise DegenerateInputError(f"cell {c!r} is not a lattice polytope")
         if c.ambient_dim != p.ambient_dim:
             raise DimensionMismatchError(f"cell {c!r} is not in Z^{p.ambient_dim}")
+    cells = tuple(sorted(cells, key=lambda c: c.vertices))
     if heights:
         _check_height_points(p, heights)
     return _subdivision(
@@ -345,7 +351,7 @@ def staged_distance_height(p: LatticePolytope, delta, slices=()) -> dict:
     stage is delta itself.  The chain must be nested in p, else the
     construction does not match its intent and an error is raised.
     """
-    chain = list(slices) + [delta]
+    chain = [*_as_tuple(slices, "stages"), delta]
     for stage in chain:
         _vertex_list(stage)  # raises unless the stage is a polytope
         if stage.ambient_dim != p.ambient_dim:
@@ -380,7 +386,7 @@ def lies_in_boundary(p: LatticePolytope, points) -> bool:
     That is, when the AND of the points' carriers, the bitmasks of the
     facets of p each lies on, is nonzero.
     """
-    points = [_check_ambient(p, x) for x in points]
+    points = [_check_ambient(p, x) for x in _as_tuple(points, "point set")]
     return _boundary_test(points, p)((1 << len(points)) - 1)
 
 

@@ -32,6 +32,7 @@ from .polytope import (
     LatticePolytope,
     RationalPolytope,
     _as_int_tuple,
+    _as_tuple,
     _bits,
     _int_in,
     _rational,
@@ -255,9 +256,10 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
 
 def divisor_polytope(fan: NormalFan, coefficients) -> RationalPolytope:
     """P_D = {m : <m, u_ray> + a_ray >= 0} for D = sum a_ray D_ray."""
+    coefficients = _as_tuple(coefficients, "divisor coefficient vector")
     if len(coefficients) != fan.n_rays:
         raise DimensionMismatchError(
-            f"divisor coefficient vector must have length {fan.n_rays}, got {tuple(coefficients)!r}"
+            f"divisor coefficient vector must have length {fan.n_rays}, got {coefficients!r}"
         )
     halfspaces = [(u, -_rational(a, "divisor coefficient")) for u, a in zip(fan.rays, coefficients)]
     return RationalPolytope(fan.polytope.ambient_dim, halfspaces)
@@ -290,7 +292,7 @@ class DivisorClassGroup:
 
     fan: NormalFan
     u_matrix: tuple  # unimodular, rows transform divisor vectors
-    torsion_moduli: tuple  # invariant factors > 1, in divisibility order
+    invariant_factors: tuple  # the invariant factors > 1, in divisibility order
     torsion_positions: tuple
     free_positions: tuple
 
@@ -298,14 +300,10 @@ class DivisorClassGroup:
     def free_rank(self):
         return len(self.free_positions)
 
-    @property
-    def invariant_factors(self):
-        return self.torsion_moduli
-
     def degree(self, coefficients) -> ClassElement:
         coefficients = _as_int_tuple(coefficients, self.fan.n_rays, "divisor coefficient vector")
         t = mat_vec([list(r) for r in self.u_matrix], coefficients)
-        tor = tuple(t[i] % m for i, m in zip(self.torsion_positions, self.torsion_moduli))
+        tor = tuple(t[i] % m for i, m in zip(self.torsion_positions, self.invariant_factors))
         free = tuple(t[i] for i in self.free_positions)
         return ClassElement(free, tor)
 
@@ -319,7 +317,7 @@ class DivisorClassGroup:
 
     def describe(self):
         """(free_rank, invariant factors) in the canonical order."""
-        return (self.free_rank, self.torsion_moduli)
+        return (self.free_rank, self.invariant_factors)
 
 
 def class_group(p: LatticePolytope) -> DivisorClassGroup:
@@ -335,7 +333,7 @@ def class_group(p: LatticePolytope) -> DivisorClassGroup:
         p._cache["class_group"] = DivisorClassGroup(
             fan=fan,
             u_matrix=sd.u,
-            torsion_moduli=tuple(diag[i] for i in torsion_positions),
+            invariant_factors=tuple(diag[i] for i in torsion_positions),
             torsion_positions=torsion_positions,
             free_positions=tuple(range(len(diag), len(pairing))),
         )

@@ -110,13 +110,6 @@ class TestSchreieder:
         assert data.rho[0] == (0, 0, 0)
         assert list(data.rho[1:]) == sorted(data.rho[1:])
 
-    def test_explicit_rho(self):
-        tuples = exponent_tuples(3)
-        data = schreieder(3, rho=list(reversed(tuples)))
-        assert data.rho[-1] == (0, 0, 0)
-        with pytest.raises(InvalidParameterError):
-            schreieder(3, rho=tuples[:-1])
-
     def test_small_n_rejected(self):
         with pytest.raises(InvalidParameterError):
             schreieder(2)
@@ -127,12 +120,40 @@ class TestSchreieder:
         assert cert.contained
 
 
+def _sparse_vertices(p):
+    """The sorted vertices of p, each as its nonzero (coordinate, value) pairs."""
+    return sorted(tuple((i, x) for i, x in enumerate(v) if x) for v in p.vertices)
+
+
+# The vertices of extend_schreieder's result, frozen when it still returned a
+# record around the polytope: the record's deletion moved no vertex.
+ONE_STEP_VERTICES = [
+    (), ((0, 1), (9, 2)), ((0, 5),), ((1, 1), (8, 2)), ((1, 5),), ((2, 1), (7, 2), (10, 2)),
+    ((2, 5),), ((3, 5),), ((4, 5),), ((5, 5),), ((6, 2),), ((7, 1),), ((10, 1),),
+]
+FULL_BUDGET_VERTICES = [
+    (), ((0, 1), (9, 2), (13, 2)), ((0, 5),), ((1, 1), (8, 2), (12, 2)), ((1, 5),),
+    ((2, 1), (7, 2), (11, 2)), ((2, 5),), ((3, 5),), ((4, 5),), ((5, 5),), ((6, 1),),
+    ((6, 2), (10, 2)), ((7, 1),), ((8, 1),), ((9, 1),), ((10, 1),), ((11, 1),), ((12, 1),),
+    ((13, 1),),
+]
+N4_VERTICES = [
+    (), ((0, 1), (1, 1), (18, 2)), ((0, 1), (2, 1), (17, 2)), ((0, 1), (3, 1), (16, 2)),
+    ((0, 1), (15, 2)), ((0, 6),), ((1, 1), (2, 1), (14, 2), (20, 2)), ((1, 1), (3, 1), (13, 2)),
+    ((1, 1), (12, 2)), ((1, 6),), ((2, 1), (3, 1), (11, 2)), ((2, 1), (10, 2)), ((2, 6),),
+    ((3, 1), (9, 2)), ((3, 6),), ((4, 6),), ((5, 6),), ((6, 6),), ((7, 6),), ((8, 1),),
+    ((8, 1), (21, 1)), ((8, 2), (19, 2), (21, 2)), ((14, 1),), ((19, 1),), ((20, 1),),
+    ((21, 1),),
+]
+
+
 class TestExtension:
     def test_one_step(self):
         data = schreieder(3)
         ext = extend_schreieder(data, [(0, 0, 1)])
-        assert ext.polytope.ambient_dim == 11
-        assert containment_certificate(ext.polytope, dilated_simplex(5, 11)).contained
+        assert ext.ambient_dim == 11
+        assert containment_certificate(ext, dilated_simplex(5, 11)).contained
+        assert _sparse_vertices(ext) == ONE_STEP_VERTICES
 
     def test_budget_per_tuple(self):
         data = schreieder(3)
@@ -146,13 +167,20 @@ class TestExtension:
             steps += [eps] * ((3 - sum(eps)) // 2)
         assert len(steps) == 4  # 2^(n-2) (n-1) for n = 3
         ext = extend_schreieder(data, steps)
-        assert ext.polytope.ambient_dim == 14
-        assert containment_certificate(ext.polytope, dilated_simplex(5, 14)).contained
+        assert ext.ambient_dim == 14
+        assert containment_certificate(ext, dilated_simplex(5, 14)).contained
+        assert _sparse_vertices(ext) == FULL_BUDGET_VERTICES
+
+    def test_n4_sequence(self):
+        # the zero tuple spends both of its steps, around a step of (0, 1, 1, 0)
+        ext = extend_schreieder(schreieder(4), [(0, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 0)])
+        assert ext.ambient_dim == 22
+        assert _sparse_vertices(ext) == N4_VERTICES
 
     def test_zero_steps(self):
         data = schreieder(3)
         ext = extend_schreieder(data, [])
-        assert ext.polytope == data.polytope
+        assert ext == data.polytope
 
 
 class TestDoubleCone:

@@ -14,14 +14,14 @@ from sbvol.subdivision import interior_cells, regular_subdivision
 class TestInterchange:
     def test_round_trip_bit_exact(self):
         p = hpt()
-        text = formats.dump_polytope(p, "hpt")
+        text = formats.dumps(formats.polytope_to_dict(p, "hpt"))
         name, q = formats.load_polytope(text)
         assert name == "hpt" and q == p
-        assert formats.dump_polytope(q, name) == text
+        assert formats.dumps(formats.polytope_to_dict(q, name)) == text
 
     def test_negative_coordinates(self):
         p = hull([(-3, 5), (2, -7), (0, 0)])
-        _, q = formats.load_polytope(formats.dump_polytope(p))
+        _, q = formats.load_polytope(formats.dumps(formats.polytope_to_dict(p)))
         assert q == p
 
     def test_malformed(self):
@@ -62,7 +62,7 @@ class TestInterchange:
 class TestCli:
     def write_polytope(self, tmp_path, p, name="poly"):
         path = tmp_path / f"{name}.json"
-        path.write_text(formats.dump_polytope(p, name))
+        path.write_text(formats.dumps(formats.polytope_to_dict(p, name)))
         return str(path)
 
     def test_width_command(self, tmp_path, capsys):

@@ -16,17 +16,27 @@ import pytest
 from sbvol.conditionm import reduced_witnesses
 from sbvol.errors import DegenerateInputError, DimensionMismatchError, InvalidParameterError
 from sbvol.families import (
+    bounds_table,
     containment_certificate,
     dilated_simplex,
+    double_cone,
     exponent_tuples,
+    extend_schreieder,
     hpt,
+    schreieder,
     simplex_product,
     standard_simplex,
 )
 from sbvol.polytope import AffineUnimodularMap, RationalPolytope, dilate, hull, translate
 from sbvol.ledger import classify_cell
-from sbvol.subdivision import lies_in_boundary, make_subdivision, min_squared_distance
-from sbvol.toric import class_group, facet_shift, ord_value
+from sbvol.subdivision import (
+    lies_in_boundary,
+    make_subdivision,
+    min_squared_distance,
+    regular_subdivision,
+    staged_distance_height,
+)
+from sbvol.toric import class_group, divisor_polytope, facet_shift, normal_fan, ord_value
 
 SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = hull([(0, 0), (1, 0), (0, 1)])
@@ -44,6 +54,7 @@ ROWS = [
     ("contains-int", lambda: SQUARE.contains(5), Deg),
     ("distance-int", lambda: min_squared_distance(SQUARE, 5), Deg),
     ("boundary-int-point", lambda: lies_in_boundary(SQUARE, [5]), Deg),
+    ("boundary-int-points", lambda: lies_in_boundary(SQUARE, 5), Deg),
     # a sequence where an int is given
     ("hull-int", lambda: hull(5), Deg),
     ("hull-int-points", lambda: hull([5, 6]), Deg),
@@ -55,6 +66,24 @@ ROWS = [
     ("divisor-int", lambda: class_group(SQUARE).degree(5), Deg),
     ("map-int-linear", lambda: AffineUnimodularMap(5, (0,)), Deg),
     ("product-int-factor", lambda: simplex_product([5]), Par),
+    ("halfspace-int", lambda: RationalPolytope(2, [5]), Deg),
+    ("cone-pairs-int", lambda: double_cone(SQUARE, 5), Deg),
+    ("cone-pair-int", lambda: double_cone(SQUARE, [5]), Deg),
+    ("extension-steps-int", lambda: extend_schreieder(schreieder(3), 5), Par),
+    ("extension-step-int", lambda: extend_schreieder(schreieder(3), [5]), Par),
+    ("stages-int", lambda: staged_distance_height(SQUARE, hull([(0, 0)]), 5), Deg),
+    ("subdivision-cells-int", lambda: make_subdivision(SQUARE, 5), Deg),
+    ("subdivision-heights-int", lambda: make_subdivision(SQUARE, [SQUARE], 5), Deg),
+    ("regular-heights-int", lambda: regular_subdivision(SQUARE, 5), Deg),
+    ("certificates-int", lambda: classify_cell(TRIANGLE, None, 5), Deg),
+    ("divisor-polytope-int", lambda: divisor_polytope(normal_fan(SQUARE), 5), Deg),
+    ("bounds-table-int", lambda: bounds_table(5), Par),
+    # a pair
+    ("halfspace-triple", lambda: RationalPolytope(2, [((1, 0), 0, 3)]), Deg),
+    ("halfspace-single", lambda: RationalPolytope(2, [((1, 0),)]), Deg),
+    ("cone-triple", lambda: double_cone(SQUARE, [((0, 0, 1), (0, 0, -1), (1, 1, 1))]), Deg),
+    # a polytope
+    ("subdivision-cell-int", lambda: make_subdivision(SQUARE, [5]), Deg),
     # an integer vector
     ("hull-float", lambda: hull([(0, 0), (0.5, 0)]), Deg),
     ("translate-float", lambda: translate(SQUARE, (1.5, 0)), Deg),
@@ -116,3 +145,12 @@ def test_the_rejected_values_are_valid_one_step_away():
     assert standard_simplex(0).vertices == ((),) and simplex_product([(1, 2)]) == dilated_simplex(1, 2)
     assert dilate(SQUARE, 0).vertices == ((0, 0),) and len(SQUARE.faces(2)) == 1
     assert facet_shift(SQUARE, 3).vertices() and exponent_tuples(2) == [(0, 0)]
+    assert RationalPolytope(2, [((1, 0), 0)]).contains((0, 5))
+    assert double_cone(SQUARE, [((0, 0, 1), (0, 0, -1))]).polytope.dim() == 3
+    assert extend_schreieder(schreieder(3), [(0, 0, 1)]).ambient_dim == 11
+    assert staged_distance_height(SQUARE, hull([(0, 0)]), [])[(1, 1)] == 2
+    assert len(make_subdivision(SQUARE, [SQUARE], {(0, 0): 0}).maximal_cells) == 1
+    assert len(regular_subdivision(SQUARE, dict.fromkeys(SQUARE.lattice_points(), 0)).maximal_cells) == 1
+    assert classify_cell(TRIANGLE, None, [(1, 0)]).justification == "lattice width one"
+    assert divisor_polytope(normal_fan(SQUARE), [0, 0, 1, 1]).vertices()
+    assert bounds_table([3])[0][0].n == 3

@@ -298,7 +298,6 @@ class TestDim4Pipeline:
         reg = self.seeds_with_kt34()
         res = dim4_pipeline(dilate(simplex(4), 4), kollar_totaro(3, 4), reg)
         assert res.verdict.status == "obstructed"
-        assert not res.kodaira_shortcut
         assert res.ledger is not None
         seed_entries = [e for e in res.ledger.entries if e.tag.kind == "seed"]
         assert seed_entries and seed_entries[0].coefficient >= 1
@@ -309,7 +308,7 @@ class TestDim4Pipeline:
         reg.register("quartic-demo", p, "interior point demo")
         res = dim4_pipeline(p, p, reg)
         assert res.verdict.status == "obstructed"
-        assert res.kodaira_shortcut
+        assert res.ledger is None and res.subdivision is None
 
     def test_boundary_hypothesis(self):
         reg = self.seeds_with_kt34()
