@@ -62,6 +62,10 @@ def _condition_m_section(rep):
     return {"holds": rep.holds, "mode": rep.mode, "witnesses": witnesses}
 
 
+def _class_element(c):
+    return {"free": list(c.free), "torsion": list(c.torsion)}
+
+
 def _compute_report(name, p, which, max_points):
     report = {"name": name, "ambient_dim": p.ambient_dim, "dim": p.dim()}
     q, _ = p.normalize_full_dimensional()
@@ -92,8 +96,7 @@ def _compute_report(name, p, which, max_points):
         report["class_group"] = {
             "free_rank": g.free_rank,
             "invariant_factors": list(g.invariant_factors),
-            "ample_free": list(g.ample_class().free),
-            "ample_torsion": list(g.ample_class().torsion),
+            **{f"ample_{k}": v for k, v in _class_element(g.ample_class()).items()},
         }
     if which("condition-m") and p.dim() >= 1:
         report["condition_m"] = _condition_m_section(check_condition_m(q))
@@ -153,14 +156,8 @@ def cmd_class_group(args):
             "free_rank": g.free_rank,
             "invariant_factors": list(g.invariant_factors),
             "rays": [list(u) for u in g.fan.rays],
-            "ray_degrees": [
-                {"free": list(g.ray_degree(i).free), "torsion": list(g.ray_degree(i).torsion)}
-                for i in range(g.fan.n_rays)
-            ],
-            "ample": {
-                "free": list(g.ample_class().free),
-                "torsion": list(g.ample_class().torsion),
-            },
+            "ray_degrees": [_class_element(g.ray_degree(i)) for i in range(g.fan.n_rays)],
+            "ample": _class_element(g.ample_class()),
         },
         args.output,
     )

@@ -4,8 +4,7 @@ A polytope satisfies condition (M) when every boundary divisor ray carries
 a monomial of ample degree vanishing on it.  The default mode restricts to
 reduced (square-free) monomials, which is the form the degeneration
 arguments actually consume; the unrestricted mode allows arbitrary
-exponents and reduces to a lattice-point test on a shifted divisor
-polytope.
+exponents and reads its witnesses off the polytope's own lattice points.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, InvalidParameterError
 from .intlinalg import dot
-from .polytope import LatticePolytope, _as_int_tuple, _int_in, integer_points
+from .polytope import LatticePolytope, _as_int_tuple, _instance, _int_in, integer_points
 from .toric import (
     DivisorClassGroup,
     class_group,
@@ -54,7 +53,7 @@ def _ample_exponents(group: DivisorClassGroup, lo, hi, budget, routine):
 
 def reduced_witnesses(group: DivisorClassGroup, budget=None):
     """All square-free exponent vectors of ample degree, sorted; budget caps the scan."""
-    n = group.fan.n_rays
+    n = _instance(group, DivisorClassGroup, "a divisor class group").fan.n_rays
     return list(_ample_exponents(group, [0] * n, [1] * n, budget, "reduced_witnesses"))
 
 
@@ -70,9 +69,10 @@ def check_condition_m(p: LatticePolytope, mode: str = "reduced", budget=None) ->
     """Per ray, find a monomial of ample degree whose zero set contains the ray's divisor.
 
     Reduced mode enumerates square-free exponent vectors exactly, so absence
-    is certified.  Unrestricted mode tests the shifted divisor polytope for
-    a lattice point, which is equivalent to the existence of an arbitrary
-    monomial witness.  `budget` caps the reduced scan, as in reduced_witnesses.
+    is certified.  In unrestricted mode a witness for ray i is a lattice
+    point of the polytope off facet i, the first one in p's lattice-point
+    table: the lattice points of the shifted divisor polytope are exactly
+    those.  `budget` caps the reduced scan, as in reduced_witnesses.
     """
     if mode not in ("reduced", "unrestricted"):
         raise InvalidParameterError(f"unknown mode {mode!r}; choose 'reduced' or 'unrestricted'")
@@ -83,16 +83,14 @@ def check_condition_m(p: LatticePolytope, mode: str = "reduced", budget=None) ->
     n = fan.n_rays
     if mode == "reduced":
         pool = reduced_witnesses(group, budget=budget)
-        witnesses = []
-        for i in range(n):
-            witnesses.append(next((w for w in pool if w[i] >= 1), None))
+        witnesses = [next((w for w in pool if w[i] >= 1), None) for i in range(n)]
     else:
-        witnesses = []
+        table = p._carriers()  # bit i of a carrier is set on facet i, ray i's divisor
         ample = fan.ample_coefficients()
-        for i in range(n):
-            pts = facet_shift(p, i).lattice_points()
-            w = tuple(dot(pts[0], u) + a for u, a in zip(fan.rays, ample)) if pts else None
-            witnesses.append(w)
+        exponents = lambda x: tuple(dot(x, u) + a for u, a in zip(fan.rays, ample))
+        witnesses = [
+            next((exponents(x) for x, c in table.items() if not c >> i & 1), None) for i in range(n)
+        ]
     report = ConditionMReport(
         holds=all(w is not None for w in witnesses),
         mode=mode,

@@ -20,6 +20,7 @@ from .polytope import (
     LatticePolytope,
     RationalPolytope,
     _as_tuple,
+    _instance,
     _int_in,
     _pair,
     cartesian_product,
@@ -31,6 +32,10 @@ from .polytope import (
 
 def _unit(i, n):
     return tuple(1 if j == i else 0 for j in range(n))
+
+
+def _add(*vs):
+    return tuple(sum(x) for x in zip(*vs))
 
 
 def _cyclic_chain(m, w, start):
@@ -65,18 +70,14 @@ def simplex_product(factors) -> LatticePolytope:
 def hpt() -> LatticePolytope:
     """The bidegree (2,2) divisor polytope in Z^5 with class group Z x Z/2 x Z/2."""
     e = lambda i: _unit(i - 1, 5)
-
-    def add(*vs):
-        return tuple(sum(x) for x in zip(*vs))
-
     return hull(
         [
             (0, 0, 0, 0, 0),
-            add(e(1), e(1)),
-            add(e(2), e(2)),
-            add(e(2), e(3), e(3)),
-            add(e(1), e(4), e(4)),
-            add(e(1), e(2), e(5), e(5)),
+            _add(e(1), e(1)),
+            _add(e(2), e(2)),
+            _add(e(2), e(3), e(3)),
+            _add(e(1), e(4), e(4)),
+            _add(e(1), e(2), e(5), e(5)),
         ]
     )
 
@@ -178,7 +179,6 @@ def schreieder(n: int) -> SchreiederData:
 class DoubleConeResult:
     polytope: LatticePolytope
     base: LatticePolytope  # in the original ambient space
-    base_dim: int  # ambient dimension of the base
     pairs: tuple  # (v_plus, v_minus) in the enlarged space
 
     @property
@@ -186,7 +186,7 @@ class DoubleConeResult:
         return len(self.pairs)
 
     def embedded_base(self) -> LatticePolytope:
-        n, r = self.base_dim, self.r
+        n, r = self.base.ambient_dim, self.r
         return LatticePolytope._trusted(
             n + r, [v + tuple([0] * r) for v in self.base.vertices]
         )
@@ -197,7 +197,7 @@ class DoubleConeResult:
             return []
         out = [self.polytope]
         system = self.polytope.facet_system()
-        n = self.base_dim
+        n = self.base.ambient_dim
         for i in range(1, self.r):
             halves = [(a, Fraction(c)) for a, c in system]
             for k in range(i):
@@ -232,7 +232,7 @@ def double_cone(p: LatticePolytope, pairs) -> DoubleConeResult:
     verts = [v + tuple([0] * r) for v in p.vertices]
     for vp, vm in checked:
         verts += [vp, vm]
-    return DoubleConeResult(hull(verts), p, n, tuple(checked))
+    return DoubleConeResult(hull(verts), p, tuple(checked))
 
 
 def divisor_23_double_cone() -> DoubleConeResult:
@@ -240,15 +240,12 @@ def divisor_23_double_cone() -> DoubleConeResult:
     base = hpt()
     e = lambda i: _unit(i - 1, 7)
 
-    def add(*vs):
-        return tuple(sum(x) for x in zip(*vs))
-
     def sub(a, b):
         return tuple(x - y for x, y in zip(a, b))
 
     pairs = [
-        (add(e(1), e(4), e(6)), sub(e(1), e(6))),
-        (add(e(1), e(5), e(7)), sub(e(1), e(7))),
+        (_add(e(1), e(4), e(6)), sub(e(1), e(6))),
+        (_add(e(1), e(5), e(7)), sub(e(1), e(7))),
     ]
     return double_cone(base, pairs)
 
@@ -257,7 +254,7 @@ def divisor_23_certificate_map() -> AffineUnimodularMap:
     """The explicit unimodular map placing the 10-vertex polytope in 2D3 x 3D4.
 
     Columns give the images of the basis vectors; the map is applied after
-    translating by e1.
+    translating by e1, so its translation is the image of e1, column one.
     """
     cols = [
         (0, 0, 0, 0, 1, 0, 0),  # e1 -> e5
@@ -269,7 +266,7 @@ def divisor_23_certificate_map() -> AffineUnimodularMap:
         (0, 0, 0, 0, 1, 0, -1),  # e7 -> e5 - e7
     ]
     linear = tuple(tuple(col[i] for col in cols) for i in range(7))
-    return AffineUnimodularMap.from_pre_translation(linear, _unit(0, 7))
+    return AffineUnimodularMap(linear, cols[0])
 
 
 # -- degree-budget extensions ---------------------------------------------------------
@@ -282,6 +279,10 @@ def extend_schreieder(data: SchreiederData, steps) -> LatticePolytope:
     cone point pair, and shears so that all coordinates stay nonnegative
     with coordinate sums at most the degree.  Tuple eps supports
     floor((n - |eps|) / 2) steps; the total budget is 2^(n-2) (n-1).
+
+    A step is built as its image: the double cone with the pair e_new,
+    e_col - e_new, sheared by x_new += x_col, is the hull of each vertex v
+    lifted to (v, v_col) together with e_new and e_col.
     """
     n, d = data.n, data.degree
     poly = data.polytope
@@ -298,19 +299,8 @@ def extend_schreieder(data: SchreiederData, steps) -> LatticePolytope:
             )
         cur = poly.ambient_dim
         col = data.column_of(eps)
-        v_plus = tuple(1 if j == cur else 0 for j in range(cur + 1))
-        v_minus = tuple(
-            (1 if j == col else 0) - (1 if j == cur else 0) for j in range(cur + 1)
-        )
-        coned = double_cone(poly, [(v_plus, v_minus)]).polytope
-        shear_rows = []
-        for i in range(cur + 1):
-            row = [1 if j == i else 0 for j in range(cur + 1)]
-            if i == cur:
-                row[col] = 1  # x_new += x_col
-            shear_rows.append(tuple(row))
-        shear = AffineUnimodularMap(tuple(shear_rows), tuple([0] * (cur + 1)))
-        poly = shear.apply_polytope(coned)
+        lifted = [v + (v[col],) for v in poly.vertices]
+        poly = hull(lifted + [_unit(cur, cur + 1), _unit(col, cur + 1)])
         for v in poly.vertices:
             if any(x < 0 for x in v) or sum(v) > d:
                 raise InvalidParameterError(
@@ -333,8 +323,11 @@ def containment_certificate(
     p: LatticePolytope, target: LatticePolytope, mapping: AffineUnimodularMap | None = None
 ) -> ContainmentCertificate:
     """Apply the map and verify every image vertex against the target halfspaces."""
+    _instance(p, LatticePolytope, "a lattice polytope")
+    _instance(target, LatticePolytope, "a lattice polytope")
     if mapping is None:
         mapping = AffineUnimodularMap.identity(p.ambient_dim)
+    _instance(mapping, AffineUnimodularMap, "an affine unimodular map")
     if not p.ambient_dim == mapping.dim == target.ambient_dim:
         raise DimensionMismatchError(
             f"containment needs one space: p in Z^{p.ambient_dim}, map on Z^{mapping.dim},"

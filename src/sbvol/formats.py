@@ -114,7 +114,7 @@ def subdivision_to_dict(s: Subdivision) -> dict:
 
 def ledger_to_dict(ledger: Ledger, v: Verdict) -> dict:
     return {
-        "provenance": ledger.provenance,
+        "provenance": "subdivision ledger",
         "point_coefficient": ledger.point_coefficient,
         "classes": [
             {
@@ -123,7 +123,7 @@ def ledger_to_dict(ledger: Ledger, v: Verdict) -> dict:
                 "tag": e.tag.kind,
                 "justification": e.tag.justification,
                 "seed": e.tag.seed_name,
-                "fingerprint": e.fingerprint,
+                "fingerprint": e.representative.fingerprint(),
                 "representative": [list(x) for x in e.representative.vertices],
             }
             for e in ledger.entries

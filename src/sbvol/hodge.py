@@ -16,7 +16,7 @@ from functools import reduce
 from operator import and_
 
 from .errors import DegenerateInputError
-from .polytope import LatticePolytope, _bits, _int_in
+from .polytope import LatticePolytope, _bits, _instance, _int_in
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def h_p0_compact(p: LatticePolytope) -> HodgeRow:
     the top interior count cancels.  Both routes are computed and must
     agree, which pins the sign conventions exactly.
     """
-    q, _ = p.normalize_full_dimensional()
+    q, _ = _instance(p, LatticePolytope, "a lattice polytope").normalize_full_dimensional()
     m = q.dim()  # = n + 1
     if m < 2:
         raise DegenerateInputError("the compact row needs dimension at least 2")

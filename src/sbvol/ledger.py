@@ -17,7 +17,15 @@ from math import gcd
 
 from .errors import DegenerateInputError, SubdivisionError
 from .intlinalg import dot
-from .polytope import LatticePolytope, _as_int_tuple, _as_tuple, _bits, hull, unimodular_equivalence
+from .polytope import (
+    LatticePolytope,
+    _as_int_tuple,
+    _as_tuple,
+    _bits,
+    _instance,
+    hull,
+    unimodular_equivalence,
+)
 from .subdivision import (
     Subdivision,
     _interior,
@@ -91,7 +99,7 @@ def classify_cell(
     lattice of the cell's own span too, without a chart or a width search;
     otherwise the cell is charted and its width searched.
     """
-    d = cell.dim()
+    d = _instance(cell, LatticePolytope, "a lattice polytope").dim()
     if d <= 1:
         return CellClassTag("rational", "dimension at most one")
     for l in _as_tuple(certificates, "certificates"):
@@ -130,7 +138,6 @@ def classify_cell(
 class LedgerEntry:
     representative: LatticePolytope  # span-normalized
     tag: CellClassTag
-    fingerprint: tuple
     coefficient: int
     members: int
 
@@ -140,7 +147,6 @@ class Ledger:
     polytope: LatticePolytope
     point_coefficient: int
     entries: tuple  # LedgerEntry, zero coefficients dropped
-    provenance: str
 
     def is_point_form(self):
         return self.point_coefficient == 1 and not self.entries
@@ -168,10 +174,11 @@ def volume_ledger(
                 "refusing an invalid subdivision: "
                 + ", ".join(name for name, ok, _ in report.checks if not ok)
             )
+    interior = _interior(s, p)  # checks s and p before p is read
     sign = -1 if p.dim() % 2 else 1
     point_coeff = 0
-    groups = []  # (normalized cell, tag, fingerprint, coeff, members)
-    for j in _interior(s, p):
+    groups = []  # [normalized cell, tag, coeff, members]
+    for j in interior:
         cell = s.cells[j]
         d = cell.dim()
         coeff = sign * (-1 if d % 2 else 1)
@@ -187,20 +194,19 @@ def volume_ledger(
             point_coeff += coeff * mult
             continue
         q, _ = cell.normalize_full_dimensional()
-        fp = q.fingerprint()
         for g in groups:
-            if g[2] == fp and g[1] == tag and unimodular_equivalence(q, g[0]).found:
-                g[3] += coeff
-                g[4] += 1
+            if g[1] == tag and unimodular_equivalence(q, g[0]).found:
+                g[2] += coeff
+                g[3] += 1
                 break
         else:
-            groups.append([q, tag, fp, coeff, 1])
+            groups.append([q, tag, coeff, 1])
     entries = tuple(
-        LedgerEntry(g[0], g[1], g[2], g[3], g[4])
-        for g in sorted(groups, key=lambda g: (g[0].dim(), g[2]))
-        if g[3] != 0
+        LedgerEntry(*g)
+        for g in sorted(groups, key=lambda g: (g[0].dim(), g[0].fingerprint()))
+        if g[2] != 0
     )
-    return Ledger(p, point_coeff, entries, provenance="subdivision ledger")
+    return Ledger(p, point_coeff, entries)
 
 
 def _width_certificates(s: Subdivision, parents):

@@ -87,11 +87,18 @@ def _as_int_tuple(v, n=None, what="integer vector"):
     return tuple(int(x) for x in t)
 
 
-def _check_ambient(poly, x):
-    """x as a tuple when it is a point of poly's space with int or Fraction coordinates."""
+def _instance(x, kind, what):
+    """x when it is an instance of kind, a class or a tuple of classes; anything else raises."""
+    if not isinstance(x, kind):
+        raise DegenerateInputError(f"{x!r} is not {what}")
+    return x
+
+
+def _check_ambient(n, x):
+    """x as a tuple when it is a point of Q^n with int or Fraction coordinates."""
     x = _as_tuple(x, "point")
-    if len(x) != poly.ambient_dim:
-        raise DimensionMismatchError(f"{x!r} is not a point of Q^{poly.ambient_dim}")
+    if len(x) != n:
+        raise DimensionMismatchError(f"{x!r} is not a point of Q^{n}")
     if not all(_is_rational(v) for v in x):
         raise DegenerateInputError(f"{x!r} is not a point with int or Fraction coordinates")
     return x
@@ -206,20 +213,12 @@ class AffineUnimodularMap:
     def identity(n):
         return AffineUnimodularMap(_eye(n), tuple([0] * n))
 
-    @staticmethod
-    def from_pre_translation(linear, shift):
-        """The map x -> linear @ (x + shift)."""
-        linear = tuple(tuple(r) for r in linear)
-        b = tuple(sum(r[j] * shift[j] for j in range(len(shift))) for r in linear)
-        return AffineUnimodularMap(linear, b)
-
     @property
     def dim(self):
         return len(self.translation)
 
     def apply(self, x):
-        if len(x) != self.dim:
-            raise DimensionMismatchError(f"{tuple(x)!r} is not a point of Z^{self.dim}")
+        x = _check_ambient(self.dim, x)
         return tuple(dot(r, x) + t for r, t in zip(self.linear, self.translation))
 
     def apply_polytope(self, p: "LatticePolytope") -> "LatticePolytope":
@@ -321,7 +320,7 @@ class LatticePolytope:
         return RationalPolytope(self.ambient_dim, tuple((n, Fraction(c)) for n, c in sys))
 
     def contains(self, x) -> bool:
-        x = _check_ambient(self, x)
+        x = _check_ambient(self.ambient_dim, x)
         if self.is_full_dimensional():
             return all(s >= 0 for s in slacks(self.facet_system(), x))
         ch = self.chart()
@@ -352,14 +351,7 @@ class LatticePolytope:
                 table = [(self.vertices[0], 0)]
             else:
                 facets = self.facet_system()
-                d = self.ambient_dim
-                pts = integer_points(
-                    facets,
-                    [min(v[i] for v in self.vertices) for i in range(d)],
-                    [max(v[i] for v in self.vertices) for i in range(d)],
-                    budget,
-                    "LatticePolytope.lattice_points",
-                )
+                pts = _box_scan(facets, self.vertices, budget, "LatticePolytope.lattice_points")
                 table = [(x, carrier(facets, x)) for x in pts]
             self._cache["points"] = dict(table)
         return self._cache["points"]
@@ -532,24 +524,15 @@ class RationalPolytope:
         return all(all(Fraction(x).denominator == 1 for x in v) for v in self.vertices())
 
     def contains(self, x) -> bool:
-        x = _check_ambient(self, x)
+        x = _check_ambient(self.ambient_dim, x)
         return all(s >= 0 for s in slacks(self.halfspaces, x))
 
     def lattice_points(self):
         vs = self.vertices()
         if not vs:
             return ()
-        d = self.ambient_dim
-        # Integer points of <n, x> >= c are those of <n, x> >= ceil(c).
-        return tuple(
-            integer_points(
-                [(n, ceil(c)) for n, c in self.halfspaces],
-                [ceil(min(v[i] for v in vs)) for i in range(d)],
-                [floor(max(v[i] for v in vs)) for i in range(d)],
-                DEFAULT_POINT_BUDGET,
-                "RationalPolytope.lattice_points",
-            )
-        )
+        routine = "RationalPolytope.lattice_points"
+        return tuple(_box_scan(self.halfspaces, vs, DEFAULT_POINT_BUDGET, routine))
 
 
 # -- module-level operations ---------------------------------------------------
@@ -702,6 +685,8 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope):
     map is provided when both inputs are full-dimensional in the same
     ambient space, or are points of one space.
     """
+    _instance(p, LatticePolytope, "a lattice polytope")
+    _instance(q, LatticePolytope, "a lattice polytope")
     if p.fingerprint() != q.fingerprint():
         return EquivalenceResult("inequivalent", None)
     pa, chart_p = p.normalize_full_dimensional()
@@ -841,6 +826,17 @@ def integer_points(constraints, lo, hi, budget, routine):
         j += 1
         low, top[j] = interval(j, part[j])
         x[j] = low - 1
+
+
+def _box_scan(system, vertices, budget, routine):
+    """integer_points of the halfspaces <n, x> >= c in the box of the rational vertices.
+
+    Integer points of <n, x> >= c are those of <n, x> >= ceil(c), and the
+    box is rounded inward; on integer input both roundings are the identity.
+    """
+    lo = [ceil(min(xs)) for xs in zip(*vertices)]
+    hi = [floor(max(xs)) for xs in zip(*vertices)]
+    return integer_points([(n, ceil(c)) for n, c in system], lo, hi, budget, routine)
 
 
 def carrier(system, x):

@@ -30,6 +30,7 @@ from .polytope import (
     _as_tuple,
     _bits,
     _check_ambient,
+    _instance,
     _int_in,
     _rational,
     _simplex_faces,
@@ -187,7 +188,7 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
     above the last point, which sorts last, keeps the lift full-dimensional
     for affine heights and lies on no lower facet, as it is above them all.
     """
-    if not p.is_full_dimensional():
+    if not _instance(p, LatticePolytope, "a lattice polytope").is_full_dimensional():
         raise DegenerateInputError("subdivide a full-dimensional polytope (normalize first)")
     _check_height_points(p, heights)
     pts = p.lattice_points()
@@ -220,9 +221,7 @@ def make_subdivision(p: LatticePolytope, maximal_cells, heights=None) -> Subdivi
     """Package hand-built cells (for validation tests and display); they carry no witness."""
     cells = _as_tuple(maximal_cells, "maximal cells")
     for c in cells:
-        if not isinstance(c, LatticePolytope):
-            raise DegenerateInputError(f"cell {c!r} is not a lattice polytope")
-        if c.ambient_dim != p.ambient_dim:
+        if _instance(c, LatticePolytope, "a lattice polytope").ambient_dim != p.ambient_dim:
             raise DimensionMismatchError(f"cell {c!r} is not in Z^{p.ambient_dim}")
     cells = tuple(sorted(cells, key=lambda c: c.vertices))
     if heights:
@@ -242,11 +241,8 @@ def make_subdivision(p: LatticePolytope, maximal_cells, heights=None) -> Subdivi
 
 def _vertex_list(poly):
     """Vertices of a lattice or a rational polytope; anything else raises."""
-    if isinstance(poly, LatticePolytope):
-        return poly.vertices
-    if isinstance(poly, RationalPolytope):
-        return poly.vertices()
-    raise DegenerateInputError(f"{poly!r} is not a lattice or a rational polytope")
+    _instance(poly, (LatticePolytope, RationalPolytope), "a lattice or a rational polytope")
+    return poly.vertices() if isinstance(poly, RationalPolytope) else poly.vertices
 
 
 def _combination(points, weights):
@@ -328,7 +324,7 @@ def min_squared_distance(poly, x) -> Fraction:
     minimum-norm point of conv(V - x), scaled to integers.
     """
     verts = _vertex_list(poly)
-    x = _check_ambient(poly, x)
+    x = _check_ambient(poly.ambient_dim, x)
     if not verts:
         raise DegenerateInputError("empty polytope has no nearest point")
     if poly.contains(x):
@@ -386,7 +382,7 @@ def lies_in_boundary(p: LatticePolytope, points) -> bool:
     That is, when the AND of the points' carriers, the bitmasks of the
     facets of p each lies on, is nonzero.
     """
-    points = [_check_ambient(p, x) for x in _as_tuple(points, "point set")]
+    points = [_check_ambient(p.ambient_dim, x) for x in _as_tuple(points, "point set")]
     return _boundary_test(points, p)((1 << len(points)) - 1)
 
 
@@ -414,7 +410,8 @@ def _boundary_test(points, p: LatticePolytope):
 
 def _subdivided(s: Subdivision, p: LatticePolytope | None) -> LatticePolytope:
     """s.polytope, which p, when given, must be; a p that s does not subdivide raises."""
-    if p is not None and p != s.polytope:
+    _instance(s, Subdivision, "a subdivision")
+    if p is not None and _instance(p, LatticePolytope, "a lattice polytope") != s.polytope:
         raise DegenerateInputError(
             f"the subdivision is of the polytope with vertices {s.polytope.vertices}, "
             f"not of the one with vertices {p.vertices}"
@@ -507,7 +504,8 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
 
 def _interior(s: Subdivision, p: LatticePolytope | None = None):
     """Indices of the cells not contained in the boundary of the subdivided polytope."""
-    in_boundary = _boundary_test(s.points, _subdivided(s, p))
+    p = _subdivided(s, p)  # before s.points is read
+    in_boundary = _boundary_test(s.points, p)
     return [j for j, mask in enumerate(s.cell_masks) if not in_boundary(mask)]
 
 

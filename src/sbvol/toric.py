@@ -34,6 +34,7 @@ from .polytope import (
     _as_int_tuple,
     _as_tuple,
     _bits,
+    _instance,
     _int_in,
     _rational,
     _triangulate_cone,
@@ -63,7 +64,7 @@ class NormalFan:
 
 def normal_fan(p: LatticePolytope) -> NormalFan:
     """The normal fan of p, built once and kept with p."""
-    if "fan" not in p._cache:
+    if "fan" not in _instance(p, LatticePolytope, "a lattice polytope")._cache:
         if not p.is_full_dimensional():
             raise DegenerateInputError("normal fan requires a full-dimensional polytope")
         if p.dim() == 0:
@@ -322,7 +323,7 @@ class DivisorClassGroup:
 
 def class_group(p: LatticePolytope) -> DivisorClassGroup:
     """The divisor class group of p's normal fan, built once and kept with p."""
-    if "class_group" not in p._cache:
+    if "class_group" not in _instance(p, LatticePolytope, "a lattice polytope")._cache:
         fan = normal_fan(p)
         pairing = [list(u) for u in fan.rays]  # rays x dim
         sd = smith_form(pairing)

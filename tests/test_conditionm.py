@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sbvol import conditionm, toric
+from sbvol import conditionm, toric, verification
 from sbvol.conditionm import (
     check_condition_m,
     cross_check_unrestricted,
@@ -16,9 +16,10 @@ from sbvol.errors import (
     InvalidParameterError,
     ResourceLimitError,
 )
-from sbvol.families import hpt, tpq
+from sbvol.families import cubic_empty, hpt, kollar_totaro, schreieder, tpq
+from sbvol.intlinalg import dot
 from sbvol.polytope import dilate, hull
-from sbvol.toric import class_group, divisor_polytope, normal_fan
+from sbvol.toric import class_group, divisor_polytope, facet_shift, normal_fan
 
 
 def simplex(n):
@@ -272,3 +273,41 @@ class TestDefinitionChase:
                 coeffs[i] -= 1
                 secs = sections_of_class(p, coeffs)
                 assert (len(secs) > 0) == (len(shifted.lattice_points()) > 0)
+
+
+class TestUnrestrictedWitnessOracle:
+    """Unrestricted witnesses are read off the lattice-point table.
+
+    They were once the first lattice point of each ray's shifted divisor
+    polytope, found by a double description and a scan per ray; that route
+    is kept here as the oracle, and both must give the same witnesses.
+    """
+
+    @staticmethod
+    def check(p):
+        fan = normal_fan(p)
+        ample = fan.ample_coefficients()
+        witnesses = check_condition_m(p, mode="unrestricted").witnesses
+        for i, w in enumerate(witnesses):
+            pts = facet_shift(p, i).lattice_points()
+            assert w == (tuple(dot(pts[0], u) + a for u, a in zip(fan.rays, ample)) if pts else None)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            hpt,
+            lambda: tpq(2, 5),
+            lambda: kollar_totaro(3, 4),
+            lambda: cubic_empty(3),
+            lambda: dilate(simplex(3), 3),
+            lambda: schreieder(3).polytope,
+        ],
+        ids=["hpt", "tpq(2,5)", "kollar_totaro(3,4)", "cubic_empty(3)", "3*simplex(3)", "schreieder(3)"],
+    )
+    def test_named_families(self, build):
+        self.check(build())
+
+    def test_criterion_11c_polytopes(self):
+        rng = random.Random(verification.SEED + 2)
+        for _ in range(50):
+            self.check(verification._random_polytope(rng, rng.choice([2, 2, 3]), coord=2))

@@ -183,6 +183,41 @@ class TestExtension:
         assert ext == data.polytope
 
 
+def _extend_by_cone_and_shear(data, steps):
+    """The extension as first built: per step, the double cone over the polytope with
+    the pair e_new, e_col - e_new, then the shear x_new += x_col applied to it."""
+    poly = data.polytope
+    for eps in steps:
+        cur, col = poly.ambient_dim, data.column_of(eps)
+        e = lambda j: tuple(1 if i == j else 0 for i in range(cur + 1))
+        minus = tuple(a - b for a, b in zip(e(col), e(cur)))
+        coned = double_cone(poly, [(e(cur), minus)]).polytope
+        rows = [e(i) for i in range(cur)] + [tuple(a + b for a, b in zip(e(cur), e(col)))]
+        poly = AffineUnimodularMap(tuple(rows), tuple([0] * (cur + 1))).apply_polytope(coned)
+    return poly
+
+
+class TestExtensionOracle:
+    """Each extension step is built as its image; the cone-and-shear route is the oracle."""
+
+    @pytest.mark.parametrize(
+        "n, eps",
+        [(n, eps) for n in (3, 4) for eps in exponent_tuples(n) if (n - sum(eps)) // 2 >= 1],
+    )
+    def test_every_single_step(self, n, eps):
+        data = schreieder(n)
+        ext = extend_schreieder(data, [eps])
+        oracle = _extend_by_cone_and_shear(data, [eps])
+        assert ext == oracle
+        assert ext.facet_system() == oracle.facet_system()
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_full_budget_n3(self, order):
+        data = schreieder(3)
+        steps = [eps for eps in exponent_tuples(3) for _ in range((3 - sum(eps)) // 2)][::order]
+        assert extend_schreieder(data, steps) == _extend_by_cone_and_shear(data, steps)
+
+
 class TestDoubleCone:
     def test_zero_pairs(self):
         p = hull([(-1,), (1,)])

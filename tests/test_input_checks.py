@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from sbvol.conditionm import reduced_witnesses
+from sbvol.conditionm import check_condition_m, reduced_witnesses, sections_of_class
 from sbvol.errors import DegenerateInputError, DimensionMismatchError, InvalidParameterError
 from sbvol.families import (
     bounds_table,
@@ -27,16 +27,33 @@ from sbvol.families import (
     simplex_product,
     standard_simplex,
 )
-from sbvol.polytope import AffineUnimodularMap, RationalPolytope, dilate, hull, translate
-from sbvol.ledger import classify_cell
+from sbvol.hodge import h_p0_compact
+from sbvol.polytope import (
+    AffineUnimodularMap,
+    RationalPolytope,
+    dilate,
+    hull,
+    translate,
+    unimodular_equivalence,
+)
+from sbvol.ledger import classify_cell, volume_ledger
 from sbvol.subdivision import (
+    interior_cells,
     lies_in_boundary,
     make_subdivision,
     min_squared_distance,
     regular_subdivision,
     staged_distance_height,
+    validate,
 )
-from sbvol.toric import class_group, divisor_polytope, facet_shift, normal_fan, ord_value
+from sbvol.toric import (
+    class_group,
+    divisor_polytope,
+    facet_shift,
+    fine_interior,
+    normal_fan,
+    ord_value,
+)
 
 SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = hull([(0, 0), (1, 0), (0, 1)])
@@ -52,6 +69,8 @@ ROWS = [
     ("boundary-shorter-point", lambda: lies_in_boundary(SQUARE, [(0,)]), Dim),
     ("boundary-float", lambda: lies_in_boundary(SQUARE, [(0.0, 0)]), Deg),
     ("contains-int", lambda: SQUARE.contains(5), Deg),
+    ("map-apply-int", lambda: AffineUnimodularMap.identity(2).apply(5), Deg),
+    ("map-apply-float-bool", lambda: AffineUnimodularMap.identity(2).apply((0.5, True)), Deg),
     ("distance-int", lambda: min_squared_distance(SQUARE, 5), Deg),
     ("boundary-int-point", lambda: lies_in_boundary(SQUARE, [5]), Deg),
     ("boundary-int-points", lambda: lies_in_boundary(SQUARE, 5), Deg),
@@ -82,8 +101,25 @@ ROWS = [
     ("halfspace-triple", lambda: RationalPolytope(2, [((1, 0), 0, 3)]), Deg),
     ("halfspace-single", lambda: RationalPolytope(2, [((1, 0),)]), Deg),
     ("cone-triple", lambda: double_cone(SQUARE, [((0, 0, 1), (0, 0, -1), (1, 1, 1))]), Deg),
-    # a polytope
+    # a polytope, a subdivision, a map or a class group
     ("subdivision-cell-int", lambda: make_subdivision(SQUARE, [5]), Deg),
+    ("equivalence-int", lambda: unimodular_equivalence(SQUARE, 5), Deg),
+    ("containment-int-polytope", lambda: containment_certificate(5, SQUARE), Deg),
+    ("containment-int-map", lambda: containment_certificate(SQUARE, SQUARE, 5), Deg),
+    ("ledger-int-subdivision", lambda: volume_ledger(SQUARE, 5), Deg),
+    ("ledger-int-polytope", lambda: volume_ledger(5, make_subdivision(SQUARE, [SQUARE])), Deg),
+    ("validate-int", lambda: validate(5), Deg),
+    ("interior-cells-int", lambda: interior_cells(5), Deg),
+    ("reduced-witnesses-int", lambda: reduced_witnesses(5), Deg),
+    ("facet-shift-int-polytope", lambda: facet_shift(5, 0), Deg),
+    ("fine-interior-int", lambda: fine_interior(5), Deg),
+    ("normal-fan-int", lambda: normal_fan(5), Deg),
+    ("class-group-int", lambda: class_group(5), Deg),
+    ("condition-m-int", lambda: check_condition_m(5), Deg),
+    ("sections-int", lambda: sections_of_class(5, []), Deg),
+    ("hodge-int", lambda: h_p0_compact(5), Deg),
+    ("classify-cell-int", lambda: classify_cell(5), Deg),
+    ("regular-int", lambda: regular_subdivision(5, {}), Deg),
     # an integer vector
     ("hull-float", lambda: hull([(0, 0), (0.5, 0)]), Deg),
     ("translate-float", lambda: translate(SQUARE, (1.5, 0)), Deg),
@@ -148,6 +184,10 @@ def test_the_rejected_values_are_valid_one_step_away():
     assert RationalPolytope(2, [((1, 0), 0)]).contains((0, 5))
     assert double_cone(SQUARE, [((0, 0, 1), (0, 0, -1))]).polytope.dim() == 3
     assert extend_schreieder(schreieder(3), [(0, 0, 1)]).ambient_dim == 11
+    assert AffineUnimodularMap.identity(2).apply((Fraction(1, 2), 1)) == (Fraction(1, 2), 1)
+    assert unimodular_equivalence(SQUARE, SQUARE).found and normal_fan(SQUARE).n_rays == 4
+    assert containment_certificate(SQUARE, SQUARE, AffineUnimodularMap.identity(2)).contained
+    assert validate(make_subdivision(SQUARE, [SQUARE])).ok
     assert staged_distance_height(SQUARE, hull([(0, 0)]), [])[(1, 1)] == 2
     assert len(make_subdivision(SQUARE, [SQUARE], {(0, 0): 0}).maximal_cells) == 1
     assert len(regular_subdivision(SQUARE, dict.fromkeys(SQUARE.lattice_points(), 0)).maximal_cells) == 1
