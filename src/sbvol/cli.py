@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import formats
-from .conditionm import WITNESS_BUDGET, check_condition_m
+from .conditionm import check_condition_m
 from .errors import InternalConsistencyError, SbvolError
 from .families import FAMILIES, bounds_table, build, builtin_seed_registry
 from .hodge import h_p0_compact
@@ -308,7 +308,7 @@ def build_parser():
     sp = sub.add_parser("condition-m", help="monomial boundary cover check")
     add_io(sp)
     sp.add_argument("--mode", choices=("reduced", "unrestricted"), default="reduced")
-    sp.add_argument("--budget", type=_budget, default=WITNESS_BUDGET, help="witness scan node budget")
+    sp.add_argument("--budget", type=_budget, default=None, help="witness scan node budget")
     sp.set_defaults(fn=cmd_condition_m)
 
     sp = sub.add_parser("class-group", help="divisor class group data")

@@ -72,7 +72,9 @@ def check_condition_m(p: LatticePolytope, mode: str = "reduced", budget=None) ->
     is certified.  In unrestricted mode a witness for ray i is a lattice
     point of the polytope off facet i, the first one in p's lattice-point
     table: the lattice points of the shifted divisor polytope are exactly
-    those.  `budget` caps the reduced scan, as in reduced_witnesses.
+    those.  `budget` caps the scan of either mode: the reduced scan, as in
+    reduced_witnesses, or the scan that fills the lattice-point table, as in
+    lattice_points.
     """
     if mode not in ("reduced", "unrestricted"):
         raise InvalidParameterError(f"unknown mode {mode!r}; choose 'reduced' or 'unrestricted'")
@@ -85,7 +87,7 @@ def check_condition_m(p: LatticePolytope, mode: str = "reduced", budget=None) ->
         pool = reduced_witnesses(group, budget=budget)
         witnesses = [next((w for w in pool if w[i] >= 1), None) for i in range(n)]
     else:
-        table = p._carriers()  # bit i of a carrier is set on facet i, ray i's divisor
+        table = p._carriers(budget)  # bit i of a carrier is set on facet i, ray i's divisor
         ample = fan.ample_coefficients()
         exponents = lambda x: tuple(dot(x, u) + a for u, a in zip(fan.rays, ample))
         witnesses = [

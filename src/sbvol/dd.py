@@ -5,6 +5,8 @@ facet systems of lattice polytopes, vertex enumeration of rational
 halfspace systems, facets of rational cones, and lower hulls of lifted
 point sets, all in integer arithmetic.  Each run also yields its incidence
 table: every ray's zero set over the input rows, such as a facet's points.
+The facets of a full-dimensional simplex need no run: they are the columns
+of one adjugate, in closed form.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateInputError, DimensionMismatchError
-from .intlinalg import dot, primitive
+from .intlinalg import adjugate, dot, primitive
 
 
 def extreme_rays(constraints, dim):
@@ -104,21 +106,48 @@ def extreme_rays(constraints, dim):
     return [r for r, _ in rays], sorted(lineality), [zs | skipped for _, zs in rays]
 
 
+def _simplex_rays(rows):
+    """(rays, zero_sets) of the cone {y : <a, y> >= 0} over n linearly independent rows in R^n.
+
+    With A the matrix of the rows, A adj(A) = det(A) I: column i of
+    sign(det A) adj(A) pairs to |det A| > 0 with row i and to 0 with every
+    other row.  Made primitive it is the extreme ray zero on every row but
+    i, and there are no others.  Sorted as extreme_rays sorts; dependent
+    rows raise as a lineality space would.
+    """
+    n = len(rows)
+    for a in rows:
+        if len(a) != n:
+            raise DimensionMismatchError(f"constraint of length {len(a)} in dimension {n}")
+    try:
+        det, adj = adjugate(rows)
+    except DegenerateInputError:
+        raise DegenerateInputError("point set is not full-dimensional") from None
+    sign = 1 if det > 0 else -1
+    every = (1 << n) - 1
+    rays = sorted((primitive([sign * row[i] for row in adj]), every ^ 1 << i) for i in range(n))
+    return [r for r, _ in rays], [zs for _, zs in rays]
+
+
 def facet_normals_from_points(points):
     """(facets, tight) of conv(points) for a full-dimensional point set.
 
     Each facet (n, c), sorted, is a primitive inner normal with offset: the
     halfspace <n, x> >= c is tight on a facet.  tight[j] is the zero set of
     its ray over the rows (p, 1), bit i set when points[i] lies on facet j.
-    Raises if the points do not span the ambient space affinely.
+    Raises if the points do not span the ambient space affinely.  dim + 1
+    points span it only as a simplex, whose facets come in closed form.
     """
     if not points:
         raise DegenerateInputError("no points given")
     dim = len(points[0])
     constraints = [tuple(p) + (1,) for p in points]
-    rays, lineality, zero_sets = extreme_rays(constraints, dim + 1)
-    if lineality:
-        raise DegenerateInputError("point set is not full-dimensional")
+    if len(points) == dim + 1:
+        rays, zero_sets = _simplex_rays(constraints)
+    else:
+        rays, lineality, zero_sets = extreme_rays(constraints, dim + 1)
+        if lineality:
+            raise DegenerateInputError("point set is not full-dimensional")
     # Distinct facets have distinct normals, so the rays' order is the facets'.
     facets, tight = [], []
     for r, zs in zip(rays, zero_sets):

@@ -214,7 +214,7 @@ def double_cone(p: LatticePolytope, pairs) -> DoubleConeResult:
     Pair k must project to plus and minus the k-th new coordinate; the
     original polytope sits in the slice where all new coordinates vanish.
     """
-    n = p.ambient_dim
+    n = _instance(p, LatticePolytope, "a lattice polytope").ambient_dim
     pairs = _as_tuple(pairs, "cone point pairs")
     r = len(pairs)
     checked = []

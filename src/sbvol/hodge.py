@@ -59,7 +59,7 @@ def _e_open_row(face_items, sub, sub_dim, length):
 
 def e_p0_open(p: LatticePolytope, degree: int) -> int:
     """Signed interior-count sum over (degree+1)-faces; vertex-corrected at degree 0."""
-    q, _ = p.normalize_full_dimensional()
+    q, _ = _instance(p, LatticePolytope, "a lattice polytope").normalize_full_dimensional()
     n = q.dim()
     _int_in(degree, "degree", 0, n - 1)
     faces = _face_data(q)

@@ -60,6 +60,7 @@ class SeedRegistry:
         self.entries = []
 
     def register(self, name, polytope, reason, condition_m=None):
+        _instance(polytope, LatticePolytope, "a lattice polytope")
         q, _ = polytope.normalize_full_dimensional()
         tag = classify_cell(q)
         if tag.kind == "rational":
@@ -72,7 +73,7 @@ class SeedRegistry:
         return entry
 
     def match(self, p: LatticePolytope):
-        q, _ = p.normalize_full_dimensional()
+        q, _ = _instance(p, LatticePolytope, "a lattice polytope").normalize_full_dimensional()
         for entry in self.entries:
             res = unimodular_equivalence(q, entry.polytope)
             if res.found:
@@ -276,7 +277,9 @@ def dim4_pipeline(big: LatticePolytope, small: LatticePolytope, seeds: SeedRegis
     of dimension at most three is rational, all cells of top dimension
     enter with one sign, and the seed class survives.
     """
-    bq, chart = big.normalize_full_dimensional()
+    bq, chart = _instance(big, LatticePolytope, "a lattice polytope").normalize_full_dimensional()
+    _instance(small, LatticePolytope, "a lattice polytope")
+    _instance(seeds, SeedRegistry, "a seed registry")
     if bq.dim() > 4:
         raise DegenerateInputError("pipeline hypothesis: ambient dimension at most 4")
     try:

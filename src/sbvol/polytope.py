@@ -642,12 +642,14 @@ def _transpose(masks, n):
 
 
 def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
+    _instance(p, LatticePolytope, "a lattice polytope")
     if _int_in(k, "dilation factor", 0) == 0:
         return LatticePolytope._trusted(p.ambient_dim, [tuple([0] * p.ambient_dim)])
     return LatticePolytope._trusted(p.ambient_dim, [tuple(k * x for x in v) for v in p.vertices])
 
 
 def translate(p: LatticePolytope, v) -> LatticePolytope:
+    _instance(p, LatticePolytope, "a lattice polytope")
     v = _as_int_tuple(v, p.ambient_dim, "translation vector")
     return LatticePolytope._trusted(
         p.ambient_dim, [tuple(a + b for a, b in zip(w, v)) for w in p.vertices]
@@ -655,11 +657,15 @@ def translate(p: LatticePolytope, v) -> LatticePolytope:
 
 
 def cartesian_product(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
+    _instance(p, LatticePolytope, "a lattice polytope")
+    _instance(q, LatticePolytope, "a lattice polytope")
     verts = [a + b for a in p.vertices for b in q.vertices]
     return LatticePolytope._trusted(p.ambient_dim + q.ambient_dim, verts)
 
 
 def convex_union(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
+    _instance(p, LatticePolytope, "a lattice polytope")
+    _instance(q, LatticePolytope, "a lattice polytope")
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatchError("convex union needs a common ambient space")
     return hull(list(p.vertices) + list(q.vertices))

@@ -347,6 +347,7 @@ def staged_distance_height(p: LatticePolytope, delta, slices=()) -> dict:
     stage is delta itself.  The chain must be nested in p, else the
     construction does not match its intent and an error is raised.
     """
+    _instance(p, LatticePolytope, "a lattice polytope")
     chain = [*_as_tuple(slices, "stages"), delta]
     for stage in chain:
         _vertex_list(stage)  # raises unless the stage is a polytope
@@ -382,7 +383,8 @@ def lies_in_boundary(p: LatticePolytope, points) -> bool:
     That is, when the AND of the points' carriers, the bitmasks of the
     facets of p each lies on, is nonzero.
     """
-    points = [_check_ambient(p.ambient_dim, x) for x in _as_tuple(points, "point set")]
+    n = _instance(p, LatticePolytope, "a lattice polytope").ambient_dim
+    points = [_check_ambient(n, x) for x in _as_tuple(points, "point set")]
     return _boundary_test(points, p)((1 << len(points)) - 1)
 
 
@@ -427,6 +429,17 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
     is a facet of exactly one other cell, lying on the opposite side
     (De Loera, Rambau, Santos, Triangulations, 2010, section 4.5).  The
     matched facets are the walls the strict convexity check crosses.
+
+    Domination is checked last.  Once every other check passes, the cells
+    subdivide p and the pieces agree with the heights at the cells'
+    vertices, so they agree on every shared face: the witness is continuous
+    and piecewise affine on p, and convex across every wall, hence convex
+    on p.  Each piece then lies below it, and the witness is the maximum
+    of its pieces.  A cell vertex is dominated by its own cell's piece,
+    which equals its height; any other lattice point x is dominated exactly
+    when its height is at least the piece of a cell containing x, the first
+    one, and fails when no cell contains it.  When an earlier check fails,
+    every point is tested against every piece.
     """
     p = _subdivided(s, p)
     checks = []
@@ -477,12 +490,6 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
                 for v in cell.vertices
             )
         )
-        dominated_ok = all(
-            sl >= 0 for x in lifted.values() for sl in slacks(s.witness, x)
-        )
-        checks.append(("witness_affine", affine_ok, ""))
-        checks.append(("witness_dominates", dominated_ok, ""))
-
         # Extended across a wall, each cell's affine piece (c - <n', u>) / n[-1]
         # lies strictly below its neighbour's at the neighbour's vertices off
         # the wall; the positive last entries are cross-multiplied.
@@ -496,6 +503,17 @@ def validate(s: Subdivision, p: LatticePolytope | None = None) -> ValidationRepo
             for u in s.maximal_cells[b].vertices
             if not bit[u] & wall
         )
+
+        def under_its_piece(x, lift):
+            k = next((k for k, cell in enumerate(s.maximal_cells) if cell.contains(x)), None)
+            return k is not None and dot(s.witness[k][0], lift) >= s.witness[k][1]
+
+        if all(c[1] for c in checks) and affine_ok and strict_ok:
+            dominated_ok = all(x in bit or under_its_piece(x, X) for x, X in lifted.items())
+        else:
+            dominated_ok = all(sl >= 0 for X in lifted.values() for sl in slacks(s.witness, X))
+        checks.append(("witness_affine", affine_ok, ""))
+        checks.append(("witness_dominates", dominated_ok, ""))
         checks.append(("witness_strictly_convex", strict_ok, ""))
 
     ok = all(c[1] for c in checks)

@@ -79,6 +79,7 @@ def normal_fan(p: LatticePolytope) -> NormalFan:
 
 def ord_value(p: LatticePolytope, n) -> int:
     """min over the polytope of the pairing with the dual vector n."""
+    _instance(p, LatticePolytope, "a lattice polytope")
     n = _as_int_tuple(n, p.ambient_dim, "dual vector")
     return min(dot(v, n) for v in p.vertices)
 

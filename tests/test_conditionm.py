@@ -45,6 +45,15 @@ class TestConditionM:
         ):
             check_condition_m(hpt(), budget=1)
 
+    def test_unrestricted_budget_caps_the_lattice_point_scan(self):
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^LatticePolytope.lattice_points: integer point scan spent 11 nodes, over its"
+            r" budget of 10 \(dimension 5, 6 constraints\)$",
+        ):
+            check_condition_m(hpt(), mode="unrestricted", budget=10)
+        assert check_condition_m(hpt(), mode="unrestricted", budget=40).holds
+
     @pytest.mark.parametrize("mode", ["reduced", "unrestricted"])
     def test_budget_that_is_not_a_nonnegative_int_raises_in_either_mode(self, mode):
         for budget in (-1, True, 2.5):

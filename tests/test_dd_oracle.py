@@ -7,7 +7,8 @@ skips pairs that cannot be adjacent, so the two must return exactly the
 same (rays, lineality, zero sets) on brute-force cones, seeded random
 systems (lineality, duplicate and zero rows included), the lifted
 distance-height hull of the dim4 pipeline, and the facet and vertex routes
-built on the engine.
+built on the engine.  The closed-form facets of a simplex, which skip the
+engine, are checked against the engine's own route.
 """
 
 import itertools
@@ -260,6 +261,59 @@ def test_vertices_from_random_bounded_systems(monkeypatch):
     monkeypatch.setattr(dd, "extreme_rays", _oracle_extreme_rays)
     for hs, dim, verts in cases:
         assert dd.vertices_from_halfspaces(hs, dim) == verts
+
+
+def _facets_by_dd(points):
+    """facet_normals_from_points by the double description, whatever the number of points."""
+    dim = len(points[0])
+    rays, lineality, zero_sets = dd.extreme_rays([tuple(p) + (1,) for p in points], dim + 1)
+    if lineality:
+        raise DegenerateInputError("point set is not full-dimensional")
+    pairs = [((r[:dim], -r[dim]), zs) for r, zs in zip(rays, zero_sets) if any(r[:dim])]
+    return [f for f, _ in pairs], [zs for _, zs in pairs]
+
+
+def test_simplex_facets_in_closed_form_match_the_double_description():
+    """Facets, tight sets and their order, on seeded random simplices of dimension 1-6."""
+    rng = random.Random(740)
+    checked = 0
+    while checked < 2100:
+        dim = rng.randint(1, 6)
+        pts = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(dim + 1)]
+        if rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) < dim:
+            continue
+        facets, tight = dd.facet_normals_from_points(pts)
+        assert (facets, tight) == _facets_by_dd(pts), pts
+        assert len(facets) == dim + 1 and sorted(tight) == sorted(
+            (1 << dim + 1) - 1 ^ 1 << i for i in range(dim + 1)
+        )
+        checked += 1
+
+
+def test_singular_simplex_raises_as_the_double_description_does():
+    """dim + 1 points in a hyperplane, or with a repeat, raise the same error on both routes."""
+    rng = random.Random(750)
+    for trial in range(300):
+        dim = trial % 6 + 1
+        if trial % 2:
+            pts = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(dim)]
+            pts.insert(rng.randrange(dim + 1), rng.choice(pts))
+        else:  # the last coordinate is a fixed combination of the others
+            coef = [rng.randint(-2, 2) for _ in range(dim)]
+            pts = []
+            for _ in range(dim + 1):
+                x = [rng.randint(-4, 4) for _ in range(dim - 1)]
+                pts.append(tuple(x) + (dot(coef, x + [1]),))
+        errors = []
+        for route in (dd.facet_normals_from_points, _facets_by_dd):
+            with pytest.raises(DegenerateInputError) as info:
+                route(pts)
+            errors.append(str(info.value))
+        assert errors == ["point set is not full-dimensional"] * 2, pts
+    for pts in ([(0, 0), (1, 0), (2, 0, 0)], [(0, 0), (1, 0, 0), (0, 1)]):
+        for route in (dd.facet_normals_from_points, _facets_by_dd):
+            with pytest.raises(DimensionMismatchError, match="length 4 in dimension 3"):
+                route(pts)
 
 
 def test_constraint_of_wrong_length_raises():

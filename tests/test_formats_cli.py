@@ -282,6 +282,21 @@ class TestCli:
         assert "error: argument --budget: must be a non-negative int" in capsys.readouterr().err
         assert main(["compute", "--input", path, "--width", "--max-points", "0"]) == 0
 
+    @pytest.mark.parametrize(
+        "mode, routine, dim, constraints",
+        [("reduced", "reduced_witnesses", 6, 2), ("unrestricted", "LatticePolytope.lattice_points", 5, 6)],
+    )
+    def test_condition_m_budget_caps_the_scan_of_either_mode(
+        self, tmp_path, capsys, mode, routine, dim, constraints
+    ):
+        path = self.write_polytope(tmp_path, hpt(), "hpt")
+        assert main(["condition-m", "--input", path, "--mode", mode, "--budget", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {routine}: integer point scan spent 2 nodes, over its"
+            f" budget of 0 (dimension {dim}, {constraints} constraints)\n"
+        )
+        assert main(["condition-m", "--input", path, "--mode", mode]) == 0
+
     @pytest.mark.parametrize("report", ["--classify", "--hodge", "--all"])
     def test_max_points_caps_the_scan_of_every_report_that_reads_it(self, tmp_path, capsys, report):
         path = self.write_polytope(tmp_path, dilated_simplex(3, 3), "t")

@@ -17,6 +17,7 @@ from sbvol.conditionm import check_condition_m, reduced_witnesses, sections_of_c
 from sbvol.errors import DegenerateInputError, DimensionMismatchError, InvalidParameterError
 from sbvol.families import (
     bounds_table,
+    builtin_seed_registry,
     containment_certificate,
     dilated_simplex,
     double_cone,
@@ -27,17 +28,20 @@ from sbvol.families import (
     simplex_product,
     standard_simplex,
 )
-from sbvol.hodge import h_p0_compact
+from sbvol.hodge import e_p0_open, h_p0_compact
 from sbvol.polytope import (
     AffineUnimodularMap,
     RationalPolytope,
+    cartesian_product,
+    convex_union,
     dilate,
     hull,
     translate,
     unimodular_equivalence,
 )
-from sbvol.ledger import classify_cell, volume_ledger
+from sbvol.ledger import SeedRegistry, classify_cell, dim4_pipeline, volume_ledger
 from sbvol.subdivision import (
+    distance_height,
     interior_cells,
     lies_in_boundary,
     make_subdivision,
@@ -120,6 +124,20 @@ ROWS = [
     ("hodge-int", lambda: h_p0_compact(5), Deg),
     ("classify-cell-int", lambda: classify_cell(5), Deg),
     ("regular-int", lambda: regular_subdivision(5, {}), Deg),
+    ("boundary-int-polytope", lambda: lies_in_boundary(5, [(0, 0)]), Deg),
+    ("ord-value-int", lambda: ord_value(5, (1, 0)), Deg),
+    ("dilate-int", lambda: dilate(5, 2), Deg),
+    ("translate-int-polytope", lambda: translate(5, (1, 0)), Deg),
+    ("product-int", lambda: cartesian_product(SQUARE, 5), Deg),
+    ("union-int", lambda: convex_union(SQUARE, 5), Deg),
+    ("cone-int-polytope", lambda: double_cone(5, []), Deg),
+    ("distance-height-int", lambda: distance_height(5, SQUARE), Deg),
+    ("e-open-int", lambda: e_p0_open(5, 0), Deg),
+    ("seed-register-int", lambda: SeedRegistry().register("x", 5, ""), Deg),
+    ("seed-match-int", lambda: builtin_seed_registry().match(5), Deg),
+    ("pipeline-int-big", lambda: dim4_pipeline(5, TRIANGLE, builtin_seed_registry()), Deg),
+    ("pipeline-int-small", lambda: dim4_pipeline(SQUARE, 5, builtin_seed_registry()), Deg),
+    ("pipeline-int-seeds", lambda: dim4_pipeline(SQUARE, TRIANGLE, 5), Deg),
     # an integer vector
     ("hull-float", lambda: hull([(0, 0), (0.5, 0)]), Deg),
     ("translate-float", lambda: translate(SQUARE, (1.5, 0)), Deg),
@@ -194,3 +212,6 @@ def test_the_rejected_values_are_valid_one_step_away():
     assert classify_cell(TRIANGLE, None, [(1, 0)]).justification == "lattice width one"
     assert divisor_polytope(normal_fan(SQUARE), [0, 0, 1, 1]).vertices()
     assert bounds_table([3])[0][0].n == 3
+    assert cartesian_product(SQUARE, TRIANGLE).dim() == 4 and convex_union(SQUARE, TRIANGLE) == SQUARE
+    assert double_cone(SQUARE, []).polytope == SQUARE and distance_height(SQUARE, SQUARE)[(1, 1)] == 0
+    assert isinstance(e_p0_open(SQUARE, 0), int) and builtin_seed_registry().match(SQUARE) is None

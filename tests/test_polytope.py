@@ -42,16 +42,16 @@ def simplex(n):
     return hull([tuple([0] * n)] + [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)])
 
 
-def count_dd_calls(monkeypatch):
-    """A list that grows by one on every double description run."""
+def count_dd_calls(monkeypatch, name="extreme_rays"):
+    """A list that grows by one on every dd.<name> call; by default, every double description run."""
     calls = []
-    original = dd.extreme_rays
+    original = getattr(dd, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(dd, "extreme_rays", counted)
+    monkeypatch.setattr(dd, name, counted)
     return calls
 
 
@@ -405,7 +405,8 @@ class TestFacetSystemsComputedOnce:
         assert all(c == min(dot(n, v) for v in p.vertices) for n, c in system)
 
     def test_lower_dimensional_chart_polytope_is_reused(self, monkeypatch):
-        calls = count_dd_calls(monkeypatch)
+        # A triangle's facets come in closed form, with no DD run: count the facet routine.
+        calls = count_dd_calls(monkeypatch, "facet_normals_from_points")
         tri = hull([(2, 0, 0), (0, 2, 0), (0, 0, 2)])  # planar, in Z^3
         assert tri.n_lattice_points() == 6
         assert tri.n_interior_points() == 0

@@ -285,6 +285,33 @@ def test_tampered_witnesses_fail_each_check():
     assert failures["cover"] == failures["pairwise_faces"] == 0
 
 
+def test_lowered_non_vertex_fails_only_domination():
+    # One lattice point that is no cell vertex gets a lower height, by 1 or
+    # by 20, with cells and witness unchanged.  The heights' denominators do
+    # not change, so neither does the lifted scale: every other check still
+    # passes, and domination reads the one piece of the cell containing the point.
+    rng = random.Random(2025)
+    verdicts = {True: 0, False: 0}
+    for trial in range(60):
+        dim = (2, 3)[trial % 2]
+        p = _random_polytope(rng, dim, coord=(3, 2)[dim - 2])
+        heights = {x: Fraction(rng.randint(0, 6), rng.randint(1, 3)) for x in p.lattice_points()}
+        s = regular_subdivision(p, heights)
+        inner = [x for x in heights if x not in s.points]
+        if not inner:
+            continue
+        x = rng.choice(inner)
+        for drop in (1, 20):
+            lowered = {**heights, x: heights[x] - drop}
+            broken = dataclasses.replace(s, heights=tuple(sorted(lowered.items())))
+            assert broken.height_scale == s.height_scale
+            rep = assert_agrees(broken)
+            flags = {name: ok for name, ok, _ in rep.checks}
+            assert all(ok for name, ok in flags.items() if name != "witness_dominates"), flags
+            verdicts[flags["witness_dominates"]] += 1
+    assert verdicts[True] and verdicts[False] >= 20, verdicts
+
+
 def test_flat_witness_fails_only_strict_convexity():
     # A corner cut off the square, both cells given the zero piece: affine
     # and dominating, but the pieces do not bend across the wall.
