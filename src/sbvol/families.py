@@ -281,11 +281,13 @@ def extend_schreieder(data: SchreiederData, steps) -> LatticePolytope:
     floor((n - |eps|) / 2) steps; the total budget is 2^(n-2) (n-1).
 
     A step is built as its image: the double cone with the pair e_new,
-    e_col - e_new, sheared by x_new += x_col, is the hull of each vertex v
-    lifted to (v, v_col) together with e_new and e_col.
+    e_col - e_new, sheared by x_new += x_col, is the hull of each point v
+    lifted to (v, v_col) together with e_new and e_col.  The lift is linear
+    and the budget convex, so the steps carry and check the generating
+    points, and one hull of the last step's points is the result.
     """
     n, d = data.n, data.degree
-    poly = data.polytope
+    points = list(data.polytope.vertices)
     used = {}
     for eps in _as_tuple(steps, "extension steps", InvalidParameterError):
         eps = _as_tuple(eps, "exponent tuple", InvalidParameterError)
@@ -297,16 +299,12 @@ def extend_schreieder(data: SchreiederData, steps) -> LatticePolytope:
             raise InvalidParameterError(
                 f"{eps!r} supports only {allowance} extension steps"
             )
-        cur = poly.ambient_dim
+        cur = len(points[0])
         col = data.column_of(eps)
-        lifted = [v + (v[col],) for v in poly.vertices]
-        poly = hull(lifted + [_unit(cur, cur + 1), _unit(col, cur + 1)])
-        for v in poly.vertices:
-            if any(x < 0 for x in v) or sum(v) > d:
-                raise InvalidParameterError(
-                    "extension broke the nonnegative degree budget"
-                )
-    return poly
+        points = [v + (v[col],) for v in points] + [_unit(cur, cur + 1), _unit(col, cur + 1)]
+        if any(min(v) < 0 or sum(v) > d for v in points):
+            raise InvalidParameterError("extension broke the nonnegative degree budget")
+    return hull(points)
 
 
 # -- containment certificates ---------------------------------------------------------

@@ -101,6 +101,8 @@ def classify_cell(
     otherwise the cell is charted and its width searched.
     """
     d = _instance(cell, LatticePolytope, "a lattice polytope").dim()
+    if seeds is not None:
+        _instance(seeds, SeedRegistry, "a seed registry")
     if d <= 1:
         return CellClassTag("rational", "dimension at most one")
     for l in _as_tuple(certificates, "certificates"):
@@ -168,6 +170,8 @@ def volume_ledger(
     check: bool = True,
 ) -> Ledger:
     """Signed sum of cell classes over the interior cells of a valid subdivision."""
+    if seeds is not None:
+        _instance(seeds, SeedRegistry, "a seed registry")
     if check:
         report = validate(s, p)
         if not report.ok:

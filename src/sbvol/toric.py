@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     DegenerateInputError,
@@ -108,73 +108,17 @@ class FineInteriorResult:
         return self.dim
 
 
-def _minor_gcds(rays, d):
-    """Table g[S] over the nonempty subsets S of d independent rays (bitmasks).
-
-    g[S] is the gcd of the |S| x |S| minors of the rays in S, so a
-    singleton's entry is the gcd of its coordinates and the full set's is
-    |det|.  Each subset's minors come from those of the subset without its
-    highest ray, by Laplace expansion along that ray; every minor of one
-    size carries the same sign, which no gcd sees.
-    """
-    rows_of = [[] for _ in range(d + 1)]
-    for r in range(1 << d):
-        rows_of[r.bit_count()].append(r)
-    minors = {0: {0: 1}}
-    g = {}
-    for s in range(1, 1 << d):
-        top = s.bit_length() - 1
-        below = minors[s ^ (1 << top)]
-        ray = rays[top]
-        col = {}
-        for r in rows_of[s.bit_count()]:
-            total = 0
-            sign = 1
-            rest = r
-            while rest:
-                low = rest & -rest
-                total += sign * ray[low.bit_length() - 1] * below[r ^ low]
-                sign = -sign
-                rest ^= low
-            col[r] = total
-        minors[s] = col
-        g[s] = gcd(*col.values())
-    return g
-
-
 def _subcone_scan_frame(tri, d):
     """Scan data (uinv, tcons, rays) for one simplicial subcone: a coordinate
-    change making the ray matrix lower-triangular with large pivots early,
-    and the membership constraints and rays in the new coordinates.
+    change making the ray matrix triangular, and the membership constraints
+    and rays in the new coordinates.
 
     The coordinate change is the transform of the Hermite form of the ray
-    matrix, its columns the rays in the order that minimises
-    sum_k (product of the last k pivots), k = 1..d-1.  For any order, the
-    product of the first j pivots is the gcd of the j x j minors of the
-    first j rays, which depends on the set S_j of those rays only; so that
-    sum is sum_{j=1}^{d-1} |det| / g(S_j), read off the `_minor_gcds`
-    table with no Hermite form.  Orders are scored in
-    `itertools.permutations` order and `min` keeps the first of equal
-    scores, so ties go to the lexicographically first order.  From d = 7
-    on, the rays keep their given order.  One Hermite form, of the chosen
-    order, gives the transform.
+    matrix, its columns the rays in their given order, with its rows
+    flipped: ray i then lives in the last i + 1 coordinates, so the prefix
+    x[:j+1] is a triangular image of the last j + 1 rays alone.
     """
-    perm = tuple(range(d))
-    if d <= 6:
-        g = _minor_gcds(tri, d)
-        abs_det = g[(1 << d) - 1]
-        quotient = {s: abs_det // x for s, x in g.items()}
-
-        def score(order):
-            s = 0
-            total = 0
-            for j in order[:-1]:
-                s |= 1 << j
-                total += quotient[s]
-            return total
-
-        perm = min(itertools.permutations(range(d)), key=score)
-    _, u0 = hermite_form([[tri[perm[j]][k] for j in range(d)] for k in range(d)])
+    _, u0 = hermite_form([[tri[j][k] for j in range(d)] for k in range(d)])
     u = [list(r) for r in reversed(u0)]  # flip rows: structured-zero ray matrix
     uinv = invert_unimodular(u)
     new_rays = [tuple(sum(u[i][k] * r[k] for k in range(d)) for i in range(d)) for r in tri]
@@ -199,7 +143,12 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
 
     Each round runs one scan per (candidate vertex, simplicial vertex
     subcone), in integers, with FINE_INTERIOR_BUDGET as the node cap of
-    each; a scan over it raises ResourceLimitError.  The loop ends: every
+    each; a scan over it raises ResourceLimitError.  The scan region is
+    {t >= 0, sum_i pair_i t_i <= m - 1} in the subcone's triangular frame,
+    and it carries the region's exact projection onto each prefix of the
+    coordinates as d - 1 more constraints: they hold on the whole region,
+    so the scan yields the same points in the same order, and every prefix
+    it extends lies in the projection of the region.  The loop ends: every
     round that does not return adds a new primitive vector, and all of
     them lie in the subcones' slabs {0 <= t_j <= m / pair_j <= 1}, a finite set.
     """
@@ -225,6 +174,7 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
             cleared.append((m, [x.numerator * (m // x.denominator) for x in q]))
         found = set()
         for v, rays, (uinv, tcons, new_rays) in frames:
+            abs_det = dot(tcons[0][0], new_rays[0])  # row 0 of |det M| M^{-1} times column 0 of M
             for m, big in cleared:
                 pair = [dot(big, r) - m * dot(v, r) for r in rays]  # m <q - v, r>
                 if any(c < m for c in pair):
@@ -237,7 +187,16 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
                 spans = [[r[k] * (den // c) for r, c in zip(new_rays, pair)] for k in range(d)]
                 lo = [-(-m * sum(min(0, x) for x in span) // den) for span in spans]
                 hi = [m * sum(max(0, x) for x in span) // den for span in spans]
-                scan = integer_points(tcons + [cut], lo, hi, FINE_INTERIOR_BUDGET, "fine_interior")
+                # The prefix x[:j+1] sees only the last j + 1 rays, so the region's
+                # exact projection onto it is sum_{i >= d-1-j} pair_i t_i <= m - 1.
+                prefix = [0] * d
+                cuts = []
+                for i in range(d - 1, 0, -1):
+                    prefix = [s - pair[i] * a for s, a in zip(prefix, tcons[i][0])]
+                    cuts.append((tuple(prefix), (1 - m) * abs_det))
+                scan = integer_points(
+                    tcons + [cut] + cuts, lo, hi, FINE_INTERIOR_BUDGET, "fine_interior"
+                )
                 for n_t in itertools.islice(filter(any, scan), 4):
                     n = mat_vec(uinv, n_t)
                     # n must lie in this normal cone and violate the candidate.

@@ -197,8 +197,26 @@ def _extend_by_cone_and_shear(data, steps):
     return poly
 
 
+def _extend_step_by_step(data, steps):
+    """The extension with one hull per step, each step's vertices checked
+    against the degree budget before the next step lifts them."""
+    poly = data.polytope
+    for eps in steps:
+        cur, col = poly.ambient_dim, data.column_of(eps)
+        e = lambda j: tuple(1 if i == j else 0 for i in range(cur + 1))
+        poly = hull([v + (v[col],) for v in poly.vertices] + [e(cur), e(col)])
+        if any(min(v) < 0 or sum(v) > data.degree for v in poly.vertices):
+            raise AssertionError("a step broke the nonnegative degree budget")
+    return poly
+
+
+def _budget_steps(n):
+    return [eps for eps in exponent_tuples(n) for _ in range((n - sum(eps)) // 2)]
+
+
 class TestExtensionOracle:
-    """Each extension step is built as its image; the cone-and-shear route is the oracle."""
+    """Each extension step is built as its image, and the steps carry points to one
+    hull at the end; the cone-and-shear route and the hull per step are the oracles."""
 
     @pytest.mark.parametrize(
         "n, eps",
@@ -214,8 +232,17 @@ class TestExtensionOracle:
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
     def test_full_budget_n3(self, order):
         data = schreieder(3)
-        steps = [eps for eps in exponent_tuples(3) for _ in range((3 - sum(eps)) // 2)][::order]
+        steps = _budget_steps(3)[::order]
         assert extend_schreieder(data, steps) == _extend_by_cone_and_shear(data, steps)
+
+    @pytest.mark.parametrize(
+        "n, count, order", [(3, 4, 1), (3, 4, -1), (4, 8, 1), (4, 8, -1)]
+    )
+    def test_one_hull_matches_a_hull_per_step(self, n, count, order):
+        data = schreieder(n)
+        steps = _budget_steps(n)[:count][::order]
+        ext = extend_schreieder(data, steps)
+        assert ext.vertices == _extend_step_by_step(data, steps).vertices
 
 
 class TestDoubleCone:

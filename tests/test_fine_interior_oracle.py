@@ -5,13 +5,16 @@ its name: Fraction pairings and slab boxes per (subcone, candidate vertex),
 and a cheap pass with scans capped at 20,000 nodes before an exhaustive
 pass.  The kernel clears each candidate's denominators once and scans in
 integers, one pass per round.  Both must return the same emptiness,
-dimension, lattice flag, generators and vertices on the inputs of criterion
-11a, the paper's named polytopes and families, and 0/1 4-polytopes under
-unimodular maps like those of the invariant-batch workload.
+dimension, lattice flag and vertices on the inputs of criterion 11a, the
+paper's named polytopes and families, and 0/1 4-polytopes under unimodular
+maps like those of the invariant-batch workload.
 
 The oracle's _subcone_scan_frame is the earlier frame search, one Hermite
-form per ray order.  The kernel scores every order from one table of minor
-gcds and runs one Hermite form; both must choose the same frame.
+form per ray order.  The kernel keeps the rays in their given order and
+runs one Hermite form, so its scans can feed other first violators into
+the generators: the generators must hold every facet normal, be
+primitive, and cut out the oracle's vertices.  The kernel's prefix cuts
+are checked on their own: dropped, they change no generator and no vertex.
 
 The Hilbert-basis route at the end of this file (RationalCone, vertex_cone,
 _fundamental_parallelepiped, _group_representatives, hilbert_basis) is the
@@ -27,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, lcm, prod
+from math import ceil, floor, lcm
 
 from sbvol import dd, toric
 from sbvol.errors import (
@@ -203,13 +206,12 @@ def _oracle_fine_interior(
 def assert_agrees(p):
     got = fine_interior(p)
     want = _oracle_fine_interior(p)
-    assert (got.is_empty, got.dim, got.is_lattice, got.generators) == (
-        want.is_empty,
-        want.dim,
-        want.is_lattice,
-        want.generators,
-    )
+    assert (got.is_empty, got.dim, got.is_lattice) == (want.is_empty, want.dim, want.is_lattice)
     assert got.vertices() == want.vertices()
+    assert set(normal_fan(p).rays) <= set(got.generators)
+    assert all(primitive(n) == n for n in got.generators)
+    shifted = [(n, Fraction(ord_value(p, n) + 1)) for n in got.generators]
+    assert RationalPolytope(p.ambient_dim, shifted).vertices() == want.vertices()
     return got
 
 
@@ -245,8 +247,8 @@ def test_criterion_11a_inputs():
     assert any(not fi.is_empty and not fi.is_lattice for fi in results)
 
 
-def test_named_polytopes_and_families():
-    named = [
+def _named_polytopes():
+    return [
         hull([(0, 2, 2), (1, 3, 0), (2, 4, 3), (3, 0, 1)]),  # criterion 1
         hull([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (6, 14, 17, 65)]),
         kollar_totaro(4, 4),
@@ -261,8 +263,28 @@ def test_named_polytopes_and_families():
         hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)]),
         hull([(0, 0), (7, 2), (3, 9)]),
     ]
-    results = [assert_agrees(p) for p in named]
+
+
+def test_named_polytopes_and_families():
+    results = [assert_agrees(p) for p in _named_polytopes()]
     assert [fi.dim for fi in results[:3]] == [3, 4, -1]
+
+
+def test_prefix_cuts_change_no_generator(monkeypatch):
+    low = {p.vertices: p for p in _criterion_11a_inputs() if p.dim() <= 3}
+    inputs = _named_polytopes() + list(low.values())
+    with_cuts = [fine_interior(p) for p in inputs]
+    scan = toric.integer_points
+
+    def without_cuts(constraints, lo, hi, budget, routine):
+        # d membership constraints and the region's own cut, then the d - 1 prefix cuts
+        assert len(constraints) == 2 * len(lo)
+        return scan(constraints[: len(lo) + 1], lo, hi, budget, routine)
+
+    monkeypatch.setattr(toric, "integer_points", without_cuts)
+    for p, got in zip(inputs, with_cuts):
+        want = fine_interior(p)
+        assert (got.generators, got.vertices()) == (want.generators, want.vertices())
 
 
 def _unimodular_01_polytopes(rng, count):
@@ -337,15 +359,6 @@ def _frame_inputs():
     return _subcones(_criterion_11a_inputs()) + random_cones, unimodular, seven
 
 
-def test_subcone_frames_match_the_search_over_orders():
-    general, unimodular, seven = _frame_inputs()
-    assert {d for _, d in general} == {2, 3, 4, 5, 6}
-    for tri, d in general + unimodular + seven:
-        want = _subcone_scan_frame(tri, d)
-        got = toric._subcone_scan_frame(tri, d)
-        assert got == (want["uinv"], want["tcons"], want["rays"])
-
-
 def test_one_hermite_form_per_subcone(monkeypatch):
     seen = []
 
@@ -355,35 +368,11 @@ def test_one_hermite_form_per_subcone(monkeypatch):
 
     monkeypatch.setattr(toric, "hermite_form", counting)
     general, unimodular, seven = _frame_inputs()
-    for tri, d in general:
-        seen.clear()
-        toric._subcone_scan_frame(tri, d)
-        assert len(seen) == 1
-    # Every order of a unimodular cone scores d - 1, and from d = 7 on the
-    # order is not searched: the rays keep their given order either way.
-    for tri, d in unimodular + seven:
+    assert {d for _, d in general} == {2, 3, 4, 5, 6}
+    for tri, d in general + unimodular + seven:
         seen.clear()
         toric._subcone_scan_frame(tri, d)
         assert seen == [_identity_order(tri, d)]
-
-
-def test_minor_gcd_table_is_the_pivot_product_of_an_order_starting_with_the_set():
-    rng = random.Random(29)
-    sizes = ((1, 3), (2, 8), (3, 8), (4, 6), (5, 2), (6, 1))
-    cones = [_random_cone(rng, d) for d, n in sizes for _ in range(n)]
-    for rays in cones:
-        d = len(rays)
-        table = toric._minor_gcds(rays, d)
-        assert set(table) == set(range(1, 1 << d))
-        assert table[(1 << d) - 1] == abs(det([list(r) for r in rays]))
-        for s, g in table.items():
-            inside = [j for j in range(d) if s >> j & 1]
-            outside = [j for j in range(d) if not s >> j & 1]
-            rng.shuffle(inside)
-            rng.shuffle(outside)
-            order = inside + outside
-            h, _ = hermite_form([[rays[j][k] for j in order] for k in range(d)])
-            assert g == prod(h[j][j] for j in range(len(inside)))
 
 
 # -- the Hilbert-basis route ---------------------------------------------------------

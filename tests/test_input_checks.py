@@ -24,6 +24,7 @@ from sbvol.families import (
     exponent_tuples,
     extend_schreieder,
     hpt,
+    kollar_totaro,
     schreieder,
     simplex_product,
     standard_simplex,
@@ -112,6 +113,8 @@ ROWS = [
     ("containment-int-map", lambda: containment_certificate(SQUARE, SQUARE, 5), Deg),
     ("ledger-int-subdivision", lambda: volume_ledger(SQUARE, 5), Deg),
     ("ledger-int-polytope", lambda: volume_ledger(5, make_subdivision(SQUARE, [SQUARE])), Deg),
+    ("ledger-int-seeds", lambda: volume_ledger(SQUARE, make_subdivision(SQUARE, [SQUARE]), 5), Deg),
+    ("classify-int-seeds", lambda: classify_cell(kollar_totaro(3, 4), 5), Deg),
     ("validate-int", lambda: validate(5), Deg),
     ("interior-cells-int", lambda: interior_cells(5), Deg),
     ("reduced-witnesses-int", lambda: reduced_witnesses(5), Deg),

@@ -167,7 +167,7 @@ class TestFineInterior:
         with pytest.raises(
             ResourceLimitError,
             match=r"^fine_interior: integer point scan spent 2 nodes, over its budget of 0"
-            r" \(dimension 3, 4 constraints\)$",
+            r" \(dimension 3, 6 constraints\)$",
         ):
             fine_interior(p)
 
@@ -177,9 +177,20 @@ class TestFineInterior:
         with pytest.raises(
             ResourceLimitError,
             match=r"^fine_interior: integer point scan spent 11 nodes, over its budget of 10"
-            r" \(dimension 2, 3 constraints\)$",
+            r" \(dimension 2, 4 constraints\)$",
         ):
             fine_interior(p)
+
+    def test_cliff_polytope_finishes_under_a_small_budget(self, monkeypatch):
+        # 20 facets and 70 lattice points; with only the box bound on the free
+        # suffix, a scan of this polytope runs past 20,000 nodes
+        p = hull(
+            [(-3, -3, 2, 0), (-3, 1, 2, 0), (-3, 3, -2, 0), (-2, -1, -1, 1), (-1, -3, 3, 1),
+             (1, 0, -1, 3), (2, -1, 3, 0), (2, 3, -2, 2), (3, -2, -2, 2)]
+        )
+        monkeypatch.setattr(toric_module, "FINE_INTERIOR_BUDGET", 20_000)
+        fi = fine_interior(p)
+        assert (fi.is_empty, fi.dim, len(fi.vertices())) == (False, 4, 40)
 
     def test_single_point(self):
         fi = fine_interior(dilate(simplex(2), 3))
