@@ -19,6 +19,7 @@ from .errors import (
 )
 from .intlinalg import (
     adjugate,
+    det,
     dot,
     hermite_form,
     invert_unimodular,
@@ -26,6 +27,7 @@ from .intlinalg import (
     primitive,
     smith_form,
     transpose,
+    vec_gcd,
     vec_mat,
 )
 from .polytope import (
@@ -129,6 +131,19 @@ def _subcone_scan_frame(tri, d):
     return uinv, tcons, new_rays
 
 
+def _no_violator(pair, gcds, m, abs_det):
+    """Whether the scan region {t >= 0, sum_j pair_j t_j <= m - 1} of a
+    subcone provably holds no nonzero lattice point.
+
+    Every pair_j >= m, so every t_j <= (m - 1) / m < 1.  The rays are
+    primitive, so a nonzero point has at least two t_j > 0, and each
+    a_j = |det M| t_j = <tcons[j], n'> is then a positive multiple of g_j,
+    the gcd of tcons[j].  So a point needs the two smallest pair_j g_j to
+    sum to at most (m - 1) |det M|; at m = 1 they never do.
+    """
+    return sum(sorted(c * g for c, g in zip(pair, gcds))[:2]) > (m - 1) * abs_det
+
+
 def fine_interior(p: LatticePolytope) -> FineInteriorResult:
     """Intersection of all supporting halfspaces shifted inward by one.
 
@@ -141,9 +156,20 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
     and added until none remain.  The final generator set is therefore a
     certified cutting description of the Fine interior.
 
-    Each round runs one scan per (candidate vertex, simplicial vertex
-    subcone), in integers, with FINE_INTERIOR_BUDGET as the node cap of
-    each; a scan over it raises ResourceLimitError.  The scan region is
+    Each round considers every (candidate vertex, simplicial vertex
+    subcone) pair, and runs an integer scan only where a violator can
+    exist.  Three exact rules skip the rest:
+    1. The subcone frames are built once the first candidate is nonempty;
+       an empty one needs no scan.
+    2. A subcone with |det M| <= 2, unimodular ones among them, gets no
+       frame: a nonzero point of a region has two t_j > 0 (see
+       _no_violator), each a multiple of 1 / |det M|, so
+       sum_j pair_j t_j >= 2 m / |det M| >= m > m - 1.
+    3. A (subcone, candidate) pair is skipped when _no_violator proves,
+       from the pairings and the gcds of the membership rows, that its
+       region holds no nonzero lattice point.
+    Every scan that runs has FINE_INTERIOR_BUDGET as its node cap; a scan
+    over it raises ResourceLimitError.  The scan region is
     {t >= 0, sum_i pair_i t_i <= m - 1} in the subcone's triangular frame,
     and it carries the region's exact projection onto each prefix of the
     coordinates as d - 1 more constraints: they hold on the whole region,
@@ -156,29 +182,35 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
     d = p.ambient_dim
     halfspaces = {u: c + 1 for u, c in zip(fan.rays, fan.offsets)}
 
-    frames = []  # (vertex, rays, scan frame) per simplicial vertex subcone
-    for i, v in enumerate(p.vertices):
-        cone_rays = [fan.rays[j] for j in sorted(fan.vertex_cones[i])]
-        for tri in _triangulate_cone(cone_rays, d):
-            frames.append((v, tri, _subcone_scan_frame(tri, d)))
-
+    frames = None  # (vertex, rays, scan frame, |det M|, gcds of tcons) per subcone, rules 1-2
     while True:
         poly = RationalPolytope(d, [(u, Fraction(c)) for u, c in halfspaces.items()])
         verts = poly.vertices()
         if not verts:
             return FineInteriorResult(poly, True, -1, False, tuple(sorted(halfspaces)))
+        if frames is None:
+            frames = []
+            for i, v in enumerate(p.vertices):
+                cone_rays = [fan.rays[j] for j in sorted(fan.vertex_cones[i])]
+                for tri in _triangulate_cone(cone_rays, d):
+                    abs_det = abs(det(tri))
+                    if abs_det > 2:
+                        frame = _subcone_scan_frame(tri, d)
+                        gcds = [vec_gcd(a) for a, _ in frame[1]]
+                        frames.append((v, tri, frame, abs_det, gcds))
         # Each candidate vertex q once in integers: Q = m q, m the lcm of its denominators.
         cleared = []
         for q in verts:
             m = lcm(*(x.denominator for x in q))
             cleared.append((m, [x.numerator * (m // x.denominator) for x in q]))
         found = set()
-        for v, rays, (uinv, tcons, new_rays) in frames:
-            abs_det = dot(tcons[0][0], new_rays[0])  # row 0 of |det M| M^{-1} times column 0 of M
+        for v, rays, (uinv, tcons, new_rays), abs_det, gcds in frames:
             for m, big in cleared:
                 pair = [dot(big, r) - m * dot(v, r) for r in rays]  # m <q - v, r>
                 if any(c < m for c in pair):
                     raise InternalConsistencyError("candidate vertex violates a shifted facet")
+                if _no_violator(pair, gcds, m, abs_det):
+                    continue
                 # m <q - v, n> <= m - 1, that is <m v - Q, n> >= 1 - m.
                 cut = (vec_mat([m * a - b for a, b in zip(v, big)], uinv), 1 - m)
                 # The region satisfies 0 <= t_j <= m / pair_j, so its box is the

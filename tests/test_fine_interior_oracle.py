@@ -16,6 +16,14 @@ the generators: the generators must hold every facet normal, be
 primitive, and cut out the oracle's vertices.  The kernel's prefix cuts
 are checked on their own: dropped, they change no generator and no vertex.
 
+The unpruned oracle, _unpruned_fine_interior, is the kernel as it was
+before it learned to skip scans: it builds a frame for every simplicial
+subcone before the first round, unimodular ones too, and runs every
+(subcone, candidate vertex) scan.  It shares the kernel's subcone frame,
+so the comparison isolates the skipping.  A skipped scan finds nothing,
+so the kernel must return exactly its generators, vertices, dimension,
+emptiness and lattice flag.
+
 The Hilbert-basis route at the end of this file (RationalCone, vertex_cone,
 _fundamental_parallelepiped, _group_representatives, hilbert_basis) is the
 package's earlier toric code, moved here unchanged apart from vertex_cone
@@ -39,7 +47,7 @@ from sbvol.errors import (
     ResourceLimitError,
     UnsupportedInputError,
 )
-from sbvol.families import dilated_simplex, hpt, kollar_totaro, tpq
+from sbvol.families import dilated_simplex, hpt, kollar_totaro, standard_simplex, tpq
 from sbvol.intlinalg import (
     adjugate,
     det,
@@ -51,12 +59,14 @@ from sbvol.intlinalg import (
     rank,
     smith_form,
     transpose,
+    vec_mat,
 )
 from sbvol.polytope import (
     AffineChart,
     LatticePolytope,
     RationalPolytope,
     _triangulate_cone,
+    dilate,
     hull,
     integer_points,
 )
@@ -203,6 +213,74 @@ def _oracle_fine_interior(
     )
 
 
+def _unpruned_fine_interior(p: LatticePolytope) -> FineInteriorResult:
+    """Intersection of all supporting halfspaces shifted inward by one.
+
+    Each round runs one scan per (candidate vertex, simplicial vertex
+    subcone), in integers, with a node cap of 50,000,000 on each; a scan
+    over it raises ResourceLimitError.  The scan region is
+    {t >= 0, sum_i pair_i t_i <= m - 1} in the subcone's triangular frame,
+    and it carries the region's exact projection onto each prefix of the
+    coordinates as d - 1 more constraints.
+    """
+    fan = normal_fan(p)
+    d = p.ambient_dim
+    halfspaces = {u: c + 1 for u, c in zip(fan.rays, fan.offsets)}
+
+    frames = []  # (vertex, rays, scan frame) per simplicial vertex subcone
+    for i, v in enumerate(p.vertices):
+        cone_rays = [fan.rays[j] for j in sorted(fan.vertex_cones[i])]
+        for tri in _triangulate_cone(cone_rays, d):
+            frames.append((v, tri, toric._subcone_scan_frame(tri, d)))
+
+    while True:
+        poly = RationalPolytope(d, [(u, Fraction(c)) for u, c in halfspaces.items()])
+        verts = poly.vertices()
+        if not verts:
+            return FineInteriorResult(poly, True, -1, False, tuple(sorted(halfspaces)))
+        # Each candidate vertex q once in integers: Q = m q, m the lcm of its denominators.
+        cleared = []
+        for q in verts:
+            m = lcm(*(x.denominator for x in q))
+            cleared.append((m, [x.numerator * (m // x.denominator) for x in q]))
+        found = set()
+        for v, rays, (uinv, tcons, new_rays) in frames:
+            abs_det = dot(tcons[0][0], new_rays[0])  # row 0 of |det M| M^{-1} times column 0 of M
+            for m, big in cleared:
+                pair = [dot(big, r) - m * dot(v, r) for r in rays]  # m <q - v, r>
+                if any(c < m for c in pair):
+                    raise InternalConsistencyError("candidate vertex violates a shifted facet")
+                # m <q - v, n> <= m - 1, that is <m v - Q, n> >= 1 - m.
+                cut = (vec_mat([m * a - b for a, b in zip(v, big)], uinv), 1 - m)
+                # The region satisfies 0 <= t_j <= m / pair_j, so its box is the
+                # bounding box of that scaled slab; den clears the pairings.
+                den = lcm(*pair)
+                spans = [[r[k] * (den // c) for r, c in zip(new_rays, pair)] for k in range(d)]
+                lo = [-(-m * sum(min(0, x) for x in span) // den) for span in spans]
+                hi = [m * sum(max(0, x) for x in span) // den for span in spans]
+                # The prefix x[:j+1] sees only the last j + 1 rays, so the region's
+                # exact projection onto it is sum_{i >= d-1-j} pair_i t_i <= m - 1.
+                prefix = [0] * d
+                cuts = []
+                for i in range(d - 1, 0, -1):
+                    prefix = [s - pair[i] * a for s, a in zip(prefix, tcons[i][0])]
+                    cuts.append((tuple(prefix), (1 - m) * abs_det))
+                scan = integer_points(tcons + [cut] + cuts, lo, hi, 50_000_000, "fine_interior")
+                for n_t in itertools.islice(filter(any, scan), 4):
+                    n = mat_vec(uinv, n_t)
+                    # n must lie in this normal cone and violate the candidate.
+                    if ord_value(p, n) != dot(v, n) or dot(big, n) - m * dot(v, n) >= m:
+                        raise InternalConsistencyError("scan returned a dual vector outside its region")
+                    found.add(primitive(n))
+        new = [n for n in found if n not in halfspaces]
+        if not new:
+            return FineInteriorResult(
+                poly, False, poly.dim(), poly.is_lattice(), tuple(sorted(halfspaces))
+            )
+        for n in new:
+            halfspaces[n] = ord_value(p, n) + 1
+
+
 def assert_agrees(p):
     got = fine_interior(p)
     want = _oracle_fine_interior(p)
@@ -309,6 +387,86 @@ def _unimodular_01_polytopes(rng, count):
 def test_unimodular_images_of_01_polytopes():
     for p in _unimodular_01_polytopes(random.Random(8), 20):
         assert_agrees(p)
+
+
+# -- skipped scans ------------------------------------------------------------------
+
+
+def _distinct_11a_inputs():
+    return list({p.vertices: p for p in _criterion_11a_inputs()}.values())
+
+
+def _outcome(fi):
+    return (fi.generators, fi.vertices(), fi.dim, fi.is_empty, fi.is_lattice)
+
+
+def test_skipping_scans_changes_no_result():
+    inputs = (
+        _distinct_11a_inputs()
+        + _named_polytopes()
+        + _unimodular_01_polytopes(random.Random(8), 20)
+    )
+    assert len(inputs) > 350
+    for p in inputs:
+        assert _outcome(fine_interior(p)) == _outcome(_unpruned_fine_interior(p)), p.vertices
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(toric, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(toric, name, counting)
+    return calls
+
+
+def test_unimodular_subcones_run_no_scan(monkeypatch):
+    p = dilate(standard_simplex(3), 4)
+    want = _unpruned_fine_interior(p)
+    scans = _counted(monkeypatch, "integer_points")
+    frames = _counted(monkeypatch, "hermite_form")
+    got = fine_interior(p)
+    assert _outcome(got) == _outcome(want)
+    assert got.vertices() == ((1, 1, 1),)
+    assert scans == [] and frames == []
+
+
+def test_an_empty_first_candidate_builds_no_frame(monkeypatch):
+    p = dilate(standard_simplex(2), 2)
+    cones = _counted(monkeypatch, "_triangulate_cone")
+    got = fine_interior(p)
+    assert got.is_empty and cones == []
+    assert _outcome(got) == _outcome(_unpruned_fine_interior(p))
+
+
+def test_every_scan_the_rule_skips_finds_no_point(monkeypatch):
+    rule = toric._no_violator
+    scan = toric.integer_points
+    skipped = []  # the decision of the rule for the scan about to run
+    checked = []
+
+    def let_it_run(pair, gcds, m, abs_det):
+        skipped.append(rule(pair, gcds, m, abs_det))
+        return False
+
+    def scan_skipped_to_the_end(constraints, lo, hi, budget, routine):
+        points = scan(constraints, lo, hi, budget, routine)
+        if not skipped.pop():
+            return points
+        points = list(points)
+        assert not any(any(x) for x in points), (constraints, lo, hi)
+        checked.append(len(points))
+        return iter(points)
+
+    monkeypatch.setattr(toric, "_no_violator", let_it_run)
+    monkeypatch.setattr(toric, "integer_points", scan_skipped_to_the_end)
+    for p in _distinct_11a_inputs() + _named_polytopes():
+        fine_interior(p)
+    assert skipped == []
+    assert len(checked) > 1000
 
 
 # -- subcone frames -------------------------------------------------------------

@@ -701,21 +701,23 @@ class TestRejectsFloatsAndBools:
             call()
 
 
+# 4 * simplex(3) runs no Fine-interior scan (its subcones are unimodular),
+# so that row takes a polytope whose Fine interior still scans.
 @pytest.mark.parametrize(
-    "module, constant, call, routine",
+    "module, constant, call, routine, vertices",
     [
-        (polytope_module, "DEFAULT_POINT_BUDGET", LatticePolytope.classify, "LatticePolytope.lattice_points"),
-        (polytope_module, "DEFAULT_FACE_BUDGET", LatticePolytope.f_vector, "face_closure"),
-        (polytope_module, "EQUIVALENCE_BUDGET", lambda p: unimodular_equivalence(p, p), "unimodular_equivalence"),
-        (toric_module, "FINE_INTERIOR_BUDGET", fine_interior, "fine_interior"),
-        (conditionm_module, "WITNESS_BUDGET", check_condition_m, "reduced_witnesses"),
+        (polytope_module, "DEFAULT_POINT_BUDGET", LatticePolytope.classify, "LatticePolytope.lattice_points", None),
+        (polytope_module, "DEFAULT_FACE_BUDGET", LatticePolytope.f_vector, "face_closure", None),
+        (polytope_module, "EQUIVALENCE_BUDGET", lambda p: unimodular_equivalence(p, p), "unimodular_equivalence", None),
+        (toric_module, "FINE_INTERIOR_BUDGET", fine_interior, "fine_interior", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)]),
+        (conditionm_module, "WITNESS_BUDGET", check_condition_m, "reduced_witnesses", None),
     ],
     ids=["point", "face", "equivalence", "fine-interior", "witness"],
 )
 def test_each_budget_constant_is_read_when_its_routine_runs(
-    monkeypatch, module, constant, call, routine
+    monkeypatch, module, constant, call, routine, vertices
 ):
-    p = dilate(simplex(3), 4)
+    p = dilate(simplex(3), 4) if vertices is None else hull(vertices)
     monkeypatch.setattr(module, constant, 0)
     with pytest.raises(ResourceLimitError, match=rf"^{routine}: .* over its budget of 0 \("):
         call(p)
