@@ -17,11 +17,16 @@ from fractions import Fraction
 
 from . import formats
 from .conditionm import check_condition_m
-from .errors import InternalConsistencyError, SbvolError
+from .errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    InternalConsistencyError,
+    SbvolError,
+)
 from .families import FAMILIES, bounds_table, build, builtin_seed_registry
 from .hodge import h_p0_compact
 from .ledger import verdict, volume_ledger
-from .polytope import DEFAULT_POINT_BUDGET
+from .polytope import hull
 from .subdivision import distance_height, regular_subdivision, validate
 from .toric import class_group, fine_interior
 from .verification import run_all
@@ -166,7 +171,7 @@ def cmd_class_group(args):
 
 def _subdivision_from_request(args):
     name, p = _load_polytope(args.input)
-    q, _ = p.normalize_full_dimensional()
+    q, chart = p.normalize_full_dimensional()
     if args.heights:
         doc = json.loads(_read_document(args.heights))
         heights = formats.heights_from_doc(doc)
@@ -175,7 +180,13 @@ def _subdivision_from_request(args):
     elif args.recipe == "distance":
         if not args.target:
             raise SbvolError("--recipe distance needs --target")
-        _, delta = _load_polytope(args.target)
+        _, target = _load_polytope(args.target)
+        if target.ambient_dim != p.ambient_dim:
+            raise DimensionMismatchError(f"--target must lie in Q^{p.ambient_dim}, as --input does")
+        try:  # into q's chart, as dim4_pipeline does with its seed
+            delta = hull([chart.to_chart(v) for v in target.vertices])
+        except DegenerateInputError:
+            raise DegenerateInputError("--target must lie in the affine span of --input") from None
         heights = distance_height(q, delta)
     else:
         raise SbvolError("provide --heights or --recipe trivial|distance")
@@ -292,9 +303,7 @@ def build_parser():
     sp.add_argument("--all", action="store_true")
     for flag in COMPUTE_REPORTS:
         sp.add_argument(f"--{flag}", action="store_true")
-    sp.add_argument(
-        "--max-points", type=_budget, default=DEFAULT_POINT_BUDGET, help="lattice-point scan budget"
-    )
+    sp.add_argument("--max-points", type=_budget, default=None, help="lattice-point scan budget")
     sp.set_defaults(fn=cmd_compute)
 
     sp = sub.add_parser("fine-interior", help="the shifted-halfspace interior")
@@ -308,7 +317,7 @@ def build_parser():
     sp = sub.add_parser("condition-m", help="monomial boundary cover check")
     add_io(sp)
     sp.add_argument("--mode", choices=("reduced", "unrestricted"), default="reduced")
-    sp.add_argument("--budget", type=_budget, default=None, help="witness scan node budget")
+    sp.add_argument("--budget", type=_budget, default=None, help="node budget of either mode's scan")
     sp.set_defaults(fn=cmd_condition_m)
 
     sp = sub.add_parser("class-group", help="divisor class group data")

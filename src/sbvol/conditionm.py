@@ -5,6 +5,7 @@ a monomial of ample degree vanishing on it.  The default mode restricts to
 reduced (square-free) monomials, which is the form the degeneration
 arguments actually consume; the unrestricted mode allows arbitrary
 exponents and reads its witnesses off the polytope's own lattice points.
+Every witness scan is one polytope.integer_points scan under its node budget.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from .toric import (
     normal_fan,
 )
 
-WITNESS_BUDGET = 2_000_000  # nodes of one witness scan; read when the scan runs
-
-
 @dataclass(frozen=True)
 class ConditionMReport:
     holds: bool
@@ -38,7 +36,7 @@ def _ample_exponents(group: DivisorClassGroup, lo, hi, budget, routine):
 
     One integer point scan: each coordinate of the free part of the degree
     is an equality, two opposite halfspaces; the torsion part filters the
-    points the scan yields.  A budget of None is WITNESS_BUDGET.
+    points the scan yields; `budget` caps it as in integer_points.
     """
     target = group.ample_class()
     free = [group.ray_degree(i).free for i in range(group.fan.n_rays)]
@@ -46,7 +44,7 @@ def _ample_exponents(group: DivisorClassGroup, lo, hi, budget, routine):
     for j, t in enumerate(target.free):
         row = tuple(f[j] for f in free)
         cons += [(row, t), (tuple(-a for a in row), -t)]
-    for x in integer_points(cons, lo, hi, WITNESS_BUDGET if budget is None else budget, routine):
+    for x in integer_points(cons, lo, hi, budget, routine):
         if group.degree(x).torsion == target.torsion:
             yield x
 
@@ -74,7 +72,7 @@ def check_condition_m(p: LatticePolytope, mode: str = "reduced", budget=None) ->
     table: the lattice points of the shifted divisor polytope are exactly
     those.  `budget` caps the scan of either mode: the reduced scan, as in
     reduced_witnesses, or the scan that fills the lattice-point table, as in
-    lattice_points.
+    lattice_points; None is polytope.DEFAULT_POINT_BUDGET in both.
     """
     if mode not in ("reduced", "unrestricted"):
         raise InvalidParameterError(f"unknown mode {mode!r}; choose 'reduced' or 'unrestricted'")
@@ -136,7 +134,7 @@ def cross_check_unrestricted(p: LatticePolytope, ray_index: int) -> CrossCheckRe
 
     Route one scans exponent vectors directly, capped by the width of the
     polytope along each ray (any section's exponent lies in that range), up
-    to the first one that vanishes on the ray, within WITNESS_BUDGET nodes,
+    to the first one that vanishes on the ray, within the default node budget,
     and checks that hit as `check_condition_m` checks its witnesses; route
     two tests the shifted divisor polytope for a lattice point.
 
@@ -152,7 +150,7 @@ def cross_check_unrestricted(p: LatticePolytope, ray_index: int) -> CrossCheckRe
     caps = [max(dot(v, u) for v in p.vertices) - c for u, c in zip(fan.rays, fan.offsets)]
     lo = [0] * fan.n_rays
     lo[ray_index] = 1
-    hit = next(_ample_exponents(group, lo, caps, WITNESS_BUDGET, "cross_check_unrestricted"), None)
+    hit = next(_ample_exponents(group, lo, caps, None, "cross_check_unrestricted"), None)
     if hit is not None:
         _check_witness(group, ray_index, hit)
     by_exponents = hit is not None

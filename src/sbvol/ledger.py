@@ -147,7 +147,6 @@ class LedgerEntry:
 
 @dataclass(frozen=True)
 class Ledger:
-    polytope: LatticePolytope
     point_coefficient: int
     entries: tuple  # LedgerEntry, zero coefficients dropped
 
@@ -211,7 +210,7 @@ def volume_ledger(
         for g in sorted(groups, key=lambda g: (g[0].dim(), g[0].fingerprint()))
         if g[2] != 0
     )
-    return Ledger(p, point_coeff, entries)
+    return Ledger(point_coeff, entries)
 
 
 def _width_certificates(s: Subdivision, parents):

@@ -35,7 +35,7 @@ from .intlinalg import (
     vec_gcd,
 )
 
-DEFAULT_POINT_BUDGET = 5_000_000  # nodes of each lattice-point scan; read when the scan runs
+DEFAULT_POINT_BUDGET = 5_000_000  # nodes of each integer-point scan; read when the scan starts
 DEFAULT_FACE_BUDGET = 120_000  # faces of one face lattice
 EQUIVALENCE_BUDGET = 200_000  # nodes of one unimodular_equivalence frame search
 
@@ -341,14 +341,12 @@ class LatticePolytope:
         of exactly the face its carrier cuts out, so one scan answers every
         face's count.  A lower-dimensional polytope reads its chart's table.
         """
-        budget = DEFAULT_POINT_BUDGET if budget is None else budget
-        _int_in(budget, "LatticePolytope.lattice_points: budget", 0, error=InvalidParameterError)
+        if budget is not None:
+            _int_in(budget, "LatticePolytope.lattice_points: budget", 0, error=InvalidParameterError)
         if "points" not in self._cache:
             q, ch = self.normalize_full_dimensional()
             if q is not self:
                 table = sorted((ch.from_chart(y), c) for y, c in q._carriers(budget).items())
-            elif self.dim() == 0:
-                table = [(self.vertices[0], 0)]
             else:
                 facets = self.facet_system()
                 pts = _box_scan(facets, self.vertices, budget, "LatticePolytope.lattice_points")
@@ -532,7 +530,7 @@ class RationalPolytope:
         if not vs:
             return ()
         routine = "RationalPolytope.lattice_points"
-        return tuple(_box_scan(self.halfspaces, vs, DEFAULT_POINT_BUDGET, routine))
+        return tuple(_box_scan(self.halfspaces, vs, None, routine))
 
 
 # -- module-level operations ---------------------------------------------------
@@ -780,12 +778,19 @@ def integer_points(constraints, lo, hi, budget, routine):
     the interval of each coordinate is cut from the fixed prefix and the
     box bounds on the free suffix, so the last coordinate's interval is
     exact and no leaf is wasted.  The root and every tried coordinate value
-    count as nodes; past `budget` nodes a ResourceLimitError names
-    `routine`; a budget that is not a nonnegative int raises
-    InvalidParameterError.  Needs a box of dimension at least one.
+    count as nodes; past `budget` nodes (None: DEFAULT_POINT_BUDGET, read
+    here when the scan starts) a ResourceLimitError names `routine`; a
+    budget that is not a nonnegative int raises InvalidParameterError.  A
+    box of dimension 0 is its root alone: the empty point, when every c <= 0.
     """
+    if budget is None:
+        budget = DEFAULT_POINT_BUDGET
     _int_in(budget, f"{routine}: budget", 0, error=InvalidParameterError)
     d = len(lo)
+    if d == 0:
+        if all(c <= 0 for _, c in constraints):
+            yield ()
+        return
     # rest[j][i]: max over the box of sum_{k >= j} a_i[k] x_k
     rest = [[0] * len(constraints) for _ in range(d + 1)]
     for j in range(d - 1, -1, -1):
@@ -917,7 +922,7 @@ def _width_search(q):
         cons = [(f, 1 - best) for f in diffs] + [(tuple(-x for x in f), 1 - best) for f in diffs]
         bound = [nm * (best - 1) // abs(det_f) for nm in norms]
         box = ([-b for b in bound], bound)
-        for l in integer_points(cons, *box, DEFAULT_POINT_BUDGET, "LatticePolytope.lattice_width"):
+        for l in integer_points(cons, *box, None, "LatticePolytope.lattice_width"):
             if 0 < spread(l) < best:
                 best_l = normalized(l)
                 best = spread(best_l)

@@ -19,7 +19,6 @@ from .errors import (
 )
 from .intlinalg import (
     adjugate,
-    det,
     dot,
     hermite_form,
     invert_unimodular,
@@ -42,9 +41,6 @@ from .polytope import (
     _triangulate_cone,
     integer_points,
 )
-
-FINE_INTERIOR_BUDGET = 50_000_000  # nodes of each Fine-interior scan; read when the scan runs
-
 
 @dataclass(frozen=True)
 class NormalFan:
@@ -110,25 +106,22 @@ class FineInteriorResult:
         return self.dim
 
 
-def _subcone_scan_frame(tri, d):
+def _subcone_scan_frame(tri, rows):
     """Scan data (uinv, tcons, rays) for one simplicial subcone: a coordinate
     change making the ray matrix triangular, and the membership constraints
     and rays in the new coordinates.
 
-    The coordinate change is the transform of the Hermite form of the ray
-    matrix, its columns the rays in their given order, with its rows
+    The coordinate change U is the transform of the Hermite form H of the
+    ray matrix M, its columns the rays in their given order, with its rows
     flipped: ray i then lives in the last i + 1 coordinates, so the prefix
-    x[:j+1] is a triangular image of the last j + 1 rays alone.
+    x[:j+1] is a triangular image of the last j + 1 rays alone.  The new
+    rays U M are the columns of H with its rows flipped, and the membership
+    rows (the rows of |det M| M^{-1}) become rows . U^{-1}.
     """
-    _, u0 = hermite_form([[tri[j][k] for j in range(d)] for k in range(d)])
-    u = [list(r) for r in reversed(u0)]  # flip rows: structured-zero ray matrix
-    uinv = invert_unimodular(u)
-    new_rays = [tuple(sum(u[i][k] * r[k] for k in range(d)) for i in range(d)) for r in tri]
-    # t_j >= 0 in t = M^{-1} n', for M with the rays as columns, reads
-    # <row j of |det M| M^{-1}, n'> >= 0, and |det M| M^{-1} = sign(det M) adj M.
-    det_m, adj = adjugate(transpose(new_rays))
-    tcons = [(tuple(x if det_m > 0 else -x for x in row), 0) for row in adj]
-    return uinv, tcons, new_rays
+    h, u = hermite_form(transpose(tri))
+    uinv = invert_unimodular(u[::-1])
+    tcons = [(vec_mat(row, uinv), 0) for row in rows]
+    return uinv, tcons, list(zip(*h[::-1]))
 
 
 def _no_violator(pair, gcds, m, abs_det):
@@ -138,8 +131,10 @@ def _no_violator(pair, gcds, m, abs_det):
     Every pair_j >= m, so every t_j <= (m - 1) / m < 1.  The rays are
     primitive, so a nonzero point has at least two t_j > 0, and each
     a_j = |det M| t_j = <tcons[j], n'> is then a positive multiple of g_j,
-    the gcd of tcons[j].  So a point needs the two smallest pair_j g_j to
-    sum to at most (m - 1) |det M|; at m = 1 they never do.
+    the gcd of membership row j, in any unimodular coordinates.  So a
+    point needs the two smallest pair_j g_j to
+    sum to at most (m - 1) |det M|.  Each pair_j g_j is at least m, so at
+    m = 1 or |det M| <= 2 they never do.
     """
     return sum(sorted(c * g for c, g in zip(pair, gcds))[:2]) > (m - 1) * abs_det
 
@@ -158,18 +153,18 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
 
     Each round considers every (candidate vertex, simplicial vertex
     subcone) pair, and runs an integer scan only where a violator can
-    exist.  Three exact rules skip the rest:
-    1. The subcone frames are built once the first candidate is nonempty;
-       an empty one needs no scan.
-    2. A subcone with |det M| <= 2, unimodular ones among them, gets no
-       frame: a nonzero point of a region has two t_j > 0 (see
-       _no_violator), each a multiple of 1 / |det M|, so
-       sum_j pair_j t_j >= 2 m / |det M| >= m > m - 1.
-    3. A (subcone, candidate) pair is skipped when _no_violator proves,
-       from the pairings and the gcds of the membership rows, that its
-       region holds no nonzero lattice point.
-    Every scan that runs has FINE_INTERIOR_BUDGET as its node cap; a scan
-    over it raises ResourceLimitError.  The scan region is
+    exist.  Two exact rules skip the rest:
+    1. The subcones are split once the first candidate is nonempty; an
+       empty one needs no scan.
+    2. A (subcone, candidate) pair is skipped when _no_violator proves,
+       from the pairings, |det M| and the gcds of the membership rows,
+       that its region holds no nonzero lattice point; this covers every
+       subcone with |det M| <= 2, unimodular ones among them.
+    The membership rows (rows of |det M| M^{-1}, for M with the rays as
+    columns) and |det M| come from one adjugate of M; a subcone's scan
+    frame is built at its first scan.  Every scan that runs has
+    polytope.DEFAULT_POINT_BUDGET as its node cap; a scan over it raises
+    ResourceLimitError.  The scan region is
     {t >= 0, sum_i pair_i t_i <= m - 1} in the subcone's triangular frame,
     and it carries the region's exact projection onto each prefix of the
     coordinates as d - 1 more constraints: they hold on the whole region,
@@ -182,35 +177,38 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
     d = p.ambient_dim
     halfspaces = {u: c + 1 for u, c in zip(fan.rays, fan.offsets)}
 
-    frames = None  # (vertex, rays, scan frame, |det M|, gcds of tcons) per subcone, rules 1-2
+    subcones = None  # (vertex, rays, membership rows, |det M|, row gcds) per subcone, rule 1
+    frames = {}  # scan frame per subcone index, built at its first scan
     while True:
         poly = RationalPolytope(d, [(u, Fraction(c)) for u, c in halfspaces.items()])
         verts = poly.vertices()
         if not verts:
             return FineInteriorResult(poly, True, -1, False, tuple(sorted(halfspaces)))
-        if frames is None:
-            frames = []
+        if subcones is None:
+            subcones = []
             for i, v in enumerate(p.vertices):
                 cone_rays = [fan.rays[j] for j in sorted(fan.vertex_cones[i])]
                 for tri in _triangulate_cone(cone_rays, d):
-                    abs_det = abs(det(tri))
-                    if abs_det > 2:
-                        frame = _subcone_scan_frame(tri, d)
-                        gcds = [vec_gcd(a) for a, _ in frame[1]]
-                        frames.append((v, tri, frame, abs_det, gcds))
+                    # |det M| M^{-1} = sign(det M) adj M
+                    det_m, adj = adjugate(transpose(tri))
+                    rows = [tuple(x if det_m > 0 else -x for x in row) for row in adj]
+                    subcones.append((v, tri, rows, abs(det_m), [vec_gcd(r) for r in rows]))
         # Each candidate vertex q once in integers: Q = m q, m the lcm of its denominators.
         cleared = []
         for q in verts:
             m = lcm(*(x.denominator for x in q))
             cleared.append((m, [x.numerator * (m // x.denominator) for x in q]))
         found = set()
-        for v, rays, (uinv, tcons, new_rays), abs_det, gcds in frames:
+        for idx, (v, rays, rows, abs_det, gcds) in enumerate(subcones):
             for m, big in cleared:
                 pair = [dot(big, r) - m * dot(v, r) for r in rays]  # m <q - v, r>
                 if any(c < m for c in pair):
                     raise InternalConsistencyError("candidate vertex violates a shifted facet")
                 if _no_violator(pair, gcds, m, abs_det):
                     continue
+                if idx not in frames:
+                    frames[idx] = _subcone_scan_frame(rays, rows)
+                uinv, tcons, new_rays = frames[idx]
                 # m <q - v, n> <= m - 1, that is <m v - Q, n> >= 1 - m.
                 cut = (vec_mat([m * a - b for a, b in zip(v, big)], uinv), 1 - m)
                 # The region satisfies 0 <= t_j <= m / pair_j, so its box is the
@@ -226,9 +224,7 @@ def fine_interior(p: LatticePolytope) -> FineInteriorResult:
                 for i in range(d - 1, 0, -1):
                     prefix = [s - pair[i] * a for s, a in zip(prefix, tcons[i][0])]
                     cuts.append((tuple(prefix), (1 - m) * abs_det))
-                scan = integer_points(
-                    tcons + [cut] + cuts, lo, hi, FINE_INTERIOR_BUDGET, "fine_interior"
-                )
+                scan = integer_points(tcons + [cut] + cuts, lo, hi, None, "fine_interior")
                 for n_t in itertools.islice(filter(any, scan), 4):
                     n = mat_vec(uinv, n_t)
                     # n must lie in this normal cone and violate the candidate.

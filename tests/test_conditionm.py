@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sbvol import conditionm, toric, verification
+from sbvol import conditionm, polytope, toric, verification
 from sbvol.conditionm import (
     check_condition_m,
     cross_check_unrestricted,
@@ -219,7 +219,7 @@ class TestCrossCheck:
 
     def test_budget_error_names_the_cross_check(self, monkeypatch):
         p = hpt()
-        monkeypatch.setattr(conditionm, "WITNESS_BUDGET", 1)
+        monkeypatch.setattr(polytope, "DEFAULT_POINT_BUDGET", 1)
         with pytest.raises(
             ResourceLimitError,
             match=r"^cross_check_unrestricted: integer point scan spent 2 nodes, over its budget of 1"

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from sbvol import conditionm, verification
+from sbvol import polytope, verification
 from sbvol.conditionm import check_condition_m, cross_check_unrestricted, reduced_witnesses
 from sbvol.errors import ResourceLimitError
 from sbvol.families import hpt, schreieder, tpq
@@ -167,7 +167,7 @@ def check_route_one(p, rays=None):
     for i in range(fan.n_rays) if rays is None else rays:
         exists, nodes = dfs_nodes(lambda: oracle_route_one(p, i, fan))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(conditionm, "WITNESS_BUDGET", nodes)
+            mp.setattr(polytope, "DEFAULT_POINT_BUDGET", nodes)
             res = cross_check_unrestricted(p, i)
         assert res.exists_by_exponents == exists == res.exists_by_polytope
 
@@ -196,7 +196,7 @@ def test_route_one_stops_at_its_first_hit(monkeypatch):
     # the oracle spends 42,000 nodes on this ray; the scan stops at its first hit, after 1,076
     p = schreieder(3).polytope
     fan = normal_fan(p)
-    monkeypatch.setattr(conditionm, "WITNESS_BUDGET", 2_000)
+    monkeypatch.setattr(polytope, "DEFAULT_POINT_BUDGET", 2_000)
     res = cross_check_unrestricted(p, 0)
     assert res.exists_by_exponents and res.agree
 

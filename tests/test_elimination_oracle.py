@@ -8,8 +8,8 @@ square and rectangular up to 8 x 8, singular, rank-deficient and
 inconsistent, with int and Fraction entries.  The call sites are covered
 on their real inputs: every Wolfe bordered system of the dim4 distance
 heights and of the staged double-cone chain, every width and equivalence
-frame of the dim4 pipeline, and every subcone frame of the dimension-4
-inputs of criterion 11a.
+frame of the dim4 pipeline, and every subcone adjugate and frame that
+fine_interior builds on the dimension-4 inputs of criterion 11a.
 
 The Smith oracle is the earlier `smith_form`, copied below unchanged apart
 from its name, with separate row and column passes.  The kernel clears
@@ -44,9 +44,9 @@ from sbvol.intlinalg import (
 )
 from sbvol.intlinalg import solve_rational as kernel_solve_rational
 from sbvol.ledger import dim4_pipeline
-from sbvol.polytope import _triangulate_cone, hull
+from sbvol.polytope import hull
 from sbvol.subdivision import _translated, _vertex_list
-from sbvol.toric import normal_fan
+from sbvol.toric import fine_interior
 from sbvol.verification import (
     SEED,
     _c02_hpt,
@@ -402,22 +402,20 @@ def _criterion_11a_dim4_inputs():
 
 
 def test_criterion_11a_subcone_frames(monkeypatch):
-    inverses = _recorded(monkeypatch, toric_module, "adjugate")
-    frames = 0
+    adjugates = _recorded(monkeypatch, toric_module, "adjugate")
+    frames = _recorded(monkeypatch, toric_module, "_subcone_scan_frame")
     inputs = _criterion_11a_dim4_inputs()
     assert len(inputs) > 40
     for p in inputs:
-        fan = normal_fan(p)
-        for cone in fan.vertex_cones:
-            for tri in _triangulate_cone([fan.rays[j] for j in sorted(cone)], 4):
-                _, tcons, new_rays = toric_module._subcone_scan_frame(tri, 4)
-                frames += 1
-                # the earlier scan constraints: rows of |det M| M^{-1}
-                m = transpose(new_rays)
-                abs_det = abs(det(m))
-                assert tcons == [(tuple(int(x * abs_det) for x in row), 0) for row in invert_rational(m)]
-                assert assert_adjugate_agrees(m)
-    assert len(inverses) == frames
+        fine_interior(p)
+    assert len(adjugates) > len(frames) > 40
+    for (m,), _ in adjugates:
+        assert assert_adjugate_agrees(m)  # the membership rows of one subcone
+    for _, (_, tcons, new_rays) in frames:
+        # the earlier scan constraints: rows of |det M| M^{-1} in the new coordinates
+        m = transpose(new_rays)
+        abs_det = abs(det(m))
+        assert tcons == [(tuple(int(x * abs_det) for x in row), 0) for row in invert_rational(m)]
 
 
 def test_class_group_smith_forms(monkeypatch):

@@ -19,10 +19,13 @@ are checked on their own: dropped, they change no generator and no vertex.
 The unpruned oracle, _unpruned_fine_interior, is the kernel as it was
 before it learned to skip scans: it builds a frame for every simplicial
 subcone before the first round, unimodular ones too, and runs every
-(subcone, candidate vertex) scan.  It shares the kernel's subcone frame,
-so the comparison isolates the skipping.  A skipped scan finds nothing,
-so the kernel must return exactly its generators, vertices, dimension,
-emptiness and lattice flag.
+(subcone, candidate vertex) scan.  Its frame, _given_order_scan_frame, is
+the kernel's frame as it was before the membership rows came from the
+adjugate of the ray matrix: the rays in their given order, one Hermite
+form, and the rows from a second adjugate in the new coordinates.  The
+kernel's frame must equal it, so the comparison isolates the skipping.  A
+skipped scan finds nothing, so the kernel must return exactly its
+generators, vertices, dimension, emptiness and lattice flag.
 
 The Hilbert-basis route at the end of this file (RationalCone, vertex_cone,
 _fundamental_parallelepiped, _group_representatives, hilbert_basis) is the
@@ -213,6 +216,27 @@ def _oracle_fine_interior(
     )
 
 
+def _given_order_scan_frame(tri, d):
+    """Scan data (uinv, tcons, rays) for one simplicial subcone: a coordinate
+    change making the ray matrix triangular, and the membership constraints
+    and rays in the new coordinates.
+
+    The coordinate change is the transform of the Hermite form of the ray
+    matrix, its columns the rays in their given order, with its rows
+    flipped: ray i then lives in the last i + 1 coordinates, so the prefix
+    x[:j+1] is a triangular image of the last j + 1 rays alone.
+    """
+    _, u0 = hermite_form([[tri[j][k] for j in range(d)] for k in range(d)])
+    u = [list(r) for r in reversed(u0)]  # flip rows: structured-zero ray matrix
+    uinv = invert_unimodular(u)
+    new_rays = [tuple(sum(u[i][k] * r[k] for k in range(d)) for i in range(d)) for r in tri]
+    # t_j >= 0 in t = M^{-1} n', for M with the rays as columns, reads
+    # <row j of |det M| M^{-1}, n'> >= 0, and |det M| M^{-1} = sign(det M) adj M.
+    det_m, adj = adjugate(transpose(new_rays))
+    tcons = [(tuple(x if det_m > 0 else -x for x in row), 0) for row in adj]
+    return uinv, tcons, new_rays
+
+
 def _unpruned_fine_interior(p: LatticePolytope) -> FineInteriorResult:
     """Intersection of all supporting halfspaces shifted inward by one.
 
@@ -231,7 +255,7 @@ def _unpruned_fine_interior(p: LatticePolytope) -> FineInteriorResult:
     for i, v in enumerate(p.vertices):
         cone_rays = [fan.rays[j] for j in sorted(fan.vertex_cones[i])]
         for tri in _triangulate_cone(cone_rays, d):
-            frames.append((v, tri, toric._subcone_scan_frame(tri, d)))
+            frames.append((v, tri, _given_order_scan_frame(tri, d)))
 
     while True:
         poly = RationalPolytope(d, [(u, Fraction(c)) for u, c in halfspaces.items()])
@@ -517,6 +541,12 @@ def _frame_inputs():
     return _subcones(_criterion_11a_inputs()) + random_cones, unimodular, seven
 
 
+def _membership_rows(tri):
+    """The rows of |det M| M^{-1}, for M with the rays as columns."""
+    det_m, adj = adjugate(transpose(tri))
+    return [tuple(x if det_m > 0 else -x for x in row) for row in adj]
+
+
 def test_one_hermite_form_per_subcone(monkeypatch):
     seen = []
 
@@ -529,8 +559,42 @@ def test_one_hermite_form_per_subcone(monkeypatch):
     assert {d for _, d in general} == {2, 3, 4, 5, 6}
     for tri, d in general + unimodular + seven:
         seen.clear()
-        toric._subcone_scan_frame(tri, d)
+        frame = toric._subcone_scan_frame(tri, _membership_rows(tri))
         assert seen == [_identity_order(tri, d)]
+        assert frame == _given_order_scan_frame(tri, d)
+
+
+def test_every_frame_is_built_for_a_scan_of_its_subcone(monkeypatch):
+    # A frame's Hermite form H = U M is followed by a scan whose membership
+    # rows, rows of |det M| M^{-1} U^{-1}, pair with the columns of the
+    # flipped H (the rays U M) to |det M| times the identity.
+    pending = []  # the flipped H of a frame whose scan has not run yet
+    built = []
+    scans = toric.integer_points
+    real = toric.hermite_form
+
+    def hermite(a):
+        assert not pending, "a frame was built with no scan of its subcone"
+        h, u = real(a)
+        pending.append(h[::-1])
+        built.append(a)
+        return h, u
+
+    def scan(constraints, lo, hi, budget, routine):
+        if pending:
+            new_rays = list(zip(*pending.pop()))
+            table = [[dot(a, r) for r in new_rays] for a, _ in constraints[: len(lo)]]
+            abs_det = table[0][0]
+            assert abs_det > 0
+            assert table == [[abs_det * (i == j) for j in range(len(lo))] for i in range(len(lo))]
+        return scans(constraints, lo, hi, budget, routine)
+
+    monkeypatch.setattr(toric, "hermite_form", hermite)
+    monkeypatch.setattr(toric, "integer_points", scan)
+    for p in _named_polytopes() + _distinct_11a_inputs():
+        fine_interior(p)
+        assert not pending, p.vertices
+    assert len(built) > 500
 
 
 # -- the Hilbert-basis route ---------------------------------------------------------

@@ -8,7 +8,7 @@ from sbvol import cli, toric
 from sbvol.errors import DegenerateInputError, InternalConsistencyError
 from sbvol.families import bounds_table, dilated_simplex, hpt, simplex_product
 from sbvol.polytope import hull
-from sbvol.subdivision import interior_cells, regular_subdivision
+from sbvol.subdivision import distance_height, interior_cells, regular_subdivision
 
 
 class TestInterchange:
@@ -172,6 +172,30 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["valid"] is True
         assert any(c["maximal"] for c in doc["cells"])
+
+    @pytest.mark.parametrize("command", ["subdivide", "ledger"])
+    def test_distance_target_of_a_lower_dimensional_polytope(self, tmp_path, capsys, command):
+        # the target is given in ambient coordinates and read in the polytope's chart
+        p = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0)])
+        big = self.write_polytope(tmp_path, p, "big")
+        inside = self.write_polytope(tmp_path, hull([(1, 0, 0), (0, 1, 0)]), "inside")
+        argv = [command, "--input", big, "--recipe", "distance", "--target"]
+        assert main(argv + [inside]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        q, chart = p.normalize_full_dimensional()
+        target = hull([chart.to_chart(v) for v in ((1, 0, 0), (0, 1, 0))])
+        s = regular_subdivision(q, distance_height(q, target))
+        if command == "subdivide":
+            assert doc["valid"] is True and len(s.maximal_cells) == 4
+            assert doc["cells"] == json.loads(formats.dumps(formats.subdivision_to_dict(s)))["cells"]
+        else:
+            assert doc["verdict"] == "unobstructed"
+        off = self.write_polytope(tmp_path, hull([(1, 0, 0), (0, 1, 1)]), "off")
+        assert main(argv + [off]) == 2
+        assert "--target must lie in the affine span of --input" in capsys.readouterr().err
+        plane = self.write_polytope(tmp_path, hull([(1, 0), (0, 1)]), "plane")
+        assert main(argv + [plane]) == 2
+        assert "--target must lie in Q^3" in capsys.readouterr().err
 
     def test_ledger_command(self, tmp_path, capsys):
         big = self.write_polytope(tmp_path, dilated_simplex(2, 2), "p")

@@ -5,11 +5,9 @@ from math import comb, gcd
 
 import pytest
 
-from sbvol import conditionm as conditionm_module
 from sbvol import dd
 from sbvol import polytope as polytope_module
-from sbvol import toric as toric_module
-from sbvol.conditionm import check_condition_m
+from sbvol.conditionm import check_condition_m, cross_check_unrestricted
 from sbvol.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -213,6 +211,13 @@ class TestLatticePoints:
     def test_lower_dimensional_points(self):
         p = hull([(0, 0), (2, 2)])
         assert p.lattice_points() == ((0, 0), (1, 1), (2, 2))
+
+    def test_zero_dimensional_box(self):
+        # the empty point is the one point of Q^0; the root alone is spent
+        assert RationalPolytope(0, []).lattice_points() == ((),)
+        assert hull([()]).lattice_points() == ((),)
+        assert list(integer_points([((), 0)], [], [], 0, "scan")) == [()]
+        assert list(integer_points([((), 1)], [], [], 0, "scan")) == []
 
 
 class TestFaces:
@@ -702,22 +707,25 @@ class TestRejectsFloatsAndBools:
 
 
 # 4 * simplex(3) runs no Fine-interior scan (its subcones are unimodular),
-# so that row takes a polytope whose Fine interior still scans.
+# so that row takes a polytope whose Fine interior still scans.  Every
+# integer-point scan reads DEFAULT_POINT_BUDGET.
 @pytest.mark.parametrize(
-    "module, constant, call, routine, vertices",
+    "constant, call, routine, vertices",
     [
-        (polytope_module, "DEFAULT_POINT_BUDGET", LatticePolytope.classify, "LatticePolytope.lattice_points", None),
-        (polytope_module, "DEFAULT_FACE_BUDGET", LatticePolytope.f_vector, "face_closure", None),
-        (polytope_module, "EQUIVALENCE_BUDGET", lambda p: unimodular_equivalence(p, p), "unimodular_equivalence", None),
-        (toric_module, "FINE_INTERIOR_BUDGET", fine_interior, "fine_interior", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)]),
-        (conditionm_module, "WITNESS_BUDGET", check_condition_m, "reduced_witnesses", None),
+        ("DEFAULT_POINT_BUDGET", LatticePolytope.classify, "LatticePolytope.lattice_points", None),
+        ("DEFAULT_FACE_BUDGET", LatticePolytope.f_vector, "face_closure", None),
+        ("EQUIVALENCE_BUDGET", lambda p: unimodular_equivalence(p, p), "unimodular_equivalence", None),
+        ("DEFAULT_POINT_BUDGET", fine_interior, "fine_interior", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)]),
+        ("DEFAULT_POINT_BUDGET", check_condition_m, "reduced_witnesses", None),
+        ("DEFAULT_POINT_BUDGET", LatticePolytope.lattice_width, "LatticePolytope.lattice_width", None),
+        ("DEFAULT_POINT_BUDGET", lambda p: cross_check_unrestricted(p, 0), "cross_check_unrestricted", None),
     ],
-    ids=["point", "face", "equivalence", "fine-interior", "witness"],
+    ids=["point", "face", "equivalence", "fine-interior", "witness", "width", "cross-check"],
 )
 def test_each_budget_constant_is_read_when_its_routine_runs(
-    monkeypatch, module, constant, call, routine, vertices
+    monkeypatch, constant, call, routine, vertices
 ):
     p = dilate(simplex(3), 4) if vertices is None else hull(vertices)
-    monkeypatch.setattr(module, constant, 0)
+    monkeypatch.setattr(polytope_module, constant, 0)
     with pytest.raises(ResourceLimitError, match=rf"^{routine}: .* over its budget of 0 \("):
         call(p)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sbvol import dd
+from sbvol import polytope as polytope_module
 from sbvol import toric as toric_module
 from sbvol.errors import DegenerateInputError, ResourceLimitError, UnsupportedInputError
 from sbvol.families import hpt, schreieder
@@ -152,9 +153,9 @@ class TestFineInterior:
             return original(constraints, lo, hi, budget, routine)
 
         monkeypatch.setattr(toric_module, "integer_points", recorded)
-        monkeypatch.setattr(toric_module, "FINE_INTERIOR_BUDGET", 100)
+        monkeypatch.setattr(polytope_module, "DEFAULT_POINT_BUDGET", 100)
         fi = fine_interior(p)
-        assert caps and set(caps) == {100}
+        assert caps and set(caps) == {None}  # the scan reads DEFAULT_POINT_BUDGET
         assert (fi.is_empty, fi.dim, fi.generators) == (
             expected.is_empty,
             expected.dim,
@@ -163,7 +164,7 @@ class TestFineInterior:
 
     def test_budget_error_names_the_scan(self, monkeypatch):
         p = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)])
-        monkeypatch.setattr(toric_module, "FINE_INTERIOR_BUDGET", 0)
+        monkeypatch.setattr(polytope_module, "DEFAULT_POINT_BUDGET", 0)
         with pytest.raises(
             ResourceLimitError,
             match=r"^fine_interior: integer point scan spent 2 nodes, over its budget of 0"
@@ -173,7 +174,7 @@ class TestFineInterior:
 
     def test_budget_error_names_a_plane_scan(self, monkeypatch):
         p = hull([(0, 0), (7, 2), (3, 9)])
-        monkeypatch.setattr(toric_module, "FINE_INTERIOR_BUDGET", 10)
+        monkeypatch.setattr(polytope_module, "DEFAULT_POINT_BUDGET", 10)
         with pytest.raises(
             ResourceLimitError,
             match=r"^fine_interior: integer point scan spent 11 nodes, over its budget of 10"
@@ -188,7 +189,7 @@ class TestFineInterior:
             [(-3, -3, 2, 0), (-3, 1, 2, 0), (-3, 3, -2, 0), (-2, -1, -1, 1), (-1, -3, 3, 1),
              (1, 0, -1, 3), (2, -1, 3, 0), (2, 3, -2, 2), (3, -2, -2, 2)]
         )
-        monkeypatch.setattr(toric_module, "FINE_INTERIOR_BUDGET", 20_000)
+        monkeypatch.setattr(polytope_module, "DEFAULT_POINT_BUDGET", 20_000)
         fi = fine_interior(p)
         assert (fi.is_empty, fi.dim, len(fi.vertices())) == (False, 4, 40)
 
