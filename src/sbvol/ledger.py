@@ -207,15 +207,18 @@ def volume_ledger(
             groups.append([q, tag, coeff, 1])
     entries = tuple(
         LedgerEntry(*g)
-        for g in sorted(groups, key=lambda g: (g[0].dim(), g[0].fingerprint()))
+        for g in sorted(groups, key=lambda g: g[0].fingerprint())
         if g[2] != 0
     )
     return Ledger(point_coeff, entries)
 
 
 def _width_certificates(s: Subdivision, parents):
-    """Width certificates of the full-dimensional maximal cells in the bitmask parents, lazily.
+    """Width certificates of the full-dimensional maximal cells in the bitmask parents.
 
+    classify_cell takes every certificate before it tests any, so each
+    parent's width is searched; that costs nothing extra, since every
+    maximal cell is an interior cell and is classified by its own width.
     A lower-dimensional cell's certificate is in its chart's coordinates,
     not the ambient ones, so it lends none.
     """

@@ -37,7 +37,7 @@ from .intlinalg import (
 
 DEFAULT_POINT_BUDGET = 5_000_000  # nodes of each integer-point scan; read when the scan starts
 DEFAULT_FACE_BUDGET = 120_000  # faces of one face lattice
-EQUIVALENCE_BUDGET = 200_000  # nodes of one unimodular_equivalence frame search
+EQUIVALENCE_BUDGET = 200_000  # complete frames (search leaves) of one unimodular_equivalence
 
 
 def _is_rational(x):
@@ -158,8 +158,9 @@ class AffineChart:
 
     def to_chart(self, x):
         """Chart coordinates of an ambient point; exact, raises off the span."""
+        x = _check_ambient(self.ambient_dim, x)
         if self.is_identity():
-            return tuple(x)
+            return x
         diff = [a - b for a, b in zip(x, self.base)]
         image = [_lowest(dot(row, diff)) for row in self._transform]
         if any(image[self.dim :]):
@@ -167,8 +168,9 @@ class AffineChart:
         return tuple(image[: self.dim])
 
     def from_chart(self, y):
+        y = _check_ambient(self.dim, y)
         if self.is_identity():
-            return tuple(y)
+            return y
         return tuple(
             _lowest(b + sum(c * row[j] for c, row in zip(y, self.basis)))
             for j, b in enumerate(self.base)
@@ -222,6 +224,7 @@ class AffineUnimodularMap:
         return tuple(dot(r, x) + t for r, t in zip(self.linear, self.translation))
 
     def apply_polytope(self, p: "LatticePolytope") -> "LatticePolytope":
+        _instance(p, LatticePolytope, "a lattice polytope")
         return LatticePolytope._trusted(self.dim, sorted(self.apply(v) for v in p.vertices))
 
 
@@ -451,7 +454,11 @@ class LatticePolytope:
         return self._cache["classify"]
 
     def fingerprint(self):
-        """Unimodular-invariant summary used to screen equivalence candidates."""
+        """Unimodular-invariant summary, dimension first: the order of the ledger's entries.
+
+        It is exported as the `fingerprint` of each `sbvol ledger` entry;
+        `unimodular_equivalence` does not read it.
+        """
         if "fingerprint" not in self._cache:
             d = self.dim()
             base = (
@@ -682,20 +689,25 @@ class EquivalenceResult:
 def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope):
     """Search for an affine unimodular map with T(p) = q.
 
-    Polytopes are first compared by unimodular-invariant fingerprints
-    (definite inequivalence on mismatch), then a vertex-anchored frame
-    search spends at most EQUIVALENCE_BUDGET nodes; a spent budget raises
+    Both inputs are taken to the lattice of their spans.  They are
+    inequivalent unless the dimension, the normalized volume and the
+    sorted facet counts at the vertices (read off the vertex-facet table
+    that also filters the search's candidates) agree.  Otherwise a
+    vertex-anchored frame search decides, trying at most
+    EQUIVALENCE_BUDGET complete frames; a spent budget raises
     ResourceLimitError instead of reading as either answer.  The ambient
     map is provided when both inputs are full-dimensional in the same
     ambient space, or are points of one space.
     """
-    _instance(p, LatticePolytope, "a lattice polytope")
-    _instance(q, LatticePolytope, "a lattice polytope")
-    if p.fingerprint() != q.fingerprint():
-        return EquivalenceResult("inequivalent", None)
-    pa, chart_p = p.normalize_full_dimensional()
-    qa, chart_q = q.normalize_full_dimensional()
+    pa, chart_p = _instance(p, LatticePolytope, "a lattice polytope").normalize_full_dimensional()
+    qa, chart_q = _instance(q, LatticePolytope, "a lattice polytope").normalize_full_dimensional()
     d = pa.dim()
+    # the number of facets at each vertex, read off the vertex-facet table
+    p_tight, q_tight = ([m.bit_count() for m in a._vertex_carriers()] for a in (pa, qa))
+    if (d, pa.normalized_volume(), sorted(p_tight)) != (
+        qa.dim(), qa.normalized_volume(), sorted(q_tight)
+    ):
+        return EquivalenceResult("inequivalent", None)
     if d == 0:
         shift = tuple(a - b for a, b in zip(q.vertices[0], p.vertices[0]))
         m = AffineUnimodularMap.identity(p.ambient_dim)
@@ -711,9 +723,8 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope):
     # rows w_j; with D = det F, the integer matrix D F^{-1} is computed once.
     det_f, adj = adjugate([list(diffs[i]) for i in frame_idx])
 
-    p_tight = [m.bit_count() for m in pa._vertex_carriers()]  # facets at each vertex
     p_counts = [p_tight[i + 1] for i in frame_idx]
-    q_count_of = {w: m.bit_count() for w, m in zip(qv, qa._vertex_carriers())}
+    q_count_of = dict(zip(qv, q_tight))
     v0_count = p_tight[0]
 
     nodes = 0

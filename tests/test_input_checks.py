@@ -64,6 +64,7 @@ SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = hull([(0, 0), (1, 0), (0, 1)])
 CUBE = hull(list(product((0, 1), repeat=3)))
 STRIP = [((1, 0), 0), ((-1, 0), -1)]  # 0 <= x <= 1 in Q^2
+FLAT = hull([(0, 0, 0, 0, 0), (4, 0, 0, 0, 0), (0, 4, 0, 0, 0), (0, 0, 4, 0, 0)])  # a 3-chart in Z^5
 
 Deg, Dim, Par = DegenerateInputError, DimensionMismatchError, InvalidParameterError
 
@@ -79,6 +80,12 @@ ROWS = [
     ("distance-int", lambda: min_squared_distance(SQUARE, 5), Deg),
     ("boundary-int-point", lambda: lies_in_boundary(SQUARE, [5]), Deg),
     ("boundary-int-points", lambda: lies_in_boundary(SQUARE, 5), Deg),
+    ("to-chart-shorter-point", lambda: FLAT.chart().to_chart((1, 1, 1)), Dim),
+    ("from-chart-shorter-point", lambda: FLAT.chart().from_chart((1, 1)), Dim),
+    ("from-chart-longer-point", lambda: FLAT.chart().from_chart((1, 1, 1, 1)), Dim),
+    ("identity-to-chart-longer-point", lambda: SQUARE.chart().to_chart((0, 0, 7)), Dim),
+    ("identity-from-chart-shorter-point", lambda: SQUARE.chart().from_chart((0,)), Dim),
+    ("pipeline-small-space", lambda: dim4_pipeline(FLAT, CUBE, builtin_seed_registry()), Dim),
     # a sequence where an int is given
     ("hull-int", lambda: hull(5), Deg),
     ("hull-int-points", lambda: hull([5, 6]), Deg),
@@ -109,6 +116,7 @@ ROWS = [
     # a polytope, a subdivision, a map or a class group
     ("subdivision-cell-int", lambda: make_subdivision(SQUARE, [5]), Deg),
     ("equivalence-int", lambda: unimodular_equivalence(SQUARE, 5), Deg),
+    ("map-apply-polytope-int", lambda: AffineUnimodularMap.identity(2).apply_polytope(5), Deg),
     ("containment-int-polytope", lambda: containment_certificate(5, SQUARE), Deg),
     ("containment-int-map", lambda: containment_certificate(SQUARE, SQUARE, 5), Deg),
     ("ledger-int-subdivision", lambda: volume_ledger(SQUARE, 5), Deg),
@@ -206,6 +214,9 @@ def test_the_rejected_values_are_valid_one_step_away():
     assert double_cone(SQUARE, [((0, 0, 1), (0, 0, -1))]).polytope.dim() == 3
     assert extend_schreieder(schreieder(3), [(0, 0, 1)]).ambient_dim == 11
     assert AffineUnimodularMap.identity(2).apply((Fraction(1, 2), 1)) == (Fraction(1, 2), 1)
+    assert AffineUnimodularMap.identity(2).apply_polytope(SQUARE) == SQUARE
+    assert FLAT.chart().from_chart(FLAT.chart().to_chart((1, 1, 1, 0, 0))) == (1, 1, 1, 0, 0)
+    assert SQUARE.chart().from_chart(SQUARE.chart().to_chart((Fraction(1, 2), 1))) == (Fraction(1, 2), 1)
     assert unimodular_equivalence(SQUARE, SQUARE).found and normal_fan(SQUARE).n_rays == 4
     assert containment_certificate(SQUARE, SQUARE, AffineUnimodularMap.identity(2)).contained
     assert validate(make_subdivision(SQUARE, [SQUARE])).ok
