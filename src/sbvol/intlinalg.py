@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DegenerateInputError, InternalConsistencyError
 
@@ -31,26 +32,23 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Matrix, x) -> Vector:
-    return tuple(sum(c * v for c, v in zip(row, x)) for row in a)
+    return tuple(sum(map(mul, row, x)) for row in a)
 
 
 def vec_mat(x, a: Matrix) -> Vector:
-    return tuple(sum(x[i] * a[i][j] for i in range(len(a))) for j in range(len(a[0])))
+    return tuple(sum(map(mul, x, col)) for col in zip(*a))
 
 
 def dot(x, y) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def vec_gcd(x) -> int:
-    g = 0
-    for v in x:
-        g = gcd(g, abs(v))
-    return g
+    return gcd(*x)
 
 
 def primitive(x) -> Vector:

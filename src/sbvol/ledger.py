@@ -89,9 +89,12 @@ def classify_cell(
 ) -> CellClassTag:
     """Tag a subdivision cell by the reason its class is under control.
 
-    Rationality rules come first (width one, dimension at most one, empty
+    Rationality rules come first (dimension at most one, width one, empty
     Fine interior in dimension at most three), then registered seeds, then
     interior lattice points, which certify strong variation on their own.
+    The Fine interior is computed only for a cell with no interior lattice
+    point: such a point m has <m, n> > ord(n), both integers, for every
+    primitive n, so it lies in the Fine interior and the rule cannot fire.
 
     certificates is an iterable of integer functionals on the ambient
     space (anything else raises), such as the width certificates of the
@@ -113,7 +116,7 @@ def classify_cell(
     q, _ = cell.normalize_full_dimensional()
     if q.lattice_width()[0] == 1:
         return CellClassTag("rational", "lattice width one")
-    if d <= 3 and fine_interior(q).is_empty:
+    if d <= 3 and q.n_interior_points() == 0 and fine_interior(q).is_empty:
         return CellClassTag(
             "rational", "empty fine interior in dimension at most three"
         )

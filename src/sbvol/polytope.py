@@ -33,6 +33,7 @@ from .intlinalg import (
     rank,
     transpose,
     vec_gcd,
+    vec_mat,
 )
 
 DEFAULT_POINT_BUDGET = 5_000_000  # nodes of each integer-point scan; read when the scan starts
@@ -171,10 +172,9 @@ class AffineChart:
         y = _check_ambient(self.dim, y)
         if self.is_identity():
             return y
-        return tuple(
-            _lowest(b + sum(c * row[j] for c, row in zip(y, self.basis)))
-            for j, b in enumerate(self.base)
-        )
+        if not self.dim:
+            return tuple(map(_lowest, self.base))
+        return tuple(_lowest(b + s) for b, s in zip(self.base, vec_mat(y, self.basis)))
 
 
 @dataclass(frozen=True)
@@ -689,23 +689,28 @@ class EquivalenceResult:
 def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope):
     """Search for an affine unimodular map with T(p) = q.
 
-    Both inputs are taken to the lattice of their spans.  They are
-    inequivalent unless the dimension, the normalized volume and the
-    sorted facet counts at the vertices (read off the vertex-facet table
-    that also filters the search's candidates) agree.  Otherwise a
-    vertex-anchored frame search decides, trying at most
-    EQUIVALENCE_BUDGET complete frames; a spent budget raises
-    ResourceLimitError instead of reading as either answer.  The ambient
-    map is provided when both inputs are full-dimensional in the same
-    ambient space, or are points of one space.
+    Both inputs are taken to the lattice of their spans.  Each vertex v
+    gets its distance row: the lattice distances <n, v> - c to the facets
+    (n, c), sorted.  The normals are primitive, so each entry is an integer
+    that a unimodular map keeps, and the zeros of a row count the facets at
+    its vertex.  The inputs are inequivalent unless the dimension, the
+    normalized volume and the sorted rows agree.  Otherwise a
+    vertex-anchored frame search decides, sending each frame vertex only
+    to vertices of the same row, which cuts only frames that cannot map;
+    it tries at most EQUIVALENCE_BUDGET complete frames, and a spent
+    budget raises ResourceLimitError instead of reading as either answer.
+    The ambient map is provided when both inputs are full-dimensional in
+    the same ambient space, or are points of one space.
     """
     pa, chart_p = _instance(p, LatticePolytope, "a lattice polytope").normalize_full_dimensional()
     qa, chart_q = _instance(q, LatticePolytope, "a lattice polytope").normalize_full_dimensional()
     d = pa.dim()
-    # the number of facets at each vertex, read off the vertex-facet table
-    p_tight, q_tight = ([m.bit_count() for m in a._vertex_carriers()] for a in (pa, qa))
-    if (d, pa.normalized_volume(), sorted(p_tight)) != (
-        qa.dim(), qa.normalized_volume(), sorted(q_tight)
+    p_rows, q_rows = (
+        [tuple(sorted(dot(n, v) - c for n, c in a.facet_system())) for v in a.vertices]
+        for a in (pa, qa)
+    )
+    if (d, pa.normalized_volume(), sorted(p_rows)) != (
+        qa.dim(), qa.normalized_volume(), sorted(q_rows)
     ):
         return EquivalenceResult("inequivalent", None)
     if d == 0:
@@ -723,17 +728,16 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope):
     # rows w_j; with D = det F, the integer matrix D F^{-1} is computed once.
     det_f, adj = adjugate([list(diffs[i]) for i in frame_idx])
 
-    p_counts = [p_tight[i + 1] for i in frame_idx]
-    q_count_of = dict(zip(qv, q_tight))
-    v0_count = p_tight[0]
+    frame_rows = [p_rows[i + 1] for i in frame_idx]
+    q_row_of = dict(zip(qv, q_rows))
 
     nodes = 0
     for w0 in qv:
-        if q_count_of[w0] != v0_count:
+        if q_row_of[w0] != p_rows[0]:
             continue
         cands = [
-            [tuple(a - b for a, b in zip(w, w0)) for w in qv if w != w0 and q_count_of[w] == pc]
-            for pc in p_counts
+            [tuple(a - b for a, b in zip(w, w0)) for w in qv if w != w0 and q_row_of[w] == row]
+            for row in frame_rows
         ]
 
         def search(depth, picked):

@@ -23,7 +23,7 @@ from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
 )
-from .intlinalg import adjugate, dot
+from .intlinalg import adjugate, dot, vec_mat
 from .polytope import (
     LatticePolytope,
     RationalPolytope,
@@ -249,7 +249,7 @@ def _combination(points, weights):
     """(Y, D) with sum w_i p_i = Y / D: Y is integer for integer points, D > 0."""
     den = lcm(*(w.denominator for w in weights))
     ints = [int(w * den) for w in weights]
-    return tuple(sum(c * p[t] for c, p in zip(ints, points)) for t in range(len(points[0]))), den
+    return vec_mat(ints, points), den
 
 
 def _certify_min_norm(points, weights, y):

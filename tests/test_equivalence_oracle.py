@@ -5,8 +5,9 @@ its budget read through the module, so a test can lower it for both:
 it answers "inequivalent" whenever the two fingerprints differ (dimension,
 vertex and lattice-point counts, volume, width, f-vector) and runs the
 frame search otherwise.  The package now screens only by the dimension,
-the normalized volume and the sorted facet counts at the vertices, so more
-pairs reach the search.  Both must give the same status and the same map
+the normalized volume and the sorted lattice distances from each vertex to
+the facets, so more pairs reach the search, and its search sends a frame
+vertex only to vertices of the same distances.  Both must give the same status and the same map
 on the images of criterion 11b, on every pair of T(p, q) with q <= 7, on
 the named polytopes and families, on every pair of interior cells of
 criterion 5 and of seeded regular subdivisions in dimensions 2 to 4 (so
@@ -265,11 +266,25 @@ def test_the_screen_reads_no_fingerprint_width_scan_or_face_lattice(monkeypatch)
 
 
 def test_simplices_of_one_volume_reach_the_search(monkeypatch):
-    # Every simplex has d facets at each vertex, so two of one dimension and
-    # volume pass the screen, even when their lattice-point counts (5 and 4)
-    # tell them apart; the search then decides, within its budget.
-    a, b = hull([(0, 0), (3, 0), (0, 1)]), hull([(0, 0), (2, 1), (1, 2)])
+    # Two simplices of one dimension and volume whose vertices have the same
+    # distances to the facets pass the screen, even when their widths (3 and
+    # 2) tell them apart; the search then decides, within its budget.
+    a, b = hull([(0, 0), (0, 2), (4, 3)]), hull([(0, 0), (0, 2), (4, 1)])
     assert assert_agrees([(a, b)]) == {"found": 0, "inequivalent": 1}
     monkeypatch.setattr(polytope, "EQUIVALENCE_BUDGET", 0)
     with pytest.raises(ResourceLimitError, match="unimodular_equivalence.*budget of 0"):
         unimodular_equivalence(a, b)
+
+
+def test_distance_rows_cut_frames_that_cannot_map(monkeypatch):
+    # A frame vertex goes only to vertices at the same distances from the
+    # facets; the earlier search, which matched only the facet counts, spent
+    # 26 frames here, and this one finds the same map within 25.
+    a = hull([(0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)])
+    b = hull(
+        [(-3, -4, 3, 0), (-3, -3, 3, -2), (-2, -4, 3, 0), (-2, -3, 2, 0), (-1, -3, 2, -1), (-1, -2, 2, -1)]
+    )
+    monkeypatch.setattr(polytope, "EQUIVALENCE_BUDGET", 25)
+    got = unimodular_equivalence(a, b)
+    linear = ((0, 0, 1, -1), (1, 0, 1, 0), (0, 0, -1, 0), (-1, 1, 0, 0))
+    assert got == EquivalenceResult("found", AffineUnimodularMap(linear, (-2, -4, 3, -1)))

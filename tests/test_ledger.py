@@ -12,8 +12,11 @@ from sbvol.errors import (
     SubdivisionError,
 )
 from sbvol.families import builtin_seed_registry, hpt, kollar_totaro
+from sbvol.intlinalg import dot
 from sbvol.ledger import (
+    CellClassTag,
     SeedRegistry,
+    _width_certificates,
     classify_cell,
     dim4_pipeline,
     verdict,
@@ -21,12 +24,15 @@ from sbvol.ledger import (
 )
 from sbvol.polytope import AffineUnimodularMap, LatticePolytope, dilate, hull
 from sbvol.subdivision import (
+    _interior,
     height_function,
     interior_cells,
     make_subdivision,
     regular_subdivision,
     validate,
 )
+from sbvol.toric import fine_interior
+from sbvol.verification import SEED, _random_polytope
 
 
 def simplex(n):
@@ -105,6 +111,70 @@ class TestSeedRegistry:
         monkeypatch.setattr(polytope, "EQUIVALENCE_BUDGET", 0)
         with pytest.raises(ResourceLimitError, match="unimodular_equivalence"):
             reg.match(translate(hpt(), (1, 2, 3, 4, 5)))
+
+
+def oracle_classify_cell(cell, seeds=None, certificates=()):
+    """The earlier classify_cell: the Fine interior of every cell of dimension 2 or 3 it reaches."""
+    d = cell.dim()
+    if d <= 1:
+        return CellClassTag("rational", "dimension at most one")
+    for l in certificates:
+        values = [dot(l, v) for v in cell.vertices]
+        if max(values) - min(values) == 1:
+            return CellClassTag("rational", "lattice width one")
+    q, _ = cell.normalize_full_dimensional()
+    if q.lattice_width()[0] == 1:
+        return CellClassTag("rational", "lattice width one")
+    if d <= 3 and fine_interior(q).is_empty:
+        return CellClassTag("rational", "empty fine interior in dimension at most three")
+    if seeds is not None:
+        entry = seeds.match(q)
+        if entry is not None:
+            varying = bool(entry.condition_m) or q.n_interior_points() >= 1
+            why = f"registered non-stably-rational seed {entry.name!r}"
+            if varying:
+                why += " with strong variation"
+            return CellClassTag("seed", why, entry.name, varying)
+    interior = q.n_interior_points()
+    if interior == 1:
+        return CellClassTag("strongly_varying", "unique interior lattice point", None, True)
+    if interior > 1:
+        return CellClassTag("strongly_varying", f"{interior} interior lattice points", None, True)
+    return CellClassTag("unknown", "no rationality or variation rule applies")
+
+
+def test_fine_interior_runs_only_on_cells_without_interior_points(monkeypatch):
+    # An interior lattice point lies in the Fine interior, so classify_cell
+    # skips the Fine interior of such a cell, and every tag stays the earlier
+    # rule's: on criterion 5, on dim4-ledger's subdivision and on seeded
+    # regular subdivisions in dimensions 2 to 4.
+    p = dilate(simplex(3), 4)
+    cases = [(p, regular_subdivision(p, height_function(p, lambda v: abs(v[0] + v[1] + 2 * v[2] - 4))), None)]
+    reg = builtin_seed_registry()
+    reg.register("double-cover-3-4", kollar_totaro(3, 4), "double cover bound")
+    big = dilate(simplex(4), 4)
+    cases.append((big, dim4_pipeline(big, kollar_totaro(3, 4), reg).subdivision, reg))
+    rng = random.Random(SEED + 29)
+    for dim, coord in ((2, 3), (2, 4), (3, 2), (3, 3), (4, 2)):
+        q = _random_polytope(rng, dim, coord=coord, extra=3)
+        cases.append((q, regular_subdivision(q, {x: rng.randint(0, 6) for x in q.lattice_points()}), None))
+
+    def guarded(q):
+        if q.n_interior_points():
+            raise AssertionError(f"Fine interior of a cell with an interior point: {q!r}")
+        return fine_interior(q)
+
+    monkeypatch.setattr(ledger_module, "fine_interior", guarded)
+    skipped = 0
+    for big, s, seeds in cases:
+        for j in _interior(s, big):
+            cell = s.cells[j]
+            certs = list(_width_certificates(s, s.cell_parents[j]))
+            fresh = LatticePolytope._trusted(cell.ambient_dim, cell.vertices)
+            old = oracle_classify_cell(fresh, seeds, certs)
+            assert classify_cell(cell, seeds, certs) == old, cell
+            skipped += 2 <= cell.dim() <= 3 and fresh.n_interior_points() > 0
+    assert skipped
 
 
 class TestVolumeLedger:
