@@ -3,10 +3,11 @@
 This single engine backs every hull-type computation in the package:
 facet systems of lattice polytopes, vertex enumeration of rational
 halfspace systems, facets of rational cones, and lower hulls of lifted
-point sets, all in integer arithmetic.  Each run also yields its incidence
-table: every ray's zero set over the input rows, such as a facet's points.
-The facets of a full-dimensional simplex need no run: they are the columns
-of one adjugate, in closed form.
+point sets (one run on the lifted points and the vertical direction), all
+in integer arithmetic.  Each run also yields its incidence table: every
+ray's zero set over the input rows, such as a facet's points.  The facets
+of a full-dimensional simplex need no run: they are the columns of one
+adjugate, whose determinant is also its normalized volume.
 """
 
 from __future__ import annotations
@@ -106,27 +107,43 @@ def extreme_rays(constraints, dim):
     return [r for r, _ in rays], sorted(lineality), [zs | skipped for _, zs in rays]
 
 
-def _simplex_rays(rows):
-    """(rays, zero_sets) of the cone {y : <a, y> >= 0} over n linearly independent rows in R^n.
+def simplex_facets(points):
+    """(|det|, facets, tight) of dim + 1 points in Z^dim; None when they are affinely dependent.
 
-    With A the matrix of the rows, A adj(A) = det(A) I: column i of
+    With A the matrix of the rows (p, 1), A adj(A) = det(A) I: column i of
     sign(det A) adj(A) pairs to |det A| > 0 with row i and to 0 with every
-    other row.  Made primitive it is the extreme ray zero on every row but
-    i, and there are no others.  Sorted as extreme_rays sorts; dependent
-    rows raise as a lineality space would.
+    other row.  Made primitive it is the ray (n, -c) of the facet opposite
+    points[i], tight on every point but i, and there are no others.  |det A|
+    is the normalized volume of the simplex, and its being nonzero is the
+    proof that the points span Z^dim affinely.  Facets are sorted as
+    facet_normals_from_points sorts them.
     """
-    n = len(rows)
+    n = len(points)
+    rows = [tuple(p) + (1,) for p in points]
     for a in rows:
         if len(a) != n:
             raise DimensionMismatchError(f"constraint of length {len(a)} in dimension {n}")
     try:
         det, adj = adjugate(rows)
     except DegenerateInputError:
-        raise DegenerateInputError("point set is not full-dimensional") from None
+        return None
     sign = 1 if det > 0 else -1
     every = (1 << n) - 1
     rays = sorted((primitive([sign * row[i] for row in adj]), every ^ 1 << i) for i in range(n))
-    return [r for r, _ in rays], [zs for _, zs in rays]
+    return (abs(det), *_facets(rays, n - 1))
+
+
+def _facets(rays, dim):
+    """(facets, tight) from sorted (ray, zero set) pairs over the rows (p, 1) of points in Z^dim.
+
+    Distinct facets have distinct normals, so the rays' order is the facets'.
+    """
+    facets, tight = [], []
+    for r, zs in rays:
+        if any(r[:dim]):  # else the ray (0, 1), present only in degenerate low dimensions
+            facets.append((r[:dim], -r[dim]))
+            tight.append(zs)
+    return facets, tight
 
 
 def facet_normals_from_points(points):
@@ -141,20 +158,15 @@ def facet_normals_from_points(points):
     if not points:
         raise DegenerateInputError("no points given")
     dim = len(points[0])
-    constraints = [tuple(p) + (1,) for p in points]
     if len(points) == dim + 1:
-        rays, zero_sets = _simplex_rays(constraints)
-    else:
-        rays, lineality, zero_sets = extreme_rays(constraints, dim + 1)
-        if lineality:
+        simplex = simplex_facets(points)
+        if simplex is None:
             raise DegenerateInputError("point set is not full-dimensional")
-    # Distinct facets have distinct normals, so the rays' order is the facets'.
-    facets, tight = [], []
-    for r, zs in zip(rays, zero_sets):
-        if any(r[:dim]):  # else the ray (0, 1), present only in degenerate low dimensions
-            facets.append((r[:dim], -r[dim]))
-            tight.append(zs)
-    return facets, tight
+        return simplex[1:]
+    rays, lineality, zero_sets = extreme_rays([tuple(p) + (1,) for p in points], dim + 1)
+    if lineality:
+        raise DegenerateInputError("point set is not full-dimensional")
+    return _facets(zip(rays, zero_sets), dim)
 
 
 def vertices_from_halfspaces(halfspaces, dim):

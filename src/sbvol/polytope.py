@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import ceil, floor, gcd, lcm
 
 from . import dd
@@ -110,19 +111,46 @@ def _lowest(v):
     return v.numerator if v.denominator == 1 else v
 
 
+@cache
 def _eye(n):
     return tuple(map(tuple, identity_matrix(n)))
 
 
+def _rows(x, what):
+    """x as a tuple of tuples; anything that is not a sequence of sequences raises."""
+    return tuple(_as_tuple(r, what) for r in _as_tuple(x, what))
+
+
 @dataclass(frozen=True)
 class AffineChart:
-    """Exact isomorphism between the affine lattice of a span and Z^dim."""
+    """Exact isomorphism between the affine lattice of a span and Z^dim.
+
+    A chart of dimension ambient_dim whose basis and transform are the
+    identity is a shift: the coordinates of x are x - base.
+    """
 
     ambient_dim: int
     dim: int
     base: tuple
     basis: tuple  # rows, each an ambient integer vector
     _transform: tuple = field(repr=False, default=())  # unimodular U with U B^T = [I; 0]
+
+    def __post_init__(self):
+        n = _int_in(self.ambient_dim, "chart ambient dimension", 0)
+        d = _int_in(self.dim, "chart dimension", 0, n)
+        base = _as_tuple(self.base, "chart base")
+        basis = _rows(self.basis, "chart basis")
+        transform = _rows(self._transform, "chart transform")
+        if len(base) != n:
+            raise DegenerateInputError(f"chart base {base!r} is not a point of Q^{n}")
+        if len(basis) != d or any(len(r) != n for r in basis):
+            raise DegenerateInputError(f"chart basis {basis!r} is not {d} vectors of Z^{n}")
+        if len(transform) != n or any(len(r) != n for r in transform):
+            raise DegenerateInputError(f"chart transform {transform!r} is not {n} x {n}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_transform", transform)
+        object.__setattr__(self, "_shift", d == n and basis == transform == _eye(n))
 
     @staticmethod
     def identity(n):
@@ -136,7 +164,9 @@ class AffineChart:
         kernel of the differences.  One Hermite transform U with
         U B^T = [I; 0] certifies that B is a lattice basis and is the whole
         chart: the first dim entries of U (x - base) are the coordinates of
-        x, and the others vanish exactly when x lies in the span.
+        x, and the others vanish exactly when x lies in the span.  Points
+        that span the ambient space get the shift chart, whose B and U are
+        the identity, on the rank of their differences alone.
         """
         base = tuple(points[0])
         n = len(base)
@@ -144,9 +174,9 @@ class AffineChart:
         diffs = [v for v in diffs if any(v)]
         if not diffs:
             return AffineChart(n, 0, base, (), _eye(n))
-        equations = integer_kernel(diffs)
-        if not equations:
+        if len(diffs) >= n and rank(diffs) == n:
             return AffineChart(n, n, base, _eye(n), _eye(n))
+        equations = integer_kernel(diffs)
         basis = integer_kernel(equations)
         d = len(basis)
         h, u = hermite_form(transpose(basis))
@@ -155,13 +185,15 @@ class AffineChart:
         return AffineChart(n, d, base, tuple(basis), tuple(tuple(r) for r in u))
 
     def is_identity(self):
-        return self.dim == self.ambient_dim and all(x == 0 for x in self.base)
+        return self._shift and not any(self.base)
 
     def to_chart(self, x):
         """Chart coordinates of an ambient point; exact, raises off the span."""
         x = _check_ambient(self.ambient_dim, x)
         if self.is_identity():
             return x
+        if self._shift:
+            return tuple(_lowest(a - b) for a, b in zip(x, self.base))
         diff = [a - b for a, b in zip(x, self.base)]
         image = [_lowest(dot(row, diff)) for row in self._transform]
         if any(image[self.dim :]):
@@ -266,10 +298,22 @@ class LatticePolytope:
     # -- basic geometry ----------------------------------------------------
 
     def dim(self) -> int:
+        """The dimension; ambient_dim + 1 vertices try the simplex's one adjugate first.
+
+        A nonzero determinant proves the simplex full-dimensional, and the
+        same adjugate gives its normalized volume, facets and tight sets,
+        which are cached with it.  Any other vertex set is ranked.
+        """
         if "dim" not in self._cache:
-            v0 = self.vertices[0]
-            diffs = [[x - y for x, y in zip(v, v0)] for v in self.vertices[1:]]
-            self._cache["dim"] = rank(diffs) if diffs else 0
+            n = self.ambient_dim
+            simplex = dd.simplex_facets(self.vertices) if len(self.vertices) == n + 1 > 1 else None
+            if simplex is not None:
+                nvol, facets, tight = simplex
+                self._cache.update(nvol=nvol, facets=tuple(facets), tight=tuple(tight), dim=n)
+            else:
+                v0 = self.vertices[0]
+                diffs = [[x - y for x, y in zip(v, v0)] for v in self.vertices[1:]]
+                self._cache["dim"] = rank(diffs) if diffs else 0
         return self._cache["dim"]
 
     def is_full_dimensional(self) -> bool:
@@ -303,8 +347,9 @@ class LatticePolytope:
                 raise DegenerateInputError(
                     "facet system requires a full-dimensional polytope; normalize first"
                 )
-            facets, tight = dd.facet_normals_from_points(self.vertices) if self.dim() else ((), ())
-            self._cache["facets"], self._cache["tight"] = tuple(facets), tuple(tight)
+            if "facets" not in self._cache:  # else a simplex's dim() has just found them
+                facets, tight = dd.facet_normals_from_points(self.vertices) if self.dim() else ((), ())
+                self._cache["facets"], self._cache["tight"] = tuple(facets), tuple(tight)
         return self._cache["facets"]
 
     def _tight_sets(self):
@@ -412,13 +457,13 @@ class LatticePolytope:
         """dim! times the volume; an integer, 0 only for points."""
         if "nvol" not in self._cache:
             q, _ = self.normalize_full_dimensional()
-            if q.dim() == 0:
-                self._cache["nvol"] = 0
-            else:
+            if q is not self:
+                self._cache["nvol"] = q.normalized_volume()
+            elif "nvol" not in self._cache:  # else a simplex's dim() has just found it
                 # (v, 1) over the vertices: each simplicial cone's |det| is
                 # the normalized volume of the simplex it lifts.
                 lifted = [v + (1,) for v in q.vertices]
-                cones = _triangulate_cone(lifted, q.ambient_dim + 1)
+                cones = _triangulate_cone(lifted, q.ambient_dim + 1) if q.dim() else ()
                 self._cache["nvol"] = sum(abs(det(c)) for c in cones)
         return self._cache["nvol"]
 
@@ -555,20 +600,29 @@ def hull(points) -> LatticePolytope:
     if len(pts) == 1:
         return LatticePolytope._trusted(n, pts)
     ch = AffineChart.for_points(pts)
-    cpts = [ch.to_chart(p) for p in pts]
     d = ch.dim
-    facets, tight = dd.facet_normals_from_points(cpts)
-    carriers = _transpose(tight, len(cpts))
-    # A vertex is the only point on all the facets it lies on.  Any other point lies
-    # in a face of dimension one or more, whose vertices have strictly larger carriers.
+    # A full-dimensional set has the shift chart: its facets are found where it lies.
+    facets, tight = dd.facet_normals_from_points(pts if d == n else [ch.to_chart(p) for p in pts])
+    carriers = _transpose(tight, len(pts))
+    vertices = _bits(_vertex_mask(carriers))
+    out = LatticePolytope._trusted(n, [pts[i] for i in vertices])
+    out._cache["dim"] = d
+    if d == n:
+        out._cache["facets"] = tuple(facets)
+        out._cache["tight"] = _transpose([carriers[i] for i in vertices], len(tight))
+    return out
+
+
+def _vertex_mask(carriers):
+    """Bitmask of the points that are vertices, from each point's carrier over the facets.
+
+    A vertex is the only point on all the facets it lies on.  Any other point lies
+    in a face of dimension one or more, whose vertices have strictly larger carriers.
+    This holds for the facets of any pointed polyhedron whose vertices are among the points.
+    """
     distinct = set(carriers)
     alone = {m for m in distinct if not any(o != m and o & m == m for o in distinct)}
-    out = LatticePolytope._trusted(n, [x for x, m in zip(pts, carriers) if m in alone])
-    if d == n:
-        # The chart only moved the origin to its base: shift the offsets back.
-        out._cache["facets"] = tuple((nrm, c + dot(nrm, ch.base)) for nrm, c in facets)
-        out._cache["tight"] = _transpose([m for m in carriers if m in alone], len(tight))
-    return out
+    return sum(1 << i for i, m in enumerate(carriers) if m in alone)
 
 
 def face_closure(full, tight_sets):

@@ -7,7 +7,8 @@ closure is a bitmask over the distinct vertices of the maximal cells, which
 makes "lies in the boundary" an AND of the vertices' facet carriers; a
 cell's polytope is built only when it is read.  Everything
 is exact; heights are rationals and get scaled to integers before the
-lifted hull is computed, and the witness stays in those integers.
+lower hull of the lifted points is computed, and the witness stays in
+those integers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+from . import dd
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -34,8 +36,9 @@ from .polytope import (
     _int_in,
     _rational,
     _simplex_faces,
+    _transpose,
+    _vertex_mask,
     carrier,
-    hull,
     slacks,
 )
 
@@ -184,9 +187,14 @@ def _check_height_points(p: LatticePolytope, heights):
 def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
     """Subdivision induced by the lower convex envelope of the lifted lattice points.
 
-    The cells are the projected lower facets of one hull of the lift.  An apex
-    above the last point, which sorts last, keeps the lift full-dimensional
-    for affine heights and lies on no lower facet, as it is above them all.
+    One double description finds the facets (n, c) of the lift plus the
+    vertical ray, <n, X> >= c at every lifted point X = (x, h(x) * scale)
+    and n[d] >= 0: its rows are (0, ..., 0, 1, 0) and then (X, 1), and each
+    extreme ray r is (n, -c).  A full-dimensional polytope makes the rows
+    span, so the cone is pointed, even for affine heights.  The rays with
+    n[d] > 0 are the lower facets; each maximal cell is the projection of
+    the lifted vertices on one, the vertices found by `_vertex_mask` over
+    the rays' zero sets on the lifted points.
     """
     if not _instance(p, LatticePolytope, "a lattice polytope").is_full_dimensional():
         raise DegenerateInputError("subdivide a full-dimensional polytope (normalize first)")
@@ -199,15 +207,19 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
         hmap[x] = _rational(heights[x], f"height at {x!r}")
     d = p.dim()
     scale = lcm(*[v.denominator for v in hmap.values()])
-    lifted = [x + (int(hmap[x] * scale),) for x in pts]
-    lift = hull(lifted + [pts[-1] + (max(q[d] for q in lifted) + 1,)])
+    rows = [(0,) * d + (1, 0)] + [x + (int(hmap[x] * scale), 1) for x in pts]
+    rays, lineality, zero_sets = dd.extreme_rays(rows, d + 2)
+    if lineality:
+        raise InternalConsistencyError("the lift of a full-dimensional polytope spans a line")
+    tight = [zs >> 1 for zs in zero_sets]  # over pts: bit 0 was the vertical row
+    vertices = _vertex_mask(_transpose(tight, len(pts)))
     maximal = []
     witness = []
-    for (n, c), tight in zip(lift.facet_system(), lift._tight_sets()):
-        if n[d] <= 0:
+    for r, t in zip(rays, tight):
+        if r[d] <= 0:
             continue  # not a lower facet
-        maximal.append(LatticePolytope._trusted(d, [lift.vertices[i][:d] for i in _bits(tight)]))
-        witness.append((n, c))
+        maximal.append(LatticePolytope._trusted(d, [pts[i] for i in _bits(t & vertices)]))
+        witness.append((r[: d + 1], -r[d + 1]))
     order = sorted(range(len(maximal)), key=lambda i: maximal[i].vertices)
     return _subdivision(
         p,

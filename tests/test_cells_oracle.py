@@ -314,7 +314,7 @@ def test_length_builds_no_cell(monkeypatch):
         LatticePolytope, "_trusted", staticmethod(lambda *args: built.append(args) or trusted(*args))
     )
     s = regular_subdivision(dc.polytope, heights)
-    assert len(built) == len(s.maximal_cells) + 1  # the maximal cells and the lift's hull
+    assert len(built) == len(s.maximal_cells)  # the maximal cells only: the lift is no polytope
     del built[:]
     assert len(s.cells) == 671
     assert not built

@@ -31,6 +31,7 @@ from sbvol.families import (
 )
 from sbvol.hodge import e_p0_open, h_p0_compact
 from sbvol.polytope import (
+    AffineChart,
     AffineUnimodularMap,
     RationalPolytope,
     cartesian_product,
@@ -65,6 +66,8 @@ TRIANGLE = hull([(0, 0), (1, 0), (0, 1)])
 CUBE = hull(list(product((0, 1), repeat=3)))
 STRIP = [((1, 0), 0), ((-1, 0), -1)]  # 0 <= x <= 1 in Q^2
 FLAT = hull([(0, 0, 0, 0, 0), (4, 0, 0, 0, 0), (0, 4, 0, 0, 0), (0, 0, 4, 0, 0)])  # a 3-chart in Z^5
+
+EYE2 = ((1, 0), (0, 1))
 
 Deg, Dim, Par = DegenerateInputError, DimensionMismatchError, InvalidParameterError
 
@@ -191,6 +194,18 @@ ROWS = [
     ("dilated-simplex-bool-d", lambda: dilated_simplex(True, 2), Par),
     ("dilated-simplex-bool-n", lambda: dilated_simplex(2, True), Par),
     ("dilated-simplex-zero", lambda: dilated_simplex(0, 2), Par),
+    # the fields of a chart
+    ("chart-no-basis-no-transform", lambda: AffineChart(2, 1, (0, 0), ()), Deg),
+    ("chart-short-base", lambda: AffineChart(2, 1, (0,), ((1, 0),), EYE2), Deg),
+    ("chart-int-base", lambda: AffineChart(2, 1, 0, ((1, 0),), EYE2), Deg),
+    ("chart-missing-basis-row", lambda: AffineChart(2, 1, (0, 0), (), EYE2), Deg),
+    ("chart-extra-basis-row", lambda: AffineChart(2, 1, (0, 0), EYE2, EYE2), Deg),
+    ("chart-short-basis-row", lambda: AffineChart(2, 1, (0, 0), ((1,),), EYE2), Deg),
+    ("chart-no-transform", lambda: AffineChart(2, 1, (0, 0), ((1, 0),)), Deg),
+    ("chart-short-transform", lambda: AffineChart(2, 1, (0, 0), ((1, 0),), ((1, 0),)), Deg),
+    ("chart-ragged-transform", lambda: AffineChart(2, 1, (0, 0), ((1, 0),), ((1, 0), (0,))), Deg),
+    ("chart-dim-over-ambient", lambda: AffineChart(1, 2, (0,), ((1,), (1,)), ((1,),)), Deg),
+    ("chart-float-dim", lambda: AffineChart(2, 1.0, (0, 0), ((1, 0),), EYE2), Deg),
 ]
 
 
@@ -217,6 +232,10 @@ def test_the_rejected_values_are_valid_one_step_away():
     assert AffineUnimodularMap.identity(2).apply_polytope(SQUARE) == SQUARE
     assert FLAT.chart().from_chart(FLAT.chart().to_chart((1, 1, 1, 0, 0))) == (1, 1, 1, 0, 0)
     assert SQUARE.chart().from_chart(SQUARE.chart().to_chart((Fraction(1, 2), 1))) == (Fraction(1, 2), 1)
+    assert AffineChart(2, 1, (0, 0), ((1, 0),), EYE2).from_chart((5,)) == (5, 0)
+    assert AffineChart(2, 2, (1, 1), EYE2, EYE2).to_chart((3, 1)) == (2, 0)  # a shift chart
+    assert AffineChart.for_points([(1, 1), (3, 1), (1, 2)]) == AffineChart(2, 2, (1, 1), EYE2, EYE2)
+    assert AffineChart.identity(0).to_chart(()) == () and FLAT.chart().dim == 3
     assert unimodular_equivalence(SQUARE, SQUARE).found and normal_fan(SQUARE).n_rays == 4
     assert containment_certificate(SQUARE, SQUARE, AffineUnimodularMap.identity(2)).contained
     assert validate(make_subdivision(SQUARE, [SQUARE])).ok

@@ -15,7 +15,7 @@ from math import gcd, lcm
 import pytest
 
 from sbvol import intlinalg
-from sbvol.polytope import AffineChart, _check_ambient, _lowest
+from sbvol.polytope import AffineChart, _check_ambient, _eye, _lowest
 from sbvol.subdivision import _combination
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -141,7 +141,7 @@ def test_from_chart(data, entries):
     k = data.draw(st.integers(0, n))
     base = data.draw(st.one_of(vectors(ints, n), vectors(entries, n)))
     basis = tuple(data.draw(matrices(ints, k, n)))
-    chart = AffineChart(n, k, base, basis)
+    chart = AffineChart(n, k, base, basis, _eye(n))  # from_chart does not read the transform
     y = data.draw(vectors(entries, k))
     same(chart.from_chart(y), oracle_from_chart(chart, y))
 

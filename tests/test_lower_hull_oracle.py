@@ -1,4 +1,4 @@
-"""The carrier vertex rule and the one-hull lower hull against the earlier routines.
+"""The carrier vertex rule and the one-DD lower hull against the earlier routines.
 
 The oracles are the earlier `hull` and `regular_subdivision`, copied below
 unchanged apart from their names.  The earlier `hull` kept a point as a
@@ -6,7 +6,8 @@ vertex when the facets through it had rank d; the earlier lower hull ran
 the DD on the lifted points with an apex above the first point and then
 hulled the tight points of every lower facet again.  Vertices, facet
 systems, maximal cells, witnesses and the whole cell lattice must agree
-exactly.
+exactly.  The lower hull now runs one DD on the lifted points and the
+vertical direction, with no apex and no hull.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 
 from sbvol import dd, subdivision
 from sbvol import polytope as polytope_module
-from sbvol.errors import DegenerateInputError, DimensionMismatchError
+from sbvol.errors import DegenerateInputError, DimensionMismatchError, InternalConsistencyError
 from sbvol.families import dilated_simplex, divisor_23_double_cone, kollar_totaro
 from sbvol.intlinalg import dot, rank
 from sbvol.polytope import AffineChart, LatticePolytope, _as_int_tuple, _rational, carrier, hull
@@ -168,15 +169,23 @@ def test_hull_against_the_rank_rule():
 
 
 def test_hull_runs_no_rank(monkeypatch):
+    # The one rank allowed is the chart's test of the differences from the first point.
     pts = dilated_simplex(3, 3).lattice_points()
+    base = min(pts)
+    diffs = [[a - b for a, b in zip(x, base)] for x in sorted(pts)[1:]]
+    ranked = []
 
-    def refuse(*args):
-        raise AssertionError("hull ranked a point's facets")
+    def refuse(a):
+        if a != diffs:
+            raise AssertionError("hull ranked a point's facets")
+        ranked.append(a)
+        return rank(a)
 
     monkeypatch.setattr(polytope_module, "rank", refuse)
     p = hull(pts)
     assert p.vertices == ((0, 0, 0), (0, 0, 3), (0, 3, 0), (3, 0, 0))
     assert len(p._vertex_carriers()) == 4
+    assert len(ranked) == 1
 
 
 def test_vertex_carriers_need_a_full_dimensional_polytope():
@@ -212,15 +221,33 @@ def dim4():
 
 
 def test_one_hull_per_lower_hull(dim4, monkeypatch):
-    calls = []
+    # The lift and the vertical ray go through one DD; no hull is taken, of the lift or of a cell.
+    runs = []
+    extreme_rays = dd.extreme_rays
 
-    def counted(points):
-        calls.append(len(points))
-        return hull(points)
+    def counted(constraints, dim):
+        runs.append((len(constraints), dim))
+        return extreme_rays(constraints, dim)
 
-    monkeypatch.setattr(subdivision, "hull", counted)
+    def refuse(points):
+        raise AssertionError("the lower hull took a hull")
+
+    monkeypatch.setattr(dd, "extreme_rays", counted)
+    monkeypatch.setattr(polytope_module, "hull", refuse)
+    monkeypatch.setattr(subdivision, "hull", refuse, raising=False)
     s = regular_subdivision(*dim4)
-    assert len(calls) == 1 and len(s.maximal_cells) == 196
+    assert len(s.maximal_cells) == 196
+    # after the lift, only the facets of each maximal cell that is no simplex, for its faces
+    others = [(len(c.vertices), 5) for c in s.maximal_cells if not c.is_simplex()]
+    assert runs == [(71, 6)] + others and len(others) == 1
+
+
+def test_a_lineality_space_in_the_lift_raises(monkeypatch):
+    # Rows that span make the cone pointed, so a line can only come from a broken engine.
+    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    monkeypatch.setattr(dd, "extreme_rays", lambda rows, dim: ([], [(0, 0, 0, 1)], []))
+    with pytest.raises(InternalConsistencyError, match="spans a line"):
+        regular_subdivision(square, dict.fromkeys(square.lattice_points(), 0))
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -410,13 +410,16 @@ class TestFacetSystemsComputedOnce:
         assert all(c == min(dot(n, v) for v in p.vertices) for n, c in system)
 
     def test_lower_dimensional_chart_polytope_is_reused(self, monkeypatch):
-        # A triangle's facets come in closed form, with no DD run: count the facet routine.
-        calls = count_dd_calls(monkeypatch, "facet_normals_from_points")
+        # A triangle's facets come in closed form, with no DD run: count both routines.
+        closed = count_dd_calls(monkeypatch, "simplex_facets")
+        runs = count_dd_calls(monkeypatch)
         tri = hull([(2, 0, 0), (0, 2, 0), (0, 0, 2)])  # planar, in Z^3
         assert tri.n_lattice_points() == 6
         assert tri.n_interior_points() == 0
         assert tri.lattice_width()[0] == 2
-        assert len(calls) == 2  # the hull, then the chart polytope's facets
+        assert tri.normalized_volume() == 4
+        # the hull, then the chart polytope's dimension, with its facets and volume
+        assert len(closed) == 2 and not runs
 
     def test_vertex_facet_incidences_are_read_off_the_double_description(self, monkeypatch):
         """hull, facet_system, _vertex_carriers, _face_masks and validate make no carrier call."""
