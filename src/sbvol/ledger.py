@@ -19,9 +19,8 @@ from .errors import DegenerateInputError, SubdivisionError
 from .intlinalg import dot
 from .polytope import (
     LatticePolytope,
-    _as_int_tuple,
-    _as_tuple,
     _bits,
+    _flag,
     _instance,
     hull,
     unimodular_equivalence,
@@ -84,35 +83,28 @@ class SeedRegistry:
         return len(self.entries)
 
 
-def classify_cell(
-    cell: LatticePolytope, seeds: SeedRegistry | None = None, certificates=()
-) -> CellClassTag:
+def classify_cell(cell: LatticePolytope, seeds: SeedRegistry | None = None) -> CellClassTag:
     """Tag a subdivision cell by the reason its class is under control.
 
-    Rationality rules come first (dimension at most one, width one, empty
-    Fine interior in dimension at most three), then registered seeds, then
-    interior lattice points, which certify strong variation on their own.
-    The Fine interior is computed only for a cell with no interior lattice
-    point: such a point m has <m, n> > ord(n), both integers, for every
-    primitive n, so it lies in the Fine interior and the rule cannot fire.
+    Rationality rules come first (dimension at most one, width one from
+    the width search in the lattice of the cell's span, empty Fine interior
+    in dimension at most three), then registered seeds, then interior
+    lattice points, which certify strong variation on their own.  The Fine
+    interior is computed only for a cell with no interior lattice point:
+    such a point m has <m, n> > ord(n), both integers, for every primitive
+    n, so it lies in the Fine interior and the rule cannot fire.
 
-    certificates is an iterable of integer functionals on the ambient
-    space (anything else raises), such as the width certificates of the
-    full-dimensional cells that contain this one.  One whose values on the
-    cell's vertices spread exactly 1 proves lattice width one, in the
-    lattice of the cell's own span too, without a chart or a width search;
-    otherwise the cell is charted and its width searched.
+    An integer functional on the ambient space whose values on the cell's
+    vertices spread exactly 1 also proves width one, in the lattice of the
+    cell's span too: it is a nonzero integer functional there, and no cell
+    of dimension at least one has width below 1.  `volume_ledger` settles
+    most cells that way before they reach this function.
     """
     d = _instance(cell, LatticePolytope, "a lattice polytope").dim()
     if seeds is not None:
         _instance(seeds, SeedRegistry, "a seed registry")
     if d <= 1:
         return CellClassTag("rational", "dimension at most one")
-    for l in _as_tuple(certificates, "certificates"):
-        l = _as_int_tuple(l, cell.ambient_dim, "certificate")
-        values = [dot(l, v) for v in cell.vertices]
-        if max(values) - min(values) == 1:
-            return CellClassTag("rational", "lattice width one")
     q, _ = cell.normalize_full_dimensional()
     if q.lattice_width()[0] == 1:
         return CellClassTag("rational", "lattice width one")
@@ -171,10 +163,23 @@ def volume_ledger(
     seeds: SeedRegistry | None = None,
     check: bool = True,
 ) -> Ledger:
-    """Signed sum of cell classes over the interior cells of a valid subdivision."""
+    """Signed sum of cell classes over the interior cells of a valid subdivision.
+
+    An interior cell of dimension at least two is settled as width one,
+    and so as the point class, from the full-dimensional maximal cells it
+    is a face of, when one of their functionals spreads exactly 1 on its
+    vertices (see classify_cell).  First each such parent's width
+    certificate l: the parent's vertices are split into masks over
+    s.points by their level <l, v>, and a cell whose mask meets exactly
+    two adjacent levels is settled by bit operations alone.  Then the
+    parents' facet normals, which settle a cell in a coordinate hyperplane
+    x_i = c, where every parent's certificate can be e_i.  A
+    lower-dimensional maximal cell lends nothing: its certificate is in
+    chart coordinates.  Only the cells left are built and classified.
+    """
     if seeds is not None:
         _instance(seeds, SeedRegistry, "a seed registry")
-    if check:
+    if _flag(check, "volume_ledger: check"):
         report = validate(s, p)
         if not report.ok:
             raise SubdivisionError(
@@ -185,11 +190,15 @@ def volume_ledger(
     sign = -1 if p.dim() % 2 else 1
     point_coeff = 0
     groups = []  # [normalized cell, tag, coeff, members]
+    lenders = _Lenders(s)
     for j in interior:
-        cell = s.cells[j]
-        d = cell.dim()
+        d = s.cell_dims[j]
         coeff = sign * (-1 if d % 2 else 1)
-        tag = classify_cell(cell, seeds, _width_certificates(s, s.cell_parents[j]))
+        if d >= 2 and lenders.width_one(j):
+            point_coeff += coeff
+            continue
+        cell = s.cells[j]
+        tag = classify_cell(cell, seeds)
         if tag.kind == "rational":
             if d == 0:
                 mult = 0  # a single monomial has empty zero set in the torus
@@ -216,19 +225,51 @@ def volume_ledger(
     return Ledger(point_coeff, entries)
 
 
-def _width_certificates(s: Subdivision, parents):
-    """Width certificates of the full-dimensional maximal cells in the bitmask parents.
+class _Lenders:
+    """The functionals the full-dimensional maximal cells of s lend their faces.
 
-    classify_cell takes every certificate before it tests any, so each
-    parent's width is searched; that costs nothing extra, since every
-    maximal cell is an interior cell and is classified by its own width.
-    A lower-dimensional cell's certificate is in its chart's coordinates,
-    not the ambient ones, so it lends none.
+    A maximal cell's levels are found the first time a face of dimension
+    at least two asks, so the width of a maximal cell is searched only when
+    a cell that needs it is classified, as before.
     """
-    for k in _bits(parents):
-        cell = s.maximal_cells[k]
-        if cell.is_full_dimensional():
-            yield cell.lattice_width()[1]
+
+    def __init__(self, s: Subdivision):
+        self.s = s
+        self.levels = {}  # maximal cell index -> sorted ((<l, v>, mask), ...), or None
+
+    def _levels(self, k):
+        if k not in self.levels:
+            s = self.s
+            self.levels[k] = None
+            if s.maximal_cells[k].is_full_dimensional():
+                l = s.maximal_cells[k].lattice_width()[1]
+                by_value = {}
+                for i in _bits(s.maximal_masks[k]):
+                    h = dot(l, s.points[i])
+                    by_value[h] = by_value.get(h, 0) | 1 << i
+                self.levels[k] = sorted(by_value.items())
+        return self.levels[k]
+
+    def width_one(self, j):
+        """Whether a parent's width certificate or facet normal spreads exactly 1 on cell j."""
+        s = self.s
+        mask = s.cell_masks[j]
+        parents = []
+        for k in _bits(s.cell_parents[j]):
+            levels = self._levels(k)
+            if levels is None:
+                continue
+            met = [h for h, m in levels if m & mask]
+            if len(met) == 2 and met[1] - met[0] == 1:
+                return True
+            parents.append(s.maximal_cells[k])
+        verts = [s.points[i] for i in _bits(mask)]
+        for cell in parents:
+            for n, _ in cell.facet_system():
+                values = [dot(n, v) for v in verts]
+                if max(values) - min(values) == 1:
+                    return True
+        return False
 
 
 @dataclass(frozen=True)

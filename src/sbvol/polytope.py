@@ -61,6 +61,13 @@ def _rational(x, what):
     return Fraction(x)
 
 
+def _flag(x, what):
+    """x when it is a bool; anything else, 1 and "no" included, raises InvalidParameterError."""
+    if type(x) is not bool:
+        raise InvalidParameterError(f"{what} must be True or False, got {x!r}")
+    return x
+
+
 def _as_tuple(x, what, error=DegenerateInputError):
     """x as a tuple; an argument that cannot be iterated raises `error`."""
     try:
@@ -405,6 +412,7 @@ class LatticePolytope:
     def lattice_points(self, interior_only=False, budget=None):
         """All lattice points, or only the relative interior ones, from the one cached table.
         `budget` (None: DEFAULT_POINT_BUDGET) caps the scan that fills it; later calls read it."""
+        _flag(interior_only, "LatticePolytope.lattice_points: interior_only")
         table = self._carriers(budget)
         return tuple(x for x, c in table.items() if not c) if interior_only else tuple(table)
 
@@ -958,14 +966,15 @@ def _triangulate_cone(rays, dim):
 def _width_search(q):
     """Exact lattice width of a full-dimensional chart polytope.
 
-    The incumbent starts at the best axis direction or facet normal.  A
-    dual vector l beats width w only if |<l, v - v0>| < w at every vertex
-    v; then t = F l, for the rows of F a frame of d independent vertex
-    differences, has entries below w, which bounds |l_j| by the L1 norm of
-    row j of F^{-1} times w - 1.  The first such l whose spread beats the
-    incumbent replaces it and the search restarts; the width is certified
-    once no such l is left.  An incumbent of 1 is certified at once: a
-    full-dimensional polytope has width at least 1, and the box is {0}.
+    The incumbent is the first axis direction or facet normal of least
+    spread, in that order.  The first of spread 1 is certified at once and
+    ends the scan: a full-dimensional polytope gives every nonzero integer
+    functional a spread of at least 1.  A dual vector l beats width w only
+    if |<l, v - v0>| < w at every vertex v; then t = F l, for the rows of
+    F a frame of d independent vertex differences, has entries below w,
+    which bounds |l_j| by the L1 norm of row j of F^{-1} times w - 1.  The
+    first such l whose spread beats the incumbent replaces it and the
+    search restarts; the width is certified once no such l is left.
     """
     d = q.ambient_dim
     verts = q.vertices
@@ -981,10 +990,14 @@ def _width_search(q):
         g = gcd(*l) if next(x for x in l if x) > 0 else -gcd(*l)
         return tuple(x // g for x in l)
 
-    best_l = normalized(min([*_eye(d), *(n for n, _ in q.facet_system())], key=spread))
-    best = spread(best_l)
-    if best == 1:
-        return best, best_l
+    best_l = None
+    for l in (*_eye(d), *(n for n, _ in q.facet_system())):
+        w = spread(l)
+        if w == 1:
+            return 1, normalized(l)
+        if best_l is None or w < best:
+            best_l, best = l, w
+    best_l = normalized(best_l)
     det_f, adj = adjugate([diffs[i] for i in _frame(diffs)])
     norms = [sum(abs(x) for x in row) for row in adj]
     while True:

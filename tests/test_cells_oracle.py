@@ -1,4 +1,4 @@
-"""Bitmask subdivision cells and inherited width certificates against the earlier routines.
+"""Bitmask subdivision cells and width one lent by parent cells, against the earlier routines.
 
 The oracles are the earlier face closure, which takes every face of every
 maximal cell from the closure of frozensets under intersection and ranks
@@ -24,7 +24,7 @@ from sbvol.families import (
     kollar_totaro,
 )
 from sbvol.intlinalg import dot, rank
-from sbvol.ledger import CellClassTag, _width_certificates, classify_cell, volume_ledger
+from sbvol.ledger import CellClassTag, _Lenders, classify_cell, volume_ledger
 from sbvol.polytope import LatticePolytope, _bits, face_closure, hull
 from sbvol.subdivision import (
     _interior,
@@ -37,6 +37,7 @@ from sbvol.subdivision import (
 )
 from sbvol.toric import fine_interior
 from sbvol.verification import SEED, _random_polytope, _random_unimodular
+from test_ledger_oracle import oracle_width_certificates
 
 # -- the earlier routines --------------------------------------------------------------
 
@@ -186,17 +187,25 @@ def assert_boundary_agrees(s, midpoints):
 
 
 def assert_tags_agree(s, seeds=None):
-    """Every interior cell: the tag with its parents' certificates equals the oracle's.
+    """Every interior cell: the tag equals the oracle's, and width one lent by its parents is width one.
 
-    Returns how many cells the certificates settled.
+    The ledger's lenders settle every cell of dimension at least two that
+    one of the earlier inherited certificates settled, and each cell they
+    settle has width one by the oracle's chart search.  Returns how many
+    cells they settled.
     """
     inherited = 0
+    lenders = _Lenders(s)
     for j in _interior(s):
         cell = s.cells[j]
         want = oracle_classify_cell(fresh(cell), seeds)
-        certificates = list(_width_certificates(s, s.cell_parents[j]))
-        assert classify_cell(cell, seeds, certificates) == want, cell.vertices
-        inherited += cell.dim() >= 2 and any(spread(l, cell) == 1 for l in certificates)
+        assert classify_cell(cell, seeds) == want, cell.vertices
+        if cell.dim() >= 2 and lenders.width_one(j):
+            assert want == CellClassTag("rational", "lattice width one"), cell.vertices
+            inherited += 1
+        elif cell.dim() >= 2:
+            certificates = oracle_width_certificates(s, s.cell_parents[j])
+            assert all(spread(l, cell) != 1 for l in certificates), cell.vertices
         if cell.dim() == 1:
             u, v = cell.vertices
             assert gcd(*(a - b for a, b in zip(u, v))) == 1 + fresh(cell).n_interior_points()
@@ -281,8 +290,8 @@ def test_non_simplicial_cells():
 
 
 def test_criterion_11b_images():
-    # The unimodular image of each polytope of criterion 11b, and its facets
-    # with the image's width certificate.
+    # The unimodular image of each polytope of criterion 11b, and its facets;
+    # a facet on which the image's width certificate spreads 1 has width one.
     rng = random.Random(SEED + 1)
     cuts = random.Random(SEED + 11)
     for _ in range(200):
@@ -291,10 +300,12 @@ def test_criterion_11b_images():
         m = _random_unimodular(rng, dim)
         q = m.apply_polytope(p)
         assert classify_cell(fresh(q)) == oracle_classify_cell(fresh(q))
-        cert = [q.lattice_width()[1]]
+        cert = q.lattice_width()[1]
         for facet in q.faces(dim - 1):
             want = oracle_classify_cell(fresh(facet))
-            assert classify_cell(fresh(facet), certificates=cert) == want
+            assert classify_cell(fresh(facet)) == want
+            if facet.dim() >= 2 and spread(cert, facet) == 1:
+                assert want == CellClassTag("rational", "lattice width one")
         # The image as one cell, and cut by heights 0-1 into cells that are often
         # not simplices; the heights have their own generator, so the images stay 11b's.
         assert_lattice_agrees(make_subdivision(q, [q]))
@@ -326,8 +337,12 @@ def test_ledger_builds_only_interior_cells():
     seeds = builtin_seed_registry()
     seeds.register("kt34", kollar_totaro(3, 4), "double cover of P3 branched in a quartic")
     volume_ledger(big, s, seeds)
+    # Of the 727 interior cells, only the 19 that reach classify_cell are
+    # built: the 18 of dimension at most one and the seed.
     read = [j for j, c in enumerate(s.cells._cells) if c is not None]
-    assert len(read) == 727 and read == _interior(s)
+    inner = _interior(s)
+    assert len(inner) == 727 and set(read) <= set(inner)
+    assert read == [j for j in inner if s.cell_dims[j] <= 1] + [s.cells.index(kollar_totaro(3, 4))]
     assert len(s.cells) == 2031
 
 

@@ -96,7 +96,6 @@ ROWS = [
     ("dual-vector-int", lambda: ord_value(SQUARE, 3), Deg),
     ("halfspaces-int", lambda: RationalPolytope(2, 5), Deg),
     ("halfspace-int-normal", lambda: RationalPolytope(2, [(1, 0)]), Deg),
-    ("certificate-int", lambda: classify_cell(TRIANGLE, None, [5]), Deg),
     ("divisor-int", lambda: class_group(SQUARE).degree(5), Deg),
     ("map-int-linear", lambda: AffineUnimodularMap(5, (0,)), Deg),
     ("product-int-factor", lambda: simplex_product([5]), Par),
@@ -109,7 +108,6 @@ ROWS = [
     ("subdivision-cells-int", lambda: make_subdivision(SQUARE, 5), Deg),
     ("subdivision-heights-int", lambda: make_subdivision(SQUARE, [SQUARE], 5), Deg),
     ("regular-heights-int", lambda: regular_subdivision(SQUARE, 5), Deg),
-    ("certificates-int", lambda: classify_cell(TRIANGLE, None, 5), Deg),
     ("divisor-polytope-int", lambda: divisor_polytope(normal_fan(SQUARE), 5), Deg),
     ("bounds-table-int", lambda: bounds_table(5), Par),
     # a pair
@@ -194,6 +192,11 @@ ROWS = [
     ("dilated-simplex-bool-d", lambda: dilated_simplex(True, 2), Par),
     ("dilated-simplex-bool-n", lambda: dilated_simplex(2, True), Par),
     ("dilated-simplex-zero", lambda: dilated_simplex(0, 2), Par),
+    # a flag: only a bool, never a truthy string or an int
+    ("ledger-check-str", lambda: volume_ledger(SQUARE, make_subdivision(SQUARE, [SQUARE]), check="no"), Par),
+    ("ledger-check-int", lambda: volume_ledger(SQUARE, make_subdivision(SQUARE, [SQUARE]), check=0), Par),
+    ("interior-only-str", lambda: SQUARE.lattice_points(interior_only="no"), Par),
+    ("interior-only-none", lambda: SQUARE.lattice_points(interior_only=None), Par),
     # the fields of a chart
     ("chart-no-basis-no-transform", lambda: AffineChart(2, 1, (0, 0), ()), Deg),
     ("chart-short-base", lambda: AffineChart(2, 1, (0,), ((1, 0),), EYE2), Deg),
@@ -242,7 +245,9 @@ def test_the_rejected_values_are_valid_one_step_away():
     assert staged_distance_height(SQUARE, hull([(0, 0)]), [])[(1, 1)] == 2
     assert len(make_subdivision(SQUARE, [SQUARE], {(0, 0): 0}).maximal_cells) == 1
     assert len(regular_subdivision(SQUARE, dict.fromkeys(SQUARE.lattice_points(), 0)).maximal_cells) == 1
-    assert classify_cell(TRIANGLE, None, [(1, 0)]).justification == "lattice width one"
+    assert classify_cell(TRIANGLE).justification == "lattice width one"
+    assert volume_ledger(SQUARE, make_subdivision(SQUARE, [SQUARE]), check=False).describe() == "1*[point]"
+    assert SQUARE.lattice_points(interior_only=True) == () and len(SQUARE.lattice_points(interior_only=False)) == 4
     assert divisor_polytope(normal_fan(SQUARE), [0, 0, 1, 1]).vertices()
     assert bounds_table([3])[0][0].n == 3
     assert cartesian_product(SQUARE, TRIANGLE).dim() == 4 and convex_union(SQUARE, TRIANGLE) == SQUARE

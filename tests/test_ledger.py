@@ -1,13 +1,12 @@
 import random
-from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from sbvol import ledger as ledger_module
+from sbvol import polytope as polytope_module
 from sbvol.errors import (
     DegenerateInputError,
-    DimensionMismatchError,
     ResourceLimitError,
     SubdivisionError,
 )
@@ -16,7 +15,6 @@ from sbvol.intlinalg import dot
 from sbvol.ledger import (
     CellClassTag,
     SeedRegistry,
-    _width_certificates,
     classify_cell,
     dim4_pipeline,
     verdict,
@@ -25,6 +23,7 @@ from sbvol.ledger import (
 from sbvol.polytope import AffineUnimodularMap, LatticePolytope, dilate, hull
 from sbvol.subdivision import (
     _interior,
+    distance_height,
     height_function,
     interior_cells,
     make_subdivision,
@@ -33,6 +32,7 @@ from sbvol.subdivision import (
 )
 from sbvol.toric import fine_interior
 from sbvol.verification import SEED, _random_polytope
+from test_ledger_oracle import fresh_subdivision, oracle_volume_ledger, oracle_width_certificates
 
 
 def simplex(n):
@@ -169,10 +169,10 @@ def test_fine_interior_runs_only_on_cells_without_interior_points(monkeypatch):
     for big, s, seeds in cases:
         for j in _interior(s, big):
             cell = s.cells[j]
-            certs = list(_width_certificates(s, s.cell_parents[j]))
+            certs = list(oracle_width_certificates(s, s.cell_parents[j]))
             fresh = LatticePolytope._trusted(cell.ambient_dim, cell.vertices)
             old = oracle_classify_cell(fresh, seeds, certs)
-            assert classify_cell(cell, seeds, certs) == old, cell
+            assert classify_cell(cell, seeds) == old, cell
             skipped += 2 <= cell.dim() <= 3 and fresh.n_interior_points() > 0
     assert skipped
 
@@ -231,78 +231,113 @@ class TestVolumeLedger:
 
 
 class TestInheritedWidth:
-    """Width certificates lent by the full-dimensional maximal cells that contain a cell."""
+    """Width one lent by the full-dimensional maximal cells that contain a cell."""
 
     def recorded(self, monkeypatch):
-        """Wrap classify_cell to record, per cell, the certificates volume_ledger hands it."""
-        calls = {}
-        original = ledger_module.classify_cell
+        """Record the vertices of every cell volume_ledger classifies and every point set charted."""
+        classified, charted = [], []
+        classify, for_points = ledger_module.classify_cell, polytope_module.AffineChart.for_points
 
-        def classify(cell, seeds=None, certificates=()):
-            calls[cell.vertices] = list(certificates)
-            return original(cell, seeds, calls[cell.vertices])
+        def counted_classify(cell, seeds=None):
+            classified.append(cell.vertices)
+            return classify(cell, seeds)
 
-        monkeypatch.setattr(ledger_module, "classify_cell", classify)
-        return calls
+        def counted_for_points(points):
+            charted.append(tuple(points))
+            return for_points(points)
+
+        monkeypatch.setattr(ledger_module, "classify_cell", counted_classify)
+        monkeypatch.setattr(polytope_module.AffineChart, "for_points", staticmethod(counted_for_points))
+        return classified, charted
 
     def test_lower_dimensional_maximal_cell_lends_nothing(self, monkeypatch):
-        # Unchecked, hand-built: a tetrahedron and one of its facets as a second
-        # "maximal" cell.  The facet's own width certificate is in the chart
-        # coordinates of its plane, so only the tetrahedron may lend.
+        # Unchecked, hand-built: a facet of a tetrahedron as the only
+        # "maximal" cell.  Its width certificate is in the chart coordinates
+        # of its plane and it has no facet system in Z^3, so it settles
+        # nothing, not even itself: the facet is classified.
         p = hull([(x, y, z) for x in (0, 4) for y in (0, 4) for z in (0, 4)])
         tetra = hull([(1, 1, 1), (3, 1, 1), (1, 3, 1), (1, 1, 3)])
         facet = hull([(1, 1, 1), (3, 1, 1), (1, 3, 1)])
         facet.lattice_width()  # cached: a certificate a lender could read
-        s = make_subdivision(p, [tetra, facet])
-        calls = self.recorded(monkeypatch)
-        volume_ledger(p, s, check=False)
-        lent = [tetra.lattice_width()[1]]
-        assert calls[facet.vertices] == lent
-        assert calls[tetra.vertices] == lent
-        alone = make_subdivision(p, [facet])
-        volume_ledger(p, alone, check=False)
-        assert calls[facet.vertices] == []
+        classified, _ = self.recorded(monkeypatch)
+        led = volume_ledger(p, make_subdivision(p, [facet]), check=False)
+        assert classified[-1] == facet.vertices
+        # Three edges with one interior point each, +2 each, and the facet, -1.
+        assert led.describe() == "5*[point]"
+        with pytest.raises(DegenerateInputError, match="facet system requires a full-dimensional"):
+            facet.facet_system()
+        # Beside the tetrahedron, whose width certificate and facet normals
+        # spread 0 or 2 on it, the facet is classified too.
+        del classified[:]
+        volume_ledger(p, make_subdivision(p, [tetra, facet]), check=False)
+        assert facet.vertices in classified and tetra.vertices in classified
 
     def test_uncertified_cell_falls_through_to_the_search(self):
-        # Certificates spreading 0 or at least 2 settle nothing: the chart and
-        # the width search run, and the tag is the one without certificates.
+        # A cell no parent settles reaches classify_cell, which charts it and
+        # searches its width, whether or not the width is one.
         wide = hull([(0, 0, 0), (0, 2, 0), (0, 0, 2)])  # 2 * simplex2, width 2
         thin = hull([(0, 0, 0), (0, 1, 0), (0, 0, 3)])  # width 1, not on an axis pair
-        certs = [(1, 0, 0), (0, 1, 1)]  # spreads 0, and 2 or 3
         for cell, why in (
             (wide, "empty fine interior in dimension at most three"),
             (thin, "lattice width one"),
         ):
             fresh = LatticePolytope._trusted(3, cell.vertices)
-            tag = classify_cell(fresh, certificates=certs)
-            assert tag == classify_cell(LatticePolytope._trusted(3, cell.vertices))
-            assert tag.justification == why
+            assert classify_cell(fresh).justification == why
             assert "width" in fresh.normalize_full_dimensional()[0]._cache
-
-    def test_certificates_must_be_integer_functionals_on_the_ambient_space(self):
-        cell = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0)])
-        with pytest.raises(DegenerateInputError, match=r"^certificate must have integer entries, got \(Fraction\(1, 2\), 0, 0\)$"):
-            classify_cell(cell, certificates=[(Fraction(1, 2), 0, 0)])
-        with pytest.raises(DimensionMismatchError, match=r"^certificate must have length 3, got \(1, 0\)$"):
-            classify_cell(cell, certificates=[(1, 0)])
-        assert classify_cell(cell, certificates=[(Fraction(2, 2), 0, 0)]).kind == "rational"
 
     def test_uncertified_cell_in_a_ledger(self, monkeypatch):
         # Two tetrahedra glued along a triangle of width 2 in the plane x = 0:
-        # each one's certificate (1, 0, 0) spreads 0 on it.
+        # each one's certificate (1, 0, 0) spreads 0 on it, and no facet
+        # normal spreads 1, so it alone is classified and charted.
         left = hull([(-1, 0, 0), (0, 0, 0), (0, 2, 0), (0, 0, 2)])
         right = hull([(1, 0, 0), (0, 0, 0), (0, 2, 0), (0, 0, 2)])
         p = hull(left.vertices + right.vertices)
         s = make_subdivision(p, [left, right])
         assert validate(s).ok
-        calls = self.recorded(monkeypatch)
+        want = oracle_volume_ledger(p, fresh_subdivision(s))
+        classified, charted = self.recorded(monkeypatch)
         led = volume_ledger(p, s)
         wall = ((0, 0, 0), (0, 0, 2), (0, 2, 0))
-        assert calls[wall] == [(1, 0, 0), (1, 0, 0)]
-        fresh = LatticePolytope._trusted(3, wall)
+        assert classified == [wall] and charted == [wall]
         why = "empty fine interior in dimension at most three"
-        assert classify_cell(fresh).justification == why
-        assert led.point_coefficient == volume_ledger(p, s, check=False).point_coefficient
+        assert classify_cell(LatticePolytope._trusted(3, wall)).justification == why
+        assert led == want and led.describe() == "1*[point]"
+
+    def test_facet_normals_settle_cells_in_coordinate_hyperplanes(self, monkeypatch):
+        # Two unit-width tetrahedra on either side of x = 0 share the triangle
+        # (0,0,0), (0,1,0), (0,0,3), which has width one along e_2 but not
+        # along e_1, the certificate both parents lend: the facet normal
+        # e_2 of either parent settles it.
+        left = hull([(-1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 3)])
+        right = hull([(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 3)])
+        for cell in (left, right):
+            assert cell.lattice_width() == (1, (1, 0, 0))
+        p = hull(left.vertices + right.vertices)
+        s = make_subdivision(p, [left, right])
+        assert validate(s, p).ok
+        want = oracle_volume_ledger(p, fresh_subdivision(s))
+        classified, charted = self.recorded(monkeypatch)
+        led = volume_ledger(p, s)
+        # The interior cells are the wall and the two tetrahedra: none is classified.
+        assert classified == [] and charted == []
+        assert led == want and led.describe() == "1*[point]"
+
+    def test_dim4_ledger_classifies_only_low_cells_and_the_seed(self, monkeypatch):
+        # Of the 727 interior cells of the dim4 pipeline, 708 are settled by
+        # their parents' functionals: classify_cell sees the 18 cells of
+        # dimension at most one and the seed, and charts none of them.
+        big, small = dilate(simplex(4), 4), kollar_totaro(3, 4)
+        seeds = builtin_seed_registry()
+        seeds.register("double-cover-3-4", small, "double cover bound")
+        s = regular_subdivision(big, distance_height(big, small))
+        assert validate(s, big).ok
+        classified, charted = self.recorded(monkeypatch)
+        led = volume_ledger(big, s, seeds, check=False)
+        low = [s.cells[j].vertices for j in _interior(s, big) if s.cell_dims[j] <= 1]
+        assert len(low) == 18
+        assert classified == low + [small.vertices]
+        assert charted == []  # the seed is full-dimensional
+        assert [e.tag.kind for e in led.entries] == ["seed"]
 
     def test_segment_multiplicity_is_the_gcd_of_its_edge(self):
         rng = random.Random(29)

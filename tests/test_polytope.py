@@ -17,11 +17,13 @@ from sbvol.errors import (
 from sbvol.families import tpq
 from sbvol.hodge import h_p0_compact
 from sbvol import subdivision as subdivision_module
-from sbvol.intlinalg import dot
+from sbvol.intlinalg import adjugate, dot, rank
 from sbvol.polytope import (
     AffineUnimodularMap,
     LatticePolytope,
     RationalPolytope,
+    _eye,
+    _frame,
     cartesian_product,
     convex_union,
     dilate,
@@ -344,6 +346,79 @@ class TestWidth:
         assert calls == []
         assert dilate(simplex(3), 2).lattice_width()[0] == 2
         assert len(calls) == 1
+
+
+def oracle_width_search(q):
+    """The earlier _width_search: the incumbent is min() over every axis direction and facet normal."""
+    d = q.ambient_dim
+    verts = q.vertices
+    v0 = verts[0]
+    diffs = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
+
+    def spread(l):
+        vals = [dot(l, v) for v in verts]
+        return max(vals) - min(vals)
+
+    def normalized(l):
+        g = gcd(*l) if next(x for x in l if x) > 0 else -gcd(*l)
+        return tuple(x // g for x in l)
+
+    best_l = normalized(min([*_eye(d), *(n for n, _ in q.facet_system())], key=spread))
+    best = spread(best_l)
+    if best == 1:
+        return best, best_l
+    det_f, adj = adjugate([diffs[i] for i in _frame(diffs)])
+    norms = [sum(abs(x) for x in row) for row in adj]
+    while True:
+        cons = [(f, 1 - best) for f in diffs] + [(tuple(-x for x in f), 1 - best) for f in diffs]
+        bound = [nm * (best - 1) // abs(det_f) for nm in norms]
+        box = ([-b for b in bound], bound)
+        for l in integer_points(cons, *box, None, "LatticePolytope.lattice_width"):
+            if 0 < spread(l) < best:
+                best_l = normalized(l)
+                best = spread(best_l)
+                break
+        else:
+            return best, best_l
+
+
+def test_width_search_agrees_with_the_frozen_search():
+    # Full-dimensional polytopes in dimensions 1-4, some dilated to width
+    # at least 2, and lower-dimensional ones read through lattice_width,
+    # which searches the chart polytope.  Each is built twice, so neither
+    # side reads the other's cache.
+    rng = random.Random(4417)
+    thin = wide = lower = 0
+    for trial in range(540):
+        n = 1 + trial % 4
+        k = rng.randint(1, n - 1) if trial % 3 == 0 and n > 1 else n  # the span's dimension
+        box = [(9, 6, 3, 2)[k - 1]] * k
+        if trial % 4 == 1:
+            box[rng.randrange(k)] = 1  # width one along an axis
+        while True:
+            pts = [tuple(rng.randint(0, c) for c in box) for _ in range(k + 1 + rng.randint(0, 3))]
+            if hull(pts).dim() == k:
+                break
+        if trial % 5 == 0:
+            pts = [tuple(2 * x for x in v) for v in pts]
+        if k == n > 1 and trial % 7 == 3:  # a skewed image: the width need not be along an axis
+            m = random_unimodular(rng, n, 2)
+            pts = [tuple(dot(row, v) for row in m) for v in pts]
+        if k < n:  # into Z^n through an injective integer map and a shift
+            while True:
+                m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+                if rank(m) == k:
+                    break
+            shift = [rng.randint(-3, 3) for _ in range(n)]
+            pts = [tuple(dot(row, v) + t for row, t in zip(m, shift)) for v in pts]
+        p = hull(pts)
+        q, _ = hull(pts).normalize_full_dimensional()
+        got = p.lattice_width()
+        assert got == oracle_width_search(q), pts
+        thin += got[0] == 1
+        wide += got[0] >= 2
+        lower += p.dim() < n
+    assert thin >= 100 and wide >= 100 and lower >= 100, (thin, wide, lower)
 
 
 class TestNormalize:
