@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegenerateInputError, DimensionMismatchError
+from . import polytope  # for its input checks, read at call time: polytope imports this module
+from .errors import DegenerateInputError, DimensionMismatchError, InvalidParameterError
 from .intlinalg import adjugate, dot, primitive
 
 
@@ -25,8 +26,9 @@ def extreme_rays(constraints, dim):
     modulo the lineality space, sorted; an integer basis of the lineality
     space; and each ray's zero set, a bitmask with bit i set exactly when
     <a_i, ray> = 0.  The classical incremental algorithm adds one halfspace
-    at a time in input order and combines adjacent positive/negative ray
-    pairs, adjacency being zero-set inclusion.  A pair is dropped first when
+    at a time, in the order given, which changes the work and never the
+    result, and combines adjacent positive/negative ray pairs, adjacency
+    being zero-set inclusion.  A pair is dropped first when
     its common zero set has fewer than dim - len(lineality) - 2 rows: a face
     spanned by two adjacent rays has dimension len(lineality) + 2, so its
     equality set has at least that rank (Fukuda-Prodon, "Double description
@@ -40,6 +42,7 @@ def extreme_rays(constraints, dim):
     projected along it keeps its earlier zeros and gains row k, and l0 is
     zero on exactly the earlier rows.  Zero rows, skipped, vanish on every ray.
     """
+    polytope._int_in(dim, "extreme_rays: dim", 0, error=InvalidParameterError)
     lineality = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     rays = []  # list of (vector, zeroset bitmask)
     done = 0  # bitmask of the nonzero rows processed so far
@@ -119,10 +122,7 @@ def simplex_facets(points):
     facet_normals_from_points sorts them.
     """
     n = len(points)
-    rows = [tuple(p) + (1,) for p in points]
-    for a in rows:
-        if len(a) != n:
-            raise DimensionMismatchError(f"constraint of length {len(a)} in dimension {n}")
+    rows = _lifted_rows(points, n - 1)
     try:
         det, adj = adjugate(rows)
     except DegenerateInputError:
@@ -131,6 +131,17 @@ def simplex_facets(points):
     every = (1 << n) - 1
     rays = sorted((primitive([sign * row[i] for row in adj]), every ^ 1 << i) for i in range(n))
     return (abs(det), *_facets(rays, n - 1))
+
+
+def _lifted_rows(points, dim):
+    """The rows (p, 1) of points in Z^dim; a point of another length raises, named."""
+    rows = []
+    for p in points:
+        p = tuple(p)
+        if len(p) != dim:
+            raise DimensionMismatchError(f"point {p!r} is not in Z^{dim}")
+        rows.append(p + (1,))
+    return rows
 
 
 def _facets(rays, dim):
@@ -163,7 +174,7 @@ def facet_normals_from_points(points):
         if simplex is None:
             raise DegenerateInputError("point set is not full-dimensional")
         return simplex[1:]
-    rays, lineality, zero_sets = extreme_rays([tuple(p) + (1,) for p in points], dim + 1)
+    rays, lineality, zero_sets = extreme_rays(_lifted_rows(points, dim), dim + 1)
     if lineality:
         raise DegenerateInputError("point set is not full-dimensional")
     return _facets(zip(rays, zero_sets), dim)

@@ -195,16 +195,21 @@ def regular_subdivision(p: LatticePolytope, heights: dict) -> Subdivision:
     n[d] > 0 are the lower facets; each maximal cell is the projection of
     the lifted vertices on one, the vertices found by `_vertex_mask` over
     the rays' zero sets on the lifted points.
+
+    The lifted points go in by increasing height, ties in lattice-point
+    order.  The hull is built bottom-up: each new point is the highest so
+    far, so it cuts few of the facets built before it, and the DD combines
+    few ray pairs.  The order changes the DD's work, never its rays.
     """
     if not _instance(p, LatticePolytope, "a lattice polytope").is_full_dimensional():
         raise DegenerateInputError("subdivide a full-dimensional polytope (normalize first)")
     _check_height_points(p, heights)
-    pts = p.lattice_points()
     hmap = {}
-    for x in pts:
+    for x in p.lattice_points():
         if x not in heights:
             raise DegenerateInputError(f"height function is not total: missing {x!r}")
         hmap[x] = _rational(heights[x], f"height at {x!r}")
+    pts = sorted(hmap, key=hmap.__getitem__)
     d = p.dim()
     scale = lcm(*[v.denominator for v in hmap.values()])
     rows = [(0,) * d + (1, 0)] + [x + (int(hmap[x] * scale), 1) for x in pts]

@@ -6,13 +6,15 @@ zero set afresh by dot products with every input row.  The prefilter only
 skips pairs that cannot be adjacent, so the two must return exactly the
 same (rays, lineality, zero sets) on brute-force cones, seeded random
 systems (lineality, duplicate and zero rows included), the lifted
-distance-height hull of the dim4 pipeline, and the facet and vertex routes
-built on the engine.  The closed-form facets of a simplex, which skip the
+distance-height hull of the dim4 pipeline, the lifts in the height order
+the lower hull feeds them, and the facet and vertex routes built on the
+engine.  The closed-form facets of a simplex, which skip the
 engine, are checked against the engine's own route.
 """
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -22,8 +24,8 @@ from sbvol import dd
 from sbvol.errors import DegenerateInputError, DimensionMismatchError
 from sbvol.families import dilated_simplex, kollar_totaro
 from sbvol.intlinalg import dot, integer_kernel, primitive, rank
-from sbvol.polytope import carrier
-from sbvol.subdivision import distance_height
+from sbvol.polytope import carrier, hull
+from sbvol.subdivision import distance_height, regular_subdivision
 
 
 def _oracle_extreme_rays(constraints, dim):
@@ -208,6 +210,48 @@ def test_dim4_lifted_distance_hull():
     assert sum(1 for r in rays if r[4] > 0) == 196
 
 
+def _lifts_in_height_order():
+    """The dim4 lift under a seeded signed permutation; dilated_simplex(3, 6), tied and distinct."""
+    rng = random.Random(760)
+    big = dilated_simplex(4, 4)
+    heights = distance_height(big, kollar_totaro(3, 4))
+    perm = rng.sample(range(4), 4)
+    signs = [rng.choice((-1, 1)) for _ in range(4)]
+
+    def move(x):
+        return tuple(s * x[j] for j, s in zip(perm, signs))
+
+    yield hull([move(v) for v in big.vertices]), {move(x): h for x, h in heights.items()}
+    p = dilated_simplex(3, 6)
+    pts = p.lattice_points()
+    yield p, {x: rng.randint(0, 3) for x in pts}
+    yield p, dict(zip(pts, rng.sample(range(-500, 500), len(pts))))
+
+
+def test_lifts_as_the_lower_hull_feeds_them(monkeypatch):
+    """The rows regular_subdivision gives the engine: the vertical row, then the lift by height."""
+    fed = []
+    extreme_rays = dd.extreme_rays
+
+    def recorded(constraints, dim):
+        fed.append((constraints, dim))
+        return extreme_rays(constraints, dim)
+
+    monkeypatch.setattr(dd, "extreme_rays", recorded)
+    tied = []
+    for p, heights in _lifts_in_height_order():
+        fed.clear()
+        regular_subdivision(p, heights)
+        rows, dim = fed[0]
+        lifted = [r[-2] for r in rows[1:]]
+        assert lifted == sorted(lifted)
+        tied.append(len(set(lifted)) < len(lifted))
+        got = extreme_rays(rows, dim)
+        assert got == _oracle_extreme_rays(rows, dim)
+        assert got[1] == []
+    assert tied == [True, True, False]
+
+
 def test_facet_normals_from_random_lattice_polytopes(monkeypatch):
     """Facets and their tight sets; a tight set is the transpose of the points' carriers."""
     rng = random.Random(720)
@@ -310,10 +354,12 @@ def test_singular_simplex_raises_as_the_double_description_does():
                 route(pts)
             errors.append(str(info.value))
         assert errors == ["point set is not full-dimensional"] * 2, pts
-    for pts in ([(0, 0), (1, 0), (2, 0, 0)], [(0, 0), (1, 0, 0), (0, 1)]):
-        for route in (dd.facet_normals_from_points, _facets_by_dd):
-            with pytest.raises(DimensionMismatchError, match="length 4 in dimension 3"):
-                route(pts)
+    # a ragged point: the facet route names it, the bare engine names its row
+    for pts, bad in (([(0, 0), (1, 0), (2, 0, 0)], "(2, 0, 0)"), ([(0, 0), (1, 0, 0), (0, 1)], "(1, 0, 0)")):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"point {bad} is not in Z^2")):
+            dd.facet_normals_from_points(pts)
+        with pytest.raises(DimensionMismatchError, match="length 4 in dimension 3"):
+            _facets_by_dd(pts)
 
 
 def test_constraint_of_wrong_length_raises():

@@ -13,6 +13,7 @@ from itertools import product
 
 import pytest
 
+from sbvol import dd
 from sbvol.conditionm import check_condition_m, reduced_witnesses, sections_of_class
 from sbvol.errors import DegenerateInputError, DimensionMismatchError, InvalidParameterError
 from sbvol.families import (
@@ -165,6 +166,8 @@ ROWS = [
     ("containment-spaces", lambda: containment_certificate(SQUARE, CUBE), Dim),
     ("containment-map", lambda: containment_certificate(CUBE, CUBE, AffineUnimodularMap.identity(2)), Dim),
     ("subdivision-cell-space", lambda: make_subdivision(SQUARE, [CUBE]), Dim),
+    ("simplex-facets-ragged", lambda: dd.simplex_facets([(0, 0), (1, 0), (0, 1, 0)]), Dim),
+    ("facet-normals-ragged", lambda: dd.facet_normals_from_points([(0, 0), (1, 0), (0, 1), (1, 1, 0)]), Dim),
     # an index or a dimension in a range
     ("face-dim-range", lambda: SQUARE.faces(3), Deg),
     ("facet-shift-float", lambda: facet_shift(SQUARE, 1.0), Deg),
@@ -177,6 +180,9 @@ ROWS = [
     ("dilate-integral-fraction", lambda: dilate(SQUARE, Fraction(2)), Deg),
     ("dilate-bool", lambda: dilate(SQUARE, True), Deg),
     ("dilate-negative", lambda: dilate(SQUARE, -1), Deg),
+    ("dd-dim-negative", lambda: dd.extreme_rays([], -1), Par),
+    ("dd-dim-bool", lambda: dd.extreme_rays([(1,)], True), Par),
+    ("dd-dim-float", lambda: dd.extreme_rays([(1,)], 1.0), Par),
     # a budget
     ("witness-budget-float", lambda: reduced_witnesses(class_group(hpt()), budget=2.5), Par),
     ("witness-budget-bool", lambda: reduced_witnesses(class_group(hpt()), budget=True), Par),
@@ -218,6 +224,14 @@ def test_bad_input_is_rejected(call, error):
         call()
 
 
+def test_a_ragged_point_is_named_with_its_space():
+    for route in (dd.simplex_facets, dd.facet_normals_from_points):
+        with pytest.raises(Dim, match=r"point \(0, 1, 0\) is not in Z\^2"):
+            route([(0, 0), (1, 0), (0, 1, 0)])
+    with pytest.raises(Dim, match=r"point \(1, 1, 0\) is not in Z\^2"):
+        dd.facet_normals_from_points([(0, 0), (1, 0), (0, 1), (1, 1, 0)])
+
+
 def test_the_rejected_values_are_valid_one_step_away():
     # The rows fail on their bad argument, not on the fixtures around it.
     assert SQUARE.contains((Fraction(1, 2), 0)) and not lies_in_boundary(SQUARE, [(Fraction(1, 2),) * 2])
@@ -228,6 +242,9 @@ def test_the_rejected_values_are_valid_one_step_away():
     assert standard_simplex(0).vertices == ((),) and simplex_product([(1, 2)]) == dilated_simplex(1, 2)
     assert dilate(SQUARE, 0).vertices == ((0, 0),) and len(SQUARE.faces(2)) == 1
     assert facet_shift(SQUARE, 3).vertices() and exponent_tuples(2) == [(0, 0)]
+    assert dd.extreme_rays([], 0) == ([], [], []) and dd.extreme_rays([(1,)], 1) == ([(1,)], [], [0])
+    assert dd.simplex_facets([(0, 0), (1, 0), (0, 1)])[0] == 1
+    assert len(dd.facet_normals_from_points([(0, 0), (1, 0), (0, 1), (1, 1)])[0]) == 4
     assert RationalPolytope(2, [((1, 0), 0)]).contains((0, 5))
     assert double_cone(SQUARE, [((0, 0, 1), (0, 0, -1))]).polytope.dim() == 3
     assert extend_schreieder(schreieder(3), [(0, 0, 1)]).ambient_dim == 11

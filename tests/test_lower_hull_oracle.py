@@ -242,6 +242,36 @@ def test_one_hull_per_lower_hull(dim4, monkeypatch):
     assert runs == [(71, 6)] + others and len(others) == 1
 
 
+def test_the_lift_goes_in_by_height(monkeypatch):
+    # The vertical row, then the lifted points by increasing height, ties in
+    # lattice-point order: the order sets the DD's work, not its result.
+    fed = []
+    extreme_rays = dd.extreme_rays
+
+    def recorded(constraints, dim):
+        fed.append(constraints)
+        return extreme_rays(constraints, dim)
+
+    monkeypatch.setattr(dd, "extreme_rays", recorded)
+    rng = random.Random(SEED + 3)  # the inputs of test_criterion_11d_subdivisions
+    ties = 0
+    for _ in range(100):
+        dim = rng.choice([2, 2, 3])
+        p = _random_polytope(rng, dim, coord=3 if dim == 2 else 2)
+        heights = {x: rng.randint(0, 6) for x in p.lattice_points()}
+        fed.clear()
+        regular_subdivision(p, heights)
+        rows = fed[0]
+        assert rows[0] == (0,) * dim + (1, 0)
+        index = {x: i for i, x in enumerate(p.lattice_points())}
+        keys = [(r[dim], index[r[:dim]]) for r in rows[1:]]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert [r[dim] for r in rows[1:]] == [heights[r[:dim]] for r in rows[1:]]
+        assert len(rows) == len(index) + 1
+        ties += len(set(heights.values())) < len(heights)
+    assert ties > 50  # most inputs tie some heights
+
+
 def test_a_lineality_space_in_the_lift_raises(monkeypatch):
     # Rows that span make the cone pointed, so a line can only come from a broken engine.
     square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
