@@ -278,7 +278,9 @@ def _bareiss_rref(a: Matrix, cols: int):
     Returns (pivot columns, d, the reduced rest of each row), the pivot block being d I; for
     a = [b | rhs] with b square and nonsingular, d = det b and the rest is adj(b) rhs.  Each
     entry is a minor of the input, so the division by the previous pivot is exact, and a swap
-    negates the row it moves down, so no step changes the determinant.
+    negates the row it moves down, so no step changes the determinant.  It serves the
+    rectangular and rank-deficient cases, solve_rational and the frame of a point set;
+    adjugate runs its own elimination on n x n storage.
     """
     rows = len(a)
     m = [list(row) for row in a]
@@ -319,20 +321,48 @@ def solve_rational(a: Matrix, b) -> tuple | None:
 def adjugate(a: Matrix) -> tuple:
     """(det a, det(a) a^{-1}) of a nonsingular square integer matrix, in integers.
 
-    One fraction-free elimination of [a | I]; a singular matrix raises
-    DegenerateInputError.
+    Fraction-free (Bareiss) Gauss-Jordan of [a | I] on n x n storage: at step
+    t, column t of the right block is stored where column t of the left block
+    was, -f off the pivot row and the previous pivot d on it, so each step
+    updates n columns, not 2n.  Every entry is a minor of the input, so the
+    division by d is exact.  A swap negates the row it moves down, so the
+    rows are a signed permutation P a with det(P a) = det a, and adj a =
+    adj(P a) P undoes the swaps on the columns at the end.  A non-square or
+    ragged matrix, an entry that is not an int (a bool included) and a
+    singular matrix raise DegenerateInputError.
     """
     n = len(a)
-    pivots, d, adj = _bareiss_rref([list(row) + e for row, e in zip(a, identity_matrix(n))], n)
-    if len(pivots) < n:
-        raise DegenerateInputError("matrix is singular")
-    return d, adj
+    try:
+        bad = any(len(row) != n for row in a) or not {type(x) for row in a for x in row} <= {int}
+    except TypeError:  # a row that is not a sequence
+        bad = True
+    if bad:
+        raise DegenerateInputError(f"adjugate needs a square matrix of ints, got {a!r}")
+    m = [list(row) for row in a]
+    swaps, d = [], 1
+    for t in range(n):
+        r = next((i for i in range(t, n) if m[i][t]), None)
+        if r is None:
+            raise DegenerateInputError("matrix is singular")
+        if r != t:
+            m[t], m[r] = m[r], [-x for x in m[t]]
+            swaps.append((t, r))
+        prow = m[t]
+        p = prow[t]
+        for i, row in enumerate(m):
+            if i != t:
+                f = row[t]
+                m[i] = row = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                row[t] = -f
+        prow[t], d = d, p
+    for t, r in reversed(swaps):
+        for row in m:
+            row[t], row[r] = -row[r], row[t]
+    return d, m
 
 
 def invert_unimodular(a: Matrix) -> Matrix:
     """Exact inverse of a unimodular integer matrix (again integer): det(a) adj(a)."""
-    if any(len(row) != len(a) for row in a):
-        raise DegenerateInputError("matrix is not unimodular")
     try:
         d, adj = adjugate(a)
     except DegenerateInputError:

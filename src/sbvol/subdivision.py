@@ -17,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from . import dd
 from .errors import (
@@ -262,68 +262,78 @@ def _vertex_list(poly):
     return poly.vertices() if isinstance(poly, RationalPolytope) else poly.vertices
 
 
-def _combination(points, weights):
-    """(Y, D) with sum w_i p_i = Y / D: Y is integer for integer points, D > 0."""
-    den = lcm(*(w.denominator for w in weights))
-    ints = [int(w * den) for w in weights]
-    return vec_mat(ints, points), den
+def _certify_min_norm(points, weights, den, big):
+    """Raise unless big / den, big = sum w_i p_i, is the point of conv(points) nearest 0.
 
-
-def _certify_min_norm(points, weights, y):
-    """Raise unless y = sum w_i p_i is the point of conv(points) nearest the origin.
-
-    Convex weights put y in the hull, and <y, p> >= |y|^2 for every integer
-    point p puts the hull where every norm is at least |y| (Wolfe 1976).
+    Integer weights w_i >= 0 summing to den > 0 put y = big / den in the hull,
+    and den <big, p> >= |big|^2, that is <y, p> >= |y|^2, for every point p
+    puts the hull where every norm is at least |y| (Wolfe 1976).
     """
-    big, den = _combination(points, weights)
-    if min(weights) < 0 or sum(weights) != 1 or tuple(c * den for c in y) != big:
+    if den <= 0 or min(weights) < 0 or sum(weights) != den or vec_mat(weights, points) != big:
         raise InternalConsistencyError("min-norm weights are not convex or miss the point")
     if den * min(dot(big, p) for p in points) < dot(big, big):
         raise InternalConsistencyError("min-norm point is not optimal over the hull")
 
 
 def _affine_minimizer(corral):
-    """Weights of the point of the affine span nearest the origin, from adj [G 1; 1^T 0]."""
+    """(A, E), E > 0: A_i / E weigh the point of the affine span nearest the origin.
+
+    They are the last column of adj [G 1; 1^T 0] over its determinant.
+    """
     k = len(corral)
     system = [[dot(p, q) for q in corral] + [1] for p in corral] + [[1] * k + [0]]
     try:
         d, adj = adjugate(system)
     except DegenerateInputError:
         raise InternalConsistencyError("corral points are affinely dependent") from None
-    return [Fraction(row[k], d) for row in adj[:k]]
+    s = 1 if d > 0 else -1
+    return [s * row[k] for row in adj[:k]], s * d
 
 
 def _wolfe_min_norm(points):
-    """Weights (aligned with points) and the point y = Y / D of their hull nearest the origin.
+    """(weights, D, Y): the point Y / D of the hull of points nearest the origin, Y = sum w_i p_i.
 
-    Wolfe's algorithm: a major cycle adds the point minimising <y, p> to the
-    corral; minor cycles move to the affine minimum of the corral and drop
-    points whose weight reaches 0.  Each major cycle must lower |y|.
+    Wolfe's algorithm over one common denominator: the corral's weights are
+    L_i / D with integers L_i > 0 summing to D.  A major cycle adds the point
+    minimising <Y, p> to the corral; minor cycles move towards the affine
+    minimum A / E of the corral and drop points whose weight reaches 0.  The
+    step theta = min L_i E / (L_i E - A_i D) over A_i <= 0 < L_i is the
+    largest -A_k / L_k, found by cross-multiplication, and gives the weights
+    L_k A_i - A_k L_i over L_k E - A_k D, reduced by one gcd.  Each major
+    cycle must lower |Y / D|.  The weights are aligned with points.
     """
     corral = [min(range(len(points)), key=lambda i: dot(points[i], points[i]))]
-    lam = [Fraction(1)]
-    big, den = points[corral[0]], 1
-    yy = Fraction(dot(big, big))
-    while yy > 0:
-        j = min(range(len(points)), key=lambda i: dot(big, points[i]))
-        if Fraction(dot(big, points[j]), den) >= yy:
+    lam, den = [1], 1
+    big = points[corral[0]]
+    yy = dot(big, big)  # |Y|^2; the point y = Y / D has |y|^2 = yy / D^2
+    while yy:
+        dots = [dot(big, p) for p in points]
+        j = dots.index(min(dots))
+        if den * dots[j] >= yy:
             break
-        corral, lam = corral + [j], lam + [Fraction(0)]
+        corral, lam, ld = corral + [j], lam + [0], den
         while True:
-            alpha = _affine_minimizer([points[i] for i in corral])
+            alpha, e = _affine_minimizer([points[i] for i in corral])
             if min(alpha) > 0:
                 break
-            # theta 0 only drops an entering point without weight: the norm check fails.
-            theta = min((l / (l - a) for l, a in zip(lam, alpha) if a <= 0 < l), default=0)
-            lam = [l + theta * (a - l) for l, a in zip(lam, alpha)]
+            k = None
+            for i, (l, a) in enumerate(zip(lam, alpha)):
+                if a <= 0 < l and (k is None or a * lam[k] < alpha[k] * l):
+                    k = i
+            # no step only drops an entering point without weight: the norm check fails.
+            if k is not None:
+                lk, ak = lam[k], alpha[k]
+                lam, ld = [lk * a - ak * l for l, a in zip(lam, alpha)], lk * e - ak * ld
+                g = gcd(ld, *lam)
+                lam, ld = [l // g for l in lam], ld // g
             corral, lam = [i for i, l in zip(corral, lam) if l > 0], [l for l in lam if l > 0]
-        lam = list(alpha)
-        big, den = _combination([points[i] for i in corral], lam)
-        if Fraction(dot(big, big), den * den) >= yy:
+        nxt = vec_mat(alpha, [points[i] for i in corral])
+        nxt_yy = dot(nxt, nxt)
+        if nxt_yy * den * den >= yy * e * e:
             raise InternalConsistencyError("a Wolfe major cycle did not lower the norm")
-        yy = Fraction(dot(big, big), den * den)
+        lam, den, big, yy = alpha, e, nxt, nxt_yy
     weights = dict(zip(corral, lam))
-    return [weights.get(i, 0) for i in range(len(points))], tuple(Fraction(c, den) for c in big)
+    return [weights.get(i, 0) for i in range(len(points))], den, big
 
 
 def _translated(verts, x):
@@ -347,9 +357,9 @@ def min_squared_distance(poly, x) -> Fraction:
     if poly.contains(x):
         return Fraction(0)
     points, scale = _translated(verts, x)
-    weights, y = _wolfe_min_norm(points)
-    _certify_min_norm(points, weights, y)
-    return Fraction(dot(y, y), scale * scale)
+    weights, den, big = _wolfe_min_norm(points)
+    _certify_min_norm(points, weights, den, big)
+    return Fraction(dot(big, big), (den * scale) ** 2)
 
 
 def distance_height(p: LatticePolytope, delta) -> dict:

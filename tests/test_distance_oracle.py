@@ -1,23 +1,34 @@
-"""Wolfe's minimum-norm-point distance against the face-projection oracle.
+"""Wolfe's minimum-norm-point distance against the face-projection oracle and the Fraction Wolfe.
 
-The oracle is the earlier min_squared_distance: it projects the point onto
-the affine span of every face and keeps the nearest projection that lies in
-the polytope.  The two must agree exactly (Fraction equality) on the staged
-double-cone chain, on the dim4 pipeline heights and on random polytopes.
+The first oracle is the earlier min_squared_distance: it projects the point
+onto the affine span of every face and keeps the nearest projection that
+lies in the polytope.  The two must agree exactly (Fraction equality) on the
+staged double-cone chain, on the dim4 pipeline heights and on random
+polytopes.
 
 A point of the polytope is answered 0 by the containment test alone.  On
 those points the slow path, certified Wolfe on the same integer points,
 must give 0 as well, and 0 must come exactly for the contained points.
+
+The second oracle is the earlier Wolfe in Fractions, `_wolfe_min_norm`,
+`_affine_minimizer`, `_combination` and `_certify_min_norm`, copied below
+unchanged apart from their names.  The package runs Wolfe in integers over
+one common denominator; on every run of the dim4 heights under seeded
+signed permutations, of the staged double-cone chain and of seeded random
+polytopes, both must give the same corral, the same weights, the same
+nearest point and the same distance.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+import sbvol.subdivision as subdivision_module
 from sbvol.errors import DegenerateInputError, InternalConsistencyError
 from sbvol.families import dilated_simplex, divisor_23_double_cone, kollar_totaro
-from sbvol.intlinalg import rank, solve_rational
+from sbvol.intlinalg import adjugate, dot, rank, solve_rational, vec_mat
 from sbvol.polytope import LatticePolytope, RationalPolytope, face_closure, hull, slacks
 from sbvol.subdivision import (
     _certify_min_norm,
@@ -27,6 +38,76 @@ from sbvol.subdivision import (
     distance_height,
     min_squared_distance,
 )
+
+
+# -- the earlier Wolfe in Fractions, unchanged ------------------------------------------
+
+
+def oracle_combination(points, weights):
+    """(Y, D) with sum w_i p_i = Y / D: Y is integer for integer points, D > 0."""
+    den = lcm(*(w.denominator for w in weights))
+    ints = [int(w * den) for w in weights]
+    return vec_mat(ints, points), den
+
+
+def oracle_certify_min_norm(points, weights, y):
+    """Raise unless y = sum w_i p_i is the point of conv(points) nearest the origin.
+
+    Convex weights put y in the hull, and <y, p> >= |y|^2 for every integer
+    point p puts the hull where every norm is at least |y| (Wolfe 1976).
+    """
+    big, den = oracle_combination(points, weights)
+    if min(weights) < 0 or sum(weights) != 1 or tuple(c * den for c in y) != big:
+        raise InternalConsistencyError("min-norm weights are not convex or miss the point")
+    if den * min(dot(big, p) for p in points) < dot(big, big):
+        raise InternalConsistencyError("min-norm point is not optimal over the hull")
+
+
+def oracle_affine_minimizer(corral):
+    """Weights of the point of the affine span nearest the origin, from adj [G 1; 1^T 0]."""
+    k = len(corral)
+    system = [[dot(p, q) for q in corral] + [1] for p in corral] + [[1] * k + [0]]
+    try:
+        d, adj = adjugate(system)
+    except DegenerateInputError:
+        raise InternalConsistencyError("corral points are affinely dependent") from None
+    return [Fraction(row[k], d) for row in adj[:k]]
+
+
+def oracle_wolfe_min_norm(points):
+    """Weights (aligned with points) and the point y = Y / D of their hull nearest the origin.
+
+    Wolfe's algorithm: a major cycle adds the point minimising <y, p> to the
+    corral; minor cycles move to the affine minimum of the corral and drop
+    points whose weight reaches 0.  Each major cycle must lower |y|.
+    """
+    corral = [min(range(len(points)), key=lambda i: dot(points[i], points[i]))]
+    lam = [Fraction(1)]
+    big, den = points[corral[0]], 1
+    yy = Fraction(dot(big, big))
+    while yy > 0:
+        j = min(range(len(points)), key=lambda i: dot(big, points[i]))
+        if Fraction(dot(big, points[j]), den) >= yy:
+            break
+        corral, lam = corral + [j], lam + [Fraction(0)]
+        while True:
+            alpha = oracle_affine_minimizer([points[i] for i in corral])
+            if min(alpha) > 0:
+                break
+            # theta 0 only drops an entering point without weight: the norm check fails.
+            theta = min((l / (l - a) for l, a in zip(lam, alpha) if a <= 0 < l), default=0)
+            lam = [l + theta * (a - l) for l, a in zip(lam, alpha)]
+            corral, lam = [i for i, l in zip(corral, lam) if l > 0], [l for l in lam if l > 0]
+        lam = list(alpha)
+        big, den = oracle_combination([points[i] for i in corral], lam)
+        if Fraction(dot(big, big), den * den) >= yy:
+            raise InternalConsistencyError("a Wolfe major cycle did not lower the norm")
+        yy = Fraction(dot(big, big), den * den)
+    weights = dict(zip(corral, lam))
+    return [weights.get(i, 0) for i in range(len(points))], tuple(Fraction(c, den) for c in big)
+
+
+# -- the face-projection oracle ----------------------------------------------------------
 
 
 def _face_vertex_lists(poly):
@@ -112,9 +193,9 @@ def assert_zero_path(poly, x, oracle=None):
     assert (got == 0) == inside, (poly, x)
     if inside:
         points, _ = _translated(_vertex_list(poly), x)
-        weights, y = _wolfe_min_norm(points)
-        _certify_min_norm(points, weights, y)
-        assert not any(y)
+        weights, den, big = _wolfe_min_norm(points)
+        _certify_min_norm(points, weights, den, big)
+        assert not any(big)
     else:
         assert got == (oracle_min_squared_distance(poly, x) if oracle is None else oracle)
     return inside
@@ -312,3 +393,71 @@ def test_hypothesis_property():
         assert_agrees(poly, [x])
 
     check()
+
+
+# -- Wolfe in integers against Wolfe in Fractions ------------------------------------------
+
+
+def assert_wolfe_agrees(points, scale):
+    """Both Wolfes certify the same corral, weights, nearest point and distance."""
+    weights, den, big = _wolfe_min_norm(points)
+    _certify_min_norm(points, weights, den, big)
+    want_weights, want_y = oracle_wolfe_min_norm(points)
+    oracle_certify_min_norm(points, want_weights, want_y)
+    assert den > 0 and all(type(c) is int for c in (*weights, den, *big))
+    got = [Fraction(w, den) for w in weights]
+    assert [i for i, w in enumerate(got) if w] == [i for i, w in enumerate(want_weights) if w]
+    assert got == want_weights, points
+    assert tuple(Fraction(c, den) for c in big) == want_y
+    assert Fraction(dot(big, big), (den * scale) ** 2) == Fraction(dot(want_y, want_y), scale * scale)
+
+
+@pytest.fixture
+def minor_steps(monkeypatch):
+    """Counts the affine minima that leave the hull of their corral, each a minor-cycle step."""
+    count = [0]
+    original = subdivision_module._affine_minimizer
+
+    def counted(corral):
+        alpha, e = original(corral)
+        count[0] += min(alpha) <= 0
+        return alpha, e
+
+    monkeypatch.setattr(subdivision_module, "_affine_minimizer", counted)
+    return count
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integer_wolfe_on_the_dim4_heights(seed, minor_steps):
+    point, _ = _signed_permutation(random.Random(seed), 4)
+    small = hull([point(v) for v in kollar_totaro(3, 4).vertices])
+    for x in dilated_simplex(4, 4).lattice_points():
+        assert_wolfe_agrees(*_translated(_vertex_list(small), point(x)))
+    assert minor_steps[0] > 0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_integer_wolfe_on_the_staged_double_cone_chain(seed, minor_steps):
+    chain, points = _permuted_chain(seed)
+    for stage in chain:
+        for x in points:
+            assert_wolfe_agrees(*_translated(_vertex_list(stage), x))
+    assert minor_steps[0] > 0
+
+
+def test_integer_wolfe_on_random_polytopes(minor_steps):
+    rng = random.Random(1978)
+    runs = 0
+    for trial in range(60):
+        dim = 1 + trial % 5
+        if trial % 3:
+            poly = _random_lattice_polytope(rng, dim)
+        else:
+            p = hull([tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(dim + 3)])
+            poly = RationalPolytope(dim, [(n, c + Fraction(1, 3)) for n, c in p.facet_system()])
+            if poly.is_empty():
+                continue
+        for x in _queries(rng, poly, dim, count=4):
+            assert_wolfe_agrees(*_translated(_vertex_list(poly), x))
+            runs += 1
+    assert runs >= 400 and minor_steps[0] >= 20, (runs, minor_steps[0])

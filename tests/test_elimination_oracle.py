@@ -11,6 +11,11 @@ heights and of the staged double-cone chain, every width and equivalence
 frame of the dim4 pipeline, and every subcone adjugate and frame that
 fine_interior builds on the dimension-4 inputs of criterion 11a.
 
+`adjugate` runs its Gauss-Jordan on n x n storage; the earlier elimination
+of [a | I], copied below as `_oracle_adjugate`, must give the identical
+pair wherever the Fraction oracle is asked, and on sizes 0 to 8 with zero
+pivots that force row swaps.  Singular, ragged and non-int input raises.
+
 The Smith oracle is the earlier `smith_form`, copied below unchanged apart
 from its name, with separate row and column passes.  The kernel clears
 columns by the row pass on the transposes; S, U and V must be identical on
@@ -33,6 +38,7 @@ from sbvol.families import builtin_seed_registry, dilated_simplex, divisor_23_do
 from sbvol.intlinalg import (
     Matrix,
     SmithDecomposition,
+    _bareiss_rref,
     adjugate,
     copy_matrix,
     det,
@@ -108,6 +114,19 @@ def invert_rational(a: Matrix) -> Matrix:
     if len(pivots) < n:
         raise DegenerateInputError("matrix is singular")
     return inverse
+
+
+def _oracle_adjugate(a: Matrix) -> tuple:
+    """(det a, det(a) a^{-1}) of a nonsingular square integer matrix, in integers.
+
+    One fraction-free elimination of [a | I]; a singular matrix raises
+    DegenerateInputError.
+    """
+    n = len(a)
+    pivots, d, adj = _bareiss_rref([list(row) + e for row, e in zip(a, identity_matrix(n))], n)
+    if len(pivots) < n:
+        raise DegenerateInputError("matrix is singular")
+    return d, adj
 
 
 def _frame(diffs, d):
@@ -239,6 +258,7 @@ def assert_adjugate_agrees(a):
     assert d == det(a)
     assert adj == [[x * d for x in row] for row in inverse]
     assert all(type(x) is int for row in adj for x in row)
+    assert (d, adj) == _oracle_adjugate(a)
     return True
 
 
@@ -294,9 +314,46 @@ def test_edge_shapes():
     # a row swap negates the row moved down, so the sign of the determinant holds
     assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
     assert assert_adjugate_agrees([[0, 2, 1], [3, 0, 0], [0, 0, 5]])
+    for a in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[]], [[0, 1], [1]]):  # non-square or ragged
+        with pytest.raises(DegenerateInputError, match="square matrix of ints"):
+            adjugate(a)
     assert kernel_solve_rational([[0, 0]], [0]) == (0, 0)
     assert kernel_solve_rational([[0, 0]], [1]) is None
     assert kernel_solve_rational([[2], [4]], [Fraction(1, 3), Fraction(2, 3)]) == (Fraction(1, 6),)
+
+
+def test_adjugate_against_the_elimination_of_a_beside_the_identity():
+    # Sizes 0 to 8; zeros on and above the diagonal, rows shuffled, force row
+    # swaps, and a zero column or a repeated row makes a singular matrix.
+    rng = random.Random(1969)
+    seen = {"swapped": 0, "inverted": 0, "singular": 0}
+    for trial in range(900):
+        n = trial % 9
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.4:
+                    a[i][j] = 0
+        if n > 1 and trial % 7 == 0:
+            a[rng.randrange(n)] = list(a[rng.randrange(n)])
+        rng.shuffle(a)
+        try:
+            want = _oracle_adjugate(a)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError, match="^matrix is singular$"):
+                adjugate(a)
+            seen["singular"] += 1
+            continue
+        assert adjugate(a) == want, a
+        assert want[0] == det(a)
+        seen["inverted"] += 1
+        seen["swapped"] += any(_leading_zero_pivot(a, t) for t in range(n))
+    assert all(count >= 100 for count in seen.values()), seen
+
+
+def _leading_zero_pivot(a, t):
+    """True when the leading t x t minor is nonzero and the next one is 0: step t must swap."""
+    return det([row[:t] for row in a[:t]]) != 0 and det([row[: t + 1] for row in a[: t + 1]]) == 0
 
 
 def _smith_triple(a):
@@ -352,12 +409,13 @@ def test_wolfe_bordered_systems(monkeypatch):
     assert len(minimizers) > 150
     assert len(inverses) == len(minimizers)  # one elimination per affine minimum
     assert {len(corral) for (corral,), _ in minimizers} >= {2, 3, 4, 5}
-    for ((corral,), alpha), ((system,), _) in zip(minimizers, inverses):
+    for ((corral,), (alpha, e)), ((system,), _) in zip(minimizers, inverses):
         k = len(corral)
         assert system == [[sum(x * y for x, y in zip(p, q)) for q in corral] + [1] for p in corral] + [[1] * k + [0]]
         assert assert_adjugate_agrees(system)
         assert rank(system) == k + 1
-        assert list(alpha) == list(solve_rational(system, [0] * k + [1])[:k])
+        assert e > 0 and sum(alpha) == e
+        assert [Fraction(a, e) for a in alpha] == list(solve_rational(system, [0] * k + [1])[:k])
 
 
 def test_dim4_pipeline_frames(monkeypatch):

@@ -31,6 +31,7 @@ from sbvol.families import (
     standard_simplex,
 )
 from sbvol.hodge import e_p0_open, h_p0_compact
+from sbvol.intlinalg import adjugate
 from sbvol.polytope import (
     AffineChart,
     AffineUnimodularMap,
@@ -168,6 +169,14 @@ ROWS = [
     ("subdivision-cell-space", lambda: make_subdivision(SQUARE, [CUBE]), Dim),
     ("simplex-facets-ragged", lambda: dd.simplex_facets([(0, 0), (1, 0), (0, 1, 0)]), Dim),
     ("facet-normals-ragged", lambda: dd.facet_normals_from_points([(0, 0), (1, 0), (0, 1), (1, 1, 0)]), Dim),
+    # a square matrix of ints
+    ("adjugate-wide", lambda: adjugate([[1, 2, 3], [4, 5, 6]]), Deg),
+    ("adjugate-tall", lambda: adjugate([[1], [2]]), Deg),
+    ("adjugate-ragged", lambda: adjugate([[1, 2], [3]]), Deg),
+    ("adjugate-float", lambda: adjugate([[1.5, 0], [0, 1]]), Deg),
+    ("adjugate-bool", lambda: adjugate([[True, 0], [0, 1]]), Deg),
+    ("adjugate-fraction", lambda: adjugate([[Fraction(1, 2), 0], [0, 1]]), Deg),
+    ("adjugate-int-row", lambda: adjugate([5]), Deg),
     # an index or a dimension in a range
     ("face-dim-range", lambda: SQUARE.faces(3), Deg),
     ("facet-shift-float", lambda: facet_shift(SQUARE, 1.0), Deg),
@@ -244,6 +253,7 @@ def test_the_rejected_values_are_valid_one_step_away():
     assert facet_shift(SQUARE, 3).vertices() and exponent_tuples(2) == [(0, 0)]
     assert dd.extreme_rays([], 0) == ([], [], []) and dd.extreme_rays([(1,)], 1) == ([(1,)], [], [0])
     assert dd.simplex_facets([(0, 0), (1, 0), (0, 1)])[0] == 1
+    assert adjugate([]) == (1, []) and adjugate([[3, 0], [0, 1]]) == (3, [[1, 0], [0, 3]])
     assert len(dd.facet_normals_from_points([(0, 0), (1, 0), (0, 1), (1, 1)])[0]) == 4
     assert RationalPolytope(2, [((1, 0), 0)]).contains((0, 5))
     assert double_cone(SQUARE, [((0, 0, 1), (0, 0, -1))]).polytope.dim() == 3

@@ -296,6 +296,11 @@ def _input_rules(tree):
                     and right.value == 1
                 ):
                     out.append((owner, "denominator != 1"))
+                elif any(
+                    isinstance(side, ast.Set) and any(isinstance(e, ast.Name) and e.id == "int" for e in side.elts)
+                    for side in (left, *node.comparators)
+                ):
+                    out.append((owner, "type set"))
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
                 kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
                 if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
@@ -306,11 +311,13 @@ def _input_rules(tree):
 def test_input_rules_are_spelled_only_in_the_polytope_helpers():
     # One place for input checks: every other module calls _int_in, _rational,
     # _as_int_tuple or _is_rational instead of testing for int, bool or an
-    # integral denominator itself.
+    # integral denominator itself.  The one exception is the kernel under
+    # polytope: adjugate checks all its entries in one pass over their types.
     allowed = {
         ("polytope.py", "_is_rational", "isinstance bool"),
         ("polytope.py", "_int_in", "type is int"),
         ("polytope.py", "_as_int_tuple", "denominator != 1"),
+        ("intlinalg.py", "adjugate", "type set"),
     }
     package = Path(__file__).resolve().parents[1] / "src" / "sbvol"
     found = [
@@ -323,12 +330,14 @@ def test_input_rules_are_spelled_only_in_the_polytope_helpers():
     code = (
         "def f(x):\n    return type(x) is not int or isinstance(x, (int, bool))\n"
         "class C:\n    def g(self, x):\n        return type(x) is int or x.denominator != 1\n"
+        "def h(a):\n    return {type(x) for x in a} <= {int}\n"
     )
     assert _input_rules(ast.parse(code)) == [
         ("f", "type is int"),
         ("f", "isinstance bool"),
         ("C", "type is int"),
         ("C", "denominator != 1"),
+        ("h", "type set"),
     ]
 
 def _unused_imports(tree):

@@ -6,7 +6,8 @@ below.  The package now runs their inner loops through sum(map(mul, ...))
 and the variadic math.gcd.  On drawn int and Fraction inputs of lengths 0
 to 8, with negative entries and zero vectors, both must give the same
 value with the same type in every entry, so no int turns into a Fraction
-or the other way round.
+or the other way round.  The combination is gone: Wolfe's point is now
+vec_mat of int weights over one denominator, held to the same point.
 """
 
 from fractions import Fraction
@@ -16,7 +17,6 @@ import pytest
 
 from sbvol import intlinalg
 from sbvol.polytope import AffineChart, _check_ambient, _eye, _lowest
-from sbvol.subdivision import _combination
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -163,7 +163,11 @@ def test_from_chart_of_named_charts():
 @settings
 @hypothesis.given(st.data())
 def test_combination(data):
+    # Wolfe's point is Y / D with Y = vec_mat(L, points), its weights L_i / D
+    # over one denominator: the point of the earlier combination, in ints.
     n, k = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 8))
     points = data.draw(st.lists(vectors(ints, n), min_size=k, max_size=k))
-    weights = data.draw(st.lists(rationals, min_size=k, max_size=k))
-    same(_combination(points, weights), oracle_combination(points, weights))
+    weights, den = data.draw(st.lists(ints, min_size=k, max_size=k)), data.draw(st.integers(1, 60))
+    want, want_den = oracle_combination(points, [Fraction(w, den) for w in weights])
+    big = intlinalg.vec_mat(weights, points)
+    same(tuple(c * want_den for c in big), tuple(c * den for c in want))

@@ -270,39 +270,46 @@ class TestDistanceHeights:
 
 
 class TestMinNormCertificate:
+    # Weights w over one denominator D name the point Y / D, Y = sum w_i p_i.
     POINTS = [(2, 0), (0, 2), (3, 3)]
 
     def test_optimal_point_passes(self):
-        # The nearest point of the triangle to the origin is (1, 1).
-        half = Fraction(1, 2)
-        _certify_min_norm(self.POINTS, [half, half, 0], (1, 1))
+        # The nearest point of the triangle to the origin is (1, 1) = (2, 2) / 2.
+        _certify_min_norm(self.POINTS, [1, 1, 0], 2, (2, 2))
+        _certify_min_norm(self.POINTS, [3, 3, 0], 6, (6, 6))
 
     def test_non_optimal_point_raises(self):
         # (2, 0) is a vertex, but <(2, 0), (0, 2)> = 0 < 4.
-        with pytest.raises(InternalConsistencyError):
-            _certify_min_norm(self.POINTS, [1, 0, 0], (2, 0))
+        with pytest.raises(InternalConsistencyError, match="not optimal"):
+            _certify_min_norm(self.POINTS, [1, 0, 0], 1, (2, 0))
 
     def test_weights_must_reproduce_the_point(self):
-        with pytest.raises(InternalConsistencyError):
-            _certify_min_norm(self.POINTS, [1, 0, 0], (1, 1))
-        with pytest.raises(InternalConsistencyError):
-            _certify_min_norm(self.POINTS, [2, -1, 0], (4, -2))
+        miss = "not convex or miss the point"
+        with pytest.raises(InternalConsistencyError, match=miss):
+            _certify_min_norm(self.POINTS, [1, 0, 0], 1, (1, 1))
+        with pytest.raises(InternalConsistencyError, match=miss):
+            _certify_min_norm(self.POINTS, [2, -1, 0], 1, (4, -2))
+        with pytest.raises(InternalConsistencyError, match=miss):  # weights sum to 2, not D
+            _certify_min_norm(self.POINTS, [1, 1, 0], 1, (2, 2))
+        with pytest.raises(InternalConsistencyError, match=miss):  # D = 0 names no point
+            _certify_min_norm(self.POINTS, [0, 0, 0], 0, (0, 0))
 
     def test_non_optimal_point_raises_under_optimize(self):
-        # python -O strips assert statements; the certificate check must still raise.
+        # python -O strips assert statements; the certificate checks must still raise.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         code = (
             "from sbvol.errors import InternalConsistencyError\n"
             "from sbvol.subdivision import _certify_min_norm\n"
-            "try:\n"
-            "    _certify_min_norm([(2, 0), (0, 2), (3, 3)], [1, 0, 0], (2, 0))\n"
-            "except InternalConsistencyError:\n"
-            "    print('raised')\n"
+            "for case in ([1, 0, 0], 1, (2, 0)), ([1, 1, 0], 1, (2, 2)), ([0, 0, 0], 0, (0, 0)):\n"
+            "    try:\n"
+            "        _certify_min_norm([(2, 0), (0, 2), (3, 3)], *case)\n"
+            "    except InternalConsistencyError:\n"
+            "        print('raised')\n"
         )
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "raised"
+        assert run.stdout.split() == ["raised"] * 3
 
     def test_affinely_dependent_corral_raises(self):
         with pytest.raises(InternalConsistencyError):
