@@ -6,8 +6,8 @@ halfspace systems, facets of rational cones, and lower hulls of lifted
 point sets (one run on the lifted points and the vertical direction), all
 in integer arithmetic.  Each run also yields its incidence table: every
 ray's zero set over the input rows, such as a facet's points.  The facets
-of a full-dimensional simplex need no run: they are the columns of one
-adjugate, whose determinant is also its normalized volume.
+of a full-dimensional simplex need no run: LatticePolytope.dim() reads them
+off the columns of one adjugate, whose determinant is its normalized volume.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def extreme_rays(constraints, dim):
 
 
 def simplex_facets(points):
-    """(|det|, facets, tight) of dim + 1 points in Z^dim; None when they are affinely dependent.
+    """(|det|, facets, tight) of dim + 1 >= 2 points in Z^dim; None if they are affinely dependent.
 
     With A the matrix of the rows (p, 1), A adj(A) = det(A) I: column i of
     sign(det A) adj(A) pairs to |det A| > 0 with row i and to 0 with every
@@ -122,6 +122,8 @@ def simplex_facets(points):
     facet_normals_from_points sorts them.
     """
     n = len(points)
+    if n < 2:
+        raise DegenerateInputError(f"a simplex needs at least two points, got {n}")
     rows = _lifted_rows(points, n - 1)
     try:
         det, adj = adjugate(rows)
@@ -163,17 +165,12 @@ def facet_normals_from_points(points):
     Each facet (n, c), sorted, is a primitive inner normal with offset: the
     halfspace <n, x> >= c is tight on a facet.  tight[j] is the zero set of
     its ray over the rows (p, 1), bit i set when points[i] lies on facet j.
-    Raises if the points do not span the ambient space affinely.  dim + 1
-    points span it only as a simplex, whose facets come in closed form.
+    One DD run, whatever the number of points; raises if they do not span
+    the ambient space affinely.  LatticePolytope.dim() proves a simplex without one.
     """
     if not points:
         raise DegenerateInputError("no points given")
     dim = len(points[0])
-    if len(points) == dim + 1:
-        simplex = simplex_facets(points)
-        if simplex is None:
-            raise DegenerateInputError("point set is not full-dimensional")
-        return simplex[1:]
     rays, lineality, zero_sets = extreme_rays(_lifted_rows(points, dim), dim + 1)
     if lineality:
         raise DegenerateInputError("point set is not full-dimensional")

@@ -199,8 +199,6 @@ class AffineChart:
         x = _check_ambient(self.ambient_dim, x)
         if self.is_identity():
             return x
-        if self._shift:
-            return tuple(_lowest(a - b) for a, b in zip(x, self.base))
         diff = [a - b for a, b in zip(x, self.base)]
         image = [_lowest(dot(row, diff)) for row in self._transform]
         if any(image[self.dim :]):
@@ -462,16 +460,17 @@ class LatticePolytope:
     # -- invariants ------------------------------------------------------------
 
     def normalized_volume(self) -> int:
-        """dim! times the volume; an integer, 0 only for points."""
+        """dim! times the volume, pulled from vertex 0 over the facets; 0 only for points."""
         if "nvol" not in self._cache:
             q, _ = self.normalize_full_dimensional()
             if q is not self:
                 self._cache["nvol"] = q.normalized_volume()
             elif "nvol" not in self._cache:  # else a simplex's dim() has just found it
-                # (v, 1) over the vertices: each simplicial cone's |det| is
-                # the normalized volume of the simplex it lifts.
+                # On the rows (v, 1), (v0, 1) is coned over each facet off v0, triangulated;
+                # each simplicial cone's |det| is the normalized volume of the simplex it lifts.
                 lifted = [v + (1,) for v in q.vertices]
-                cones = _triangulate_cone(lifted, q.ambient_dim + 1) if q.dim() else ()
+                facets = [[lifted[i] for i in _bits(t)] for t in q._tight_sets() if not t & 1]
+                cones = (c + lifted[:1] for f in facets for c in _triangulate_cone(f, q.ambient_dim))
                 self._cache["nvol"] = sum(abs(det(c)) for c in cones)
         return self._cache["nvol"]
 
@@ -597,7 +596,11 @@ class RationalPolytope:
 
 
 def hull(points) -> LatticePolytope:
-    """Convex hull; vertices are exactly the extreme points of the input."""
+    """Convex hull; vertices are exactly the extreme points of the input.
+
+    Affinely independent points (a point, or a simplex: in full dimension dim()'s one
+    adjugate proves it) are all vertices; any other set gets one DD, charted if flat.
+    """
     pts = [_as_int_tuple(p) for p in _as_tuple(points, "point set")]
     if not pts:
         raise DegenerateInputError("hull of an empty point set")
@@ -605,12 +608,12 @@ def hull(points) -> LatticePolytope:
     if any(len(p) != n for p in pts):
         raise DimensionMismatchError("points live in different ambient dimensions")
     pts = sorted(set(pts))
-    if len(pts) == 1:
-        return LatticePolytope._trusted(n, pts)
-    ch = AffineChart.for_points(pts)
-    d = ch.dim
-    # A full-dimensional set has the shift chart: its facets are found where it lies.
-    facets, tight = dd.facet_normals_from_points(pts if d == n else [ch.to_chart(p) for p in pts])
+    out = LatticePolytope._trusted(n, pts)
+    d = out.dim()
+    if len(pts) == d + 1:
+        return out
+    ch = AffineChart.for_points(pts) if d < n else None
+    facets, tight = dd.facet_normals_from_points([ch.to_chart(p) for p in pts] if ch else pts)
     carriers = _transpose(tight, len(pts))
     vertices = _bits(_vertex_mask(carriers))
     out = LatticePolytope._trusted(n, [pts[i] for i in vertices])
@@ -815,12 +818,10 @@ def unimodular_equivalence(p: LatticePolytope, q: LatticePolytope):
                 if any(x % det_f for row in scaled for x in row):
                     return None
                 lin = tuple(tuple(x // det_f for x in row) for row in scaled)
-                if abs(det(lin)) != 1:
-                    return None
                 trans = tuple(w - dot(r, v0) for w, r in zip(w0, lin))
-                m = AffineUnimodularMap(lin, trans)
-                if sorted(m.apply(v) for v in pv) == qv:
-                    return m
+                # one nonzero volume: a map of pv onto qv is unimodular, as its constructor checks
+                if sorted(tuple(dot(r, v) + t for r, t in zip(lin, trans)) for v in pv) == qv:
+                    return AffineUnimodularMap(lin, trans)
                 return None
             for cand in cands[depth]:
                 if rank([list(x) for x in picked + [cand]]) != depth + 1:
@@ -945,20 +946,21 @@ def slacks(system, x):
         yield dot(n, big) * c.denominator - c.numerator * q
 
 
-def _triangulate_cone(rays, dim):
-    """Split a pointed cone into simplicial subcones on the same ray set.
+def _triangulate_cone(rays, k):
+    """Split a pointed k-dimensional cone, given by its extreme rays, into simplicial subcones.
 
-    Pulls from the first ray: it is coned over a triangulation of every
-    facet that does not contain it.
+    Pulls from the first ray: it is coned over a triangulation of every facet
+    off it, a (k - 1)-cone on the rays of its zero set; k rays are simplicial.
+    The DD reads the ambient dimension off the rays.
     """
-    if len(rays) == rank([list(g) for g in rays]):
+    if len(rays) == k:
         return [list(rays)]
-    _, _, zero_sets = dd.extreme_rays(rays, dim)
+    _, _, zero_sets = dd.extreme_rays(rays, len(rays[0]))
     out = []
     for z in zero_sets:
         if z & 1:
             continue  # a facet through rays[0]
-        for t in _triangulate_cone([rays[i] for i in _bits(z)], dim):
+        for t in _triangulate_cone([rays[i] for i in _bits(z)], k - 1):
             out.append(t + [rays[0]])
     return out
 

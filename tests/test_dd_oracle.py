@@ -326,7 +326,7 @@ def test_simplex_facets_in_closed_form_match_the_double_description():
         pts = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(dim + 1)]
         if rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) < dim:
             continue
-        facets, tight = dd.facet_normals_from_points(pts)
+        facets, tight = dd.simplex_facets(pts)[1:]
         assert (facets, tight) == _facets_by_dd(pts), pts
         assert len(facets) == dim + 1 and sorted(tight) == sorted(
             (1 << dim + 1) - 1 ^ 1 << i for i in range(dim + 1)

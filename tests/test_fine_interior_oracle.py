@@ -680,7 +680,7 @@ def hilbert_basis(cone: RationalCone):
         raise UnsupportedInputError("Hilbert basis requires a pointed cone")
     normals, _ = cone.facet_data()
     candidates = set(cone.generators)
-    for sub in _triangulate_cone(list(cone.generators), cone.dim):
+    for sub in _triangulate_cone(list(cone.generators), cone.rank()):
         for p in _fundamental_parallelepiped(sub, cone.dim):
             if any(x != 0 for x in p):
                 candidates.add(p)

@@ -168,6 +168,8 @@ ROWS = [
     ("containment-map", lambda: containment_certificate(CUBE, CUBE, AffineUnimodularMap.identity(2)), Dim),
     ("subdivision-cell-space", lambda: make_subdivision(SQUARE, [CUBE]), Dim),
     ("simplex-facets-ragged", lambda: dd.simplex_facets([(0, 0), (1, 0), (0, 1, 0)]), Dim),
+    ("simplex-facets-no-point", lambda: dd.simplex_facets([]), Deg),
+    ("simplex-facets-one-point", lambda: dd.simplex_facets([()]), Deg),
     ("facet-normals-ragged", lambda: dd.facet_normals_from_points([(0, 0), (1, 0), (0, 1), (1, 1, 0)]), Dim),
     # a square matrix of ints
     ("adjugate-wide", lambda: adjugate([[1, 2, 3], [4, 5, 6]]), Deg),
@@ -252,7 +254,7 @@ def test_the_rejected_values_are_valid_one_step_away():
     assert dilate(SQUARE, 0).vertices == ((0, 0),) and len(SQUARE.faces(2)) == 1
     assert facet_shift(SQUARE, 3).vertices() and exponent_tuples(2) == [(0, 0)]
     assert dd.extreme_rays([], 0) == ([], [], []) and dd.extreme_rays([(1,)], 1) == ([(1,)], [], [0])
-    assert dd.simplex_facets([(0, 0), (1, 0), (0, 1)])[0] == 1
+    assert dd.simplex_facets([(0, 0), (1, 0), (0, 1)])[0] == 1 and dd.simplex_facets([(0,), (3,)])[0] == 3
     assert adjugate([]) == (1, []) and adjugate([[3, 0], [0, 1]]) == (3, [[1, 0], [0, 3]])
     assert len(dd.facet_normals_from_points([(0, 0), (1, 0), (0, 1), (1, 1)])[0]) == 4
     assert RationalPolytope(2, [((1, 0), 0)]).contains((0, 5))

@@ -493,8 +493,9 @@ class TestFacetSystemsComputedOnce:
         assert tri.n_interior_points() == 0
         assert tri.lattice_width()[0] == 2
         assert tri.normalized_volume() == 4
-        # the hull, then the chart polytope's dimension, with its facets and volume
-        assert len(closed) == 2 and not runs
+        # only the chart polytope's dimension, with its facets and volume: the hull of
+        # three independent points returns them as its vertices and proves no triangle
+        assert len(closed) == 1 and not runs
 
     def test_vertex_facet_incidences_are_read_off_the_double_description(self, monkeypatch):
         """hull, facet_system, _vertex_carriers, _face_masks and validate make no carrier call."""

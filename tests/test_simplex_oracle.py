@@ -1,4 +1,4 @@
-"""The one adjugate of a simplex and the shift chart against the routes they replace.
+"""Each shape proven once, against the routes that proved it twice.
 
 `LatticePolytope.dim()` of d + 1 vertices in Z^d reads the dimension, the
 normalized volume, the facets and their tight sets off one adjugate
@@ -12,6 +12,20 @@ shift chart on the rank of the differences.  The oracle is the earlier
 `for_points`, copied below, which ran the integer kernel first; the charts
 must be equal, and `to_chart` and `from_chart` must give the same values
 with the same types, so an integral Fraction still comes back as an int.
+
+`hull` asks its distinct points' `dim()` first and returns an affinely
+independent set as it is; `normalized_volume` pulls from vertex 0 over the
+tight sets `facet_system()` has found; `_triangulate_cone` takes the cone's
+dimension and ranks nothing.  Their oracles, copied below, are the earlier
+routes: a hull that charts every set and finds d + 1 points' facets in
+closed form, a volume that triangulates the whole cone over the lifted
+vertices, and a triangulation that ranks its rays at every level.  Hulls
+must agree in vertices, dimension, facets, tight sets and volume, and the
+vertex cones that `fine_interior` triangulates must give the same
+simplicial cones in the same order, since that order is the scans' order.
+Equivalence maps are compared with the frozen search of
+`test_equivalence_oracle`, whose leaf checks the determinant before the
+vertex images.
 """
 
 import os
@@ -21,9 +35,25 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from sbvol import dd
+from test_equivalence_oracle import fresh, oracle_equivalence
+from test_fine_interior_oracle import _distinct_11a_inputs
+
+from sbvol import dd, polytope
 from sbvol.intlinalg import det, dot, hermite_form, identity_matrix, integer_kernel, rank, transpose
-from sbvol.polytope import AffineChart, LatticePolytope, _eye, _lowest, _triangulate_cone, hull
+from sbvol.polytope import (
+    AffineChart,
+    LatticePolytope,
+    _bits,
+    _eye,
+    _lowest,
+    _transpose,
+    _triangulate_cone,
+    _vertex_mask,
+    hull,
+    unimodular_equivalence,
+)
+from sbvol.toric import normal_fan
+from sbvol.verification import _random_unimodular
 
 
 def _oracle_for_points(points):
@@ -81,10 +111,58 @@ def _facets_by_dd(points):
     return tuple(f for f, _ in pairs), tuple(zs for _, zs in pairs)
 
 
+def _oracle_triangulate_cone(rays, dim):
+    """The earlier _triangulate_cone: the ambient dimension, and a rank of the rays at every level."""
+    if len(rays) == rank([list(g) for g in rays]):
+        return [list(rays)]
+    _, _, zero_sets = dd.extreme_rays(rays, dim)
+    out = []
+    for z in zero_sets:
+        if z & 1:
+            continue  # a facet through rays[0]
+        for t in _oracle_triangulate_cone([rays[i] for i in _bits(z)], dim):
+            out.append(t + [rays[0]])
+    return out
+
+
 def _volume_by_triangulation(vertices):
-    """The normalized volume of a full-dimensional vertex set from its cone triangulation."""
+    """The earlier volume of a full-dimensional vertex set: the whole lifted cone, triangulated."""
     lifted = [tuple(v) + (1,) for v in vertices]
-    return sum(abs(det(c)) for c in _triangulate_cone(lifted, len(lifted[0])))
+    return sum(abs(det(c)) for c in _oracle_triangulate_cone(lifted, len(lifted[0])))
+
+
+def _oracle_volume(p):
+    """The earlier normalized_volume: 0 for a point, else the chart polytope's triangulation."""
+    q, _ = fresh(p).normalize_full_dimensional()
+    return _volume_by_triangulation(q.vertices) if q.dim() else 0
+
+
+def _oracle_facets(points):
+    """The earlier facet_normals_from_points: d + 1 points in closed form, any others by the DD."""
+    if len(points) == len(points[0]) + 1:
+        simplex = dd.simplex_facets(points)
+        assert simplex is not None
+        return simplex[1:]
+    return dd.facet_normals_from_points(points)
+
+
+def _oracle_hull(points):
+    """The earlier hull: every set of two or more points charted, then one facet route."""
+    pts = sorted(set(points))
+    n = len(pts[0])
+    if len(pts) == 1:
+        return LatticePolytope._trusted(n, pts)
+    ch = _oracle_for_points(pts)
+    d = ch.dim
+    facets, tight = _oracle_facets(pts if d == n else [_oracle_to_chart(ch, p) for p in pts])
+    carriers = _transpose(tight, len(pts))
+    vertices = _bits(_vertex_mask(carriers))
+    out = LatticePolytope._trusted(n, [pts[i] for i in vertices])
+    out._cache["dim"] = d
+    if d == n:
+        out._cache["facets"] = tuple(facets)
+        out._cache["tight"] = _transpose([carriers[i] for i in vertices], len(tight))
+    return out
 
 
 def _simplex_vertex_sets(seed, count):
@@ -215,3 +293,154 @@ def test_flat_cell_fails_cover_under_optimize():
     assert run.returncode == 0, run.stderr
     assert run.stdout.split(" ", 2)[:2] == ["2", "False"]
     assert "'cover'" in run.stdout
+
+
+# -- hulls, volumes, cone triangulations and maps against the earlier routes -----------------
+
+
+def _seeded_point_sets(seed, count):
+    """Integer point lists in Z^n, n = 1..5, with repeats; about 30% of them span less than Z^n.
+
+    A lower-dimensional set is the image of points of Z^k, k < n, under a random
+    integer frame and shift; it may have any dimension up to k.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = i % 5 + 1
+        size = rng.randint(1, n + 4)
+        if n >= 2 and rng.random() < 0.3:
+            k = rng.randint(1, n - 1)
+            frame = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            shift = [rng.randint(-3, 3) for _ in range(n)]
+            coeffs = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(size)]
+            pts = [tuple(dot(row, u) + t for row, t in zip(frame, shift)) for u in coeffs]
+        else:
+            pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(size)]
+        out.append(pts + rng.sample(pts, 1))
+    return out
+
+
+def test_hulls_and_volumes_agree_with_the_earlier_routes():
+    kinds = set()
+    for pts in _seeded_point_sets(810, 1500):
+        got, want = hull(pts), _oracle_hull(pts)
+        n = len(pts[0])
+        assert (got.vertices, got.dim()) == (want.vertices, want.dim()), pts
+        kinds.add((n, got.dim() == n, len(got.vertices) == got.dim() + 1))
+        if got.dim() == n:
+            assert (got.facet_system(), got._tight_sets()) == (want.facet_system(), want._tight_sets())
+        else:
+            q, qw = got.normalize_full_dimensional()[0], want.normalize_full_dimensional()[0]
+            assert (q.vertices, q.facet_system(), q._tight_sets()) == (
+                qw.vertices,
+                qw.facet_system(),
+                qw._tight_sets(),
+            )
+        # read off the hull's own cache, and on a fresh vertex set that reads no cache
+        assert got.normalized_volume() == fresh(got).normalized_volume() == _oracle_volume(want), pts
+    # full and lower-dimensional, simplices and not, in every ambient dimension; a full
+    # 1-polytope, and every lower-dimensional set in Z^1 or Z^2, is a point or a segment
+    every = {(n, full, s) for n in range(1, 6) for full in (True, False) for s in (True, False)}
+    assert kinds >= {(n, full, s) for n, full, s in every if s or n > (1 if full else 2)}
+
+
+def _full_dimensional_polytopes(seed, count):
+    """Seeded full-dimensional hulls in Z^2..Z^4, vertex sets of small random point sets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = len(out) % 3 + 2
+        p = hull([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + rng.randint(1, 5))])
+        if p.dim() == n:
+            out.append(p)
+    return out
+
+
+def test_vertex_cone_triangulations_in_order_and_without_rank(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_triangulate_cone ranked its rays")
+
+    cones = [  # (rays, d) of every vertex cone, as fine_interior lists them
+        ([fan.rays[j] for j in sorted(cone)], p.ambient_dim)
+        for p in _distinct_11a_inputs() + _full_dimensional_polytopes(820, 150)
+        for fan in [normal_fan(p)]
+        for cone in fan.vertex_cones
+    ]
+    monkeypatch.setattr(polytope, "rank", refuse)
+    for rays, d in cones:
+        assert _triangulate_cone(rays, d) == _oracle_triangulate_cone(rays, d), rays
+    assert len(cones) > 2000 and sum(len(rays) > d for rays, d in cones) > 500
+
+
+def test_equivalence_maps_agree_with_the_earlier_leaf():
+    rng = random.Random(830)
+    found = 0
+    for pts in _seeded_point_sets(840, 300):
+        if len(pts[0]) > 4:  # the earlier screen reads the lattice width
+            continue
+        p = hull(pts)
+        image = _random_unimodular(rng, p.ambient_dim).apply_polytope(p) if p.ambient_dim > 1 else p
+        other = hull(pts[:-2] + [tuple(x + 1 for x in pts[0])]) if len(pts) > 2 else p
+        for q in (image, other):
+            got = unimodular_equivalence(fresh(p), fresh(q))
+            assert got == oracle_equivalence(fresh(p), fresh(q)), (p.vertices, q.vertices)
+            found += got.found
+    assert found > 200
+
+
+# -- the work each proof costs ---------------------------------------------------------
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_hull_of_a_simplex_proves_it_once(monkeypatch):
+    simplex = _counted(monkeypatch, dd, "simplex_facets")
+    runs = _counted(monkeypatch, dd, "extreme_rays")
+    ranks = _counted(monkeypatch, polytope, "rank")
+    dets = _counted(monkeypatch, polytope, "det")
+    rng = random.Random(850)
+    for n in range(1, 7):
+        while True:
+            pts = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n + 1)]
+            if rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == n:
+                break
+        del simplex[:], ranks[:]
+        p = hull(pts)
+        assert (len(simplex), len(runs), len(ranks)) == (1, 0, 0), n
+        volume = p.normalized_volume()
+        assert (len(simplex), len(runs), len(ranks), len(dets)) == (1, 0, 0, 0), n
+        assert p.vertices == tuple(sorted(pts)) and volume == abs(det([list(v) + [1] for v in pts]))
+
+
+def test_volume_runs_the_dd_only_on_non_simplicial_facets_off_vertex_0(monkeypatch):
+    cube = hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    polytopes = [cube, hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1), (0, 0, -1)])]
+    polytopes += [p for p in _full_dimensional_polytopes(860, 120) if p.ambient_dim == 3]
+    polytopes += [
+        hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
+    ]
+    runs = _counted(monkeypatch, dd, "extreme_rays")
+    seen = set()
+    for p in polytopes:
+        p.facet_system()
+        del runs[:]
+        volume = p.normalized_volume()
+        d = p.ambient_dim
+        off = [t for t in p._tight_sets() if not t & 1]
+        # a facet of a 3-polytope is a polygon, and the polygon's edges need no DD;
+        # the 4-dimensional example is simplicial
+        assert len(runs) == sum(t.bit_count() > d for t in off), p.vertices
+        seen.add(len(runs))
+        assert volume == _volume_by_triangulation(p.vertices)
+    assert {0, 1, 3} <= seen
